@@ -22,6 +22,7 @@ from jsonschema import ValidationError, validate
 
 from . import catalog
 from .collocation import make_grid
+from .expressions import ExpressionError
 from .extension import (
     ModelError,
     bc_to_json,
@@ -32,6 +33,7 @@ from .extension import (
     verify_self_adjoint_domain,
 )
 from .legendre import (
+    LegendreError,
     boundary_identity_check,
     eigen_check,
     extended_eigen_check,
@@ -39,7 +41,7 @@ from .legendre import (
     gram_schmidt,
     lt_eigenvalue,
 )
-from .spectral import assemble, shooting_oracle, spectrum, symmetry_defect
+from .spectral import SpectralError, assemble, shooting_oracle, spectrum, symmetry_defect
 from .symplectic import SymplecticError, form_eval, quotient_by, radical
 
 COMMANDS = ("check-symplectic", "derive-bc", "verify-gkn", "spectrum", "legendre", "all")
@@ -64,7 +66,11 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                k: {"type": "number"} for k in catalog.DEFAULT_PARAMS
+                # A weights the fourth-order model, M and N_weight the W Gram
+                k: {"type": "number", "exclusiveMinimum": 0}
+                if k in ("A", "M", "N_weight")
+                else {"type": "number"}
+                for k in catalog.DEFAULT_PARAMS
             },
         },
         "grid_N": {"type": "integer", "minimum": 16},
@@ -99,6 +105,10 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config schema violation: {e.message}")
     if cfg["example"] == "custom" and "model" not in cfg:
         raise ConfigError("custom example needs a 'model' section")
+    params = dict(catalog.DEFAULT_PARAMS)
+    params.update(cfg.get("params", {}))
+    if not params["a"] < params["b"]:
+        raise ConfigError(f"interval needs a < b, got a = {params['a']}, b = {params['b']}")
     return cfg
 
 
@@ -260,6 +270,13 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict, seed: int):
             err = min(abs(d - r) for d in disc) / max(1.0, abs(r))
             worst = max(worst, err)
         checks.le("oracle_agreement_rel", worst, tols["oracle_rel"])
+        # the other direction: a root pair inside one scan cell has no sign
+        # change, so each of the five smallest eigenvalues needs an oracle root
+        worst = 0.0
+        for d in disc[:5]:
+            err = min((abs(r - d) for r in roots), default=np.inf) / max(1.0, abs(d))
+            worst = max(worst, err)
+        checks.le("oracle_covers_discrete", worst, tols["oracle_rel"])
         if model.k and entry.name.startswith(("first_order", "fourier")):
             worst_res = 0.0
             for sign in (+1, -1):
@@ -411,7 +428,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         report = run(cfg, args.command)
-    except (ConfigError, ModelError, SymplecticError, KeyError) as e:
+    except (
+        ConfigError, ModelError, SymplecticError, ExpressionError, SpectralError,
+        LegendreError, KeyError,
+    ) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2, default=_json_default)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .collocation import CollocationGrid
 from .expressions import (
@@ -227,75 +226,124 @@ def spectrum(op: DiscreteExtendedOperator, count: int, seed: int = 0) -> Spectru
 # shooting oracle
 
 
-def _fundamental_traces(expr: DiffExpr, lam: float, rtol: float = 1e-11):
-    """Traces of a fundamental solution system of l x = lam x via adaptive RK."""
-    a, b = (float(v) for v in expr.interval)
-    if isinstance(expr, Fourier):
-        # y'' = -lam y, two initial-value columns
-        def rhs(_, y):
-            y1, dy1, y2, dy2 = y
-            return [dy1, -lam * y1, dy2, -lam * y2]
+def _fundamental_traces(expr: DiffExpr, lams: np.ndarray) -> np.ndarray:
+    """Traces of a fundamental system of l x = lam x for every lam at once.
 
-        sol = solve_ivp(
-            rhs, (a, b), [1.0, 0.0, 0.0, 1.0], method="DOP853", rtol=rtol, atol=1e-13
+    The systems of all lam are stacked into one state and integrated by a
+    single adaptive RK call (rtol 1e-11, atol 1e-13).  solve_ivp bounds the
+    RMS error norm of the whole state, so both tolerances are divided by
+    sqrt(len(lams)): no single lam's error norm can then exceed the
+    tolerance it had on its own.
+    Returns an array of shape (len(lams), trace_dim, solutions).
+    """
+    a, b = (float(v) for v in expr.interval)
+    n = lams.size
+    tol = {"rtol": 1e-11 / np.sqrt(n), "atol": 1e-13 / np.sqrt(n)}
+    if isinstance(expr, Fourier):
+        # y'' = -lam y, two initial-value columns; state rows y1, y1', y2, y2'
+        def rhs(_, y):
+            y1, dy1, y2, dy2 = y.reshape(4, n)
+            return np.concatenate([dy1, -lams * y1, dy2, -lams * y2])
+
+        y0 = np.repeat([1.0, 0.0, 0.0, 1.0], n)
+        sol = solve_ivp(rhs, (a, b), y0, method="DOP853", **tol)
+        y1, dy1, y2, dy2 = sol.y[:, -1].reshape(4, n)
+        one, zero = np.ones(n), np.zeros(n)
+        return np.stack(
+            [np.stack([one, zero, y1, dy1], -1), np.stack([zero, one, y2, dy2], -1)], -1
         )
-        y = sol.y[:, -1]
-        tr1 = np.array([1.0, 0.0, y[0], y[1]])
-        tr2 = np.array([0.0, 1.0, y[2], y[3]])
-        return [tr1, tr2]
     if isinstance(expr, FirstOrderI):
         # i x' = lam x
         def rhs(_, y):
-            return [-1j * lam * y[0]]
+            return -1j * lams * y
 
-        sol = solve_ivp(
-            rhs, (a, b), [1.0 + 0.0j], method="DOP853", rtol=rtol, atol=1e-13
-        )
-        return [np.array([1.0 + 0.0j, sol.y[0, -1]])]
+        sol = solve_ivp(rhs, (a, b), np.ones(n, dtype=complex), method="DOP853", **tol)
+        return np.stack([np.ones(n, dtype=complex), sol.y[:, -1]], -1)[:, :, None]
     raise SpectralError("shooting supports the first- and second-order kinds only")
 
 
-def characteristic_value(model: ExtendedModel, bc: BoundaryConditions, lam: float) -> float:
+def characteristic_value(model: ExtendedModel, bc: BoundaryConditions, lam):
     """Real characteristic function whose zeros are the eigenvalues.
 
     Assembles the square system (boundary rows, W eigen-rows) on the
-    fundamental-solution coefficients and the W coordinates.  For the
-    first-order kind the determinant is made real by a unimodular phase;
-    a non-negligible imaginary remainder raises.
+    fundamental-solution coefficients and the W coordinates, for a scalar
+    lam (returns a float) or an array of lam (returns an array, one batched
+    integration).  For the first-order kind the determinant is made real by
+    a unimodular phase; a non-negligible imaginary remainder raises.
     """
     expr = model.expr
-    k = model.k
-    fund = _fundamental_traces(expr, lam)
-    ncols = len(fund) + k
-    M = np.zeros((bc.canonical.shape[0] + k, ncols), dtype=complex)
-    for i, row in enumerate(bc.canonical):
-        for j, tr in enumerate(fund):
-            M[i, j] = row[: model.trace_dim] @ tr
-        M[i, len(fund) :] = row[model.trace_dim :]
-    for i in range(k):
-        for j, tr in enumerate(fund):
-            M[bc.canonical.shape[0] + i, j] = -(model.Omega @ tr)[i]
-        M[bc.canonical.shape[0] + i, len(fund) :] = (
-            model.B.matrix[i] - lam * np.eye(k)[i]
-        )
-    if M.shape[0] != M.shape[1]:
+    k, td = model.k, model.trace_dim
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    fund = _fundamental_traces(expr, lams)
+    nf = fund.shape[2]
+    rows = bc.canonical
+    nb = rows.shape[0]
+    if nb != nf:
         raise SpectralError(
-            f"characteristic system is {M.shape[0]}x{M.shape[1]}; need def(T0) "
+            f"characteristic system is {nb + k}x{nf + k}; need def(T0) "
             f"boundary rows for a square system"
         )
+    M = np.empty((lams.size, nb + k, nf + k), dtype=complex)
+    M[:, :nb, :nf] = np.einsum("it,ltj->lij", rows[:, :td], fund)
+    M[:, :nb, nf:] = rows[:, td:]
+    M[:, nb:, :nf] = -np.einsum("it,ltj->lij", model.Omega, fund)
+    M[:, nb:, nf:] = model.B.matrix - lams[:, None, None] * np.eye(k)
     det = np.linalg.det(M)
     if isinstance(expr, FirstOrderI):
         a, b = (float(v) for v in expr.interval)
-        det = det * np.exp(1j * lam * (b - a) / 2.0)
+        det = det * np.exp(1j * lams * (b - a) / 2.0)
     # integration noise in Im(det) scales with the determinant's natural
     # size, not with Re(det), which vanishes at eigenvalues
-    hadamard = float(np.prod(np.maximum(np.linalg.norm(M, axis=1), 1e-30)))
-    if abs(det.imag) > 1e-6 * max(hadamard, 1.0):
+    hadamard = np.prod(np.maximum(np.linalg.norm(M, axis=1), 1e-30), axis=1)
+    bad = np.flatnonzero(np.abs(det.imag) > 1e-6 * np.maximum(hadamard, 1.0))
+    if bad.size:
+        i = bad[0]
         raise SpectralError(
-            f"characteristic determinant is not real at lambda = {lam} "
-            f"(got {det:.3e}); complex-coefficient B is outside the oracle's scope"
+            f"characteristic determinant is not real at lambda = {lams[i]} "
+            f"(got {det[i]:.3e}); a B that is not self-adjoint for the W inner product "
+            f"is outside the oracle's scope"
         )
-    return float(det.real)
+    return float(det[0].real) if np.ndim(lam) == 0 else det.real
+
+
+def _illinois(f, a, b, fa, fb) -> np.ndarray:
+    """Refine every sign-change bracket [a, b] of f in lockstep.
+
+    Each sweep takes one Illinois step (regula falsi, halving the value
+    kept at the retained end) per open bracket and evaluates f on all of
+    them in one call.  A bracket closes at width 2 * tol with
+    tol = 1e-10 + 4 eps |x| (Brent's stopping rule at xtol 1e-10), and its
+    midpoint is returned.  As in Brent's method a step lands at least tol inside the
+    bracket, so an end that already sits on the root closes it in one more
+    sweep; a bracket that has not halved its width in three sweeps is
+    bisected.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    last_halving = np.abs(b - a)
+    age = np.zeros(a.size, dtype=int)
+    while True:
+        mid = 0.5 * (a + b)
+        tol = 1e-10 + 4 * np.finfo(float).eps * np.abs(mid)
+        open_ = np.flatnonzero(np.abs(b - a) > 2 * tol)
+        if not open_.size:
+            return mid
+        ao, bo, fao, fbo = a[open_], b[open_], fa[open_], fb[open_]
+        c = bo - fbo * (bo - ao) / (fbo - fao)
+        c = np.where(age[open_] < 3, c, mid[open_])
+        t = tol[open_]
+        c = np.clip(c, np.minimum(ao, bo) + t, np.maximum(ao, bo) - t)
+        fc = f(c)
+        # the root lies between the latest point and c: the latest point is
+        # retained; otherwise the retained end keeps half its value
+        flip = np.sign(fc) != np.sign(fbo)
+        a[open_] = np.where(flip, bo, ao)
+        fa[open_] = np.where(flip, fbo, 0.5 * fao)
+        b[open_], fb[open_] = c, fc
+        a[open_[fc == 0.0]] = c[fc == 0.0]
+        new_width = np.abs(b[open_] - a[open_])
+        halved = new_width <= 0.5 * last_halving[open_]
+        last_halving[open_] = np.where(halved, new_width, last_halving[open_])
+        age[open_] = np.where(halved, 0, age[open_] + 1)
 
 
 def shooting_oracle(
@@ -306,31 +354,25 @@ def shooting_oracle(
 ) -> list[float]:
     """Eigenvalues in the window by scanning the characteristic function.
 
-    Sign changes are bracketed on a uniform scan and refined by Brent's
-    method to 1e-10; windows without sign changes yield an empty list.
+    The uniform scan is one batched evaluation.  Its sign changes are
+    refined together by lockstep Illinois sweeps to 1e-10; windows without
+    sign changes yield an empty list.
     """
     lo, hi = lam_window
     if not lo < hi:
         raise SpectralError("empty window")
     grid = np.linspace(lo, hi, scan_points)
-    vals = np.array([characteristic_value(model, bc, lam) for lam in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(float(grid[i]))
-        elif v0 * v1 < 0:
-            r = brentq(
-                lambda lam: characteristic_value(model, bc, lam),
-                grid[i],
-                grid[i + 1],
-                xtol=1e-10,
-                rtol=8.9e-16,
+    vals = characteristic_value(model, bc, grid)
+    roots = list(grid[vals == 0.0])
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    if i.size:
+        roots += list(
+            _illinois(
+                lambda lams: characteristic_value(model, bc, lams),
+                grid[i], grid[i + 1], vals[i], vals[i + 1],
             )
-            roots.append(float(r))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return sorted(roots)
+        )
+    return sorted(float(r) for r in roots)
 
 
 # ---------------------------------------------------------------------------

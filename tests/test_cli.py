@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gknextend.catalog import build_example
-from gknextend.cli import ConfigError, load_config, main, run
+from gknextend.cli import CONFIG_SCHEMA, ConfigError, load_config, main, run
 from gknextend.extension import model_to_json
 
 
@@ -38,6 +39,41 @@ class TestConfigValidation:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nothere.json"))
+
+    def test_schema_document_matches(self):
+        doc = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
+        assert json.loads(doc.read_text()) == CONFIG_SCHEMA
+
+
+class TestRefusals:
+    """Configs outside the model's domain exit 2 with a reason, never 1."""
+
+    def refused(self, tmp_path, capsys, cfg, command="derive-bc"):
+        path = write_config(tmp_path, cfg)
+        code = main([command, "--config", path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:")
+        return err
+
+    def test_negative_A(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, {"example": "legendre_type", "params": {"A": -1}})
+        assert "-1" in err
+
+    def test_zero_M(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, {"example": "fourier_3_3", "params": {"M": 0}})
+        assert "0" in err
+
+    def test_reversed_interval(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, {"example": "fourier_3_3", "params": {"a": 1, "b": 0}})
+        assert "a < b" in err
+
+    def test_reversed_interval_in_custom_model(self, tmp_path, capsys):
+        # reaches the expression constructor, past the schema
+        model = model_to_json(build_example("fourier_3_3").model)
+        model["expression"] = {"kind": "fourier", "a": "1", "b": "0"}
+        err = self.refused(tmp_path, capsys, {"example": "custom", "model": model})
+        assert "a < b" in err
 
 
 class TestRun:
@@ -108,6 +144,27 @@ class TestMain:
             {"example": "first_order", "seed": 0, "tolerances": {"sabotage_floor": 1e6}},
         )
         assert main(["spectrum", "--config", path]) == 1
+
+    def test_missed_root_pair_fails_coverage(self, tmp_path):
+        # two eigenvalues (-1.7577, -1.6426) share one cell of the oracle scan
+        cfg = {
+            "example": "fourier_3_4",
+            "params": {"M": 2.4, "N_weight": 2.6, "alpha": 0.35, "gamma": 0.35,
+                       "beta_re": -0.7, "a": -0.75, "b": 0.6},
+            "seed": 0,
+        }
+        out = tmp_path / "rep.json"
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["oracle_covers_discrete"]
+
+    def test_complex_beta_keeps_oracle_in_scope(self, tmp_path):
+        # B stays self-adjoint for the W inner product, so the determinant is real
+        path = write_config(tmp_path, {"example": "fourier_3_3", "params": {"beta_im": 0.5}})
+        out = tmp_path / "rep.json"
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
+        names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+        assert {"oracle_agreement_rel", "oracle_covers_discrete"} <= set(names)
 
     def test_deterministic_roundtrip(self, tmp_path):
         path = write_config(tmp_path, {"example": "fourier_3_4", "seed": 11})
