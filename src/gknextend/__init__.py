@@ -21,8 +21,6 @@ from .expressions import (
     TraceVector,
     apply_expr,
     boundary_form,
-    deficiency_index,
-    deficiency_solutions,
     patch_realization,
     trace_of_poly,
 )

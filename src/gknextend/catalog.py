@@ -59,8 +59,21 @@ DEFAULT_PARAMS = {
 }
 
 
+ALGEBRA_COMMANDS = ("check-symplectic", "derive-bc", "verify-gkn")
+SPECTRUM_COMMANDS = ALGEBRA_COMMANDS + ("spectrum",)
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A worked example together with its verification plan.
+
+    The plan states which CLI commands apply (in the order `all` runs
+    them), the verdict the self-adjointness certificate must reach, and
+    how `spectrum` checks the example: against shooting-oracle roots in
+    `spectral_window`, or, with `poly_degree` set, only through the
+    symmetry defect on polynomials of that degree.
+    """
+
     name: str
     model: ExtendedModel
     candidates: tuple                      # ((TraceVector, w-vector), ...)
@@ -69,8 +82,10 @@ class CatalogEntry:
     expected_omega: np.ndarray
     controls: dict = field(default_factory=dict)
     explicit_rows: Optional[np.ndarray] = None   # used instead of candidates
-    spectral: bool = False
-    spectral_window: tuple[float, float] = (0.0, 1.0)
+    commands: tuple[str, ...] = ALGEBRA_COMMANDS
+    expect_self_adjoint: bool = True
+    spectral_window: Optional[tuple[float, float]] = None
+    poly_degree: Optional[int] = None
 
     def boundary_conditions(self) -> BoundaryConditions:
         if self.explicit_rows is not None:
@@ -126,7 +141,9 @@ def _legendre_entry(p: dict) -> CatalogEntry:
     return CatalogEntry(
         "legendre_type", model, cand, expected,
         ("a_W[1] = x(-1)", "a_W[2] = x(1)"), omega, controls,
-        spectral=False,
+        # singular coefficients: the defect is checked on polynomial
+        # subspaces, eigenvalue claims live in the exact `legendre` suite
+        commands=SPECTRUM_COMMANDS + ("legendre",), poly_degree=16,
     )
 
 
@@ -148,7 +165,7 @@ def _first_order_entry(p: dict) -> CatalogEntry:
     return CatalogEntry(
         "first_order", model, cand, expected,
         ("a_W[1] = 0.5*x(0) + 0.5*x(1)",), omega, controls,
-        spectral=True, spectral_window=(-60.0, 60.0),
+        commands=SPECTRUM_COMMANDS, spectral_window=(-60.0, 60.0),
     )
 
 
@@ -185,7 +202,7 @@ def _fourier_3_1_entry(p: dict) -> CatalogEntry:
     return CatalogEntry(
         "fourier_3_1", model, cand, expected,
         ("x(a) = 0", "a_W[1] = x(b)"), omega, controls,
-        spectral=True, spectral_window=_fourier_window(p),
+        commands=SPECTRUM_COMMANDS, spectral_window=_fourier_window(p),
     )
 
 
@@ -204,7 +221,7 @@ def _fourier_3_2a_entry(p: dict) -> CatalogEntry:
     return CatalogEntry(
         "fourier_3_2a", model, cand, expected,
         ("a_W[1] = x'(a)", "x(b) = 0"), omega, controls,
-        spectral=True, spectral_window=_fourier_window(p),
+        commands=SPECTRUM_COMMANDS, spectral_window=_fourier_window(p),
     )
 
 
@@ -218,7 +235,7 @@ def _fourier_3_2b_entry(p: dict) -> CatalogEntry:
     return CatalogEntry(
         "fourier_3_2b", model, (), expected,
         ("x(b) = 0", "a_W[1] = x'(b)"), omega, {},
-        explicit_rows=rows, spectral=False,
+        explicit_rows=rows, expect_self_adjoint=False,
     )
 
 
@@ -247,7 +264,7 @@ def _fourier_2d_entry(name, p, t1, t2, x1, x2, sym_partner, expected, strings, o
     }
     return CatalogEntry(
         name, model, cand, expected, strings, omega, controls,
-        spectral=True, spectral_window=window,
+        commands=SPECTRUM_COMMANDS, spectral_window=window,
     )
 
 

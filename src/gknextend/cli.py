@@ -25,6 +25,7 @@ from .collocation import make_grid
 from .expressions import ExpressionError
 from .extension import (
     ModelError,
+    _trace_from_json,
     bc_to_json,
     boundary_conditions_from_rows,
     check_gkn_extended,
@@ -41,8 +42,15 @@ from .legendre import (
     gram_schmidt,
     lt_eigenvalue,
 )
-from .spectral import SpectralError, assemble, shooting_oracle, spectrum, symmetry_defect
-from .symplectic import SymplecticError, form_eval, quotient_by, radical
+from .spectral import (
+    SpectralError,
+    assemble,
+    eigenrelation_residual,
+    shooting_oracle,
+    spectrum,
+    symmetry_defect,
+)
+from .symplectic import SymplecticError, form_eval, quotient_by, radical, subspace_contains
 
 COMMANDS = ("check-symplectic", "derive-bc", "verify-gkn", "spectrum", "legendre", "all")
 
@@ -146,22 +154,13 @@ class Checks:
 def _entry_from_config(cfg: dict):
     if cfg["example"] == "custom":
         model = model_from_json(cfg["model"])
-        cands = []
-        for item in cfg.get("candidates", []):
-            tr = item["trace"]
-            w = item.get("w", [])
-            trace = tuple(complex(tr[2 * i], tr[2 * i + 1]) for i in range(len(tr) // 2))
-            wv = np.array([complex(w[2 * i], w[2 * i + 1]) for i in range(len(w) // 2)])
-            from .expressions import TraceVector
-
-            cands.append((TraceVector(trace), wv))
+        # traces and W coordinates alike are flat [re, im, ...] lists
+        cands = tuple(
+            (_trace_from_json(item["trace"]), _trace_from_json(item.get("w", [])).as_array())
+            for item in cfg.get("candidates", [])
+        )
         return catalog.CatalogEntry(
-            "custom",
-            model,
-            tuple(cands),
-            np.zeros((0, model.ambient_dim)),
-            (),
-            model.Omega.copy(),
+            "custom", model, cands, np.zeros((0, model.ambient_dim)), (), model.Omega.copy()
         )
     return catalog.build_example(cfg["example"], cfg.get("params"))
 
@@ -193,8 +192,6 @@ def run_check_symplectic(entry, cfg, checks: Checks, seed: int):
     checks.le("omega_annihilates_gkn_set", worst_omega_t, tol)
     checks.le("omega_coupling_identity", worst_coupling, tol)
     rad = radical(model.F_ext)
-    from .symplectic import subspace_contains
-
     checks.eq("minimal_pairs_inside_radical", True, subspace_contains(rad, model.M_min))
     Fq, _ = quotient_by(model.F_ext, model.M_min)
     checks.eq("quotient_dimension", 2 * model.deficiency, Fq.dim)
@@ -211,8 +208,7 @@ def run_derive_bc(entry, cfg, checks: Checks, report: dict):
         checks.le("canonical_matrix_matches_published", delta, tol)
         checks.eq("rendered_conditions", list(entry.expected_strings), list(bc.human_readable))
     sa = verify_self_adjoint_domain(entry.model, bc)
-    expected_sa = entry.name != "fourier_3_2b"
-    checks.eq("constrained_domain_self_adjoint", expected_sa, sa)
+    checks.eq("constrained_domain_self_adjoint", entry.expect_self_adjoint, sa)
     return bc
 
 
@@ -248,17 +244,15 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict, seed: int):
     grid = make_grid(cfg.get("grid_N", 64), a, b)
     bc = entry.boundary_conditions()
     op = assemble(model, bc, grid)
+    degree = entry.poly_degree
 
-    if entry.name == "legendre_type":
-        # singular coefficients: defect is checked on polynomial subspaces,
-        # eigenvalue claims live in the exact module
-        defect = symmetry_defect(op, trials=50, seed=seed, poly_degree=16)
+    defect = symmetry_defect(op, trials=50, seed=seed, poly_degree=degree)
+    if degree is not None:
         checks.le("symmetry_defect_polynomial_subspace", defect, tols["defect"])
     else:
-        defect = symmetry_defect(op, trials=50, seed=seed)
         checks.le("symmetry_defect", defect, tols["defect"])
         rep = spectrum(op, 8, seed=seed)
-        report["eigenvalues"] = rep.to_json()
+        report["eigenvalues"] = rep.to_json(defect)
         checks.le("max_imag_part", rep.max_imag, tols["max_imag"])
         roots = shooting_oracle(model, bc, entry.spectral_window)
         oracle5 = sorted(roots, key=abs)[:5]
@@ -277,7 +271,7 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict, seed: int):
             err = min((abs(r - d) for r in roots), default=np.inf) / max(1.0, abs(d))
             worst = max(worst, err)
         checks.le("oracle_covers_discrete", worst, tols["oracle_rel"])
-        if model.k and entry.name.startswith(("first_order", "fourier")):
+        if model.k:
             worst_res = 0.0
             for sign in (+1, -1):
                 vecs = extended_deficiency_vectors(model, sign)
@@ -286,8 +280,6 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict, seed: int):
                     model.deficiency,
                     len(vecs),
                 )
-                from .spectral import eigenrelation_residual
-
                 for v in vecs:
                     worst_res = max(
                         worst_res,
@@ -298,11 +290,9 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict, seed: int):
     sab = boundary_conditions_from_rows(
         model, catalog.sabotage_rows(bc, model.trace_dim)
     )
-    op_bad = assemble(model, sab, grid)
-    if entry.name == "legendre_type":
-        defect_bad = symmetry_defect(op_bad, trials=50, seed=seed, poly_degree=16)
-    else:
-        defect_bad = symmetry_defect(op_bad, trials=50, seed=seed)
+    defect_bad = symmetry_defect(
+        assemble(model, sab, grid), trials=50, seed=seed, poly_degree=degree
+    )
     checks.ge("sabotaged_defect_floor", defect_bad, tols["sabotage_floor"])
     report["sabotaged_defect"] = float(defect_bad)
 
@@ -339,30 +329,13 @@ def run_legendre(entry, cfg, checks: Checks, report: dict):
     report["legendre_eigenvalues"] = eigs
 
 
-def applicable_commands(example: str) -> tuple[str, ...]:
-    cmds = ["check-symplectic", "derive-bc", "verify-gkn"]
-    if example == "legendre_type":
-        cmds += ["spectrum", "legendre"]
-    elif example in ("first_order", "fourier_3_1", "fourier_3_2a", "fourier_3_3",
-                     "fourier_3_4", "fourier_3_5"):
-        cmds += ["spectrum"]
-    return tuple(cmds)
-
-
 def run(cfg: dict, command: str) -> dict:
     """Execute one command (or `all`) and return the report dict."""
     seed = cfg.get("seed", 0)
     entry = _entry_from_config(cfg)
-    if command != "all" and command not in applicable_commands(entry.name) and entry.name != "custom":
+    if command != "all" and command not in entry.commands:
         raise ConfigError(f"command {command!r} is not applicable to {entry.name!r}")
-    commands = applicable_commands(entry.name) if command == "all" else (command,)
-    if entry.name == "custom":
-        commands = tuple(
-            c for c in (commands if command == "all" else (command,))
-            if c in ("check-symplectic", "derive-bc", "verify-gkn")
-        )
-        if not commands:
-            raise ConfigError(f"command {command!r} is not applicable to custom models")
+    commands = entry.commands if command == "all" else (command,)
 
     checks = Checks()
     report = {

@@ -1,9 +1,8 @@
 """Chebyshev-Gauss-Lobatto collocation grids on [a, b].
 
 Nodes are stored ascending (left endpoint first).  The grid carries the
-classical Clenshaw-Curtis weights and, separately, the exact L2 Gram
-matrix of the nodal interpolants, computed by resampling to a
-Gauss-Legendre rule that integrates degree-2N polynomials exactly.  The
+exact L2 Gram matrix of the nodal interpolants, computed by resampling to
+a Gauss-Legendre rule that integrates degree-2N polynomials exactly.  The
 exact Gram is what the discrete operators use for inner products: with it,
 integration by parts for polynomial interpolants is an identity rather
 than a quadrature approximation, which is what keeps the symmetry defect
@@ -29,24 +28,6 @@ def _cheb_matrix(N: int) -> tuple[np.ndarray, np.ndarray]:
     return t, D
 
 
-def _clenshaw_curtis(N: int) -> np.ndarray:
-    """Clenshaw-Curtis weights for the CGL nodes on [-1, 1]."""
-    theta = np.pi * np.arange(N + 1) / N
-    w = np.zeros(N + 1)
-    v = np.ones(N - 1)
-    if N % 2 == 0:
-        w[0] = w[N] = 1.0 / (N**2 - 1)
-        for k in range(1, N // 2):
-            v -= 2.0 * np.cos(2 * k * theta[1:N]) / (4 * k**2 - 1)
-        v -= np.cos(N * theta[1:N]) / (N**2 - 1)
-    else:
-        w[0] = w[N] = 1.0 / N**2
-        for k in range(1, (N - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2 * k * theta[1:N]) / (4 * k**2 - 1)
-    w[1:N] = 2.0 * v / N
-    return w
-
-
 @dataclass(frozen=True)
 class CollocationGrid:
     N: int
@@ -54,21 +35,12 @@ class CollocationGrid:
     b: float
     nodes: np.ndarray          # ascending, nodes[0] = a, nodes[-1] = b
     D: tuple                   # D[j] differentiates j+1 times (j = 0..3)
-    weights: np.ndarray        # Clenshaw-Curtis weights on [a, b]
     gram: np.ndarray           # exact L2 Gram of the nodal interpolants
 
     def diff(self, order: int) -> np.ndarray:
         if not 1 <= order <= 4:
             raise ValueError("differentiation matrices available for orders 1..4")
         return self.D[order - 1]
-
-    def integrate(self, samples: np.ndarray) -> complex:
-        return complex(np.dot(self.weights, samples))
-
-    def norm(self, samples: np.ndarray) -> float:
-        """Exact L2 norm of the interpolant through the samples."""
-        v = np.asarray(samples, dtype=complex)
-        return float(np.sqrt(max((v.conj() @ self.gram @ v).real, 0.0)))
 
 
 def make_grid(N: int, a: float, b: float) -> CollocationGrid:
@@ -84,7 +56,6 @@ def make_grid(N: int, a: float, b: float) -> CollocationGrid:
     D2 = D1 @ D1
     D3 = D2 @ D1
     D4 = D3 @ D1
-    w = _clenshaw_curtis(N) * (b - a) / 2.0
     # exact interpolant Gram via Gauss-Legendre resampling (degree 2N needs N+1 points)
     gx, gw = np.polynomial.legendre.leggauss(N + 1)
     gu = (a + b) / 2.0 + gx * (b - a) / 2.0
@@ -102,4 +73,4 @@ def make_grid(N: int, a: float, b: float) -> CollocationGrid:
         E[exact_hit] = 1.0
     gram = E.T @ (gw[:, None] * E)
     gram = 0.5 * (gram + gram.T)
-    return CollocationGrid(N, float(a), float(b), nodes, (D1, D2, D3, D4), w, gram)
+    return CollocationGrid(N, float(a), float(b), nodes, (D1, D2, D3, D4), gram)

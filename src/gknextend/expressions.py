@@ -9,14 +9,13 @@ boundary terms.  The minimal domain of each supported kind is exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
-from typing import Union
 
 import numpy as np
 
-from .polynomials import Poly
+from .polynomials import Poly, poly_from_json, poly_to_json
 from .symplectic import SkewForm
 
 
@@ -28,21 +27,87 @@ class ExpressionError(ValueError):
 # expression kinds
 
 
-@dataclass(frozen=True)
-class FirstOrderI:
-    """i x'(u) on [0, 1]."""
+def _prime(end: str, k: int) -> str:
+    if k <= 3:
+        ticks = "'" * k
+        return f"x{ticks}({end})"
+    return f"x^({k})({end})"
+
+
+class DiffExpr:
+    """Base of the expression kinds; each kind states its own facts.
+
+    A kind gives its JSON `kind` tag, its interval (`a`, `b`), the endpoint
+    names its trace labels use (`ends`), `traces_per_endpoint`, the
+    deficiency index `deficiency` (the number of boundary conditions a
+    self-adjoint restriction needs), `coefficient_polys` and the
+    `boundary_matrix` of its Green's-formula form.
+    """
+
+    ends = ("a", "b")
 
     @property
     def interval(self) -> tuple[Fraction, Fraction]:
-        return (Fraction(0), Fraction(1))
+        return (self.a, self.b)
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(_prime(e, k) for e in self.ends for k in range(self.traces_per_endpoint))
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **{f.name: str(getattr(self, f.name)) for f in fields(self)}}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "DiffExpr":
+        return cls(*(Fraction(data[f.name]) for f in fields(cls)))
+
+    def exponents(self, sign: int) -> list[complex]:
+        """The mu with exp(mu u) solving l x = sign * i x."""
+        raise ExpressionError(
+            "deficiency solutions in closed form only for FirstOrderI and Fourier"
+        )
+
+    def deficiency_solutions(self, sign: int) -> list["ExpSolution"]:
+        """Solutions of l x = sign * i x for the regular first/second order kinds."""
+        if sign not in (+1, -1):
+            raise ExpressionError("sign must be +1 or -1")
+        return [ExpSolution(self, mu, sign) for mu in self.exponents(sign)]
 
 
 @dataclass(frozen=True)
-class Fourier:
+class FirstOrderI(DiffExpr):
+    """i x'(u) on [0, 1]."""
+
+    kind = "first_order_i"
+    a, b = Fraction(0), Fraction(1)
+    ends = ("0", "1")
+    traces_per_endpoint = 1
+    deficiency = 1
+
+    def coefficient_polys(self) -> list[tuple[int, Poly]]:
+        return [(1, Poly([1j]))]
+
+    def boundary_matrix(self) -> np.ndarray:
+        return np.diag([-1j, 1j])
+
+    def symbol(self, mu: complex) -> complex:
+        """l exp(mu u) = symbol(mu) exp(mu u)."""
+        return 1j * mu
+
+    def exponents(self, sign: int) -> list[complex]:
+        # i x' = sign*i x  =>  x' = sign*x
+        return [complex(sign)]
+
+
+@dataclass(frozen=True)
+class Fourier(DiffExpr):
     """-x''(u) on a compact interval [a, b]."""
 
     a: Fraction = Fraction(0)
     b: Fraction = Fraction(1)
+
+    kind = "fourier"
+    traces_per_endpoint = 2
+    deficiency = 2
 
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
@@ -50,43 +115,75 @@ class Fourier:
         if not self.a < self.b:
             raise ExpressionError("need a < b")
 
-    @property
-    def interval(self) -> tuple[Fraction, Fraction]:
-        return (self.a, self.b)
+    def coefficient_polys(self) -> list[tuple[int, Poly]]:
+        return [(2, Poly([-1]))]
+
+    def boundary_matrix(self) -> np.ndarray:
+        return _endpoint_blocks(1)
+
+    def symbol(self, mu: complex) -> complex:
+        return -mu**2
+
+    def exponents(self, sign: int) -> list[complex]:
+        # -x'' = sign*i x  =>  mu^2 = -sign*i
+        mu = np.sqrt(complex(0, -sign))
+        return [mu, -mu]
 
 
 @dataclass(frozen=True)
-class LegendreType:
+class LegendreType(DiffExpr):
     """(u^2-1)^2 x'''' + 8u(u^2-1)x''' + (4A+12)(u^2-1)x'' + 8Au x' on [-1, 1].
 
     Fourth order, but the trace model keeps only (x, x') at each endpoint:
     the leading coefficient has double zeros at the endpoints, so for smooth
-    data the boundary terms close on those four traces alone.
+    data the boundary terms close on those four traces alone.  The
+    deficiency index is a configured constant from the endpoint
+    classification (limit-3 at both ends).
     """
 
     A: Fraction = Fraction(1)
+
+    kind = "legendre_type"
+    a, b = Fraction(-1), Fraction(1)
+    ends = ("-1", "1")
+    traces_per_endpoint = 2
+    deficiency = 2
 
     def __post_init__(self):
         object.__setattr__(self, "A", Fraction(self.A))
         if not self.A > 0:
             raise ExpressionError("parameter A must be positive")
 
-    @property
-    def interval(self) -> tuple[Fraction, Fraction]:
-        return (Fraction(-1), Fraction(1))
+    def coefficient_polys(self) -> list[tuple[int, Poly]]:
+        A = self.A
+        u = Poly.x()
+        w = u * u - Poly.const(1)  # u^2 - 1
+        return [
+            (4, w * w),
+            (3, u.scale(8) * w),
+            (2, w.scale(4 * A + 12)),
+            (1, u.scale(8 * A)),
+        ]
+
+    def boundary_matrix(self) -> np.ndarray:
+        return _endpoint_blocks(8)
 
 
 @dataclass(frozen=True)
-class GeneralEvenOrder:
+class GeneralEvenOrder(DiffExpr):
     """sum_j (-1)^j (q_j(u) x^(j))^(j) with real polynomial q_j, on [a, b].
 
     `qs[j]` is the coefficient polynomial of the j-th term; the order of the
-    expression is 2 * (len(qs) - 1).
+    expression is 2 * (len(qs) - 1).  Regular on a compact interval, so
+    every classical solution of l x = +-i x is square integrable and the
+    deficiency index is the full trace count per endpoint.
     """
 
     qs: tuple[Poly, ...]
     a: Fraction = Fraction(0)
     b: Fraction = Fraction(1)
+
+    kind = "general_even_order"
 
     def __post_init__(self):
         object.__setattr__(self, "qs", tuple(self.qs))
@@ -102,101 +199,66 @@ class GeneralEvenOrder:
         return len(self.qs) - 1
 
     @property
-    def interval(self) -> tuple[Fraction, Fraction]:
-        return (self.a, self.b)
+    def traces_per_endpoint(self) -> int:
+        return 2 * self.n
 
+    @property
+    def deficiency(self) -> int:
+        return 2 * self.n
 
-DiffExpr = Union[FirstOrderI, Fourier, LegendreType, GeneralEvenOrder]
+    def to_json(self) -> dict:
+        qs = [poly_to_json(q) for q in self.qs]
+        return {"kind": self.kind, "qs": qs, "a": str(self.a), "b": str(self.b)}
 
+    @classmethod
+    def from_json(cls, data: dict) -> "GeneralEvenOrder":
+        qs = tuple(poly_from_json(q) for q in data["qs"])
+        return cls(qs, Fraction(data["a"]), Fraction(data["b"]))
 
-def traces_per_endpoint(expr: DiffExpr) -> int:
-    if isinstance(expr, FirstOrderI):
-        return 1
-    if isinstance(expr, (Fourier, LegendreType)):
-        return 2
-    if isinstance(expr, GeneralEvenOrder):
-        return 2 * expr.n
-    raise ExpressionError(f"unknown expression kind {expr!r}")
-
-
-def trace_arity(expr: DiffExpr) -> int:
-    return 2 * traces_per_endpoint(expr)
-
-
-def trace_labels(expr: DiffExpr) -> tuple[str, ...]:
-    def prime(name: str, k: int) -> str:
-        if k <= 3:
-            ticks = "'" * k
-            return f"x{ticks}({name})"
-        return f"x^({k})({name})"
-
-    if isinstance(expr, FirstOrderI):
-        return ("x(0)", "x(1)")
-    if isinstance(expr, LegendreType):
-        ends = ("-1", "1")
-    elif isinstance(expr, Fourier):
-        ends = ("a", "b")
-    else:
-        ends = ("a", "b")
-    d = traces_per_endpoint(expr)
-    return tuple(prime(e, k) for e in ends for k in range(d))
-
-
-def deficiency_index(expr: DiffExpr) -> int:
-    """Number of boundary conditions a self-adjoint restriction needs.
-
-    Regular kinds get the full count (all classical solutions of
-    l x = +-i x are square integrable on a compact interval); the singular
-    fourth-order kind is a configured constant from its endpoint
-    classification (limit-3 at both ends).
-    """
-    if isinstance(expr, FirstOrderI):
-        return 1
-    if isinstance(expr, Fourier):
-        return 2
-    if isinstance(expr, LegendreType):
-        return 2
-    if isinstance(expr, GeneralEvenOrder):
-        return 2 * expr.n
-    raise ExpressionError(f"unknown expression kind {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# coefficient view and exact application
-
-
-def coefficient_polys(expr: DiffExpr) -> list[tuple[int, Poly]]:
-    """Expanded form of the expression: l x = sum c_j(u) x^(j)."""
-    if isinstance(expr, FirstOrderI):
-        return [(1, Poly([1j]))]
-    if isinstance(expr, Fourier):
-        return [(2, Poly([-1]))]
-    if isinstance(expr, LegendreType):
-        A = expr.A
-        u = Poly.x()
-        w = u * u - Poly.const(1)  # u^2 - 1
-        return [
-            (4, w * w),
-            (3, u.scale(8) * w),
-            (2, w.scale(4 * A + 12)),
-            (1, u.scale(8 * A)),
-        ]
-    if isinstance(expr, GeneralEvenOrder):
+    def coefficient_polys(self) -> list[tuple[int, Poly]]:
         acc: dict[int, Poly] = {}
-        for j, q in enumerate(expr.qs):
+        for j, q in enumerate(self.qs):
             # d^j/du^j (q x^(j)) = sum_i C(j,i) q^(i) x^(2j-i)
             for i in range(j + 1):
                 term = q.deriv(i).scale((-1) ** j * comb(j, i))
                 m = 2 * j - i
                 acc[m] = acc.get(m, Poly()) + term
         return [(m, p) for m, p in sorted(acc.items()) if not p.is_zero()]
-    raise ExpressionError(f"unknown expression kind {expr!r}")
+
+    def boundary_matrix(self) -> np.ndarray:
+        """Exact integration by parts against Hermite probe polynomials.
+
+        The boundary functional is trace-determined, so probing a trace
+        basis determines it completely.
+        """
+        if self.n > 2:
+            raise ExpressionError("boundary form supported for order <= 4 only")
+        if not all(q.is_exact() for q in self.qs):
+            raise ExpressionError("boundary form needs exact rational coefficients")
+        if self.qs[-1](self.a) == 0 or self.qs[-1](self.b) == 0:
+            raise ExpressionError(
+                "leading coefficient vanishes at an endpoint; the expression "
+                "is singular there and the full-trace boundary form degenerates"
+            )
+        basis = _hermite_probe_basis(self)
+        m = len(basis)
+        S = np.zeros((m, m))
+        for k, ek in enumerate(basis):
+            lek = apply_expr(self, ek)
+            for j, ej in enumerate(basis):
+                lej = apply_expr(self, ej)
+                val = (lek * ej - ek * lej).integral(self.a, self.b)
+                S[j, k] = float(val)
+        return S
+
+
+EXPRESSION_KINDS = {k.kind: k for k in (FirstOrderI, Fourier, LegendreType, GeneralEvenOrder)}
 
 
 def apply_expr(expr: DiffExpr, p: Poly) -> Poly:
     """Apply the expression to a polynomial, exactly when inputs are exact."""
     out = Poly()
-    for j, c in coefficient_polys(expr):
+    for j, c in expr.coefficient_polys():
         out = out + c * p.deriv(j)
     return out
 
@@ -227,7 +289,7 @@ class TraceVector:
 
 def trace_of_poly(expr: DiffExpr, p: Poly) -> TraceVector:
     a, b = expr.interval
-    d = traces_per_endpoint(expr)
+    d = expr.traces_per_endpoint
     vals = [p.deriv(k)(a) for k in range(d)] + [p.deriv(k)(b) for k in range(d)]
     return TraceVector(tuple(vals))
 
@@ -252,6 +314,14 @@ class BoundaryForm:
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _endpoint_blocks(c: float) -> np.ndarray:
+    """c J at the left endpoint's (x, x') and -c J = c J^T at the right one's."""
+    S = np.zeros((4, 4))
+    S[0:2, 0:2] = c * _J2
+    S[2:4, 2:4] = c * _J2.T
+    return S
+
+
 def _solve_exact(A: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Gaussian elimination over Fractions (small systems only)."""
     n = len(A)
@@ -273,7 +343,7 @@ def _solve_exact(A: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
 def _hermite_probe_basis(expr: GeneralEvenOrder) -> list[Poly]:
     """Polynomials e_j of degree 4n-1 with trace(e_j) = j-th unit vector."""
     a, b = expr.interval
-    d = traces_per_endpoint(expr)
+    d = expr.traces_per_endpoint
     m = 2 * d
     rows: list[list[Fraction]] = []
     for end in (a, b):
@@ -296,48 +366,8 @@ def _hermite_probe_basis(expr: GeneralEvenOrder) -> list[Poly]:
 
 
 def boundary_form(expr: DiffExpr) -> BoundaryForm:
-    """Skew form S with y* S x = <l x, y> - <x, l y> on traces.
-
-    Closed forms for the named kinds; for GeneralEvenOrder the matrix is
-    assembled by exact integration by parts against Hermite probe
-    polynomials (the boundary functional is trace-determined, so probing a
-    trace basis determines it completely).
-    """
-    if isinstance(expr, FirstOrderI):
-        S = np.diag([-1j, 1j])
-        return BoundaryForm(expr, SkewForm(S, nondegenerate=True), trace_labels(expr))
-    if isinstance(expr, Fourier):
-        S = np.zeros((4, 4))
-        S[0:2, 0:2] = _J2
-        S[2:4, 2:4] = -_J2
-        return BoundaryForm(expr, SkewForm(S, nondegenerate=True), trace_labels(expr))
-    if isinstance(expr, LegendreType):
-        S = np.zeros((4, 4))
-        S[0:2, 0:2] = 8 * _J2
-        S[2:4, 2:4] = -8 * _J2
-        return BoundaryForm(expr, SkewForm(S, nondegenerate=True), trace_labels(expr))
-    if isinstance(expr, GeneralEvenOrder):
-        if expr.n > 2:
-            raise ExpressionError("boundary form supported for order <= 4 only")
-        if not all(q.is_exact() for q in expr.qs):
-            raise ExpressionError("boundary form needs exact rational coefficients")
-        if expr.qs[-1](expr.a) == 0 or expr.qs[-1](expr.b) == 0:
-            raise ExpressionError(
-                "leading coefficient vanishes at an endpoint; the expression "
-                "is singular there and the full-trace boundary form degenerates"
-            )
-        basis = _hermite_probe_basis(expr)
-        a, b = expr.interval
-        m = len(basis)
-        S = np.zeros((m, m))
-        for k, ek in enumerate(basis):
-            lek = apply_expr(expr, ek)
-            for j, ej in enumerate(basis):
-                lej = apply_expr(expr, ej)
-                val = (lek * ej - ek * lej).integral(a, b)
-                S[j, k] = float(val)
-        return BoundaryForm(expr, SkewForm(S, nondegenerate=True), trace_labels(expr))
-    raise ExpressionError(f"unknown expression kind {expr!r}")
+    """Skew form S with y* S x = <l x, y> - <x, l y> on traces."""
+    return BoundaryForm(expr, SkewForm(expr.boundary_matrix(), nondegenerate=True), expr.labels())
 
 
 def green_defect(expr: DiffExpr, p: Poly, q: Poly) -> complex:
@@ -371,39 +401,16 @@ class ExpSolution:
     def value(self, u):
         return np.exp(self.mu * np.asarray(u, dtype=float))
 
-    def derivative(self, u, order: int = 1):
-        return self.mu**order * self.value(u)
-
     def apply(self, u):
         """l x sampled at u, using the exact exponential derivatives."""
-        if isinstance(self.expr, FirstOrderI):
-            return 1j * self.mu * self.value(u)
-        if isinstance(self.expr, Fourier):
-            return -self.mu**2 * self.value(u)
-        raise ExpressionError("closed-form application only for regular kinds")
+        return self.expr.symbol(self.mu) * self.value(u)
 
     def trace(self) -> TraceVector:
         a, b = self.expr.interval
-        d = traces_per_endpoint(self.expr)
+        d = self.expr.traces_per_endpoint
         vals = [self.mu**k * np.exp(self.mu * float(a)) for k in range(d)]
         vals += [self.mu**k * np.exp(self.mu * float(b)) for k in range(d)]
         return TraceVector(tuple(complex(v) for v in vals))
-
-
-def deficiency_solutions(expr: DiffExpr, sign: int) -> list[ExpSolution]:
-    """Solutions of l x = sign * i x for the regular first/second order kinds."""
-    if sign not in (+1, -1):
-        raise ExpressionError("sign must be +1 or -1")
-    if isinstance(expr, FirstOrderI):
-        # i x' = sign*i x  =>  x' = sign*x
-        return [ExpSolution(expr, complex(sign), sign)]
-    if isinstance(expr, Fourier):
-        # -x'' = sign*i x  =>  mu^2 = -sign*i
-        mu = np.sqrt(complex(0, -sign))
-        return [ExpSolution(expr, mu, sign), ExpSolution(expr, -mu, sign)]
-    raise ExpressionError(
-        "deficiency solutions in closed form only for FirstOrderI and Fourier"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +444,6 @@ class PatchFunction:
     trace: TraceVector
     pieces: tuple  # ((u_lo, u_hi, Poly), ...) covering [a, b]
     grid: np.ndarray
-    samples: np.ndarray
 
     def __call__(self, u, order: int = 0):
         u = np.asarray(u, dtype=float)
@@ -455,11 +461,9 @@ class PatchFunction:
 
 def patch_realization(expr: DiffExpr, trace: TraceVector, grid_size: int = 201) -> PatchFunction:
     """Smooth function with the requested traces, supported near the endpoints."""
-    if len(trace) != trace_arity(expr):
-        raise ExpressionError(
-            f"trace has {len(trace)} entries, expression expects {trace_arity(expr)}"
-        )
-    d = traces_per_endpoint(expr)
+    d = expr.traces_per_endpoint
+    if len(trace) != 2 * d:
+        raise ExpressionError(f"trace has {len(trace)} entries, expression expects {2 * d}")
     if d > 2:
         raise ExpressionError("patches carry at most (value, derivative) per endpoint")
     a, b = (float(x) for x in expr.interval)
@@ -481,7 +485,4 @@ def patch_realization(expr: DiffExpr, trace: TraceVector, grid_size: int = 201) 
         (b - L, b - L / 2, germ_r * ramp_r),
         (b - L / 2, b, germ_r),
     )
-    grid = np.linspace(a, b, grid_size)
-    patch = PatchFunction(expr, trace, pieces, grid, np.zeros(grid.shape, dtype=complex))
-    samples = patch(grid)
-    return PatchFunction(expr, trace, pieces, grid, samples)
+    return PatchFunction(expr, trace, pieces, np.linspace(a, b, grid_size))

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import symplectic as sym
 from .expressions import (
+    EXPRESSION_KINDS,
     BoundaryForm,
     DiffExpr,
     ExpSolution,
@@ -33,8 +34,7 @@ from .expressions import (
     PatchFunction,
     TraceVector,
     apply_expr,
-    deficiency_index,
-    deficiency_solutions,
+    boundary_form,
     trace_of_poly,
 )
 from .polynomials import Poly
@@ -151,7 +151,7 @@ class ExtendedModel:
 
     @property
     def deficiency(self) -> int:
-        return deficiency_index(self.expr)
+        return self.expr.deficiency
 
     def stack(self, trace, w) -> np.ndarray:
         """(trace, W) pair as a vector of the extended boundary space."""
@@ -182,7 +182,7 @@ def build_model(
     boundary form, B self-adjoint for the W Gram.
     """
     expr = bf.expr
-    ndef = deficiency_index(expr)
+    ndef = expr.deficiency
     if W.k > ndef:
         raise ModelError(
             f"dim W = {W.k} exceeds the deficiency index {ndef}; the "
@@ -267,10 +267,8 @@ def maximal_action(model: ExtendedModel, x, a):
         h_part = apply_expr(model.expr, x)
         tr = trace_of_poly(model.expr, x)
     elif isinstance(x, PatchFunction):
-        from .expressions import coefficient_polys
-
         vals = np.zeros(x.grid.shape, dtype=complex)
-        for j, c in coefficient_polys(model.expr):
+        for j, c in model.expr.coefficient_polys():
             cs = np.array([complex(c(float(u))) for u in x.grid])
             vals += cs * x(x.grid, order=j)
         h_part = vals
@@ -483,7 +481,7 @@ def extended_deficiency_vectors(model: ExtendedModel, sign: int) -> list[Extende
     a = (B - sign*i I)^{-1} Omega x; the W-side eigen-relation is checked
     at build time.
     """
-    sols = deficiency_solutions(model.expr, sign)
+    sols = model.expr.deficiency_solutions(sign)
     out = []
     eye = np.eye(model.k)
     for s in sols:
@@ -520,51 +518,9 @@ def _trace_from_json(data) -> TraceVector:
     return TraceVector(tuple(vals))
 
 
-def expr_to_json(expr: DiffExpr) -> dict:
-    from . import expressions as ex
-    from .polynomials import poly_to_json
-
-    if isinstance(expr, ex.FirstOrderI):
-        return {"kind": "first_order_i"}
-    if isinstance(expr, ex.Fourier):
-        return {"kind": "fourier", "a": str(expr.a), "b": str(expr.b)}
-    if isinstance(expr, ex.LegendreType):
-        return {"kind": "legendre_type", "A": str(expr.A)}
-    if isinstance(expr, ex.GeneralEvenOrder):
-        return {
-            "kind": "general_even_order",
-            "qs": [poly_to_json(q) for q in expr.qs],
-            "a": str(expr.a),
-            "b": str(expr.b),
-        }
-    raise ExpressionError(f"unknown expression kind {expr!r}")
-
-
-def expr_from_json(data: dict) -> DiffExpr:
-    from fractions import Fraction
-
-    from . import expressions as ex
-    from .polynomials import poly_from_json
-
-    kind = data["kind"]
-    if kind == "first_order_i":
-        return ex.FirstOrderI()
-    if kind == "fourier":
-        return ex.Fourier(Fraction(data["a"]), Fraction(data["b"]))
-    if kind == "legendre_type":
-        return ex.LegendreType(Fraction(data["A"]))
-    if kind == "general_even_order":
-        return ex.GeneralEvenOrder(
-            tuple(poly_from_json(q) for q in data["qs"]),
-            Fraction(data["a"]),
-            Fraction(data["b"]),
-        )
-    raise ExpressionError(f"unknown expression kind {kind!r}")
-
-
 def model_to_json(model: ExtendedModel) -> dict:
     return {
-        "expression": expr_to_json(model.expr),
+        "expression": model.expr.to_json(),
         "G": _cmat_to_json(model.W.G),
         "B": _cmat_to_json(model.B.matrix),
         "Xi": _cmat_to_json(model.W.Xi),
@@ -573,9 +529,10 @@ def model_to_json(model: ExtendedModel) -> dict:
 
 
 def model_from_json(data: dict) -> ExtendedModel:
-    from .expressions import boundary_form
-
-    expr = expr_from_json(data["expression"])
+    kind = data["expression"]["kind"]
+    if kind not in EXPRESSION_KINDS:
+        raise ExpressionError(f"unknown expression kind {kind!r}")
+    expr = EXPRESSION_KINDS[kind].from_json(data["expression"])
     G = _cmat_from_json(data["G"])
     Xi = _cmat_from_json(data["Xi"]) if "Xi" in data else None
     W = ExtensionSpace(G.shape[0], G, Xi)

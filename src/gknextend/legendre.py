@@ -30,18 +30,6 @@ class LegendreError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MuMeasure:
-    """Lebesgue measure on [-1, 1] plus endpoint atoms of weight 1/A."""
-
-    A: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        if not self.A > 0:
-            raise LegendreError("A must be positive")
-
-
 def mu_inner(p: Poly, q: Poly, A: Fraction) -> Fraction:
     """<p, q> = integral over [-1,1] plus (p q)(+-1)/A, exactly."""
     A = Fraction(A)

@@ -102,21 +102,8 @@ class Poly:
         a, b = _norm_coeff(a), _norm_coeff(b)
         acc: Scalar = 0
         for k, c in enumerate(self.coeffs):
-            if isinstance(c, Fraction):
-                term = c / (k + 1)
-            else:
-                term = c / (k + 1)
-            acc = acc + term * (b ** (k + 1) - a ** (k + 1))
+            acc = acc + c / (k + 1) * (b ** (k + 1) - a ** (k + 1))
         return acc
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
-
-    def sample(self, points) -> "list":
-        return [self(u) for u in points]
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"

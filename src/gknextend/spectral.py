@@ -16,14 +16,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from .collocation import CollocationGrid
-from .expressions import (
-    DiffExpr,
-    ExpSolution,
-    FirstOrderI,
-    Fourier,
-    coefficient_polys,
-    traces_per_endpoint,
-)
+from .expressions import DiffExpr, ExpSolution, FirstOrderI, Fourier
 from .extension import BoundaryConditions, ExtendedModel, ModelError
 from .polynomials import Poly
 
@@ -33,12 +26,12 @@ class SpectralError(ValueError):
 
 
 def expr_order(expr: DiffExpr) -> int:
-    return max(j for j, _ in coefficient_polys(expr))
+    return max(j for j, _ in expr.coefficient_polys())
 
 
 def trace_rows(grid: CollocationGrid, expr: DiffExpr) -> np.ndarray:
     """Matrix extracting the expression's trace vector from grid samples."""
-    d = traces_per_endpoint(expr)
+    d = expr.traces_per_endpoint
     n = grid.N + 1
     rows = []
     for idx in (0, n - 1):
@@ -56,10 +49,21 @@ def expr_grid_matrix(expr: DiffExpr, grid: CollocationGrid) -> np.ndarray:
     """Collocation matrix of the expression on grid samples."""
     n = grid.N + 1
     L = np.zeros((n, n), dtype=complex)
-    for j, c in coefficient_polys(expr):
+    for j, c in expr.coefficient_polys():
         cvals = np.array([complex(c(u)) for u in grid.nodes])
         L += cvals[:, None] * grid.diff(j)
     return L
+
+
+def _trace_lift(model: ExtendedModel, grid: CollocationGrid) -> np.ndarray:
+    """Map from discrete vectors (samples, W coords) to (traces, W coords)."""
+    n = grid.N + 1
+    k = model.k
+    lift = np.zeros((model.trace_dim + k, n + k), dtype=complex)
+    lift[: model.trace_dim, :n] = trace_rows(grid, model.expr)
+    if k:
+        lift[model.trace_dim :, n:] = np.eye(k)
+    return lift
 
 
 @dataclass(frozen=True)
@@ -96,12 +100,12 @@ def assemble(
         raise SpectralError("grid interval does not match the expression")
     n = grid.N + 1
     k = model.k
-    Tr = trace_rows(grid, expr)
+    lift = _trace_lift(model, grid)
 
     A_full = np.zeros((n + k, n + k), dtype=complex)
     A_full[:n, :n] = expr_grid_matrix(expr, grid)
     if k:
-        A_full[n:, :n] = -model.Omega @ Tr
+        A_full[n:, :n] = -model.Omega @ lift[: model.trace_dim, :n]
         A_full[n:, n:] = model.B.matrix
 
     Gram_full = np.zeros((n + k, n + k), dtype=complex)
@@ -109,10 +113,6 @@ def assemble(
     if k:
         Gram_full[n:, n:] = model.W.G
 
-    lift = np.zeros((model.trace_dim + k, n + k), dtype=complex)
-    lift[: model.trace_dim, :n] = Tr
-    if k:
-        lift[model.trace_dim :, n:] = np.eye(k)
     rows = bc.canonical @ lift
     _, s, vh = np.linalg.svd(rows)
     rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
@@ -141,8 +141,7 @@ def symmetry_defect(
         basis[:n, : poly_degree + 1] = V
         if op.model.k:
             basis[n:, poly_degree + 1 :] = np.eye(op.model.k)
-        lift = op.bc.canonical @ _trace_lift(op)
-        constrained = lift @ basis
+        constrained = op.bc.canonical @ _trace_lift(op.model, op.grid) @ basis
         null = scipy.linalg.null_space(constrained)
         sample_basis = basis @ null
     else:
@@ -164,30 +163,20 @@ def symmetry_defect(
     return worst
 
 
-def _trace_lift(op: DiscreteExtendedOperator) -> np.ndarray:
-    n = op.grid.N + 1
-    k = op.model.k
-    lift = np.zeros((op.model.trace_dim + k, n + k), dtype=complex)
-    lift[: op.model.trace_dim, :n] = trace_rows(op.grid, op.model.expr)
-    if k:
-        lift[op.model.trace_dim :, n:] = np.eye(k)
-    return lift
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     eigenvalues: np.ndarray    # sorted by |lambda|, then real part
     residuals: np.ndarray
     max_imag: float
-    symmetry_defect: float
     seed: int
 
-    def to_json(self) -> dict:
+    def to_json(self, symmetry_defect: float) -> dict:
+        """The report, with the symmetry defect measured on the same assembly."""
         return {
             "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
             "residuals": [float(r) for r in self.residuals],
             "max_imag": float(self.max_imag),
-            "symmetry_defect": float(self.symmetry_defect),
+            "symmetry_defect": float(symmetry_defect),
             "seed": self.seed,
         }
 
@@ -195,7 +184,8 @@ class SpectrumReport:
 def spectrum(op: DiscreteExtendedOperator, count: int, seed: int = 0) -> SpectrumReport:
     """Generalized eigenvalues of the reduced pair, smallest |lambda| first.
 
-    Realness is measured from the solver output, never assumed.
+    Realness is measured from the solver output, never assumed; the
+    symmetry defect is left to the caller, who measures it once.
     """
     if count > op.reduced_dim:
         raise SpectralError(f"requested {count} eigenvalues, reduced dim {op.reduced_dim}")
@@ -212,12 +202,10 @@ def spectrum(op: DiscreteExtendedOperator, count: int, seed: int = 0) -> Spectru
         v = evecs[:, i]
         r = op.A_red @ v - evals[i] * (op.Gram_red @ v)
         resids[i] = np.linalg.norm(r) / (np.linalg.norm(v) * max(scale, 1.0))
-    defect = symmetry_defect(op)
     return SpectrumReport(
         eigenvalues=evals,
         residuals=resids,
         max_imag=float(np.abs(evals.imag).max(initial=0.0)),
-        symmetry_defect=defect,
         seed=seed,
     )
 

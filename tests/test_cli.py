@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gknextend import cli, spectral
 from gknextend.catalog import build_example
 from gknextend.cli import CONFIG_SCHEMA, ConfigError, load_config, main, run
 from gknextend.extension import model_to_json
+from gknextend.spectral import symmetry_defect
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -182,6 +184,23 @@ class TestMain:
         code = main(["derive-bc", "--config", path, "--seed", "42"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 42
+
+    @pytest.mark.parametrize("example", ["fourier_3_1", "legendre_type"])
+    def test_symmetry_defect_measured_once_per_assembly(self, example, monkeypatch):
+        # once for the honest assembly, once for the sabotaged one
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return symmetry_defect(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "symmetry_defect", counted)
+        monkeypatch.setattr(spectral, "symmetry_defect", counted)
+        report = run({"example": example, "seed": 0}, "spectrum")
+        assert len(calls) == 2 and calls[0] is not calls[1]
+        if "eigenvalues" in report:
+            got = next(c["got"] for c in report["checks"] if c["name"] == "symmetry_defect")
+            assert report["eigenvalues"]["symmetry_defect"] == got
 
     def test_csv_output(self, tmp_path):
         path = write_config(tmp_path, {"example": "fourier_3_1", "seed": 0})

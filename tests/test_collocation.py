@@ -25,19 +25,6 @@ class TestGrid:
         assert np.abs(g.diff(2) @ u - 20 * g.nodes**3).max() < 1e-8
         assert np.abs(g.diff(4) @ u - 120 * g.nodes).max() < 1e-4
 
-    @pytest.mark.parametrize("N", [32, 64])
-    def test_weights_integrate_monomials(self, N):
-        g = make_grid(N, 0.0, 1.0)
-        for m in range(N):
-            got = float(np.dot(g.weights, g.nodes**m))
-            assert abs(got - 1.0 / (m + 1)) < 1e-12
-
-    def test_weights_on_shifted_interval(self):
-        g = make_grid(40, -2.0, 3.0)
-        for m in range(6):
-            exact = (3.0 ** (m + 1) - (-2.0) ** (m + 1)) / (m + 1)
-            assert abs(float(np.dot(g.weights, g.nodes**m)) - exact) < 1e-11 * (1 + abs(exact))
-
     def test_gram_is_exact_for_polynomial_samples(self, rng):
         g = make_grid(24, 0.0, 2.0)
         for _ in range(5):

@@ -116,7 +116,7 @@ class TestAssemble:
         op = assemble(entry.model, bc, grid01)
         from gknextend.spectral import _trace_lift
 
-        resid = np.abs(bc.canonical @ _trace_lift(op) @ op.P).max()
+        resid = np.abs(bc.canonical @ _trace_lift(op.model, op.grid) @ op.P).max()
         assert resid < 1e-10
 
     def test_refuses_tiny_grid(self):
