@@ -35,17 +35,6 @@ from .extension import (
     derive_boundary_conditions,
 )
 
-EXAMPLE_NAMES = (
-    "legendre_type",
-    "first_order",
-    "fourier_3_1",
-    "fourier_3_2a",
-    "fourier_3_2b",
-    "fourier_3_3",
-    "fourier_3_4",
-    "fourier_3_5",
-)
-
 DEFAULT_PARAMS = {
     "A": 1.0,
     "M": 1.0,
@@ -104,6 +93,11 @@ def _merge(params: dict | None) -> dict:
     return out
 
 
+def _exact(x: float) -> Fraction:
+    """A float param as the nearest rational with denominator at most 1e9."""
+    return Fraction(x).limit_denominator(10**9)
+
+
 def _b_matrix_2d(p: dict) -> np.ndarray:
     """General self-adjoint operator for the diag(1/M, 1/N) Gram."""
     M, N = p["M"], p["N_weight"]
@@ -113,8 +107,8 @@ def _b_matrix_2d(p: dict) -> np.ndarray:
     )
 
 
-def _legendre_entry(p: dict) -> CatalogEntry:
-    A = Fraction(p["A"]).limit_denominator(10**9)
+def _legendre_entry(name: str, p: dict) -> CatalogEntry:
+    A = _exact(p["A"])
     expr = LegendreType(A)
     bf = boundary_form(expr)
     Af = float(A)
@@ -139,7 +133,7 @@ def _legendre_entry(p: dict) -> CatalogEntry:
     }
     omega = np.array([[0, 8 * Af, 0, 0], [0, 0, 0, -8 * Af]], dtype=complex)
     return CatalogEntry(
-        "legendre_type", model, cand, expected,
+        name, model, cand, expected,
         ("a_W[1] = x(-1)", "a_W[2] = x(1)"), omega, controls,
         # singular coefficients: the defect is checked on polynomial
         # subspaces, eigenvalue claims live in the exact `legendre` suite
@@ -147,7 +141,7 @@ def _legendre_entry(p: dict) -> CatalogEntry:
     )
 
 
-def _first_order_entry(p: dict) -> CatalogEntry:
+def _first_order_entry(name: str, p: dict) -> CatalogEntry:
     expr = FirstOrderI()
     bf = boundary_form(expr)
     W = ExtensionSpace(1, np.eye(1))
@@ -163,18 +157,18 @@ def _first_order_entry(p: dict) -> CatalogEntry:
     }
     omega = np.array([[-1j, 1j]])
     return CatalogEntry(
-        "first_order", model, cand, expected,
+        name, model, cand, expected,
         ("a_W[1] = 0.5*x(0) + 0.5*x(1)",), omega, controls,
         commands=SPECTRUM_COMMANDS, spectral_window=(-60.0, 60.0),
     )
 
 
+def _fourier_expr(p: dict) -> Fourier:
+    return Fourier(_exact(p["a"]), _exact(p["b"]))
+
+
 def _fourier_model_1d(p: dict, t_trace: TraceVector) -> ExtendedModel:
-    expr = Fourier(
-        Fraction(p["a"]).limit_denominator(10**9),
-        Fraction(p["b"]).limit_denominator(10**9),
-    )
-    bf = boundary_form(expr)
+    bf = boundary_form(_fourier_expr(p))
     M = p["M"]
     W = ExtensionSpace(1, np.eye(1) / M, np.eye(1) * np.sqrt(M))
     B = OperatorB(np.array([[p["alpha"]]]))
@@ -187,7 +181,7 @@ def _fourier_window(p: dict) -> tuple[float, float]:
     return (-40.0 / L**2, 320.0 / L**2)
 
 
-def _fourier_3_1_entry(p: dict) -> CatalogEntry:
+def _fourier_3_1_entry(name: str, p: dict) -> CatalogEntry:
     sM = np.sqrt(p["M"])
     model = _fourier_model_1d(p, _tv(0, 0, sM, 0))
     z1 = np.zeros(1)
@@ -200,13 +194,13 @@ def _fourier_3_1_entry(p: dict) -> CatalogEntry:
     }
     omega = np.array([[0, 0, 0, -p["M"]]], dtype=complex)
     return CatalogEntry(
-        "fourier_3_1", model, cand, expected,
+        name, model, cand, expected,
         ("x(a) = 0", "a_W[1] = x(b)"), omega, controls,
         commands=SPECTRUM_COMMANDS, spectral_window=_fourier_window(p),
     )
 
 
-def _fourier_3_2a_entry(p: dict) -> CatalogEntry:
+def _fourier_3_2a_entry(name: str, p: dict) -> CatalogEntry:
     sM = np.sqrt(p["M"])
     model = _fourier_model_1d(p, _tv(0, sM, 0, 0))
     z1 = np.zeros(1)
@@ -219,13 +213,13 @@ def _fourier_3_2a_entry(p: dict) -> CatalogEntry:
     }
     omega = np.array([[-p["M"], 0, 0, 0]], dtype=complex)
     return CatalogEntry(
-        "fourier_3_2a", model, cand, expected,
+        name, model, cand, expected,
         ("a_W[1] = x'(a)", "x(b) = 0"), omega, controls,
         commands=SPECTRUM_COMMANDS, spectral_window=_fourier_window(p),
     )
 
 
-def _fourier_3_2b_entry(p: dict) -> CatalogEntry:
+def _fourier_3_2b_entry(name: str, p: dict) -> CatalogEntry:
     """The other reading of the printed display: pairs (x, x'(b)), x(b) = 0."""
     sM = np.sqrt(p["M"])
     model = _fourier_model_1d(p, _tv(0, sM, 0, 0))
@@ -233,18 +227,14 @@ def _fourier_3_2b_entry(p: dict) -> CatalogEntry:
     expected = np.array([[0, 0, 1, 0, 0], [0, 0, 0, 1, -1]], dtype=complex)
     omega = np.array([[-p["M"], 0, 0, 0]], dtype=complex)
     return CatalogEntry(
-        "fourier_3_2b", model, (), expected,
+        name, model, (), expected,
         ("x(b) = 0", "a_W[1] = x'(b)"), omega, {},
         explicit_rows=rows, expect_self_adjoint=False,
     )
 
 
 def _fourier_model_2d(p: dict, t1: TraceVector, t2: TraceVector) -> ExtendedModel:
-    expr = Fourier(
-        Fraction(p["a"]).limit_denominator(10**9),
-        Fraction(p["b"]).limit_denominator(10**9),
-    )
-    bf = boundary_form(expr)
+    bf = boundary_form(_fourier_expr(p))
     M, N = p["M"], p["N_weight"]
     W = ExtensionSpace(
         2, np.diag([1.0 / M, 1.0 / N]), np.diag([np.sqrt(M), np.sqrt(N)])
@@ -268,10 +258,10 @@ def _fourier_2d_entry(name, p, t1, t2, x1, x2, sym_partner, expected, strings, o
     )
 
 
-def _fourier_3_3_entry(p: dict) -> CatalogEntry:
+def _fourier_3_3_entry(name: str, p: dict) -> CatalogEntry:
     sM, sN = np.sqrt(p["M"]), np.sqrt(p["N_weight"])
     return _fourier_2d_entry(
-        "fourier_3_3", p,
+        name, p,
         _tv(sM, 0, 0, 0), _tv(0, 0, sN, 0),
         _tv(0, sM, 0, 0), _tv(0, 0, 0, sN),
         _tv(1, 0, 0, 0),
@@ -282,10 +272,10 @@ def _fourier_3_3_entry(p: dict) -> CatalogEntry:
     )
 
 
-def _fourier_3_4_entry(p: dict) -> CatalogEntry:
+def _fourier_3_4_entry(name: str, p: dict) -> CatalogEntry:
     sM, sN = np.sqrt(p["M"]), np.sqrt(p["N_weight"])
     return _fourier_2d_entry(
-        "fourier_3_4", p,
+        name, p,
         _tv(0, sM, 0, 0), _tv(0, 0, 0, sN),
         _tv(sM, 0, 0, 0), _tv(0, 0, sN, 0),
         _tv(0, 1, 0, 0),
@@ -296,10 +286,10 @@ def _fourier_3_4_entry(p: dict) -> CatalogEntry:
     )
 
 
-def _fourier_3_5_entry(p: dict) -> CatalogEntry:
+def _fourier_3_5_entry(name: str, p: dict) -> CatalogEntry:
     sM, sN = np.sqrt(p["M"]), np.sqrt(p["N_weight"])
     return _fourier_2d_entry(
-        "fourier_3_5", p,
+        name, p,
         _tv(sM, 0, 0, 0), _tv(0, 0, 0, sN),
         _tv(0, 0, sN, 0), _tv(0, sM, 0, 0),
         _tv(0, 0, 0, sN),
@@ -310,7 +300,7 @@ def _fourier_3_5_entry(p: dict) -> CatalogEntry:
     )
 
 
-_BUILDERS: dict[str, Callable[[dict], CatalogEntry]] = {
+_BUILDERS: dict[str, Callable[[str, dict], CatalogEntry]] = {
     "legendre_type": _legendre_entry,
     "first_order": _first_order_entry,
     "fourier_3_1": _fourier_3_1_entry,
@@ -321,11 +311,13 @@ _BUILDERS: dict[str, Callable[[dict], CatalogEntry]] = {
     "fourier_3_5": _fourier_3_5_entry,
 }
 
+EXAMPLE_NAMES = tuple(_BUILDERS)
+
 
 def build_example(name: str, params: dict | None = None) -> CatalogEntry:
     if name not in _BUILDERS:
         raise KeyError(f"unknown example {name!r}; choose one of {EXAMPLE_NAMES}")
-    return _BUILDERS[name](_merge(params))
+    return _BUILDERS[name](name, _merge(params))
 
 
 def sabotage_rows(bc: BoundaryConditions, trace_dim: int) -> np.ndarray:

@@ -18,7 +18,8 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from jsonschema import ValidationError, validate
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import catalog
 from .collocation import make_grid
@@ -34,6 +35,7 @@ from .extension import (
     verify_self_adjoint_domain,
 )
 from .legendre import (
+    N_MAX,
     LegendreError,
     boundary_identity_check,
     eigen_check,
@@ -52,9 +54,8 @@ from .spectral import (
 )
 from .symplectic import SymplecticError, form_eval, quotient_by, radical, subspace_contains
 
-COMMANDS = ("check-symplectic", "derive-bc", "verify-gkn", "spectrum", "legendre", "all")
-
-DEFAULT_TOLERANCES = {
+# acceptance gates, the same for every config
+TOLERANCES = {
     "structural": 1e-12,
     "canonical": 1e-12,
     "defect": 1e-9,
@@ -63,6 +64,9 @@ DEFAULT_TOLERANCES = {
     "oracle_rel": 1e-6,
     "residual": 1e-8,
 }
+
+# filled in by `run` where a config leaves them out
+RUN_DEFAULTS = {"grid_N": 64, "n_max": 10, "seed": 0}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -82,19 +86,15 @@ CONFIG_SCHEMA = {
             },
         },
         "grid_N": {"type": "integer", "minimum": 16},
-        "n_max": {"type": "integer", "minimum": 0, "maximum": 24},
+        "n_max": {"type": "integer", "minimum": 0, "maximum": N_MAX},
         "seed": {"type": "integer"},
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                k: {"type": "number", "exclusiveMinimum": 0} for k in DEFAULT_TOLERANCES
-            },
-        },
         "model": {"type": "object"},
         "candidates": {"type": "array"},
     },
 }
+
+_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_VALIDATOR.check_schema(CONFIG_SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -107,14 +107,12 @@ def load_config(path: str) -> dict:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
-    try:
-        validate(cfg, CONFIG_SCHEMA)
-    except ValidationError as e:
-        raise ConfigError(f"config schema violation: {e.message}")
+    error = best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     if cfg["example"] == "custom" and "model" not in cfg:
         raise ConfigError("custom example needs a 'model' section")
-    params = dict(catalog.DEFAULT_PARAMS)
-    params.update(cfg.get("params", {}))
+    params = catalog._merge(cfg.get("params"))
     if not params["a"] < params["b"]:
         raise ConfigError(f"interval needs a < b, got a = {params['a']}, b = {params['b']}")
     return cfg
@@ -152,31 +150,30 @@ class Checks:
 
 
 def _entry_from_config(cfg: dict):
-    if cfg["example"] == "custom":
+    if cfg["example"] != "custom":
+        return catalog.build_example(cfg["example"], cfg.get("params"))
+    section = "model"
+    try:
         model = model_from_json(cfg["model"])
+        section = "candidates"
         # traces and W coordinates alike are flat [re, im, ...] lists
         cands = tuple(
             (_trace_from_json(item["trace"]), _trace_from_json(item.get("w", [])).as_array())
             for item in cfg.get("candidates", [])
         )
-        return catalog.CatalogEntry(
-            "custom", model, cands, np.zeros((0, model.ambient_dim)), (), model.Omega.copy()
-        )
-    return catalog.build_example(cfg["example"], cfg.get("params"))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad custom {section!r} section: {type(e).__name__}: {e}") from e
+    return catalog.CatalogEntry(
+        "custom", model, cands, np.zeros((0, model.ambient_dim)), (), model.Omega.copy()
+    )
 
 
-def _tolerances(cfg: dict) -> dict:
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(cfg.get("tolerances", {}))
-    return tol
-
-
-def run_check_symplectic(entry, cfg, checks: Checks, seed: int):
-    tol = _tolerances(cfg)["structural"]
+def run_check_symplectic(entry, cfg, checks: Checks, report: dict):
+    tol = TOLERANCES["structural"]
     model = entry.model
     S = model.boundary.form.matrix
     checks.le("boundary_form_skew_residual", float(np.abs(S + S.conj().T).max()), tol)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["seed"])
     worst_omega_t = 0.0
     worst_coupling = 0.0
     Tm = model.gkn_partial.matrix()
@@ -199,7 +196,7 @@ def run_check_symplectic(entry, cfg, checks: Checks, seed: int):
 
 
 def run_derive_bc(entry, cfg, checks: Checks, report: dict):
-    tol = _tolerances(cfg)["canonical"]
+    tol = TOLERANCES["canonical"]
     bc = entry.boundary_conditions()
     report["boundary_conditions_rendered"] = list(bc.human_readable)
     report["boundary_conditions"] = bc_to_json(bc)
@@ -209,10 +206,9 @@ def run_derive_bc(entry, cfg, checks: Checks, report: dict):
         checks.eq("rendered_conditions", list(entry.expected_strings), list(bc.human_readable))
     sa = verify_self_adjoint_domain(entry.model, bc)
     checks.eq("constrained_domain_self_adjoint", entry.expect_self_adjoint, sa)
-    return bc
 
 
-def run_verify_gkn(entry, cfg, checks: Checks):
+def run_verify_gkn(entry, cfg, checks: Checks, report: dict):
     if entry.candidates:
         rep = check_gkn_extended(entry.model, entry.candidates)
         checks.eq("gkn_independent_mod_minimal", True, rep.independent_mod_min)
@@ -237,23 +233,23 @@ def run_verify_gkn(entry, cfg, checks: Checks):
         )
 
 
-def run_spectrum(entry, cfg, checks: Checks, report: dict, seed: int):
-    tols = _tolerances(cfg)
+def run_spectrum(entry, cfg, checks: Checks, report: dict):
+    seed = cfg["seed"]
     model = entry.model
     a, b = (float(v) for v in model.expr.interval)
-    grid = make_grid(cfg.get("grid_N", 64), a, b)
+    grid = make_grid(cfg["grid_N"], a, b)
     bc = entry.boundary_conditions()
     op = assemble(model, bc, grid)
     degree = entry.poly_degree
 
     defect = symmetry_defect(op, trials=50, seed=seed, poly_degree=degree)
     if degree is not None:
-        checks.le("symmetry_defect_polynomial_subspace", defect, tols["defect"])
+        checks.le("symmetry_defect_polynomial_subspace", defect, TOLERANCES["defect"])
     else:
-        checks.le("symmetry_defect", defect, tols["defect"])
+        checks.le("symmetry_defect", defect, TOLERANCES["defect"])
         rep = spectrum(op, 8, seed=seed)
         report["eigenvalues"] = rep.to_json(defect)
-        checks.le("max_imag_part", rep.max_imag, tols["max_imag"])
+        checks.le("max_imag_part", rep.max_imag, TOLERANCES["max_imag"])
         roots = shooting_oracle(model, bc, entry.spectral_window)
         oracle5 = sorted(roots, key=abs)[:5]
         report["oracle_eigenvalues"] = [float(r) for r in oracle5]
@@ -263,14 +259,14 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict, seed: int):
         for r in oracle5:
             err = min(abs(d - r) for d in disc) / max(1.0, abs(r))
             worst = max(worst, err)
-        checks.le("oracle_agreement_rel", worst, tols["oracle_rel"])
+        checks.le("oracle_agreement_rel", worst, TOLERANCES["oracle_rel"])
         # the other direction: a root pair inside one scan cell has no sign
         # change, so each of the five smallest eigenvalues needs an oracle root
         worst = 0.0
         for d in disc[:5]:
             err = min((abs(r - d) for r in roots), default=np.inf) / max(1.0, abs(d))
             worst = max(worst, err)
-        checks.le("oracle_covers_discrete", worst, tols["oracle_rel"])
+        checks.le("oracle_covers_discrete", worst, TOLERANCES["oracle_rel"])
         if model.k:
             worst_res = 0.0
             for sign in (+1, -1):
@@ -285,7 +281,7 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict, seed: int):
                         worst_res,
                         eigenrelation_residual(model, grid, v.solution, v.a, sign * 1j),
                     )
-            checks.le("deficiency_eigenrelation_residual", worst_res, tols["residual"])
+            checks.le("deficiency_eigenrelation_residual", worst_res, TOLERANCES["residual"])
 
     sab = boundary_conditions_from_rows(
         model, catalog.sabotage_rows(bc, model.trace_dim)
@@ -293,15 +289,13 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict, seed: int):
     defect_bad = symmetry_defect(
         assemble(model, sab, grid), trials=50, seed=seed, poly_degree=degree
     )
-    checks.ge("sabotaged_defect_floor", defect_bad, tols["sabotage_floor"])
+    checks.ge("sabotaged_defect_floor", defect_bad, TOLERANCES["sabotage_floor"])
     report["sabotaged_defect"] = float(defect_bad)
 
 
 def run_legendre(entry, cfg, checks: Checks, report: dict):
-    params = dict(catalog.DEFAULT_PARAMS)
-    params.update(cfg.get("params", {}))
-    A = Fraction(params["A"]).limit_denominator(10**9)
-    n_max = cfg.get("n_max", 10)
+    A = entry.model.expr.A
+    n_max = cfg["n_max"]
     basis = gram_schmidt(A, n_max)
     eig_ok = True
     bnd_ok = True
@@ -329,9 +323,19 @@ def run_legendre(entry, cfg, checks: Checks, report: dict):
     report["legendre_eigenvalues"] = eigs
 
 
+# `all` runs every command an entry lists, in the entry's order
+COMMANDS = {
+    "check-symplectic": run_check_symplectic,
+    "derive-bc": run_derive_bc,
+    "verify-gkn": run_verify_gkn,
+    "spectrum": run_spectrum,
+    "legendre": run_legendre,
+}
+
+
 def run(cfg: dict, command: str) -> dict:
     """Execute one command (or `all`) and return the report dict."""
-    seed = cfg.get("seed", 0)
+    cfg = {**RUN_DEFAULTS, **cfg}
     entry = _entry_from_config(cfg)
     if command != "all" and command not in entry.commands:
         raise ConfigError(f"command {command!r} is not applicable to {entry.name!r}")
@@ -341,23 +345,14 @@ def run(cfg: dict, command: str) -> dict:
     report = {
         "example": entry.name,
         "command": command,
-        "seed": seed,
+        "seed": cfg["seed"],
         "status": "fail",
         "checks": checks.items,
     }
     timings = {}
     for cmd in commands:
         t0 = time.perf_counter()
-        if cmd == "check-symplectic":
-            run_check_symplectic(entry, cfg, checks, seed)
-        elif cmd == "derive-bc":
-            run_derive_bc(entry, cfg, checks, report)
-        elif cmd == "verify-gkn":
-            run_verify_gkn(entry, cfg, checks)
-        elif cmd == "spectrum":
-            run_spectrum(entry, cfg, checks, report, seed)
-        elif cmd == "legendre":
-            run_legendre(entry, cfg, checks, report)
+        COMMANDS[cmd](entry, cfg, checks, report)
         timings[cmd] = round(time.perf_counter() - t0, 6)
     report["status"] = "pass" if checks.ok else "fail"
     report["timings"] = timings
@@ -389,7 +384,7 @@ def main(argv=None) -> int:
         prog="gkn-extend",
         description="Verify extended-space self-adjoint operator constructions.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=[*COMMANDS, "all"])
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--seed", type=int, help="override the config seed")
@@ -402,8 +397,7 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         report = run(cfg, args.command)
     except (
-        ConfigError, ModelError, SymplecticError, ExpressionError, SpectralError,
-        LegendreError, KeyError,
+        ConfigError, ModelError, SymplecticError, ExpressionError, SpectralError, LegendreError
     ) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -503,7 +503,9 @@ def _cmat_to_json(M: np.ndarray) -> list:
 
 
 def _cmat_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+    rows = [[complex(re, im) for re, im in row] for row in data]
+    # an empty list is the 0 x 0 matrix of dim W = 0
+    return np.array(rows, dtype=complex) if rows else np.zeros((0, 0), dtype=complex)
 
 
 def _trace_to_json(t: TraceVector) -> list:

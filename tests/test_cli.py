@@ -77,6 +77,25 @@ class TestRefusals:
         err = self.refused(tmp_path, capsys, {"example": "custom", "model": model})
         assert "a < b" in err
 
+    def test_non_numeric_gram_in_custom_model(self, tmp_path, capsys):
+        model = model_to_json(build_example("fourier_3_3").model)
+        model["G"] = "abc"
+        err = self.refused(tmp_path, capsys, {"example": "custom", "model": model})
+        assert "'model'" in err and "ValueError" in err
+
+    @pytest.mark.parametrize("literal", ["x", "1/0"])
+    def test_bad_endpoint_literal_in_custom_model(self, tmp_path, capsys, literal):
+        model = model_to_json(build_example("fourier_3_3").model)
+        model["expression"]["a"] = literal
+        err = self.refused(tmp_path, capsys, {"example": "custom", "model": model})
+        assert "'model'" in err
+
+    def test_candidate_not_an_object(self, tmp_path, capsys):
+        model = model_to_json(build_example("fourier_3_3").model)
+        cfg = {"example": "custom", "model": model, "candidates": [1]}
+        err = self.refused(tmp_path, capsys, cfg)
+        assert "'candidates'" in err and "TypeError" in err
+
 
 class TestRun:
     def test_derive_bc_report_fields(self):
@@ -139,13 +158,14 @@ class TestMain:
         path = write_config(tmp_path, {"example": "bogus"})
         assert main(["all", "--config", path]) == 2
 
-    def test_check_failure_exit_code(self, tmp_path, capsys):
-        # impossible tolerance forces a check failure, not a config error
+    def test_tolerances_are_not_configurable(self, tmp_path, capsys):
+        # the acceptance gates are fixed; a config cannot loosen or tighten them
         path = write_config(
             tmp_path,
             {"example": "first_order", "seed": 0, "tolerances": {"sabotage_floor": 1e6}},
         )
-        assert main(["spectrum", "--config", path]) == 1
+        assert main(["spectrum", "--config", path]) == 2
+        assert "'tolerances' was unexpected" in capsys.readouterr().err
 
     def test_missed_root_pair_fails_coverage(self, tmp_path):
         # two eigenvalues (-1.7577, -1.6426) share one cell of the oracle scan
@@ -167,6 +187,24 @@ class TestMain:
         assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
         names = [c["name"] for c in json.loads(out.read_text())["checks"]]
         assert {"oracle_agreement_rel", "oracle_covers_discrete"} <= set(names)
+
+    def test_classical_gkn_without_extension(self, tmp_path):
+        # dim W = 0; the GKN set x(a) = 1, x(b) = 1 gives Neumann conditions
+        cfg = {
+            "example": "custom",
+            "model": {
+                "expression": {"kind": "fourier", "a": "0", "b": "1"},
+                "G": [], "B": [], "Xi": [], "gkn_traces": [],
+            },
+            "candidates": [
+                {"trace": [1, 0, 0, 0, 0, 0, 0, 0], "w": []},
+                {"trace": [0, 0, 0, 0, 1, 0, 0, 0], "w": []},
+            ],
+        }
+        out = tmp_path / "rep.json"
+        assert main(["all", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["boundary_conditions_rendered"] == ["x'(a) = 0", "x'(b) = 0"]
 
     def test_deterministic_roundtrip(self, tmp_path):
         path = write_config(tmp_path, {"example": "fourier_3_4", "seed": 11})

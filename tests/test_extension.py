@@ -293,6 +293,18 @@ class TestSerialization:
         assert np.abs(rebuilt.Omega - entry.model.Omega).max() < 1e-12
         assert np.abs(rebuilt.F_ext.matrix - entry.model.F_ext.matrix).max() < 1e-12
 
+    def test_round_trip_without_extension(self):
+        # dim W = 0: the classical GKN setting, every matrix of W is 0 x 0
+        W0 = np.zeros((0, 0))
+        model = build_model(
+            boundary_form(Fourier(0, 1)), ExtensionSpace(0, W0), OperatorB(W0), PartialGKNSet(())
+        )
+        data = model_to_json(model)
+        rebuilt = model_from_json(data)
+        assert rebuilt.W.k == 0 and rebuilt.B.matrix.shape == (0, 0)
+        assert np.array_equal(rebuilt.F_ext.matrix, model.F_ext.matrix)
+        assert model_to_json(rebuilt) == data
+
     def test_sabotage_changes_constraints(self):
         entry = build_example("fourier_3_1")
         bc = entry.boundary_conditions()
