@@ -59,8 +59,8 @@ class CatalogEntry:
     The plan states which CLI commands apply (in the order `all` runs
     them), the verdict the self-adjointness certificate must reach, and
     how `spectrum` checks the example: against shooting-oracle roots in
-    `spectral_window`, or, with `poly_degree` set, only through the
-    symmetry defect on polynomials of that degree.
+    `spectral_window`, or, with no window, only through the symmetry
+    defect and the sabotage control.
     """
 
     name: str
@@ -74,7 +74,6 @@ class CatalogEntry:
     commands: tuple[str, ...] = ALGEBRA_COMMANDS
     expect_self_adjoint: bool = True
     spectral_window: Optional[tuple[float, float]] = None
-    poly_degree: Optional[int] = None
 
     def boundary_conditions(self) -> BoundaryConditions:
         if self.explicit_rows is not None:
@@ -135,9 +134,9 @@ def _legendre_entry(name: str, p: dict) -> CatalogEntry:
     return CatalogEntry(
         name, model, cand, expected,
         ("a_W[1] = x(-1)", "a_W[2] = x(1)"), omega, controls,
-        # singular coefficients: the defect is checked on polynomial
-        # subspaces, eigenvalue claims live in the exact `legendre` suite
-        commands=SPECTRUM_COMMANDS + ("legendre",), poly_degree=16,
+        # singular coefficients: no shooting oracle, eigenvalue claims
+        # live in the exact `legendre` suite
+        commands=SPECTRUM_COMMANDS + ("legendre",),
     )
 
 

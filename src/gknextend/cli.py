@@ -85,7 +85,8 @@ CONFIG_SCHEMA = {
                 for k in catalog.DEFAULT_PARAMS
             },
         },
-        "grid_N": {"type": "integer", "minimum": 16},
+        # every kind keeps a wide margin on both defect gates up to 256
+        "grid_N": {"type": "integer", "minimum": 16, "maximum": 256},
         "n_max": {"type": "integer", "minimum": 0, "maximum": N_MAX},
         "seed": {"type": "integer"},
         "model": {"type": "object"},
@@ -101,10 +102,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _refuse_constant(name: str):
+    raise ConfigError(f"config holds {name}, which is not a finite number")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as f:
-            cfg = json.load(f)
+            cfg = json.load(f, parse_constant=_refuse_constant)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     error = best_match(_VALIDATOR.iter_errors(cfg))
@@ -240,10 +245,9 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
     grid = make_grid(cfg["grid_N"], a, b)
     bc = entry.boundary_conditions()
     op = assemble(model, bc, grid)
-    degree = entry.poly_degree
 
-    defect = symmetry_defect(op, trials=50, seed=seed, poly_degree=degree)
-    if degree is not None:
+    defect = symmetry_defect(op, seed)
+    if entry.spectral_window is None:
         checks.le("symmetry_defect_polynomial_subspace", defect, TOLERANCES["defect"])
     else:
         checks.le("symmetry_defect", defect, TOLERANCES["defect"])
@@ -286,9 +290,7 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
     sab = boundary_conditions_from_rows(
         model, catalog.sabotage_rows(bc, model.trace_dim)
     )
-    defect_bad = symmetry_defect(
-        assemble(model, sab, grid), trials=50, seed=seed, poly_degree=degree
-    )
+    defect_bad = symmetry_defect(assemble(model, sab, grid), seed)
     checks.ge("sabotaged_defect_floor", defect_bad, TOLERANCES["sabotage_floor"])
     report["sabotaged_defect"] = float(defect_bad)
 

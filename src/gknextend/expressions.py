@@ -411,78 +411,3 @@ class ExpSolution:
         vals = [self.mu**k * np.exp(self.mu * float(a)) for k in range(d)]
         vals += [self.mu**k * np.exp(self.mu * float(b)) for k in range(d)]
         return TraceVector(tuple(complex(v) for v in vals))
-
-
-# ---------------------------------------------------------------------------
-# patch functions
-
-
-_RAMP = Poly([1, 0, 0, -10, 15, -6])  # C^2 step-down on [0, 1]
-
-
-def _compose_affine(p: Poly, c0: float, c1: float) -> Poly:
-    """p(c0 + c1 * u) as a polynomial in u."""
-    t = Poly([c0, c1])
-    out = Poly()
-    tk = Poly([1])
-    for c in p.coeffs:
-        out = out + tk.scale(c)
-        tk = tk * t
-    return out
-
-
-@dataclass(frozen=True)
-class PatchFunction:
-    """Endpoint germ times a plateau cutoff, zero on the middle third.
-
-    Near each endpoint the function equals the (at most linear) germ that
-    realizes the requested trace exactly; the cutoff ramps down with two
-    flat derivatives, so the patch is piecewise polynomial and C^2.
-    """
-
-    expr: DiffExpr
-    trace: TraceVector
-    pieces: tuple  # ((u_lo, u_hi, Poly), ...) covering [a, b]
-    grid: np.ndarray
-
-    def __call__(self, u, order: int = 0):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape, dtype=complex)
-        for lo, hi, piece in self.pieces:
-            mask = (u >= lo) & (u <= hi)
-            if mask.any():
-                p = piece.deriv(order)
-                acc = np.zeros(u.shape, dtype=complex)
-                for c in reversed(p.coeffs):
-                    acc = acc * u + complex(c)
-                out = np.where(mask, acc, out)
-        return out
-
-
-def patch_realization(expr: DiffExpr, trace: TraceVector, grid_size: int = 201) -> PatchFunction:
-    """Smooth function with the requested traces, supported near the endpoints."""
-    d = expr.traces_per_endpoint
-    if len(trace) != 2 * d:
-        raise ExpressionError(f"trace has {len(trace)} entries, expression expects {2 * d}")
-    if d > 2:
-        raise ExpressionError("patches carry at most (value, derivative) per endpoint")
-    a, b = (float(x) for x in expr.interval)
-    L = (b - a) / 3.0
-    vals = [complex(v) for v in trace.values]
-    if d == 1:
-        lv, rv = (vals[0], 0.0), (vals[1], 0.0)
-    else:
-        lv, rv = (vals[0], vals[1]), (vals[d], vals[d + 1])
-    germ_l = Poly([lv[0] - lv[1] * a, lv[1]])      # lv0 + lv1 (u - a)
-    germ_r = Poly([rv[0] - rv[1] * b, rv[1]])      # rv0 + rv1 (u - b)
-    # ramp arguments: t = 2(u-a)/L - 1 on the left, t = 2(b-u)/L - 1 on the right
-    ramp_l = _compose_affine(_RAMP, -2.0 * a / L - 1.0, 2.0 / L)
-    ramp_r = _compose_affine(_RAMP, 2.0 * b / L - 1.0, -2.0 / L)
-    pieces = (
-        (a, a + L / 2, germ_l),
-        (a + L / 2, a + L, germ_l * ramp_l),
-        (a + L, b - L, Poly()),
-        (b - L, b - L / 2, germ_r * ramp_r),
-        (b - L / 2, b, germ_r),
-    )
-    return PatchFunction(expr, trace, pieces, np.linspace(a, b, grid_size))

@@ -1,4 +1,4 @@
-"""Extended-space machinery: W, B, Psi, Omega, and boundary conditions.
+"""Extended-space machinery: W, B, Omega, and boundary conditions.
 
 Vectors of the extended boundary space are stacked as (trace coords, W
 coords) in C^(2d+k), with W kept in *standard* coordinates and its inner
@@ -31,13 +31,9 @@ from .expressions import (
     DiffExpr,
     ExpSolution,
     ExpressionError,
-    PatchFunction,
     TraceVector,
-    apply_expr,
     boundary_form,
-    trace_of_poly,
 )
-from .polynomials import Poly
 from .symplectic import SkewForm, Subspace
 
 TOL_BUILD = 1e-12
@@ -236,47 +232,6 @@ def build_model(
     if not sym.subspace_contains(sym.radical(F_ext), M_min, tol=1e-10):
         raise ModelError("minimal pairs (t_j, xi_j) escaped the radical of the extended form")
     return model
-
-
-def psi(model: ExtendedModel, t) -> np.ndarray:
-    """Psi on Delta_0 traces: t = sum alpha_j t_j maps to sum alpha_j xi_j."""
-    tv = t.as_array() if isinstance(t, TraceVector) else np.asarray(t, dtype=complex)
-    if model.k == 0:
-        if np.abs(tv).max(initial=0.0) > TOL_SPAN:
-            raise ModelError("trace is not in Delta_0 modulo the minimal domain")
-        return np.zeros(0, dtype=complex)
-    Tm = model.gkn_partial.matrix()
-    alpha, *_ = np.linalg.lstsq(Tm, tv, rcond=None)
-    resid = np.abs(Tm @ alpha - tv).max(initial=0.0)
-    if resid > TOL_SPAN * (1 + np.abs(tv).max(initial=0.0)):
-        raise ModelError(
-            f"trace is not in Delta_0 modulo the minimal domain (residual {resid:.3e})"
-        )
-    return model.W.Xi @ alpha
-
-
-def maximal_action(model: ExtendedModel, x, a):
-    """Action (l x, B a - Omega tr x) of the extended maximal operator.
-
-    `x` may be a Poly (exact expression application, exact traces) or a
-    PatchFunction (piecewise-polynomial application on its own grid).
-    Returns (H part, W part); the W part is a plain complex vector.
-    """
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    if isinstance(x, Poly):
-        h_part = apply_expr(model.expr, x)
-        tr = trace_of_poly(model.expr, x)
-    elif isinstance(x, PatchFunction):
-        vals = np.zeros(x.grid.shape, dtype=complex)
-        for j, c in model.expr.coefficient_polys():
-            cs = np.array([complex(c(float(u))) for u in x.grid])
-            vals += cs * x(x.grid, order=j)
-        h_part = vals
-        tr = x.trace
-    else:
-        raise ModelError("x must be a Poly or a PatchFunction")
-    w_part = model.B.matrix @ a - model.omega_of(tr)
-    return h_part, w_part
 
 
 @dataclass(frozen=True)

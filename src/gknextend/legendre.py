@@ -160,12 +160,3 @@ def extended_orthogonality_check(basis: LTBasis, m: int, n: int) -> Fraction:
     if m == n:
         raise LegendreError("orthogonality check needs m != n")
     return extended_inner(basis, m, n)
-
-
-def basis_to_json(basis: LTBasis) -> dict:
-    return {
-        "A": f"{basis.A.numerator}/{basis.A.denominator}",
-        "polys": [
-            [f"{c.numerator}/{c.denominator}" for c in p.coeffs] for p in basis.polys
-        ],
-    }

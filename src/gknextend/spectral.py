@@ -25,6 +25,14 @@ class SpectralError(ValueError):
     pass
 
 
+# The symmetry defect probes Chebyshev polynomials up to degree
+# min(PROBE_DEGREE, N) on the grid interval, with PROBE_TRIALS random pairs.
+# Fixing the degree apart from N probes the same functions on every grid
+# with N >= PROBE_DEGREE.
+PROBE_DEGREE = 24
+PROBE_TRIALS = 50
+
+
 def expr_order(expr: DiffExpr) -> int:
     return max(j for j, _ in expr.coefficient_polys())
 
@@ -123,36 +131,33 @@ def assemble(
     return DiscreteExtendedOperator(model, bc, grid, P, A_full, Gram_full, A_red, Gram_red)
 
 
-def symmetry_defect(
-    op: DiscreteExtendedOperator, trials: int = 20, seed: int = 0, poly_degree: int | None = None
-) -> float:
+def symmetry_defect(op: DiscreteExtendedOperator, seed: int) -> float:
     """max |<Au,v> - <u,Av>| / (|u||v|(1 + |A|)) over random domain pairs.
 
-    With `poly_degree` set, random vectors are drawn from the domain's
-    intersection with sampled polynomials of that degree (used for the
-    singular fourth-order kind, where rough nodal vectors are meaningless).
+    The pairs are smooth elements of the constrained domain: random
+    combinations of Chebyshev polynomials T_0..T_d of
+    t = (2u - a - b)/(b - a) (d = min(PROBE_DEGREE, N)) and of W
+    coordinates, restricted to the nullspace of the boundary rows.  The
+    collocation action is exact on them up to rounding, for every kind and
+    grid size.  |A| is the 2-norm of A compressed to a nodal-orthonormal
+    basis of the probed subspace.
     """
     rng = np.random.default_rng(seed)
-    n = op.grid.N + 1
-
-    if poly_degree is not None:
-        V = np.vander(op.grid.nodes, poly_degree + 1, increasing=True)
-        basis = np.zeros((n + op.model.k, poly_degree + 1 + op.model.k), dtype=complex)
-        basis[:n, : poly_degree + 1] = V
-        if op.model.k:
-            basis[n:, poly_degree + 1 :] = np.eye(op.model.k)
-        constrained = op.bc.canonical @ _trace_lift(op.model, op.grid) @ basis
-        null = scipy.linalg.null_space(constrained)
-        sample_basis = basis @ null
-    else:
-        sample_basis = op.P
+    grid, k = op.grid, op.model.k
+    n, d = grid.N + 1, min(PROBE_DEGREE, grid.N)
+    t = (2 * grid.nodes - grid.a - grid.b) / (grid.b - grid.a)
+    basis = np.zeros((n + k, d + 1 + k), dtype=complex)
+    basis[:n, : d + 1] = np.polynomial.chebyshev.chebvander(t, d)
+    basis[n:, d + 1 :] = np.eye(k)
+    constrained = op.bc.canonical @ _trace_lift(op.model, grid) @ basis
+    sample_basis = basis @ scipy.linalg.null_space(constrained)
     # operator scale on the subspace actually probed
     q, _ = np.linalg.qr(sample_basis)
     nrmA = np.linalg.norm(q.conj().T @ op.Gram_full @ op.A_full @ q, 2) if q.size else 0.0
 
     dim = sample_basis.shape[1]
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(PROBE_TRIALS):
         u = sample_basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         v = sample_basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         Au, Av = op.A_full @ u, op.A_full @ v

@@ -225,7 +225,7 @@ def test_08_spectral_oracle_agreement(spectral_assemblies):
     t0 = time.perf_counter()
     ok = True
     for (name, _), (entry, bc, op, grid) in spectral_assemblies.items():
-        defect = symmetry_defect(op, trials=50, seed=8)
+        defect = symmetry_defect(op, 8)
         ok &= defect <= 1e-9
         rep = spectrum(op, 8, seed=8)
         ok &= rep.max_imag <= 1e-8
@@ -245,12 +245,12 @@ def test_09_negative_spectral_controls(spectral_assemblies):
     t0 = time.perf_counter()
     ok = True
     for (name, _), (entry, bc, op, grid) in spectral_assemblies.items():
-        honest = symmetry_defect(op, trials=50, seed=9)
+        honest = symmetry_defect(op, 9)
         bad = boundary_conditions_from_rows(
             entry.model, sabotage_rows(bc, entry.model.trace_dim)
         )
         op_bad = assemble(entry.model, bad, grid)
-        sab = symmetry_defect(op_bad, trials=50, seed=9)
+        sab = symmetry_defect(op_bad, 9)
         ok &= sab >= 1e-4
         ok &= sab >= 1e4 * max(honest, 1e-300)
     report(9, "sabotaged-conditions-raise-defect-4-orders", ok, t0)

@@ -90,6 +90,19 @@ class TestRefusals:
         err = self.refused(tmp_path, capsys, {"example": "custom", "model": model})
         assert "'model'" in err
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_constant(self, tmp_path, capsys, constant):
+        # Python's json module accepts these; the schema's number tests do not see them
+        path = tmp_path / "cfg.json"
+        path.write_text('{"example": "fourier_3_3", "params": {"alpha": %s}}' % constant)
+        for command in ("derive-bc", "spectrum"):
+            assert main([command, "--config", str(path)]) == 2
+            assert constant in capsys.readouterr().err
+
+    def test_grid_too_fine(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, {"example": "fourier_3_3", "grid_N": 257}, "spectrum")
+        assert "256" in err
+
     def test_candidate_not_an_object(self, tmp_path, capsys):
         model = model_to_json(build_example("fourier_3_3").model)
         cfg = {"example": "custom", "model": model, "candidates": [1]}
@@ -179,6 +192,12 @@ class TestMain:
         assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         assert [c["name"] for c in report["checks"] if not c["pass"]] == ["oracle_covers_discrete"]
+
+    @pytest.mark.parametrize("example", ["fourier_3_2a", "fourier_3_4", "legendre_type"])
+    def test_spectrum_passes_on_the_finest_grid(self, tmp_path, example):
+        # the sabotage control and the honest defect both keep their margins at 256
+        path = write_config(tmp_path, {"example": example, "grid_N": 256})
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path / "rep.json")]) == 0
 
     def test_complex_beta_keeps_oracle_in_scope(self, tmp_path):
         # B stays self-adjoint for the W inner product, so the determinant is real

@@ -9,11 +9,9 @@ from gknextend.expressions import (
     Fourier,
     GeneralEvenOrder,
     LegendreType,
-    TraceVector,
     apply_expr,
     boundary_form,
     green_defect,
-    patch_realization,
     trace_of_poly,
 )
 from gknextend.polynomials import Poly, poly_from_json, poly_to_json
@@ -182,52 +180,6 @@ class TestDeficiency:
     def test_legendre_unsupported(self):
         with pytest.raises(ExpressionError):
             LegendreType(1).deficiency_solutions(+1)
-
-
-class TestPatches:
-    def test_zero_trace_gives_zero_function(self):
-        expr = Fourier(0, 1)
-        pf = patch_realization(expr, TraceVector((0, 0, 0, 0)))
-        assert np.abs(pf(pf.grid)).max() == 0
-
-    def test_left_constant_germ(self):
-        A = 2.0
-        expr = LegendreType(2)
-        pf = patch_realization(expr, TraceVector((np.sqrt(A), 0, 0, 0)))
-        # equal to sqrt(A) near -1, identically 0 near +1
-        assert abs(pf(np.array([-0.95]))[0] - np.sqrt(A)) < 1e-15
-        assert abs(pf(np.array([0.9]))[0]) == 0
-
-    def test_right_linear_germ(self):
-        A = 2.0
-        expr = LegendreType(2)
-        pf = patch_realization(expr, TraceVector((0, 0, 0, np.sqrt(A))))
-        assert abs(pf(np.array([0.9]))[0] - np.sqrt(A) * (0.9 - 1)) < 1e-14
-
-    def test_round_trip_finite_differences(self):
-        expr = Fourier(0, 1)
-        tv = TraceVector((0.7, -1.3, 2.0, 0.4))
-        pf = patch_realization(expr, tv)
-        h = 1e-6
-        got = np.array(
-            [
-                pf(np.array([0.0]))[0],
-                (pf(np.array([h]))[0] - pf(np.array([0.0]))[0]) / h,
-                pf(np.array([1.0]))[0],
-                (pf(np.array([1.0]))[0] - pf(np.array([1.0 - h]))[0]) / h,
-            ]
-        )
-        assert np.abs(got - tv.as_array()).max() < 1e-8
-
-    def test_middle_third_zero(self):
-        expr = Fourier(0, 3)
-        pf = patch_realization(expr, TraceVector((1, 2, 3, 4)))
-        mid = pf(np.linspace(1.01, 1.99, 21))
-        assert np.abs(mid).max() == 0
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ExpressionError):
-            patch_realization(Fourier(0, 1), TraceVector((1, 2)))
 
 
 class TestSerialization:

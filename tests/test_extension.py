@@ -7,8 +7,9 @@ from gknextend.catalog import EXAMPLE_NAMES, build_example, sabotage_rows
 from gknextend.expressions import (
     Fourier,
     TraceVector,
+    apply_expr,
     boundary_form,
-    patch_realization,
+    trace_of_poly,
 )
 from gknextend.extension import (
     ExtensionSpace,
@@ -20,10 +21,8 @@ from gknextend.extension import (
     check_gkn_extended,
     derive_boundary_conditions,
     extended_deficiency_vectors,
-    maximal_action,
     model_from_json,
     model_to_json,
-    psi,
     rref,
     verify_self_adjoint_domain,
 )
@@ -113,45 +112,7 @@ class TestStructuralInvariants:
         assert Fq.nondegenerate
 
 
-class TestPsi:
-    def test_basis_vectors_map_to_xi(self):
-        model = build_example("legendre_type", {"A": 4.0}).model
-        t1 = model.gkn_partial.traces[0]
-        assert np.abs(psi(model, t1) - model.W.Xi[:, 0]).max() < 1e-12
-
-    def test_zero_maps_to_zero(self):
-        model = build_example("legendre_type").model
-        assert np.abs(psi(model, np.zeros(4))).max() == 0
-
-    def test_linear_combination(self):
-        A = 4.0
-        model = build_example("legendre_type", {"A": A}).model
-        t = 3.0 * model.gkn_partial.traces[0].as_array() - 2.0 * model.gkn_partial.traces[1].as_array()
-        got = psi(model, t)
-        assert np.abs(got - np.array([3 * np.sqrt(A), -2 * np.sqrt(A)])).max() < 1e-12
-
-    def test_outside_span_rejected(self):
-        model = build_example("legendre_type").model
-        with pytest.raises(ModelError, match="Delta_0"):
-            psi(model, np.array([0, 1.0, 0, 0]))
-
-
 class TestMaximalAction:
-    def test_first_order_equal_endpoints(self):
-        # x with x(0) = x(1) = c has Omega x = 0: the W part is just B a
-        model = build_example("first_order", {"alpha": 2.0}).model
-        pf = patch_realization(model.expr, TraceVector((0.6, 0.6)))
-        _, w = maximal_action(model, pf, np.array([1.25]))
-        assert abs(w[0] - 2.0 * 1.25) < 1e-12
-
-    def test_zero_trace_patch(self):
-        model = build_example("fourier_3_3").model
-        pf = patch_realization(model.expr, TraceVector((0, 0, 0, 0)))
-        a = np.array([1.0, -2.0])
-        h, w = maximal_action(model, pf, a)
-        assert np.abs(w - model.B.matrix @ a).max() < 1e-12
-        assert np.abs(h).max() == 0
-
     def test_polynomial_path_matches_exact_module(self):
         from gknextend.legendre import extended_maximal_action, gram_schmidt
 
@@ -161,7 +122,11 @@ class TestMaximalAction:
         p = basis[3]
         a = (p(Fraction(-1)), p(Fraction(1)))
         h_exact, w_exact = extended_maximal_action(A, p, a)
-        h_float, w_float = maximal_action(model, p, np.array([float(a[0]), float(a[1])]))
+        # the float model's action (l p, B a - Omega tr p)
+        h_float = apply_expr(model.expr, p)
+        w_float = model.B.matrix @ np.array([float(a[0]), float(a[1])]) - model.omega_of(
+            trace_of_poly(model.expr, p)
+        )
         assert h_float == h_exact
         assert np.abs(w_float - np.array([float(w_exact[0]), float(w_exact[1])])).max() < 1e-10
 

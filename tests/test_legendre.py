@@ -6,7 +6,6 @@ import pytest
 from gknextend.legendre import (
     LegendreError,
     LTBasis,
-    basis_to_json,
     boundary_identity_check,
     eigen_check,
     extended_eigen_check,
@@ -178,12 +177,3 @@ class TestConsistencyWithFloatModel:
             )
             tr = trace_of_poly(LegendreType(Fraction(2)), p)
             assert np.abs(entry.model.omega_of(tr) - exact).max() < 1e-9
-
-
-class TestExport:
-    def test_json_shape(self):
-        basis = gram_schmidt(Fraction(5, 2), 3)
-        data = basis_to_json(basis)
-        assert data["A"] == "5/2"
-        assert len(data["polys"]) == 4
-        assert data["polys"][1] == ["0/1", "1/1"]
