@@ -38,9 +38,9 @@ class CollocationGrid:
     gram: np.ndarray           # exact L2 Gram of the nodal interpolants
 
     def diff(self, order: int) -> np.ndarray:
-        if not 1 <= order <= 4:
-            raise ValueError("differentiation matrices available for orders 1..4")
-        return self.D[order - 1]
+        if not 0 <= order <= 4:
+            raise ValueError("differentiation matrices available for orders 0..4")
+        return self.D[order - 1] if order else np.eye(self.N + 1)
 
 
 def make_grid(N: int, a: float, b: float) -> CollocationGrid:

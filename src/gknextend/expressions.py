@@ -16,10 +16,10 @@ from math import comb
 import numpy as np
 
 from .polynomials import Poly, poly_from_json, poly_to_json
-from .symplectic import SkewForm
+from .symplectic import GknError, SkewForm
 
 
-class ExpressionError(ValueError):
+class ExpressionError(GknError):
     """Unsupported expression input."""
 
 
@@ -41,7 +41,8 @@ class DiffExpr:
     names its trace labels use (`ends`), `traces_per_endpoint`, the
     deficiency index `deficiency` (the number of boundary conditions a
     self-adjoint restriction needs), `coefficient_polys` and the
-    `boundary_matrix` of its Green's-formula form.
+    `boundary_matrix` of its Green's-formula form.  Everything about the
+    ODE l x = sum_j c_j x^(j) itself is derived from `coefficient_polys`.
     """
 
     ends = ("a", "b")
@@ -60,14 +61,36 @@ class DiffExpr:
     def from_json(cls, data: dict) -> "DiffExpr":
         return cls(*(Fraction(data[f.name]) for f in fields(cls)))
 
+    @property
+    def order(self) -> int:
+        return max(j for j, _ in self.coefficient_polys())
+
+    def constant_coefficients(self) -> dict[int, float | complex]:
+        """{j: c_j} of l x = sum_j c_j x^(j), each c_j a float when real.
+
+        Raises unless every c_j is constant.
+        """
+        coeffs = {}
+        for j, c in self.coefficient_polys():
+            if c.degree > 0:
+                raise ExpressionError(f"coefficient of x^({j}) is not constant")
+            z = complex(c(0))
+            coeffs[j] = z.real if z.imag == 0 else z
+        return coeffs
+
+    def symbol(self, mu: complex) -> complex:
+        """l exp(mu u) = symbol(mu) exp(mu u)."""
+        return sum(c * mu**j for j, c in self.constant_coefficients().items())
+
     def exponents(self, sign: int) -> list[complex]:
-        """The mu with exp(mu u) solving l x = sign * i x."""
-        raise ExpressionError(
-            "deficiency solutions in closed form only for FirstOrderI and Fourier"
-        )
+        """The mu with exp(mu u) solving l x = sign * i x: roots of symbol(mu) - sign * i."""
+        c = self.constant_coefficients()
+        p = [c.get(j, 0) for j in range(max(c), -1, -1)]
+        p[-1] -= sign * 1j
+        return list(np.roots(p))
 
     def deficiency_solutions(self, sign: int) -> list["ExpSolution"]:
-        """Solutions of l x = sign * i x for the regular first/second order kinds."""
+        """Solutions of l x = sign * i x for the constant-coefficient kinds."""
         if sign not in (+1, -1):
             raise ExpressionError("sign must be +1 or -1")
         return [ExpSolution(self, mu, sign) for mu in self.exponents(sign)]
@@ -88,14 +111,6 @@ class FirstOrderI(DiffExpr):
 
     def boundary_matrix(self) -> np.ndarray:
         return np.diag([-1j, 1j])
-
-    def symbol(self, mu: complex) -> complex:
-        """l exp(mu u) = symbol(mu) exp(mu u)."""
-        return 1j * mu
-
-    def exponents(self, sign: int) -> list[complex]:
-        # i x' = sign*i x  =>  x' = sign*x
-        return [complex(sign)]
 
 
 @dataclass(frozen=True)
@@ -120,14 +135,6 @@ class Fourier(DiffExpr):
 
     def boundary_matrix(self) -> np.ndarray:
         return _endpoint_blocks(1)
-
-    def symbol(self, mu: complex) -> complex:
-        return -mu**2
-
-    def exponents(self, sign: int) -> list[complex]:
-        # -x'' = sign*i x  =>  mu^2 = -sign*i
-        mu = np.sqrt(complex(0, -sign))
-        return [mu, -mu]
 
 
 @dataclass(frozen=True)
@@ -202,9 +209,7 @@ class GeneralEvenOrder(DiffExpr):
     def traces_per_endpoint(self) -> int:
         return 2 * self.n
 
-    @property
-    def deficiency(self) -> int:
-        return 2 * self.n
+    deficiency = traces_per_endpoint
 
     def to_json(self) -> dict:
         qs = [poly_to_json(q) for q in self.qs]

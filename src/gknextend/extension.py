@@ -41,7 +41,7 @@ TOL_PIVOT = 1e-12
 TOL_SPAN = 1e-10
 
 
-class ModelError(ValueError):
+class ModelError(sym.GknError):
     """Rejected extension-model input."""
 
 
@@ -165,6 +165,11 @@ class ExtendedModel:
         return self.boundary.labels + tuple(f"a_W[{j+1}]" for j in range(self.k))
 
 
+def coupling_scale(S: np.ndarray, Tm: np.ndarray) -> float:
+    """1 + max|S| (1 + max|T|)^2, the size of the form on the partial GKN traces T."""
+    return 1.0 + np.abs(S).max(initial=0.0) * (1 + np.abs(Tm).max(initial=0.0)) ** 2
+
+
 def build_model(
     bf: BoundaryForm,
     W: ExtensionSpace,
@@ -198,8 +203,7 @@ def build_model(
         if sym.matrix_rank(Tm) != W.k:
             raise ModelError("partial GKN traces are linearly dependent")
         vals = Tm.conj().T @ S @ Tm
-        scale = 1.0 + np.abs(S).max() * (1 + np.abs(Tm).max()) ** 2
-        bad = np.argwhere(np.abs(vals) > sym.TOL_FORM * scale)
+        bad = np.argwhere(np.abs(vals) > sym.TOL_FORM * coupling_scale(S, Tm))
         if bad.size:
             i, j = bad[0]
             raise ModelError(

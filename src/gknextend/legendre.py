@@ -22,11 +22,12 @@ from fractions import Fraction
 
 from .expressions import LegendreType, apply_expr
 from .polynomials import Poly
+from .symplectic import GknError
 
 N_MAX = 24  # coefficient bit-growth guard
 
 
-class LegendreError(ValueError):
+class LegendreError(GknError):
     pass
 
 

@@ -16,12 +16,12 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from .collocation import CollocationGrid
-from .expressions import DiffExpr, ExpSolution, FirstOrderI, Fourier
-from .extension import BoundaryConditions, ExtendedModel, ModelError
-from .polynomials import Poly
+from .expressions import DiffExpr, ExpSolution
+from .extension import BoundaryConditions, ExtendedModel
+from .symplectic import GknError
 
 
-class SpectralError(ValueError):
+class SpectralError(GknError):
     pass
 
 
@@ -33,24 +33,10 @@ PROBE_DEGREE = 24
 PROBE_TRIALS = 50
 
 
-def expr_order(expr: DiffExpr) -> int:
-    return max(j for j, _ in expr.coefficient_polys())
-
-
 def trace_rows(grid: CollocationGrid, expr: DiffExpr) -> np.ndarray:
     """Matrix extracting the expression's trace vector from grid samples."""
     d = expr.traces_per_endpoint
-    n = grid.N + 1
-    rows = []
-    for idx in (0, n - 1):
-        for k in range(d):
-            if k == 0:
-                r = np.zeros(n)
-                r[idx] = 1.0
-            else:
-                r = grid.diff(k)[idx]
-            rows.append(r)
-    return np.array(rows)
+    return np.array([grid.diff(k)[idx] for idx in (0, grid.N) for k in range(d)])
 
 
 def expr_grid_matrix(expr: DiffExpr, grid: CollocationGrid) -> np.ndarray:
@@ -101,8 +87,8 @@ def assemble(
 ) -> DiscreteExtendedOperator:
     """Discretize (l x, B a - Omega tr x) under the given boundary rows."""
     expr = model.expr
-    if grid.N < 2 * expr_order(expr) + 4:
-        raise SpectralError(f"N = {grid.N} too small for order {expr_order(expr)}")
+    if grid.N < 2 * expr.order + 4:
+        raise SpectralError(f"N = {grid.N} too small for order {expr.order}")
     a, b = (float(v) for v in expr.interval)
     if not (np.isclose(grid.a, a) and np.isclose(grid.b, b)):
         raise SpectralError("grid interval does not match the expression")
@@ -220,39 +206,43 @@ def spectrum(op: DiscreteExtendedOperator, count: int, seed: int = 0) -> Spectru
 
 
 def _fundamental_traces(expr: DiffExpr, lams: np.ndarray) -> np.ndarray:
-    """Traces of a fundamental system of l x = lam x for every lam at once.
+    """Traces [I; Y(b)] of a fundamental system of l x = lam x, for every lam at once.
 
-    The systems of all lam are stacked into one state and integrated by a
-    single adaptive RK call (rtol 1e-11, atol 1e-13).  solve_ivp bounds the
-    RMS error norm of the whole state, so both tolerances are divided by
-    sqrt(len(lams)): no single lam's error norm can then exceed the
-    tolerance it had on its own.
-    Returns an array of shape (len(lams), trace_dim, solutions).
+    For l x = sum_j c_j x^(j) of order m with constant c_j, Y solves the
+    companion system x^(m) = (lam x - sum_{j<m} c_j x^(j)) / c_m from
+    Y(a) = I, in a solution-major state (x_1, x_1', ..., x_2, ...) that is
+    real when every c_j is.  All lam share one adaptive RK call (rtol 1e-11,
+    atol 1e-13); solve_ivp bounds the RMS error norm of the whole state, so
+    both tolerances are divided by sqrt(len(lams)) and no single lam's error
+    norm can exceed the tolerance it had on its own.  Shape (len(lams), 2m, m).
     """
+    m = expr.order
+    if expr.traces_per_endpoint != m:
+        raise SpectralError(
+            f"shooting needs the full trace layout of an order-{m} expression, "
+            f"got {expr.traces_per_endpoint} traces per endpoint"
+        )
+    c = expr.constant_coefficients()
+    dtype = np.result_type(*c.values())
+    lam_c = lams / c[m]
+    lower = [(j, v / c[m]) for j, v in c.items() if j < m]
     a, b = (float(v) for v in expr.interval)
     n = lams.size
     tol = {"rtol": 1e-11 / np.sqrt(n), "atol": 1e-13 / np.sqrt(n)}
-    if isinstance(expr, Fourier):
-        # y'' = -lam y, two initial-value columns; state rows y1, y1', y2, y2'
-        def rhs(_, y):
-            y1, dy1, y2, dy2 = y.reshape(4, n)
-            return np.concatenate([dy1, -lams * y1, dy2, -lams * y2])
 
-        y0 = np.repeat([1.0, 0.0, 0.0, 1.0], n)
-        sol = solve_ivp(rhs, (a, b), y0, method="DOP853", **tol)
-        y1, dy1, y2, dy2 = sol.y[:, -1].reshape(4, n)
-        one, zero = np.ones(n), np.zeros(n)
-        return np.stack(
-            [np.stack([one, zero, y1, dy1], -1), np.stack([zero, one, y2, dy2], -1)], -1
-        )
-    if isinstance(expr, FirstOrderI):
-        # i x' = lam x
-        def rhs(_, y):
-            return -1j * lams * y
+    def rhs(_, y):
+        Y = y.reshape(m, m, n)  # solution, derivative, lam
+        dY = np.empty_like(Y)
+        dY[:, :-1] = Y[:, 1:]
+        np.multiply(lam_c, Y[:, 0], out=dY[:, -1])
+        for j, v in lower:
+            dY[:, -1] -= v * Y[:, j]
+        return dY.ravel()
 
-        sol = solve_ivp(rhs, (a, b), np.ones(n, dtype=complex), method="DOP853", **tol)
-        return np.stack([np.ones(n, dtype=complex), sol.y[:, -1]], -1)[:, :, None]
-    raise SpectralError("shooting supports the first- and second-order kinds only")
+    y0 = np.repeat(np.eye(m, dtype=dtype).ravel(), n)
+    sol = solve_ivp(rhs, (a, b), y0, method="DOP853", **tol)
+    Yb = sol.y[:, -1].reshape(m, m, n).transpose(2, 1, 0)
+    return np.concatenate([np.broadcast_to(np.eye(m, dtype=dtype), Yb.shape), Yb], axis=1)
 
 
 def characteristic_value(model: ExtendedModel, bc: BoundaryConditions, lam):
@@ -261,8 +251,9 @@ def characteristic_value(model: ExtendedModel, bc: BoundaryConditions, lam):
     Assembles the square system (boundary rows, W eigen-rows) on the
     fundamental-solution coefficients and the W coordinates, for a scalar
     lam (returns a float) or an array of lam (returns an array, one batched
-    integration).  For the first-order kind the determinant is made real by
-    a unimodular phase; a non-negligible imaginary remainder raises.
+    integration).  Liouville's factor exp(-(b - a) tr C / 2) of the companion
+    matrix C divides out the determinant's constant phase (1 for -x''); a
+    non-negligible imaginary remainder raises.
     """
     expr = model.expr
     k, td = model.k, model.trace_dim
@@ -281,10 +272,12 @@ def characteristic_value(model: ExtendedModel, bc: BoundaryConditions, lam):
     M[:, :nb, nf:] = rows[:, td:]
     M[:, nb:, :nf] = -np.einsum("it,ltj->lij", model.Omega, fund)
     M[:, nb:, nf:] = model.B.matrix - lams[:, None, None] * np.eye(k)
-    det = np.linalg.det(M)
-    if isinstance(expr, FirstOrderI):
-        a, b = (float(v) for v in expr.interval)
-        det = det * np.exp(1j * lams * (b - a) / 2.0)
+    # Liouville: det Y(b) = exp((b - a) tr C) for the companion matrix C;
+    # half of that constant phase is divided out
+    m, c = expr.order, expr.constant_coefficients()
+    a, b = (float(v) for v in expr.interval)
+    trace_c = (lams * (m == 1) - c.get(m - 1, 0)) / c[m]
+    det = np.linalg.det(M) * np.exp(-0.5 * (b - a) * trace_c)
     # integration noise in Im(det) scales with the determinant's natural
     # size, not with Re(det), which vanishes at eigenvalues
     hadamard = np.prod(np.maximum(np.linalg.norm(M, axis=1), 1e-30), axis=1)
@@ -375,31 +368,18 @@ def shooting_oracle(
 def eigenrelation_residual(
     model: ExtendedModel,
     grid: CollocationGrid,
-    x,
+    x: ExpSolution,
     a: np.ndarray,
     lam: complex,
 ) -> float:
     """||T_hat(x, a) - lam (x, a)|| in the quadrature + G norm.
 
-    `x` may be an ExpSolution (exact exponential derivatives) or a Poly
-    (exact expression application); samples are taken on the grid.
+    l x comes from the exact exponential derivatives of x; samples are
+    taken on the grid.
     """
-    from .expressions import apply_expr, trace_of_poly
-
     a = np.asarray(a, dtype=complex).reshape(-1)
-    if isinstance(x, ExpSolution):
-        h_action = x.apply(grid.nodes)
-        h_val = x.value(grid.nodes)
-        tr = x.trace()
-    elif isinstance(x, Poly):
-        lx = apply_expr(model.expr, x)
-        h_action = np.array([complex(lx(u)) for u in grid.nodes])
-        h_val = np.array([complex(x(u)) for u in grid.nodes])
-        tr = trace_of_poly(model.expr, x)
-    else:
-        raise ModelError("x must be an ExpSolution or a Poly")
-    h_res = h_action - lam * h_val
-    w_res = model.B.matrix @ a - model.omega_of(tr) - lam * a if model.k else np.zeros(0)
+    h_res = x.apply(grid.nodes) - lam * x.value(grid.nodes)
+    w_res = model.B.matrix @ a - model.omega_of(x.trace()) - lam * a if model.k else np.zeros(0)
     h_part = (h_res.conj() @ grid.gram @ h_res).real
     w_part = (w_res.conj() @ model.W.G @ w_res).real if model.k else 0.0
     return float(np.sqrt(max(h_part + w_part, 0.0)))

@@ -19,7 +19,12 @@ TOL_FORM = 1e-10
 TOL_RADICAL = 1e-10
 
 
-class SymplecticError(ValueError):
+# every module with a domain error imports this one, so their common base lives here
+class GknError(ValueError):
+    """Base of the package's domain errors: input the verifier refuses."""
+
+
+class SymplecticError(GknError):
     """Violated precondition or invariant in symplectic algebra."""
 
 

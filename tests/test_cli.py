@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -108,6 +109,42 @@ class TestRefusals:
         cfg = {"example": "custom", "model": model, "candidates": [1]}
         err = self.refused(tmp_path, capsys, cfg)
         assert "'candidates'" in err and "TypeError" in err
+
+
+class TestInternalErrors:
+    """A fault of the verifier exits 3 and ends stderr with a summary line, never exit 1."""
+
+    @pytest.mark.parametrize("command", ["check-symplectic", "derive-bc", "spectrum"])
+    def test_overflowing_interval(self, tmp_path, capsys, command):
+        # schema-valid, but the spectral window squares b - a
+        path = write_config(tmp_path, {"example": "fourier_3_3", "params": {"b": 1e300}})
+        assert main([command, "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("internal error: OverflowError: ")
+
+
+class TestCouplingChecks:
+    """The Omega checks are relative to the form's size on the GKN traces."""
+
+    @pytest.mark.parametrize(
+        "example, params",
+        [("legendre_type", {"A": 1e5}), ("fourier_3_3", {"M": 1e8}), ("fourier_3_1", {"M": 1e9})],
+    )
+    def test_large_scale_models_pass(self, tmp_path, example, params):
+        path = write_config(tmp_path, {"example": example, "params": params})
+        assert main(["check-symplectic", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize(
+        "example, params", [("fourier_3_3", {}), ("legendre_type", {"A": 1e5})]
+    )
+    def test_scaled_omega_fails_coupling_identity(self, example, params):
+        entry = build_example(example, params)
+        model = dataclasses.replace(entry.model, Omega=1.01 * entry.model.Omega)
+        checks = cli.Checks()
+        cli.run_check_symplectic(dataclasses.replace(entry, model=model), {"seed": 0}, checks, {})
+        failed = [c["name"] for c in checks.items if not c["pass"]]
+        assert failed == ["omega_coupling_identity"]
 
 
 class TestRun:

@@ -7,7 +7,13 @@ from scipy.optimize import brentq
 
 from gknextend.catalog import build_example, sabotage_rows
 from gknextend.collocation import make_grid
-from gknextend.expressions import Fourier, TraceVector, boundary_form
+from gknextend.expressions import (
+    ExpressionError,
+    Fourier,
+    GeneralEvenOrder,
+    TraceVector,
+    boundary_form,
+)
 from gknextend.extension import (
     ExtensionSpace,
     OperatorB,
@@ -86,11 +92,19 @@ def grid01():
     return make_grid(64, 0.0, 1.0)
 
 
-def fourier_k0_model(a=0.0, b=1.0):
+def classical_model(expr):
     """Classical path: empty extension space, plain boundary conditions."""
-    expr = Fourier(Fraction(a).limit_denominator(10**6), Fraction(b).limit_denominator(10**6))
     bf = boundary_form(expr)
     return build_model(bf, ExtensionSpace(0, np.zeros((0, 0))), OperatorB.zero(0), PartialGKNSet(()))
+
+
+def fourier_k0_model(a=0.0, b=1.0):
+    return classical_model(
+        Fourier(Fraction(a).limit_denominator(10**6), Fraction(b).limit_denominator(10**6))
+    )
+
+
+DIRICHLET_ROWS = np.array([[1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex)
 
 
 class TestAssemble:
@@ -237,8 +251,7 @@ class TestShootingOracle:
     def test_dirichlet_sanity(self):
         # classical two-condition path: x(a) = x(b) = 0 gives n^2 pi^2
         model = fourier_k0_model()
-        rows = np.array([[1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex)
-        bc = boundary_conditions_from_rows(model, rows)
+        bc = boundary_conditions_from_rows(model, DIRICHLET_ROWS)
         roots = shooting_oracle(model, bc, (1.0, 100.0))
         expected = np.array([np.pi**2, 4 * np.pi**2, 9 * np.pi**2])
         assert np.abs(np.array(roots[:3]) - expected).max() < 1e-7
@@ -318,13 +331,58 @@ class TestShootingOracle:
         rel = np.abs(np.array(roots) - expected) / np.maximum(1.0, np.abs(expected))
         assert rel.max() <= 1e-9
 
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"M": 2.4, "N_weight": 0.65, "alpha": -1.3, "beta_re": 0.45, "gamma": 0.8,
+              "a": -0.35, "b": 1.1}],
+    )
+    def test_general_even_order_matches_fourier(self, params):
+        # -x'' written as -(q_1 x')' with q_1 = 1: the same ODE from the same
+        # coefficients, so the same integration and bit-equal roots
+        entry = build_example("fourier_3_3", params)
+        model = entry.model
+        geo = GeneralEvenOrder((Poly(), Poly([1])), model.expr.a, model.expr.b)
+        geo_model = build_model(boundary_form(geo), model.W, model.B, model.gkn_partial)
+        geo_entry = dataclasses.replace(entry, model=geo_model)
+        window = entry.spectral_window
+        roots = shooting_oracle(geo_model, geo_entry.boundary_conditions(), window)
+        assert len(roots) >= 5
+        assert roots == shooting_oracle(model, entry.boundary_conditions(), window)
+        grid = make_grid(64, float(geo.a), float(geo.b))
+        for sign in (+1, -1):
+            vecs = extended_deficiency_vectors(geo_model, sign)
+            assert len(vecs) == 2
+            for v in vecs:
+                assert eigenrelation_residual(geo_model, grid, v.solution, v.a, sign * 1j) <= 1e-8
+
+    def test_legendre_type_is_refused(self):
+        # four traces cannot hold a fundamental system of a fourth-order ODE
+        entry = build_example("legendre_type")
+        with pytest.raises(SpectralError, match="trace layout"):
+            shooting_oracle(entry.model, entry.boundary_conditions(), (-10.0, 10.0))
+
+    def test_potential_term_shifts_dirichlet_roots(self):
+        # -x'' + x: the c_0 term enters the companion system and the
+        # collocation matrix alike; Dirichlet eigenvalues n^2 pi^2 + 1
+        model = classical_model(GeneralEvenOrder((Poly([1]), Poly([1])), 0, 1))
+        bc = boundary_conditions_from_rows(model, DIRICHLET_ROWS)
+        expected = np.pi**2 * np.arange(1, 4) ** 2 + 1
+        roots = shooting_oracle(model, bc, (1.0, 100.0))
+        assert len(roots) == 3
+        assert np.abs(np.array(roots) - expected).max() < 1e-7
+        evals = spectrum(assemble(model, bc, make_grid(32, 0.0, 1.0)), 3).eigenvalues
+        assert np.abs(evals - expected).max() < 1e-6
+
+    def test_variable_coefficients_are_refused(self):
+        model = classical_model(GeneralEvenOrder((Poly(), Poly([1, 1])), 0, 1))
+        bc = boundary_conditions_from_rows(model, DIRICHLET_ROWS)
+        with pytest.raises(ExpressionError, match="not constant"):
+            shooting_oracle(model, bc, (1.0, 100.0))
+        with pytest.raises(ExpressionError, match="not constant"):
+            extended_deficiency_vectors(model, +1)
+
 
 class TestEigenRelationResidual:
-    def test_zero_vector(self, grid01):
-        entry = build_example("fourier_3_1")
-        r = eigenrelation_residual(entry.model, grid01, Poly(), np.zeros(1), 3.0)
-        assert r == 0.0
-
     def test_deficiency_vectors_at_plus_minus_i(self, grid01):
         for name in ("first_order", "fourier_3_1", "fourier_3_3"):
             entry = build_example(name)
@@ -334,11 +392,3 @@ class TestEigenRelationResidual:
                         entry.model, grid01, v.solution, v.a, sign * 1j
                     )
                     assert r <= 1e-8, (name, sign, r)
-
-    def test_legendre_linear_eigenvector(self):
-        entry = build_example("legendre_type", {"A": 1.0})
-        grid = make_grid(64, -1.0, 1.0)
-        p = Poly([0, 1])
-        a = np.array([-1.0, 1.0])
-        r = eigenrelation_residual(entry.model, grid, p, a, 8.0)
-        assert r <= 1e-10
