@@ -28,6 +28,7 @@ from .extension import (
     BoundaryConditions,
     ExtendedModel,
     ExtensionSpace,
+    ModelError,
     OperatorB,
     PartialGKNSet,
     boundary_conditions_from_rows,
@@ -177,6 +178,8 @@ def _fourier_model_1d(p: dict, t_trace: TraceVector) -> ExtendedModel:
 def _fourier_window(p: dict) -> tuple[float, float]:
     # eigenvalues of the second-order family scale like 1/length^2
     L = float(p["b"]) - float(p["a"])
+    if not np.isfinite(L * L):
+        raise ModelError(f"interval length b - a = {L:g} is too long: its square overflows")
     return (-40.0 / L**2, 320.0 / L**2)
 
 

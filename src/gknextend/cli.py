@@ -35,14 +35,15 @@ from .extension import (
     model_from_json,
     verify_self_adjoint_domain,
 )
+from .expressions import apply_expr
 from .legendre import (
     N_MAX,
     boundary_identity_check,
-    eigen_check,
+    eigen_residual,
     extended_eigen_check,
-    extended_orthogonality_check,
-    gram_schmidt,
+    extended_gram,
     lt_eigenvalue,
+    operator_basis,
 )
 from .spectral import (
     assemble,
@@ -297,33 +298,30 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
 
 
 def run_legendre(entry, cfg, checks: Checks, report: dict):
-    A = entry.model.expr.A
+    expr = entry.model.expr
     n_max = cfg["n_max"]
-    basis = gram_schmidt(A, n_max)
+    basis = operator_basis(expr.A, n_max)
     eig_ok = True
     bnd_ok = True
     ext_ok = True
-    orth_ok = True
     neg_ok = True
-    eigs = []
-    for n in range(n_max + 1):
-        lam = eigen_check(basis, n)
-        eigs.append(str(lam))
-        eig_ok &= lam == lt_eigenvalue(n, A)
-        bnd_ok &= boundary_identity_check(basis, n)
-        ext_ok &= extended_eigen_check(basis, n)
     I2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for n in range(1, n_max + 1):
-        neg_ok &= not extended_eigen_check(basis, n, I2)
-    for m in range(n_max + 1):
-        for n in range(m + 1, n_max + 1):
-            orth_ok &= extended_orthogonality_check(basis, m, n) == 0
+    for n in range(n_max + 1):
+        # one image l P_n serves every check of P_n
+        image = apply_expr(expr, basis[n])
+        eig_ok &= eigen_residual(basis, n, image).is_zero()
+        bnd_ok &= boundary_identity_check(basis, n)
+        ext_ok &= extended_eigen_check(basis, n, image)
+        if n:
+            neg_ok &= not extended_eigen_check(basis, n, image, I2)
+    gram = extended_gram(basis)
+    orth_ok = all(gram[m][n] == 0 for m in range(n_max + 1) for n in range(m + 1, n_max + 1))
     checks.eq("eigenvalue_formula_exact", True, eig_ok)
     checks.eq("boundary_identity_exact", True, bnd_ok)
     checks.eq("extended_eigen_relation_exact", True, ext_ok)
     checks.eq("extended_orthogonality_exact", True, orth_ok)
     checks.eq("nonzero_B_breaks_eigenvectors", True, neg_ok)
-    report["legendre_eigenvalues"] = eigs
+    report["legendre_eigenvalues"] = [str(lt_eigenvalue(n, expr.A)) for n in range(n_max + 1)]
 
 
 # `all` runs every command an entry lists, in the entry's order
@@ -370,9 +368,17 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _open_output(path: str):
+    """Open an output file for writing; an unwritable path is a usage error."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from e
+
+
 def write_csv(report: dict, path: str):
     rows = report.get("eigenvalues", {})
-    with open(path, "w", newline="") as f:
+    with _open_output(path) as f:
         w = csv.writer(f)
         w.writerow(["index", "re", "im", "residual"])
         if rows:
@@ -401,7 +407,7 @@ def main(argv=None) -> int:
         report = run(cfg, args.command)
         text = json.dumps(report, indent=2, default=_json_default)
         if args.out:
-            with open(args.out, "w") as f:
+            with _open_output(args.out) as f:
                 f.write(text + "\n")
         else:
             print(text)

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -22,3 +23,37 @@ def random_rational_poly(rng, degree: int):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+# -- independent reference for the exact Legendre suite ---------------------
+# The library builds P_n from the operator; these build them from the measure.
+
+
+def mu_inner(p, q, A):
+    """<p, q> = integral over [-1,1] plus (p q)(+-1)/A, exactly."""
+    from gknextend.legendre import LegendreError
+
+    A = Fraction(A)
+    if not (p.is_exact() and q.is_exact()):
+        raise LegendreError("mu_inner needs rational coefficients")
+    pq = p * q
+    return pq.integral(-1, 1) + (pq(Fraction(-1)) + pq(Fraction(1))) / A
+
+
+@functools.lru_cache(maxsize=None)
+def gram_schmidt(A, n_max):
+    """Monic orthogonal polynomials under the point-mass measure."""
+    from gknextend.legendre import LTBasis
+    from gknextend.polynomials import Poly
+
+    A = Fraction(A)
+    polys = []
+    norms = []
+    for n in range(n_max + 1):
+        p = Poly([Fraction(0)] * n + [Fraction(1)])  # u^n
+        for m, pm in enumerate(polys):
+            c = mu_inner(p, pm, A) / norms[m]
+            p = p - pm.scale(c)
+        polys.append(p)
+        norms.append(mu_inner(p, p, A))
+    return LTBasis(A, tuple(polys))

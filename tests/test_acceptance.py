@@ -18,11 +18,12 @@ from gknextend.extension import (
     extended_deficiency_vectors,
     verify_self_adjoint_domain,
 )
+from gknextend.expressions import LegendreType, apply_expr
 from gknextend.legendre import (
     boundary_identity_check,
-    eigen_check,
+    eigen_residual,
     extended_eigen_check,
-    gram_schmidt,
+    operator_basis,
 )
 from gknextend.spectral import (
     assemble,
@@ -40,7 +41,7 @@ from gknextend.symplectic import (
     random_complete_lagrangian,
 )
 
-from conftest import random_skew_hermitian
+from conftest import gram_schmidt, random_skew_hermitian
 
 A_VALUES = (Fraction(1), Fraction(5, 2), Fraction(10))
 N_RANGE = range(13)
@@ -104,8 +105,13 @@ def test_01_eigenvalue_formula_exact():
     ok = True
     for A in A_VALUES:
         basis = gram_schmidt(A, 12)
+        # the operator's eigenpolynomials are the measure's orthogonal ones
+        ok &= operator_basis(A, 12).polys == basis.polys
         for n in N_RANGE:
-            ok &= eigen_check(basis, n) == Fraction(n) * (n + 1) * (n * n + n + 4 * A - 2)
+            lam = Fraction(n) * (n + 1) * (n * n + n + 4 * A - 2)
+            image = apply_expr(LegendreType(A), basis[n])
+            ok &= image == basis[n].scale(lam)
+            ok &= eigen_residual(basis, n, image).is_zero()
     elapsed = time.perf_counter() - t0
     ok &= elapsed <= 30.0
     report(1, "eigenvalue-formula-exact (3 weights, n<=12)", ok, t0)
@@ -126,10 +132,11 @@ def test_03_extended_eigenrelation_both_directions():
     ok = True
     for A in A_VALUES:
         basis = gram_schmidt(A, 12)
+        images = [apply_expr(LegendreType(A), p) for p in basis.polys]
         for n in N_RANGE:
-            ok &= extended_eigen_check(basis, n)            # B = 0: exact eigenvector
+            ok &= extended_eigen_check(basis, n, images[n])            # B = 0: exact eigenvector
         for n in range(1, 13):
-            ok &= not extended_eigen_check(basis, n, I2)    # B = I: must fail
+            ok &= not extended_eigen_check(basis, n, images[n], I2)    # B = I: must fail
     report(3, "extended-eigenvectors-iff-B-zero", ok, t0)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gknextend import cli, spectral
+from gknextend import cli, legendre, spectral
 from gknextend.catalog import build_example
 from gknextend.cli import CONFIG_SCHEMA, ConfigError, load_config, main, run
 from gknextend.extension import model_to_json
@@ -112,16 +112,34 @@ class TestRefusals:
 
 
 class TestInternalErrors:
-    """A fault of the verifier exits 3 and ends stderr with a summary line, never exit 1."""
+    """A fault of the verifier exits 3 and ends stderr with a summary line, never exit 1.
+
+    Inputs the verifier's float arithmetic cannot hold are refused with exit 2
+    before they can cause such a fault.
+    """
 
     @pytest.mark.parametrize("command", ["check-symplectic", "derive-bc", "spectrum"])
     def test_overflowing_interval(self, tmp_path, capsys, command):
         # schema-valid, but the spectral window squares b - a
         path = write_config(tmp_path, {"example": "fourier_3_3", "params": {"b": 1e300}})
-        assert main([command, "--config", path]) == 3
+        assert main([command, "--config", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith("internal error: OverflowError: ")
+        assert captured.err == (
+            "config error: interval length b - a = 1e+300 is too long: its square overflows\n"
+        )
+
+    def test_fault_of_the_verifier(self, tmp_path, capsys, monkeypatch):
+        def broken(entry, cfg, checks, report):
+            raise RuntimeError("broken runner")
+
+        monkeypatch.setitem(cli.COMMANDS, "derive-bc", broken)
+        path = write_config(tmp_path, {"example": "fourier_3_3"})
+        assert main(["derive-bc", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err
+        assert captured.err.splitlines()[-1] == "internal error: RuntimeError: broken runner"
 
 
 class TestCouplingChecks:
@@ -167,6 +185,19 @@ class TestRun:
         assert report["status"] == "pass"
         assert report["legendre_eigenvalues"][:3] == ["0", "8", "48"]
 
+    def test_wrong_eigenvalue_fails_formula_check(self, monkeypatch):
+        true_eigenvalue = legendre.lt_eigenvalue
+
+        def off_by_one(n, A):
+            return true_eigenvalue(n, A) + 1
+
+        monkeypatch.setattr(legendre, "lt_eigenvalue", off_by_one)
+        monkeypatch.setattr(cli, "lt_eigenvalue", off_by_one)
+        report = run({"example": "legendre_type", "n_max": 6, "seed": 0}, "legendre")
+        failed = {c["name"] for c in report["checks"] if not c["pass"]}
+        assert "eigenvalue_formula_exact" in failed
+        assert report["status"] == "fail"
+
     def test_custom_model_round_trip(self):
         entry = build_example("fourier_3_3")
         cands = []
@@ -203,6 +234,14 @@ class TestMain:
         code = main(["verify-gkn", "--config", path, "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["status"] == "pass"
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_is_refused(self, tmp_path, capsys, flag):
+        path = write_config(tmp_path, {"example": "first_order", "seed": 0})
+        target = str(tmp_path / "missing_dir" / "r.json")
+        assert main(["derive-bc", "--config", path, flag, target]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {target}: No such file or directory\n"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"example": "bogus"})

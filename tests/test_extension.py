@@ -114,14 +114,17 @@ class TestStructuralInvariants:
 
 class TestMaximalAction:
     def test_polynomial_path_matches_exact_module(self):
-        from gknextend.legendre import extended_maximal_action, gram_schmidt
+        from gknextend.expressions import LegendreType
+        from gknextend.legendre import jump_action
+
+        from conftest import gram_schmidt
 
         A = Fraction(1)
         model = build_example("legendre_type", {"A": 1.0}).model
         basis = gram_schmidt(A, 4)
         p = basis[3]
         a = (p(Fraction(-1)), p(Fraction(1)))
-        h_exact, w_exact = extended_maximal_action(A, p, a)
+        h_exact, w_exact = apply_expr(LegendreType(A), p), jump_action(A, p, a)
         # the float model's action (l p, B a - Omega tr p)
         h_float = apply_expr(model.expr, p)
         w_float = model.B.matrix @ np.array([float(a[0]), float(a[1])]) - model.omega_of(
