@@ -34,6 +34,12 @@ def _prime(end: str, k: int) -> str:
     return f"x^({k})({end})"
 
 
+# Largest |Re(mu u)| for which exp(mu u) is evaluated: a quarter of the
+# float exponent range, so that squared norms of the deficiency solutions,
+# scaled by coefficients and quadrature weights, stay finite too.
+EXP_REACH = 0.25 * float(np.log(np.finfo(float).max))
+
+
 class DiffExpr:
     """Base of the expression kinds; each kind states its own facts.
 
@@ -90,10 +96,20 @@ class DiffExpr:
         return list(np.roots(p))
 
     def deficiency_solutions(self, sign: int) -> list["ExpSolution"]:
-        """Solutions of l x = sign * i x for the constant-coefficient kinds."""
+        """Solutions of l x = sign * i x for the constant-coefficient kinds.
+
+        Raises when |Re(mu u)| can exceed EXP_REACH on the interval.
+        """
         if sign not in (+1, -1):
             raise ExpressionError("sign must be +1 or -1")
-        return [ExpSolution(self, mu, sign) for mu in self.exponents(sign)]
+        mus = self.exponents(sign)
+        reach = max(abs(float(self.a)), abs(float(self.b))) * max(abs(mu.real) for mu in mus)
+        if reach > EXP_REACH:
+            raise ExpressionError(
+                f"the deficiency solutions exp(mu u) do not fit a float on [a, b]: "
+                f"|Re mu| max(|a|, |b|) = {reach:.3g} exceeds {EXP_REACH:.0f}"
+            )
+        return [ExpSolution(self, mu, sign) for mu in mus]
 
 
 @dataclass(frozen=True)

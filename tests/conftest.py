@@ -57,3 +57,41 @@ def gram_schmidt(A, n_max):
         polys.append(p)
         norms.append(mu_inner(p, p, A))
     return LTBasis(A, tuple(polys))
+
+
+# -- independent references for the spectral reductions ---------------------
+# The library solves the reduced pair through a Cholesky congruence and draws
+# the symmetry-defect probe in one batch; these do both the direct way.
+
+
+def qz_eigenvalues(op):
+    """All eigenvalues of (A_red, Gram_red) by complex QZ, smallest |lambda| first."""
+    import scipy.linalg
+
+    evals = scipy.linalg.eigvals(op.A_red, op.Gram_red)
+    return evals[np.lexsort((evals.real, np.abs(evals)))]
+
+
+def loop_symmetry_defect(op, seed):
+    """The symmetry defect one pair at a time, from explicit inner products."""
+    from gknextend.spectral import PROBE_TRIALS, _probe_basis
+
+    rng = np.random.default_rng(seed)
+    sample_basis, nrmA = _probe_basis(op)
+    dim = sample_basis.shape[1]
+
+    def inner(x, y):
+        return complex(y.conj() @ op.Gram_full @ x)
+
+    def norm(x):
+        return float(np.sqrt(max(inner(x, x).real, 0.0)))
+
+    worst = 0.0
+    for _ in range(PROBE_TRIALS):
+        u = sample_basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        v = sample_basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        Au, Av = op.A_full @ u, op.A_full @ v
+        den = norm(u) * norm(v) * (1.0 + nrmA)
+        if den > 0:
+            worst = max(worst, abs(inner(Au, v) - inner(u, Av)) / den)
+    return worst

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,17 @@ class TestRefusals:
         for command in ("derive-bc", "spectrum"):
             assert main([command, "--config", str(path)]) == 2
             assert constant in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", ["fourier_3_1", "fourier_3_2a", "fourier_3_3", "fourier_3_4", "fourier_3_5"]
+    )
+    def test_interval_too_long_for_deficiency_solutions(self, tmp_path, capsys, name):
+        # (b - a)^2 fits a float, exp(mu b) does not: refused before exp is
+        # evaluated, so no overflow warning is raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.refused(tmp_path, capsys, {"example": name, "params": {"b": 1e150}}, "spectrum")
+        assert "exp(mu u)" in err
 
     def test_grid_too_fine(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, {"example": "fourier_3_3", "grid_N": 257}, "spectrum")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import loop_symmetry_defect, qz_eigenvalues
 from gknextend.catalog import build_example, sabotage_rows
 from gknextend.collocation import make_grid
 from gknextend.expressions import (
@@ -152,10 +153,10 @@ DEFECT_PARAMS = {
     "short": {"a": 0.05, "b": 0.6, "M": 0.85},
     "off_centre": {"a": 0.4, "b": 2.35, "M": 0.55, "N_weight": 1.15, "alpha": -0.9, "gamma": -0.7},
 }
-SPECTRUM_EXAMPLES = [
-    "legendre_type", "first_order", "fourier_3_1", "fourier_3_2a", "fourier_3_3",
-    "fourier_3_4", "fourier_3_5",
+ORACLE_EXAMPLES = [
+    "first_order", "fourier_3_1", "fourier_3_2a", "fourier_3_3", "fourier_3_4", "fourier_3_5",
 ]
+SPECTRUM_EXAMPLES = ["legendre_type", *ORACLE_EXAMPLES]
 
 
 class TestSymmetryDefect:
@@ -186,6 +187,19 @@ class TestSymmetryDefect:
             bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, 4))
             assert symmetry_defect(assemble(entry.model, bc, grid), 0) <= 1e-9
             assert symmetry_defect(assemble(entry.model, bad, grid), 0) >= 1e-4
+
+    @pytest.mark.parametrize("name", SPECTRUM_EXAMPLES)
+    def test_batch_equals_pairwise_loop(self, name):
+        # the same stream of pairs, so only the summation order differs;
+        # honest defects are rounding noise and agree at this grid size
+        entry = build_example(name)
+        a, b = (float(v) for v in entry.model.expr.interval)
+        grid = make_grid(64, a, b)
+        bc = entry.boundary_conditions()
+        bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, entry.model.trace_dim))
+        for rows in (bc, bad):
+            op = assemble(entry.model, rows, grid)
+            assert abs(symmetry_defect(op, 11) - loop_symmetry_defect(op, 11)) <= 1e-12
 
     @pytest.mark.parametrize("N", [16, 64, 256])
     @pytest.mark.parametrize("params", DEFECT_PARAMS, ids=str)
@@ -245,6 +259,64 @@ class TestSpectrum:
         op = assemble(entry.model, entry.boundary_conditions(), grid01)
         with pytest.raises(SpectralError):
             spectrum(op, op.reduced_dim + 1)
+
+    @staticmethod
+    def assert_matches_qz(op):
+        rep = spectrum(op, 8)
+        # residuals against the original pair check the back-transformed vectors
+        assert rep.residuals.max() <= 1e-12
+        got, ref = rep.eigenvalues, qz_eigenvalues(op)
+        # first_order's eigenvalues come in pairs +-lambda of equal modulus,
+        # whose order is a rounding accident: compare moduli in order, and
+        # each eigenvalue with the nearest of the reference spectrum
+        scale = np.maximum(1.0, np.abs(ref[:8]))
+        assert np.all(np.abs(np.abs(got) - np.abs(ref[:8])) <= 1e-8 * scale)
+        nearest = np.abs(got[:, None] - ref[None, :]).min(axis=1)
+        assert np.all(nearest <= 1e-8 * scale)
+
+    @pytest.mark.parametrize("N", [32, 128, 256])
+    @pytest.mark.parametrize("name", ORACLE_EXAMPLES)
+    def test_congruence_matches_qz(self, name, N):
+        entry = build_example(name)
+        a, b = (float(v) for v in entry.model.expr.interval)
+        self.assert_matches_qz(assemble(entry.model, entry.boundary_conditions(), make_grid(N, a, b)))
+
+    def test_congruence_matches_qz_for_complex_gram(self, grid01, rng):
+        # the catalog's domain bases are real; complex boundary rows give a
+        # complex one, which a unitary change of reduced basis imitates
+        entry = build_example("first_order")
+        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        m = op.reduced_dim
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        rotated = dataclasses.replace(
+            op, A_red=Q.conj().T @ op.A_red @ Q, Gram_red=Q.conj().T @ op.Gram_red @ Q
+        )
+        assert np.abs(rotated.Gram_red.imag).max() > 0.1 * np.abs(rotated.Gram_red).max()
+        self.assert_matches_qz(rotated)
+
+    def test_non_real_shift_is_measured(self, grid01):
+        # A_red + 0.5i Gram_red has the honest eigenvalues plus 0.5i: the
+        # congruence carries non-Hermitian parts through, it never removes them
+        entry = build_example("fourier_3_3")
+        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        honest = spectrum(op, 8)
+        shifted = spectrum(dataclasses.replace(op, A_red=op.A_red + 0.5j * op.Gram_red), 8)
+        assert np.abs(shifted.eigenvalues - (honest.eigenvalues + 0.5j)).max() <= 1e-8 * (
+            1 + np.abs(honest.eigenvalues).max()
+        )
+        assert shifted.max_imag == pytest.approx(0.5, abs=1e-8)
+        assert shifted.residuals.max() <= 1e-12
+
+    def test_indefinite_gram_is_refused(self, grid01):
+        # flip the sign of the smallest eigenvalue of Gram_red: still
+        # Hermitian and as well conditioned, but no longer an inner product
+        entry = build_example("fourier_3_3")
+        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        w, Q = np.linalg.eigh(op.Gram_red)
+        w[0] = -w[0]
+        indefinite = (Q * w) @ Q.conj().T
+        with pytest.raises(SpectralError, match="eigensolver failed"):
+            spectrum(dataclasses.replace(op, Gram_red=indefinite), 8)
 
 
 class TestShootingOracle:
@@ -320,9 +392,7 @@ class TestShootingOracle:
         with pytest.raises(SpectralError, match="not real"):
             shooting_oracle(model, bc, entry.spectral_window)
 
-    @pytest.mark.parametrize(
-        "name", ["first_order", "fourier_3_1", "fourier_3_2a", "fourier_3_3", "fourier_3_4", "fourier_3_5"]
-    )
+    @pytest.mark.parametrize("name", ORACLE_EXAMPLES)
     def test_roots_match_closed_form(self, name):
         entry = build_example(name)
         roots = shooting_oracle(entry.model, entry.boundary_conditions(), entry.spectral_window)
