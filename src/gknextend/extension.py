@@ -38,7 +38,6 @@ from .symplectic import SkewForm, Subspace
 
 TOL_BUILD = 1e-12
 TOL_PIVOT = 1e-12
-TOL_SPAN = 1e-10
 
 
 class ModelError(sym.GknError):
@@ -57,20 +56,18 @@ class ExtensionSpace:
         G = np.asarray(self.G, dtype=complex).reshape(self.k, self.k)
         if np.abs(G - G.conj().T).max(initial=0.0) > TOL_BUILD * (1 + np.abs(G).max(initial=0.0)):
             raise ModelError("Gram matrix must be Hermitian")
-        if self.k and np.linalg.eigvalsh(G).min() <= 0:
+        if np.linalg.eigvalsh(G).min(initial=np.inf) <= 0:
             raise ModelError("Gram matrix must be positive definite")
         object.__setattr__(self, "G", G)
         if self.Xi is None:
             # G = L L*  =>  columns of L^{-*} are G-orthonormal
-            L = np.linalg.cholesky(G) if self.k else np.zeros((0, 0))
-            Xi = np.linalg.inv(L).conj().T if self.k else L
+            Xi = np.linalg.inv(np.linalg.cholesky(G)).conj().T
         else:
             Xi = np.asarray(self.Xi, dtype=complex).reshape(self.k, self.k)
         object.__setattr__(self, "Xi", Xi)
-        if self.k:
-            resid = np.abs(Xi.conj().T @ G @ Xi - np.eye(self.k)).max()
-            if resid > 1e-10:
-                raise ModelError(f"Xi is not G-orthonormal (residual {resid:.3e})")
+        resid = np.abs(Xi.conj().T @ G @ Xi - np.eye(self.k)).max(initial=0.0)
+        if resid > 1e-10:
+            raise ModelError(f"Xi is not G-orthonormal (residual {resid:.3e})")
 
     def inner(self, a, b) -> complex:
         """<a, b>_W = b* G a."""
@@ -113,10 +110,12 @@ class PartialGKNSet:
     def __len__(self) -> int:
         return len(self.traces)
 
-    def matrix(self) -> np.ndarray:
-        if not self.traces:
-            return np.zeros((0, 0), dtype=complex)
-        return np.column_stack([t.as_array() for t in self.traces])
+    def matrix(self, arity: int) -> np.ndarray:
+        """The traces as the columns of an arity x len(self) matrix."""
+        cols = [t.as_array() for t in self.traces]
+        if any(c.shape != (arity,) for c in cols):
+            raise ModelError("partial GKN traces have wrong arity for this expression")
+        return np.array(cols, dtype=complex).reshape(len(cols), arity).T
 
 
 @dataclass(frozen=True)
@@ -196,43 +195,30 @@ def build_model(
     B.check_against(W)
 
     S = bf.form.matrix
-    Tm = T.matrix() if W.k else np.zeros((bf.arity, 0), dtype=complex)
-    if W.k:
-        if Tm.shape[0] != bf.arity:
-            raise ModelError("partial GKN traces have wrong arity for this expression")
-        if sym.matrix_rank(Tm) != W.k:
-            raise ModelError("partial GKN traces are linearly dependent")
-        vals = Tm.conj().T @ S @ Tm
-        bad = np.argwhere(np.abs(vals) > sym.TOL_FORM * coupling_scale(S, Tm))
-        if bad.size:
-            i, j = bad[0]
-            raise ModelError(
-                f"partial GKN set breaks the symmetry condition: "
-                f"[t_{i+1}, t_{j+1}]_H = {vals[j, i]:.3e}"
-            )
+    Tm = T.matrix(bf.arity)
+    if sym.matrix_rank(Tm) != W.k:
+        raise ModelError("partial GKN traces are linearly dependent")
+    vals = Tm.conj().T @ S @ Tm
+    bad = np.argwhere(np.abs(vals) > sym.TOL_FORM * coupling_scale(S, Tm))
+    if bad.size:
+        i, j = bad[0]
+        raise ModelError(
+            f"partial GKN set breaks the symmetry condition: "
+            f"[t_{i+1}, t_{j+1}]_H = {vals[j, i]:.3e}"
+        )
 
-    Omega = W.Xi @ (Tm.conj().T @ S) if W.k else np.zeros((0, bf.arity), dtype=complex)
-    m = bf.arity + W.k
-    F = np.zeros((m, m), dtype=complex)
-    F[: bf.arity, : bf.arity] = S
-    if W.k:
-        F[: bf.arity, bf.arity :] = Omega.conj().T @ W.G
-        F[bf.arity :, : bf.arity] = -W.G @ Omega
+    Omega = W.Xi @ (Tm.conj().T @ S)
+    F = np.block([[S, Omega.conj().T @ W.G], [-W.G @ Omega, np.zeros((W.k, W.k))]])
     F = 0.5 * (F - F.conj().T)
     F_ext = SkewForm(F, nondegenerate=False)
-
-    if W.k:
-        M_min = Subspace(m, np.vstack([Tm, W.Xi]))
-    else:
-        M_min = Subspace.zero(m)
+    M_min = Subspace(bf.arity + W.k, np.vstack([Tm, W.Xi]))
 
     model = ExtendedModel(bf, W, B, T, Omega, F_ext, M_min)
 
     # construction invariants, checked at build time
-    if W.k:
-        resid = np.abs(Omega @ Tm).max(initial=0.0)
-        if resid > TOL_BUILD * (1 + np.abs(Omega).max()):
-            raise ModelError(f"Omega does not annihilate the partial GKN set ({resid:.3e})")
+    resid = np.abs(Omega @ Tm).max(initial=0.0)
+    if resid > TOL_BUILD * (1 + np.abs(Omega).max(initial=0.0)):
+        raise ModelError(f"Omega does not annihilate the partial GKN set ({resid:.3e})")
     if not sym.subspace_contains(sym.radical(F_ext), M_min, tol=1e-10):
         raise ModelError("minimal pairs (t_j, xi_j) escaped the radical of the extended form")
     return model
@@ -335,10 +321,6 @@ class BoundaryConditions:
     labels: tuple[str, ...]
     human_readable: tuple[str, ...]
 
-    @property
-    def count(self) -> int:
-        return self.C.shape[0]
-
 
 def render_rows(canonical: np.ndarray, labels: Sequence[str], trace_dim: int) -> tuple[str, ...]:
     """One equality per row: solved for the W coordinate when one is present.
@@ -409,15 +391,13 @@ def verify_self_adjoint_domain(model: ExtendedModel, bc: BoundaryConditions) -> 
     Fq, Q = sym.quotient_by(model.F_ext, model.M_min)
     if Fq.dim != 2 * model.deficiency or not Fq.nondegenerate:
         return False
-    coords = Q.conj().T @ N
     # columns of N are orthonormal, so genuine quotient content has O(1)
     # singular values; an absolute cutoff correctly reports rank 0 when the
     # nullspace collapsed into the minimal pairs
-    s = np.linalg.svd(coords, compute_uv=False) if coords.size else np.zeros(0)
+    u, s, _ = np.linalg.svd(Q.conj().T @ N)
     rank = int(np.sum(s > sym.TOL_RANK))
     if rank != model.deficiency:
         return False
-    u, s, _ = np.linalg.svd(coords)
     L = Subspace(Fq.dim, u[:, :rank])
     return sym.is_complete_lagrangian(Fq, L)
 
@@ -445,7 +425,7 @@ def extended_deficiency_vectors(model: ExtendedModel, sign: int) -> list[Extende
     eye = np.eye(model.k)
     for s in sols:
         om = model.omega_of(s.trace())
-        a = np.linalg.solve(model.B.matrix - sign * 1j * eye, om) if model.k else om[:0]
+        a = np.linalg.solve(model.B.matrix - sign * 1j * eye, om)
         w_resid = np.abs(model.B.matrix @ a - om - sign * 1j * a).max(initial=0.0)
         if w_resid > 1e-10 * (1 + np.abs(om).max(initial=0.0)):
             raise ModelError(f"deficiency vector failed its eigen-relation ({w_resid:.3e})")

@@ -23,7 +23,7 @@ from scipy.integrate import solve_ivp
 from .collocation import CollocationGrid
 from .expressions import DiffExpr, ExpSolution
 from .extension import BoundaryConditions, ExtendedModel
-from .symplectic import GknError
+from .symplectic import GknError, nullspace
 
 
 class SpectralError(GknError):
@@ -60,8 +60,7 @@ def _trace_lift(model: ExtendedModel, grid: CollocationGrid) -> np.ndarray:
     k = model.k
     lift = np.zeros((model.trace_dim + k, n + k), dtype=complex)
     lift[: model.trace_dim, :n] = trace_rows(grid, model.expr)
-    if k:
-        lift[model.trace_dim :, n:] = np.eye(k)
+    lift[model.trace_dim :, n:] = np.eye(k)
     return lift
 
 
@@ -97,19 +96,14 @@ def assemble(
 
     A_full = np.zeros((n + k, n + k), dtype=complex)
     A_full[:n, :n] = expr_grid_matrix(expr, grid)
-    if k:
-        A_full[n:, :n] = -model.Omega @ lift[: model.trace_dim, :n]
-        A_full[n:, n:] = model.B.matrix
+    A_full[n:, :n] = -model.Omega @ lift[: model.trace_dim, :n]
+    A_full[n:, n:] = model.B.matrix
 
     Gram_full = np.zeros((n + k, n + k), dtype=complex)
     Gram_full[:n, :n] = grid.gram
-    if k:
-        Gram_full[n:, n:] = model.W.G
+    Gram_full[n:, n:] = model.W.G
 
-    rows = bc.canonical @ lift
-    _, s, vh = np.linalg.svd(rows)
-    rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
-    P = vh[rank:].conj().T
+    P = nullspace(bc.canonical @ lift, rtol=1e-10)
 
     A_red = P.conj().T @ Gram_full @ A_full @ P
     Gram_red = P.conj().T @ Gram_full @ P
@@ -131,7 +125,9 @@ def _probe_basis(op: DiscreteExtendedOperator) -> tuple[np.ndarray, float]:
     basis[:n, : d + 1] = np.polynomial.chebyshev.chebvander(t, d)
     basis[n:, d + 1 :] = np.eye(k)
     constrained = op.bc.canonical @ _trace_lift(op.model, grid) @ basis
-    sample_basis = basis @ scipy.linalg.null_space(constrained)
+    # the rank rule of scipy.linalg.null_space: rtol = max(shape) * eps
+    rtol = max(constrained.shape) * np.finfo(float).eps
+    sample_basis = basis @ nullspace(constrained, rtol)
     q, _ = np.linalg.qr(sample_basis)
     nrmA = np.linalg.norm(q.conj().T @ op.Gram_full @ op.A_full @ q, 2) if q.size else 0.0
     return sample_basis, nrmA
@@ -163,7 +159,7 @@ def symmetry_defect(op: DiscreteExtendedOperator, seed: int) -> float:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    eigenvalues: np.ndarray    # sorted by |lambda|, then real part
+    eigenvalues: np.ndarray    # sorted by |lambda| to 9 digits, then real part
     residuals: np.ndarray
     max_imag: float
     seed: int
@@ -201,7 +197,10 @@ def spectrum(op: DiscreteExtendedOperator, count: int, seed: int = 0) -> Spectru
     except scipy.linalg.LinAlgError as e:
         cond = np.linalg.cond(op.Gram_red)
         raise SpectralError(f"eigensolver failed (Gram condition {cond:.3e}): {e}")
-    order = np.lexsort((evals.real, np.abs(evals)))[:count]
+    # |lambda| to 9 significant digits, so the two members of a pair +-lambda
+    # tie and the real part, not rounding, puts -lambda first
+    modulus = np.array([float(f"{m:.8e}") for m in np.abs(evals)])
+    order = np.lexsort((evals.real, modulus))[:count]
     evals = evals[order]
     evecs = scipy.linalg.solve_triangular(L, Y[:, order], lower=True, trans="C")
     resids = np.zeros(count)
@@ -396,7 +395,7 @@ def eigenrelation_residual(
     """
     a = np.asarray(a, dtype=complex).reshape(-1)
     h_res = x.apply(grid.nodes) - lam * x.value(grid.nodes)
-    w_res = model.B.matrix @ a - model.omega_of(x.trace()) - lam * a if model.k else np.zeros(0)
+    w_res = model.B.matrix @ a - model.omega_of(x.trace()) - lam * a
     h_part = (h_res.conj() @ grid.gram @ h_res).real
-    w_part = (w_res.conj() @ model.W.G @ w_res).real if model.k else 0.0
+    w_part = (w_res.conj() @ model.W.G @ w_res).real
     return float(np.sqrt(max(h_part + w_part, 0.0)))

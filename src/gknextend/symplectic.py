@@ -81,10 +81,8 @@ class Subspace:
             )
         if B.shape[1] > self.ambient_dim:
             raise SymplecticError("more basis vectors than ambient dimension")
-        if B.shape[1] > 0:
-            sv = np.linalg.svd(B, compute_uv=False)
-            if sv[-1] <= TOL_RANK * sv[0]:
-                raise SymplecticError("basis is numerically rank-deficient")
+        if matrix_rank(B) < B.shape[1]:
+            raise SymplecticError("basis is numerically rank-deficient")
         object.__setattr__(self, "basis", B)
 
     @property
@@ -92,8 +90,6 @@ class Subspace:
         return self.basis.shape[1]
 
     def orthonormal(self) -> np.ndarray:
-        if self.dim == 0:
-            return self.basis
         q, _ = np.linalg.qr(self.basis)
         return q
 
@@ -110,44 +106,34 @@ class Subspace:
 # basic numerical subspace machinery
 
 
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """Numerical rank from singular values: those above rtol * s_max."""
+    return int(np.sum(s > rtol * s.max(initial=0.0)))
+
+
 def nullspace(A: np.ndarray, rtol: float = TOL_RANK) -> np.ndarray:
     """Orthonormal basis of the nullspace of A (columns)."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if A.shape[0] == 0 or A.size == 0:
-        return np.eye(A.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(A)
-    if s.size:
-        r = int(np.sum(s > rtol * s[0]))
-    else:
-        r = 0
-    return vh[r:].conj().T
+    _, s, vh = np.linalg.svd(A)
+    return vh[_rank(s, rtol):].conj().T
 
 
 def matrix_rank(A: np.ndarray, rtol: float = TOL_RANK) -> int:
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
+    return _rank(np.linalg.svd(A, compute_uv=False), rtol)
 
 
 def orth_complement(V: Subspace) -> np.ndarray:
     """Orthonormal basis of the Euclidean orthogonal complement."""
-    if V.dim == 0:
-        return np.eye(V.ambient_dim, dtype=complex)
     return nullspace(V.orthonormal().conj().T)
 
 
 def subspace_contains(big: Subspace, small: Subspace, tol: float = TOL_RANK) -> bool:
     """True iff every vector of `small` lies in `big` (projection residual)."""
-    if small.dim == 0:
-        return True
-    if big.dim == 0:
-        return False
     Q = big.orthonormal()
     P = small.orthonormal()
     resid = P - Q @ (Q.conj().T @ P)
-    return bool(np.abs(resid).max() <= tol)
+    return bool(np.abs(resid).max(initial=0.0) <= tol)
 
 
 def subspaces_equal(a: Subspace, b: Subspace, tol: float = TOL_RANK) -> bool:
@@ -156,17 +142,6 @@ def subspaces_equal(a: Subspace, b: Subspace, tol: float = TOL_RANK) -> bool:
 
 # ---------------------------------------------------------------------------
 # form operations
-
-
-def form_eval(F: SkewForm, x, y) -> complex:
-    """Evaluate form(x, y) = y* S x."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    if x.shape[0] != F.dim or y.shape[0] != F.dim:
-        raise SymplecticError(
-            f"vector lengths {x.shape[0]}, {y.shape[0]} do not match form dim {F.dim}"
-        )
-    return complex(y.conj() @ F.matrix @ x)
 
 
 def radical(F: SkewForm) -> Subspace:
@@ -184,41 +159,33 @@ def quotient_by(F: SkewForm, M: Subspace) -> tuple[SkewForm, np.ndarray]:
     """
     if M.ambient_dim != F.dim:
         raise SymplecticError("subspace ambient dimension does not match form")
-    if M.dim > 0:
-        Q_M = M.orthonormal()
-        scale = 1.0 + np.abs(F.matrix).max(initial=0.0)
-        resid = np.abs(F.matrix @ Q_M).max(initial=0.0)
-        if resid > TOL_RADICAL * scale:
-            j = int(np.argmax(np.abs(F.matrix @ Q_M).sum(axis=0)))
-            raise SymplecticError(
-                f"subspace is not inside the radical: basis vector {j} has "
-                f"form residual {resid:.3e}"
-            )
+    FQ_M = np.abs(F.matrix @ M.orthonormal())
+    resid = FQ_M.max(initial=0.0)
+    if resid > TOL_RADICAL * (1.0 + np.abs(F.matrix).max(initial=0.0)):
+        j = int(np.argmax(FQ_M.sum(axis=0)))
+        raise SymplecticError(
+            f"subspace is not inside the radical: basis vector {j} has "
+            f"form residual {resid:.3e}"
+        )
     Q = orth_complement(M)
     S_red = Q.conj().T @ F.matrix @ Q
     # clean rounding so the reduced matrix is skew-Hermitian to working precision
     S_red = 0.5 * (S_red - S_red.conj().T)
-    if S_red.shape[0] == 0:
-        return SkewForm(S_red, nondegenerate=False), Q
-    sv = np.linalg.svd(S_red, compute_uv=False)
-    nondeg = bool(sv[0] > 0 and sv[-1] > TOL_RANK * sv[0])
+    # the form on the zero space counts as degenerate
+    nondeg = 0 < matrix_rank(S_red) == S_red.shape[0]
     return SkewForm(S_red, nondegenerate=nondeg), Q
 
 
 def is_lagrangian(F: SkewForm, L: Subspace) -> bool:
     """True iff the form vanishes identically on L."""
-    if L.dim == 0:
-        return True
     Q = L.orthonormal()
     vals = Q.conj().T @ F.matrix @ Q
     scale = 1.0 + np.abs(F.matrix).max(initial=0.0)
-    return bool(np.abs(vals).max() <= TOL_FORM * scale)
+    return bool(np.abs(vals).max(initial=0.0) <= TOL_FORM * scale)
 
 
 def symplectic_complement(F: SkewForm, L: Subspace) -> Subspace:
     """{x : form(x, l) = 0 for all l in L} = null(B_L* S)."""
-    if L.dim == 0:
-        return Subspace.full(F.dim)
     rows = L.basis.conj().T @ F.matrix
     return Subspace(F.dim, nullspace(rows))
 
@@ -250,25 +217,20 @@ class GknCheck:
 
 
 def check_gkn_vectors(F: SkewForm, M: Subspace, V) -> GknCheck:
-    """Independence modulo M (joint rank) and pairwise form vanishing."""
+    """Independence modulo M (joint rank) and pairwise form vanishing.
+
+    The form on every pair is one Gram matrix V* S V; entry (i, j) is
+    form(v_j, v_i), held to TOL_FORM * scale * (1 + |v_i|)(1 + |v_j|).
+    """
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in V]
-    for v in vecs:
-        if v.shape[0] != F.dim:
-            raise SymplecticError("candidate vector has wrong ambient dimension")
-    if vecs:
-        stacked = np.column_stack(vecs)
-        joint = np.hstack([M.basis, stacked]) if M.dim else stacked
-        independent = matrix_rank(joint) == M.dim + len(vecs)
-    else:
-        independent = True
+    if any(v.shape[0] != F.dim for v in vecs):
+        raise SymplecticError("candidate vector has wrong ambient dimension")
+    Vm = np.array(vecs, dtype=complex).reshape(len(vecs), F.dim).T
+    independent = matrix_rank(np.hstack([M.basis, Vm])) == M.dim + len(vecs)
     scale = 1.0 + np.abs(F.matrix).max(initial=0.0)
-    symmetric = True
-    for vi in vecs:
-        ni = 1.0 + np.linalg.norm(vi)
-        for vj in vecs:
-            nj = 1.0 + np.linalg.norm(vj)
-            if abs(form_eval(F, vi, vj)) > TOL_FORM * scale * ni * nj:
-                symmetric = False
+    norms = 1.0 + np.linalg.norm(Vm, axis=0)
+    vals = np.abs(Vm.conj().T @ F.matrix @ Vm)
+    symmetric = bool(np.all(vals <= TOL_FORM * scale * np.outer(norms, norms)))
     return GknCheck(independent_mod_M=independent, symmetric=symmetric)
 
 

@@ -20,6 +20,19 @@ def random_rational_poly(rng, degree: int):
     return Poly(coeffs)
 
 
+def form_eval(F, x, y) -> complex:
+    """Evaluate form(x, y) = y* S x: the reference for the package's convention."""
+    from gknextend.symplectic import SymplecticError
+
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    y = np.asarray(y, dtype=complex).reshape(-1)
+    if x.shape[0] != F.dim or y.shape[0] != F.dim:
+        raise SymplecticError(
+            f"vector lengths {x.shape[0]}, {y.shape[0]} do not match form dim {F.dim}"
+        )
+    return complex(y.conj() @ F.matrix @ x)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
@@ -65,11 +78,21 @@ def gram_schmidt(A, n_max):
 
 
 def qz_eigenvalues(op):
-    """All eigenvalues of (A_red, Gram_red) by complex QZ, smallest |lambda| first."""
+    """All eigenvalues of (A_red, Gram_red) by complex QZ, smallest |lambda| first.
+
+    Ties in |lambda| to 9 significant digits go by real part.
+    """
     import scipy.linalg
 
     evals = scipy.linalg.eigvals(op.A_red, op.Gram_red)
-    return evals[np.lexsort((evals.real, np.abs(evals)))]
+    modulus = [float(f"{m:.8e}") for m in np.abs(evals)]
+    return evals[np.lexsort((evals.real, modulus))]
+
+
+def tied_pairs(evals) -> list[int]:
+    """Indices i whose eigenvalue ties with the next one in |lambda| to 9 digits."""
+    modulus = [f"{m:.8e}" for m in np.abs(evals)]
+    return [i for i in range(len(evals) - 1) if modulus[i] == modulus[i + 1]]
 
 
 def loop_symmetry_defect(op, seed):

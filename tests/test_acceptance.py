@@ -34,14 +34,13 @@ from gknextend.spectral import (
 )
 from gknextend.symplectic import (
     SkewForm,
-    form_eval,
     is_complete_lagrangian,
     is_lagrangian,
     radical,
     random_complete_lagrangian,
 )
 
-from conftest import gram_schmidt, random_skew_hermitian
+from conftest import form_eval, gram_schmidt, random_skew_hermitian
 
 A_VALUES = (Fraction(1), Fraction(5, 2), Fraction(10))
 N_RANGE = range(13)
@@ -183,7 +182,7 @@ def test_06_structural_invariants_randomized():
     ok = True
     for name in GKN_EXAMPLES + ("fourier_3_2b",):
         model = build_example(name).model
-        Tm = model.gkn_partial.matrix()
+        Tm = model.gkn_partial.matrix(model.trace_dim)
         scale = 1.0 + np.abs(model.Omega).max(initial=0.0)
         ok &= float(np.abs(model.Omega @ Tm).max(initial=0.0)) <= 1e-12 * scale
         from gknextend.symplectic import quotient_by, subspace_contains

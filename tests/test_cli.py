@@ -12,6 +12,16 @@ from gknextend.cli import CONFIG_SCHEMA, ConfigError, load_config, main, run
 from gknextend.extension import model_to_json
 from gknextend.spectral import symmetry_defect
 
+from conftest import tied_pairs
+
+
+def benchmark_ops(monkeypatch, workload, seed):
+    """The (command, config) ops the benchmark draws for a workload round."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "gknbench"))
+    import workloads
+
+    return [(command, cfg) for command, cfg, _ in workloads.build_ops(workload, seed)]
+
 
 def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
@@ -176,6 +186,20 @@ class TestCouplingChecks:
         failed = [c["name"] for c in checks.items if not c["pass"]]
         assert failed == ["omega_coupling_identity"]
 
+    def test_algebra_commands_do_not_read_the_seed(self, tmp_path, monkeypatch):
+        # the coupling identity is linear in x, so it is checked as a matrix
+        # identity rather than on seeded random x
+        for i, (command, cfg) in enumerate(benchmark_ops(monkeypatch, "algebra_sweep", 1)):
+            path = write_config(tmp_path, cfg)
+            reports = []
+            for seed in ("0", "7"):
+                out = tmp_path / f"{i}_{seed}.json"
+                assert main([command, "--config", path, "--seed", seed, "--out", str(out)]) == 0
+                report = json.loads(out.read_text())
+                del report["seed"], report["timings"]
+                reports.append(report)
+            assert reports[0] == reports[1], (command, cfg)
+
 
 class TestRun:
     def test_derive_bc_report_fields(self):
@@ -294,6 +318,20 @@ class TestMain:
         assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
         names = [c["name"] for c in json.loads(out.read_text())["checks"]]
         assert {"oracle_agreement_rel", "oracle_covers_discrete"} <= set(names)
+
+    def test_first_order_pairs_on_drawn_parameters(self, monkeypatch):
+        # the spectrum is symmetric only at alpha = 0; wherever two reported
+        # eigenvalues tie in |lambda| to 9 digits, -lambda comes first
+        for command, cfg in benchmark_ops(monkeypatch, "fine_grid_sweep", 1):
+            if cfg["example"] != "first_order":
+                continue
+            for alpha in (cfg["params"]["alpha"], 0.0):
+                params = {**cfg["params"], "alpha": alpha}
+                report = run({**cfg, "params": params}, command)
+                evals = [complex(re, im) for re, im in report["eigenvalues"]["eigenvalues"]]
+                pairs = tied_pairs(evals)
+                assert len(pairs) == (3 if alpha == 0.0 else 0)
+                assert all(evals[i].real < 0 < evals[i + 1].real for i in pairs)
 
     def test_classical_gkn_without_extension(self, tmp_path):
         # dim W = 0; the GKN set x(a) = 1, x(b) = 1 gives Neumann conditions

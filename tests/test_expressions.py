@@ -15,9 +15,8 @@ from gknextend.expressions import (
     trace_of_poly,
 )
 from gknextend.polynomials import Poly, poly_from_json, poly_to_json
-from gknextend.symplectic import form_eval
 
-from conftest import random_rational_poly
+from conftest import form_eval, random_rational_poly
 
 
 class TestApply:

@@ -26,13 +26,33 @@ from gknextend.extension import (
     rref,
     verify_self_adjoint_domain,
 )
-from gknextend.symplectic import form_eval, quotient_by, radical, subspace_contains
+from gknextend.symplectic import quotient_by, radical, subspace_contains
+
+from conftest import form_eval
 
 ALL_ENTRIES = [build_example(n) for n in EXAMPLE_NAMES]
 GKN_ENTRIES = [e for e in ALL_ENTRIES if e.candidates]
 
 
 class TestBuildModel:
+    def test_classical_model_takes_the_general_path(self):
+        # dim W = 0 is the classical GKN theorem: every W-side array is empty
+        bf = boundary_form(Fourier(0, 1))
+        W0 = np.zeros((0, 0))
+        model = build_model(bf, ExtensionSpace(0, W0), OperatorB(W0), PartialGKNSet(()))
+        assert model.gkn_partial.matrix(model.trace_dim).shape == (4, 0)
+        assert model.Omega.shape == (0, 4)
+        assert model.M_min.dim == 0
+        assert np.array_equal(model.F_ext.matrix, bf.form.matrix)
+        for sign in (+1, -1):
+            vecs = extended_deficiency_vectors(model, sign)
+            assert len(vecs) == model.deficiency
+            assert all(v.a.shape == (0,) for v in vecs)
+
+    def test_partial_gkn_traces_need_the_expression_arity(self):
+        with pytest.raises(ModelError, match="arity"):
+            PartialGKNSet((TraceVector((1, 1)),)).matrix(4)
+
     @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
     def test_omega_matches_published_value(self, entry):
         assert np.abs(entry.model.Omega - entry.expected_omega).max() < 1e-12
@@ -96,7 +116,7 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
     def test_randomized_invariants(self, entry, rng):
         model = entry.model
-        Tm = model.gkn_partial.matrix()
+        Tm = model.gkn_partial.matrix(model.trace_dim)
         if model.k:
             assert np.abs(model.Omega @ Tm).max() <= 1e-12 * (1 + np.abs(model.Omega).max())
         for _ in range(25):

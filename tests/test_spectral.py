@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import loop_symmetry_defect, qz_eigenvalues
+from conftest import loop_symmetry_defect, qz_eigenvalues, tied_pairs
 from gknextend.catalog import build_example, sabotage_rows
 from gknextend.collocation import make_grid
 from gknextend.expressions import (
@@ -266,13 +266,10 @@ class TestSpectrum:
         # residuals against the original pair check the back-transformed vectors
         assert rep.residuals.max() <= 1e-12
         got, ref = rep.eigenvalues, qz_eigenvalues(op)
-        # first_order's eigenvalues come in pairs +-lambda of equal modulus,
-        # whose order is a rounding accident: compare moduli in order, and
-        # each eigenvalue with the nearest of the reference spectrum
+        # both orders break ties in |lambda| by real part, so even the pairs
+        # +-lambda of first_order line up entry by entry
         scale = np.maximum(1.0, np.abs(ref[:8]))
-        assert np.all(np.abs(np.abs(got) - np.abs(ref[:8])) <= 1e-8 * scale)
-        nearest = np.abs(got[:, None] - ref[None, :]).min(axis=1)
-        assert np.all(nearest <= 1e-8 * scale)
+        assert np.all(np.abs(got - ref[:8]) <= 1e-8 * scale)
 
     @pytest.mark.parametrize("N", [32, 128, 256])
     @pytest.mark.parametrize("name", ORACLE_EXAMPLES)
@@ -280,6 +277,16 @@ class TestSpectrum:
         entry = build_example(name)
         a, b = (float(v) for v in entry.model.expr.interval)
         self.assert_matches_qz(assemble(entry.model, entry.boundary_conditions(), make_grid(N, a, b)))
+
+    @pytest.mark.parametrize("N", [32, 128, 256])
+    def test_first_order_pairs_read_minus_then_plus(self, N):
+        # at alpha = 0 the spectrum is symmetric: 0, then pairs -lambda, +lambda
+        entry = build_example("first_order")
+        op = assemble(entry.model, entry.boundary_conditions(), make_grid(N, 0.0, 1.0))
+        evals = spectrum(op, 8).eigenvalues
+        pairs = tied_pairs(evals)
+        assert len(pairs) == 3
+        assert all(evals[i].real < 0 < evals[i + 1].real for i in pairs)
 
     def test_congruence_matches_qz_for_complex_gram(self, grid01, rng):
         # the catalog's domain bases are real; complex boundary rows give a

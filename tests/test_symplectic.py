@@ -6,7 +6,6 @@ from gknextend.symplectic import (
     Subspace,
     SymplecticError,
     check_gkn_vectors,
-    form_eval,
     is_complete_lagrangian,
     is_lagrangian,
     quotient_by,
@@ -16,7 +15,7 @@ from gknextend.symplectic import (
     symplectic_complement,
 )
 
-from conftest import random_skew_hermitian
+from conftest import form_eval, random_skew_hermitian
 
 
 def first_order_form():
