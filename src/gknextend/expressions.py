@@ -1,9 +1,11 @@
 """Supported differential expressions and their boundary (trace) models.
 
-Every supported expression determines a trace layout -- endpoint values and
-derivatives, left endpoint first, derivatives ascending -- together with a
-skew-Hermitian form on trace vectors that reproduces the Green's-formula
-boundary terms.  The minimal domain of each supported kind is exactly
+Every supported expression l x = sum_j c_j x^(j) determines a trace layout
+-- endpoint values and derivatives, left endpoint first, derivatives
+ascending -- together with a skew-Hermitian form on trace vectors that
+reproduces the Green's-formula boundary terms.  `boundary_form` derives
+that form for every kind from the coefficients alone, by Lagrange's
+identity.  The minimal domain of each supported kind is exactly
 {zero traces}, so the trace space is a finite model of the boundary space.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -34,9 +36,10 @@ def _prime(end: str, k: int) -> str:
     return f"x^({k})({end})"
 
 
-# Largest |Re(mu u)| for which exp(mu u) is evaluated: a quarter of the
-# float exponent range, so that squared norms of the deficiency solutions,
-# scaled by coefficients and quadrature weights, stay finite too.
+# Largest |Re(mu (u - c))| for which exp(mu (u - c)) is evaluated, c the
+# midpoint of [a, b]: a quarter of the float exponent range, so that squared
+# norms of the deficiency solutions, scaled by coefficients and quadrature
+# weights, stay finite too.
 EXP_REACH = 0.25 * float(np.log(np.finfo(float).max))
 
 
@@ -44,11 +47,10 @@ class DiffExpr:
     """Base of the expression kinds; each kind states its own facts.
 
     A kind gives its JSON `kind` tag, its interval (`a`, `b`), the endpoint
-    names its trace labels use (`ends`), `traces_per_endpoint`, the
-    deficiency index `deficiency` (the number of boundary conditions a
-    self-adjoint restriction needs), `coefficient_polys` and the
-    `boundary_matrix` of its Green's-formula form.  Everything about the
-    ODE l x = sum_j c_j x^(j) itself is derived from `coefficient_polys`.
+    names its trace labels use (`ends`), `traces_per_endpoint` and
+    `coefficient_polys`.  Everything else is derived: the ODE
+    l x = sum_j c_j x^(j), its Green's-formula form (`boundary_form`) and
+    the deficiency index.
     """
 
     ends = ("a", "b")
@@ -70,6 +72,11 @@ class DiffExpr:
     @property
     def order(self) -> int:
         return max(j for j, _ in self.coefficient_polys())
+
+    @property
+    def deficiency(self) -> int:
+        """def(T0): the minimal domain is {zero traces}, so the form has dimension 2 * def."""
+        return self.traces_per_endpoint
 
     def constant_coefficients(self) -> dict[int, float | complex]:
         """{j: c_j} of l x = sum_j c_j x^(j), each c_j a float when real.
@@ -98,16 +105,16 @@ class DiffExpr:
     def deficiency_solutions(self, sign: int) -> list["ExpSolution"]:
         """Solutions of l x = sign * i x for the constant-coefficient kinds.
 
-        Raises when |Re(mu u)| can exceed EXP_REACH on the interval.
+        Raises when |Re(mu (u - c))| can exceed EXP_REACH on the interval.
         """
         if sign not in (+1, -1):
             raise ExpressionError("sign must be +1 or -1")
         mus = self.exponents(sign)
-        reach = max(abs(float(self.a)), abs(float(self.b))) * max(abs(mu.real) for mu in mus)
+        reach = 0.5 * (float(self.b) - float(self.a)) * max(abs(mu.real) for mu in mus)
         if reach > EXP_REACH:
             raise ExpressionError(
                 f"the deficiency solutions exp(mu u) do not fit a float on [a, b]: "
-                f"|Re mu| max(|a|, |b|) = {reach:.3g} exceeds {EXP_REACH:.0f}"
+                f"|Re mu| (b - a) / 2 = {reach:.3g} exceeds {EXP_REACH:.0f}"
             )
         return [ExpSolution(self, mu, sign) for mu in mus]
 
@@ -120,13 +127,9 @@ class FirstOrderI(DiffExpr):
     a, b = Fraction(0), Fraction(1)
     ends = ("0", "1")
     traces_per_endpoint = 1
-    deficiency = 1
 
     def coefficient_polys(self) -> list[tuple[int, Poly]]:
         return [(1, Poly([1j]))]
-
-    def boundary_matrix(self) -> np.ndarray:
-        return np.diag([-1j, 1j])
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,6 @@ class Fourier(DiffExpr):
 
     kind = "fourier"
     traces_per_endpoint = 2
-    deficiency = 2
 
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
@@ -149,9 +151,6 @@ class Fourier(DiffExpr):
     def coefficient_polys(self) -> list[tuple[int, Poly]]:
         return [(2, Poly([-1]))]
 
-    def boundary_matrix(self) -> np.ndarray:
-        return _endpoint_blocks(1)
-
 
 @dataclass(frozen=True)
 class LegendreType(DiffExpr):
@@ -159,9 +158,9 @@ class LegendreType(DiffExpr):
 
     Fourth order, but the trace model keeps only (x, x') at each endpoint:
     the leading coefficient has double zeros at the endpoints, so for smooth
-    data the boundary terms close on those four traces alone.  The
-    deficiency index is a configured constant from the endpoint
-    classification (limit-3 at both ends).
+    data the boundary terms close on those four traces alone, which
+    `boundary_form` checks exactly.  The deficiency index 2 agrees with the
+    endpoint classification (limit-3 at both ends).
     """
 
     A: Fraction = Fraction(1)
@@ -170,7 +169,6 @@ class LegendreType(DiffExpr):
     a, b = Fraction(-1), Fraction(1)
     ends = ("-1", "1")
     traces_per_endpoint = 2
-    deficiency = 2
 
     def __post_init__(self):
         object.__setattr__(self, "A", Fraction(self.A))
@@ -187,9 +185,6 @@ class LegendreType(DiffExpr):
             (2, w.scale(4 * A + 12)),
             (1, u.scale(8 * A)),
         ]
-
-    def boundary_matrix(self) -> np.ndarray:
-        return _endpoint_blocks(8)
 
 
 @dataclass(frozen=True)
@@ -218,14 +213,8 @@ class GeneralEvenOrder(DiffExpr):
             raise ExpressionError("leading coefficient q_n must not vanish identically")
 
     @property
-    def n(self) -> int:
-        return len(self.qs) - 1
-
-    @property
     def traces_per_endpoint(self) -> int:
-        return 2 * self.n
-
-    deficiency = traces_per_endpoint
+        return 2 * (len(self.qs) - 1)
 
     def to_json(self) -> dict:
         qs = [poly_to_json(q) for q in self.qs]
@@ -245,32 +234,6 @@ class GeneralEvenOrder(DiffExpr):
                 m = 2 * j - i
                 acc[m] = acc.get(m, Poly()) + term
         return [(m, p) for m, p in sorted(acc.items()) if not p.is_zero()]
-
-    def boundary_matrix(self) -> np.ndarray:
-        """Exact integration by parts against Hermite probe polynomials.
-
-        The boundary functional is trace-determined, so probing a trace
-        basis determines it completely.
-        """
-        if self.n > 2:
-            raise ExpressionError("boundary form supported for order <= 4 only")
-        if not all(q.is_exact() for q in self.qs):
-            raise ExpressionError("boundary form needs exact rational coefficients")
-        if self.qs[-1](self.a) == 0 or self.qs[-1](self.b) == 0:
-            raise ExpressionError(
-                "leading coefficient vanishes at an endpoint; the expression "
-                "is singular there and the full-trace boundary form degenerates"
-            )
-        basis = _hermite_probe_basis(self)
-        m = len(basis)
-        S = np.zeros((m, m))
-        for k, ek in enumerate(basis):
-            lek = apply_expr(self, ek)
-            for j, ej in enumerate(basis):
-                lej = apply_expr(self, ej)
-                val = (lek * ej - ek * lej).integral(self.a, self.b)
-                S[j, k] = float(val)
-        return S
 
 
 EXPRESSION_KINDS = {k.kind: k for k in (FirstOrderI, Fourier, LegendreType, GeneralEvenOrder)}
@@ -308,13 +271,6 @@ class TraceVector:
         return np.array([complex(v) for v in self.values], dtype=complex)
 
 
-def trace_of_poly(expr: DiffExpr, p: Poly) -> TraceVector:
-    a, b = expr.interval
-    d = expr.traces_per_endpoint
-    vals = [p.deriv(k)(a) for k in range(d)] + [p.deriv(k)(b) for k in range(d)]
-    return TraceVector(tuple(vals))
-
-
 # ---------------------------------------------------------------------------
 # boundary forms
 
@@ -332,63 +288,56 @@ class BoundaryForm:
         return self.form.dim
 
 
-_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+def _bracket(polys: list[tuple[int, Poly]], m: int, e: Fraction) -> list[list]:
+    """The m x m matrix E with [x, y](e) = sum_{r,s} conj(y^(r)(e)) E[r][s] x^(s)(e).
 
-
-def _endpoint_blocks(c: float) -> np.ndarray:
-    """c J at the left endpoint's (x, x') and -c J = c J^T at the right one's."""
-    S = np.zeros((4, 4))
-    S[0:2, 0:2] = c * _J2
-    S[2:4, 2:4] = c * _J2.T
-    return S
-
-
-def _solve_exact(A: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fractions (small systems only)."""
-    n = len(A)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ExpressionError("singular probe system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [v - f * w for v, w in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
-
-
-def _hermite_probe_basis(expr: GeneralEvenOrder) -> list[Poly]:
-    """Polynomials e_j of degree 4n-1 with trace(e_j) = j-th unit vector."""
-    a, b = expr.interval
-    d = expr.traces_per_endpoint
-    m = 2 * d
-    rows: list[list[Fraction]] = []
-    for end in (a, b):
-        for r in range(d):
-            row = []
-            for col in range(m):
-                if col < r:
-                    row.append(Fraction(0))
-                else:
-                    fall = 1
-                    for t in range(r):
-                        fall *= col - t
-                    row.append(Fraction(fall) * end ** (col - r))
-            rows.append(row)
-    basis = []
-    for j in range(m):
-        rhs = [Fraction(1) if i == j else Fraction(0) for i in range(m)]
-        basis.append(Poly(_solve_exact(rows, rhs)))
-    return basis
+    Lagrange's bracket [x, y] = sum_j sum_{i<j} (-1)^i (c_j conj(y))^(i)
+    x^(j-1-i), expanded by Leibniz; exact when the c_j and e are.
+    """
+    E = [[0] * m for _ in range(m)]
+    for j, c in polys:
+        # one Taylor shift of c to e: then t[k] = c^(k)(e) / k!
+        t = list(c.coeffs)
+        for i in range(j):
+            for k in range(len(t) - 2, i - 1, -1):
+                t[k] += e * t[k + 1]
+        t += [0] * (j - len(t))
+        for i in range(j):
+            for r in range(i + 1):
+                if t[i - r] != 0:
+                    E[r][j - 1 - i] += (-1) ** i * comb(i, r) * factorial(i - r) * t[i - r]
+    return E
 
 
 def boundary_form(expr: DiffExpr) -> BoundaryForm:
-    """Skew form S with y* S x = <l x, y> - <x, l y> on traces."""
-    return BoundaryForm(expr, SkewForm(expr.boundary_matrix(), nondegenerate=True), expr.labels())
+    """Skew form S with y* S x = <l x, y> - <x, l y> on traces.
+
+    By Lagrange's identity y* S x = [x, y](b) - [x, y](a), taken exactly
+    and rounded last.  A kind keeping d < m traces per endpoint needs every
+    term on x^(s) or y^(r) with r or s >= d to vanish exactly there; one
+    keeping all m needs c_m(a), c_m(b) != 0.
+    """
+    d = expr.traces_per_endpoint
+    polys = expr.coefficient_polys()
+    m = max(j for j, _ in polys)
+    blocks = []
+    for e in expr.interval:
+        E = _bracket(polys, m, e)
+        if d == m and E[0][m - 1] == 0:  # E[0][m-1] = c_m(e)
+            raise ExpressionError(
+                "leading coefficient vanishes at an endpoint; the expression "
+                "is singular there and the full-trace boundary form degenerates"
+            )
+        if any(E[r][s] != 0 for r in range(m) for s in range(m) if max(r, s) >= d):
+            raise ExpressionError(
+                f"the boundary terms at u = {e} do not close on the {d} traces "
+                f"kept per endpoint of an order-{m} expression"
+            )
+        blocks.append([row[:d] for row in E[:d]])
+    # the left endpoint enters with a minus sign; negating exact zeros keeps +0.0
+    rows = [[-v for v in row] + [0] * d for row in blocks[0]] + [[0] * d + row for row in blocks[1]]
+    S = np.array([[complex(v) for v in row] for row in rows])
+    return BoundaryForm(expr, SkewForm(S, nondegenerate=True), expr.labels())
 
 
 def green_defect(expr: DiffExpr, p: Poly, q: Poly) -> complex:
@@ -413,22 +362,24 @@ def green_defect(expr: DiffExpr, p: Poly, q: Poly) -> complex:
 
 @dataclass(frozen=True)
 class ExpSolution:
-    """x(u) = exp(mu u), a classical solution of l x = sign * i x."""
+    """x(u) = exp(mu (u - c)), c the midpoint of [a, b]: a solution of l x = sign * i x.
+
+    Centred, |x| stays within exp(EXP_REACH) wherever [a, b] lies.
+    """
 
     expr: DiffExpr
     mu: complex
     sign: int
 
     def value(self, u):
-        return np.exp(self.mu * np.asarray(u, dtype=float))
+        c = float(self.expr.a + self.expr.b) / 2
+        return np.exp(self.mu * (np.asarray(u, dtype=float) - c))
 
     def apply(self, u):
         """l x sampled at u, using the exact exponential derivatives."""
         return self.expr.symbol(self.mu) * self.value(u)
 
     def trace(self) -> TraceVector:
-        a, b = self.expr.interval
         d = self.expr.traces_per_endpoint
-        vals = [self.mu**k * np.exp(self.mu * float(a)) for k in range(d)]
-        vals += [self.mu**k * np.exp(self.mu * float(b)) for k in range(d)]
-        return TraceVector(tuple(complex(v) for v in vals))
+        ends = self.value([float(e) for e in self.expr.interval])
+        return TraceVector(tuple(complex(self.mu**k * x) for x in ends for k in range(d)))

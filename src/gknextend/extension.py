@@ -69,12 +69,6 @@ class ExtensionSpace:
         if resid > 1e-10:
             raise ModelError(f"Xi is not G-orthonormal (residual {resid:.3e})")
 
-    def inner(self, a, b) -> complex:
-        """<a, b>_W = b* G a."""
-        a = np.asarray(a, dtype=complex).reshape(-1)
-        b = np.asarray(b, dtype=complex).reshape(-1)
-        return complex(b.conj() @ self.G @ a)
-
 
 @dataclass(frozen=True)
 class OperatorB:

@@ -47,9 +47,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_exact(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.coeffs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 

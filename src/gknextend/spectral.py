@@ -388,14 +388,17 @@ def eigenrelation_residual(
     a: np.ndarray,
     lam: complex,
 ) -> float:
-    """||T_hat(x, a) - lam (x, a)|| in the quadrature + G norm.
+    """||T_hat(x, a) - lam (x, a)|| / ||(x, a)|| in the quadrature + G norm.
 
     l x comes from the exact exponential derivatives of x; samples are
     taken on the grid.
     """
     a = np.asarray(a, dtype=complex).reshape(-1)
-    h_res = x.apply(grid.nodes) - lam * x.value(grid.nodes)
+    x_h = x.value(grid.nodes)
+    h_res = x.apply(grid.nodes) - lam * x_h
     w_res = model.B.matrix @ a - model.omega_of(x.trace()) - lam * a
-    h_part = (h_res.conj() @ grid.gram @ h_res).real
-    w_part = (w_res.conj() @ model.W.G @ w_res).real
-    return float(np.sqrt(max(h_part + w_part, 0.0)))
+
+    def norm2(h, w):
+        return (h.conj() @ grid.gram @ h).real + (w.conj() @ model.W.G @ w).real
+
+    return float(np.sqrt(max(norm2(h_res, w_res), 0.0) / norm2(x_h, a)))

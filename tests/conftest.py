@@ -33,6 +33,25 @@ def form_eval(F, x, y) -> complex:
     return complex(y.conj() @ F.matrix @ x)
 
 
+def trace_of_poly(expr, p):
+    """Endpoint traces of a polynomial in the expression's layout, exactly."""
+    from gknextend.expressions import TraceVector
+
+    d = expr.traces_per_endpoint
+    return TraceVector(tuple(p.deriv(k)(e) for e in expr.interval for k in range(d)))
+
+
+def w_inner(W, a, b) -> complex:
+    """<a, b>_W = b* G a, the sampled reference for the coupling identity."""
+    a = np.asarray(a, dtype=complex).reshape(-1)
+    b = np.asarray(b, dtype=complex).reshape(-1)
+    return complex(b.conj() @ W.G @ a)
+
+
+def is_exact(p) -> bool:
+    return all(isinstance(c, Fraction) for c in p.coeffs)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
@@ -47,7 +66,7 @@ def mu_inner(p, q, A):
     from gknextend.legendre import LegendreError
 
     A = Fraction(A)
-    if not (p.is_exact() and q.is_exact()):
+    if not (is_exact(p) and is_exact(q)):
         raise LegendreError("mu_inner needs rational coefficients")
     pq = p * q
     return pq.integral(-1, 1) + (pq(Fraction(-1)) + pq(Fraction(1))) / A

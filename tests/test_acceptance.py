@@ -40,7 +40,7 @@ from gknextend.symplectic import (
     random_complete_lagrangian,
 )
 
-from conftest import form_eval, gram_schmidt, random_skew_hermitian
+from conftest import form_eval, gram_schmidt, random_skew_hermitian, w_inner
 
 A_VALUES = (Fraction(1), Fraction(5, 2), Fraction(10))
 N_RANGE = range(13)
@@ -194,7 +194,7 @@ def test_06_structural_invariants_randomized():
             x = rng.standard_normal(model.trace_dim) + 1j * rng.standard_normal(model.trace_dim)
             om = model.Omega @ x
             for j in range(model.k):
-                lhs = model.W.inner(om, model.W.Xi[:, j])
+                lhs = w_inner(model.W, om, model.W.Xi[:, j])
                 rhs = form_eval(model.boundary.form, x, Tm[:, j])
                 ok &= abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
     report(6, "structural-invariants-100-trials-per-model", ok, t0)

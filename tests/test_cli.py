@@ -333,6 +333,40 @@ class TestMain:
                 assert len(pairs) == (3 if alpha == 0.0 else 0)
                 assert all(evals[i].real < 0 < evals[i + 1].real for i in pairs)
 
+    @pytest.mark.parametrize(
+        "params", [{"b": 30}, {"b": 50}, {"a": 100, "b": 101}], ids=["b30", "b50", "a100_b101"]
+    )
+    def test_spectrum_passes_far_from_the_origin(self, tmp_path, params):
+        # the deficiency solutions are centred on the interval and their
+        # residual is relative, so neither depends on where [a, b] lies
+        path = write_config(tmp_path, {"example": "fourier_3_3", "params": params})
+        out = tmp_path / "rep.json"
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
+        checks = {c["name"]: c["got"] for c in json.loads(out.read_text())["checks"]}
+        assert checks["deficiency_eigenrelation_residual"] < 1e-14
+
+    @pytest.mark.parametrize(
+        "qs",
+        [
+            [["2", "1"], ["1", "0", "1/3"], ["3"], ["2", "1/2"]],
+            [[0.5, 0.4], [0.4, 0.3, 0.33], [0.6], [0.5, 0.35]],
+        ],
+        ids=["exact", "float"],
+    )
+    def test_order_six_model_without_extension(self, tmp_path, qs):
+        cfg = {
+            "example": "custom",
+            "model": {
+                "expression": {"kind": "general_even_order", "qs": qs, "a": "-1/2", "b": "1"},
+                "G": [], "B": [], "Xi": [], "gkn_traces": [],
+            },
+        }
+        out = tmp_path / "rep.json"
+        path = write_config(tmp_path, cfg)
+        assert main(["check-symplectic", "--config", path, "--out", str(out)]) == 0
+        checks = {c["name"]: c["got"] for c in json.loads(out.read_text())["checks"]}
+        assert checks["quotient_dimension"] == 12
+
     def test_classical_gkn_without_extension(self, tmp_path):
         # dim W = 0; the GKN set x(a) = 1, x(b) = 1 gives Neumann conditions
         cfg = {

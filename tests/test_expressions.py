@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gknextend.expressions import (
+    DiffExpr,
     ExpressionError,
     FirstOrderI,
     Fourier,
@@ -12,11 +13,10 @@ from gknextend.expressions import (
     apply_expr,
     boundary_form,
     green_defect,
-    trace_of_poly,
 )
 from gknextend.polynomials import Poly, poly_from_json, poly_to_json
 
-from conftest import form_eval, random_rational_poly
+from conftest import form_eval, random_rational_poly, trace_of_poly
 
 
 class TestApply:
@@ -75,10 +75,54 @@ class TestTraces:
                 assert abs(fd_b - tv[3].real) <= 1e-5 * scale
 
 
+# the hand-written boundary matrices the derived forms must reproduce bit for bit
+FIRST_ORDER_S = np.diag([-1j, 1j])
+FOURIER_S = np.array(
+    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float
+)
+LEGENDRE_S = 8 * FOURIER_S
+
+# order 6 with a q_0 term and non-constant q_j, exact and in floats
+ORDER_SIX_QS = (Poly([2, 1]), Poly([1, 0, Fraction(1, 3)]), Poly([3]), Poly([2, Fraction(1, 2)]))
+ORDER_SIX = GeneralEvenOrder(ORDER_SIX_QS, Fraction(-1, 2), 1)
+ORDER_SIX_FLOAT = GeneralEvenOrder(
+    tuple(Poly([0.1 * float(c) + 0.3 for c in q.coeffs]) for q in ORDER_SIX_QS), -0.5, 1.25
+)
+
+
+class UnclosedFourthOrder(DiffExpr):
+    """x'''' on [0, 1] keeping only x and x' per endpoint: its boundary terms do not close."""
+
+    kind = "unclosed_fourth_order"
+    a, b = Fraction(0), Fraction(1)
+    traces_per_endpoint = 2
+
+    def coefficient_polys(self):
+        return [(4, Poly([1]))]
+
+
+def random_complex_poly(rng, degree):
+    return Poly(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+
+
 class TestBoundaryForm:
-    def test_first_order_matrix(self):
-        bf = boundary_form(FirstOrderI())
-        assert np.allclose(bf.form.matrix, np.diag([-1j, 1j]))
+    @pytest.mark.parametrize(
+        "expr, reference",
+        [
+            (FirstOrderI(), FIRST_ORDER_S),
+            (Fourier(0, 1), FOURIER_S),
+            (Fourier(-1, 2), FOURIER_S),
+            (Fourier(Fraction(1, 4), Fraction(3, 5)), FOURIER_S),
+            (LegendreType(1), LEGENDRE_S),
+            (LegendreType(Fraction(5, 2)), LEGENDRE_S),
+            (LegendreType(100000), LEGENDRE_S),
+        ],
+        ids=["first_order", "fourier_01", "fourier_m12", "fourier_q", "legendre_1",
+             "legendre_5_2", "legendre_1e5"],
+    )
+    def test_derived_form_equals_the_hand_written_matrix(self, expr, reference):
+        S = boundary_form(expr).form.matrix
+        assert S.tobytes() == np.asarray(reference, dtype=complex).tobytes()
 
     def test_legendre_against_worked_brackets(self):
         A = 4.0
@@ -90,33 +134,23 @@ class TestBoundaryForm:
         assert abs(form_eval(bf.form, x, t1) - 8 * sA * x[1]) < 1e-12
         assert abs(form_eval(bf.form, x, t2) + 8 * sA * x[3]) < 1e-12
 
-    def test_fourier_closed_form_equals_integration_by_parts(self):
-        bf_closed = boundary_form(Fourier(0, 1))
-        geo = GeneralEvenOrder((Poly([0]), Poly([1])), 0, 1)
-        bf_ibp = boundary_form(geo)
-        assert np.abs(bf_closed.form.matrix - bf_ibp.form.matrix).max() < 1e-12
-
-    def test_green_identity_random_polynomials(self, rng):
-        geo = GeneralEvenOrder((Poly([1]), Poly([0, 1]), Poly([1, 0, Fraction(1, 2)])), 0, 1)
-        for expr in (Fourier(0, 1), Fourier(-1, 2), geo):
-            bf = boundary_form(expr)
-            for _ in range(6):
-                p = random_rational_poly(rng, 6)
-                q = random_rational_poly(rng, 6)
-                lhs = green_defect(expr, p, q)
-                rhs = form_eval(
-                    bf.form,
-                    trace_of_poly(expr, p).as_array(),
-                    trace_of_poly(expr, q).as_array(),
-                )
-                assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
-
-    def test_green_identity_legendre_polynomials(self, rng):
-        expr = LegendreType(Fraction(5, 2))
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            Fourier(0, 1),
+            Fourier(-1, 2),
+            LegendreType(Fraction(5, 2)),
+            GeneralEvenOrder((Poly([1]), Poly([0, 1]), Poly([1, 0, Fraction(1, 2)])), 0, 1),
+            ORDER_SIX,
+            ORDER_SIX_FLOAT,
+        ],
+        ids=["fourier_01", "fourier_m12", "legendre", "order_four", "order_six", "order_six_float"],
+    )
+    def test_green_identity_random_polynomials(self, expr, rng):
         bf = boundary_form(expr)
         for _ in range(6):
-            p = random_rational_poly(rng, 6)
-            q = random_rational_poly(rng, 6)
+            p = random_rational_poly(rng, 8)
+            q = random_rational_poly(rng, 8)
             lhs = green_defect(expr, p, q)
             rhs = form_eval(
                 bf.form,
@@ -125,12 +159,23 @@ class TestBoundaryForm:
             )
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
+    def test_green_identity_complex_first_order(self, rng):
+        expr = FirstOrderI()
+        bf = boundary_form(expr)
+        for _ in range(6):
+            p, q = random_complex_poly(rng, 6), random_complex_poly(rng, 6)
+            lhs = green_defect(expr, p, q)
+            rhs = form_eval(
+                bf.form,
+                trace_of_poly(expr, p).as_array(),
+                trace_of_poly(expr, q).as_array(),
+            )
+            assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+
     @pytest.mark.parametrize(
         "a, b", [(0, 1), (-1, 2), (Fraction(1, 4), Fraction(3, 5))]
     )
     def test_fourier_is_general_even_order_with_unit_q1(self, a, b):
-        # the probe form costs 3-6 ms per build against 0.03-0.05 ms for the
-        # closed form (Xeon, one thread), so Fourier keeps its closed form
         fourier = Fourier(a, b)
         geo = GeneralEvenOrder((Poly(), Poly([1])), a, b)
         closed, probed = boundary_form(fourier), boundary_form(geo)
@@ -146,10 +191,9 @@ class TestBoundaryForm:
         with pytest.raises(ExpressionError, match="singular"):
             boundary_form(geo)
 
-    def test_order_six_rejected(self):
-        geo = GeneralEvenOrder((Poly([1]), Poly([1]), Poly([1]), Poly([1])), 0, 1)
-        with pytest.raises(ExpressionError, match="order"):
-            boundary_form(geo)
+    def test_dropped_traces_must_close(self):
+        with pytest.raises(ExpressionError, match="do not close"):
+            boundary_form(UnclosedFourthOrder())
 
 
 class TestDeficiency:

@@ -9,7 +9,6 @@ from gknextend.expressions import (
     TraceVector,
     apply_expr,
     boundary_form,
-    trace_of_poly,
 )
 from gknextend.extension import (
     ExtensionSpace,
@@ -28,7 +27,7 @@ from gknextend.extension import (
 )
 from gknextend.symplectic import quotient_by, radical, subspace_contains
 
-from conftest import form_eval
+from conftest import form_eval, trace_of_poly, w_inner
 
 ALL_ENTRIES = [build_example(n) for n in EXAMPLE_NAMES]
 GKN_ENTRIES = [e for e in ALL_ENTRIES if e.candidates]
@@ -123,7 +122,7 @@ class TestStructuralInvariants:
             x = rng.standard_normal(model.trace_dim) + 1j * rng.standard_normal(model.trace_dim)
             om = model.Omega @ x
             for j in range(model.k):
-                lhs = model.W.inner(om, model.W.Xi[:, j])
+                lhs = w_inner(model.W, om, model.W.Xi[:, j])
                 rhs = form_eval(model.boundary.form, x, Tm[:, j])
                 assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
         assert subspace_contains(radical(model.F_ext), model.M_min, tol=1e-12)
@@ -251,8 +250,8 @@ class TestDeficiencyVectors:
         model = build_example("first_order", {"alpha": alpha}).model
         vecs = extended_deficiency_vectors(model, +1)
         assert len(vecs) == 1
-        # Omega x = i(x(1) - x(0)) with x = e^u; a = (B - iI)^{-1} Omega x
-        omega = 1j * (np.e - 1.0)
+        # Omega x = i(x(1) - x(0)) with x = e^(u - 1/2); a = (B - iI)^{-1} Omega x
+        omega = 1j * (np.exp(0.5) - np.exp(-0.5))
         expected = omega / (alpha - 1j)
         assert abs(vecs[0].a[0] - expected) < 1e-12
 

@@ -224,7 +224,7 @@ class TestConsistencyWithFloatModel:
         entry = build_example("legendre_type", {"A": 1.0})
         bc = entry.boundary_conditions()
         basis = operator_basis(Fraction(1), 8)
-        from gknextend.expressions import trace_of_poly
+        from conftest import trace_of_poly
 
         for n in range(9):
             p = basis[n]
@@ -234,7 +234,7 @@ class TestConsistencyWithFloatModel:
 
     def test_exact_omega_matches_float_omega(self):
         from gknextend.catalog import build_example
-        from gknextend.expressions import trace_of_poly
+        from conftest import trace_of_poly
 
         entry = build_example("legendre_type", {"A": 2.0})
         basis = operator_basis(Fraction(2), 6)
