@@ -51,6 +51,7 @@ from .legendre import (
 from .spectral import (
     assemble,
     eigenrelation_residual,
+    modulus_order,
     shooting_oracle,
     spectrum,
     symmetry_defect,
@@ -171,8 +172,10 @@ def _entry_from_config(cfg: dict):
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"bad custom {section!r} section: {type(e).__name__}: {e}") from e
+    # without candidates there are no conditions to derive or GKN set to check
     return catalog.CatalogEntry(
-        "custom", model, cands, np.zeros((0, model.ambient_dim)), (), model.Omega.copy()
+        "custom", model, cands, np.zeros((0, model.ambient_dim)), (), model.Omega.copy(),
+        commands=catalog.ALGEBRA_COMMANDS if cands else ("check-symplectic",),
     )
 
 
@@ -250,7 +253,7 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
         report["eigenvalues"] = rep.to_json(defect)
         checks.le("max_imag_part", rep.max_imag, TOLERANCES["max_imag"])
         roots = shooting_oracle(model, bc, entry.spectral_window)
-        oracle5 = sorted(roots, key=abs)[:5]
+        oracle5 = [roots[i] for i in modulus_order(roots)[:5]]
         report["oracle_eigenvalues"] = [float(r) for r in oracle5]
         checks.eq("oracle_found_five", True, len(oracle5) == 5)
         disc = sorted(rep.eigenvalues.real, key=abs)

@@ -1,5 +1,7 @@
 import functools
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +52,18 @@ def w_inner(W, a, b) -> complex:
 
 def is_exact(p) -> bool:
     return all(isinstance(c, Fraction) for c in p.coeffs)
+
+
+def benchmark_module(monkeypatch, name):
+    """A module of the benchmark harness (`gknbench/`), imported from its directory."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "gknbench"))
+    return importlib.import_module(name)
+
+
+def benchmark_ops(monkeypatch, workload, seed):
+    """The (command, config) ops the benchmark draws for a workload round."""
+    workloads = benchmark_module(monkeypatch, "workloads")
+    return [(command, cfg) for command, cfg, _ in workloads.build_ops(workload, seed)]
 
 
 @pytest.fixture
@@ -137,3 +151,44 @@ def loop_symmetry_defect(op, seed):
         if den > 0:
             worst = max(worst, abs(inner(Au, v) - inner(u, Av)) / den)
     return worst
+
+
+# -- independent reference for the shooting oracle's traces -----------------
+# The library takes the fundamental matrix of the constant-coefficient
+# companion system as one matrix exponential; this integrates it.
+
+
+def rk_fundamental_traces(expr, lams):
+    """Traces [I; Y(b)] of l x = lam x by adaptive RK, for every lam at once.
+
+    The companion system x^(m) = (lam x - sum_{j<m} c_j x^(j)) / c_m is
+    integrated from Y(a) = I in a solution-major state with DOP853 (rtol
+    1e-11, atol 1e-13).  solve_ivp bounds the RMS error norm of the whole
+    stacked state, so both tolerances are divided by sqrt(len(lams)) and no
+    single lam's error norm exceeds the tolerance it had on its own.  Shape
+    (len(lams), 2m, m).
+    """
+    from scipy.integrate import solve_ivp
+
+    m = expr.order
+    c = expr.constant_coefficients()
+    dtype = np.result_type(*c.values())
+    lam_c = lams / c[m]
+    lower = [(j, v / c[m]) for j, v in c.items() if j < m]
+    a, b = (float(v) for v in expr.interval)
+    n = lams.size
+    tol = {"rtol": 1e-11 / np.sqrt(n), "atol": 1e-13 / np.sqrt(n)}
+
+    def rhs(_, y):
+        Y = y.reshape(m, m, n)  # solution, derivative, lam
+        dY = np.empty_like(Y)
+        dY[:, :-1] = Y[:, 1:]
+        np.multiply(lam_c, Y[:, 0], out=dY[:, -1])
+        for j, v in lower:
+            dY[:, -1] -= v * Y[:, j]
+        return dY.ravel()
+
+    y0 = np.repeat(np.eye(m, dtype=dtype).ravel(), n)
+    sol = solve_ivp(rhs, (a, b), y0, method="DOP853", **tol)
+    Yb = sol.y[:, -1].reshape(m, m, n).transpose(2, 1, 0)
+    return np.concatenate([np.broadcast_to(np.eye(m, dtype=dtype), Yb.shape), Yb], axis=1)

@@ -1,26 +1,22 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gknextend
 from gknextend import cli, legendre, spectral
 from gknextend.catalog import build_example
 from gknextend.cli import CONFIG_SCHEMA, ConfigError, load_config, main, run
 from gknextend.extension import model_to_json
 from gknextend.spectral import symmetry_defect
 
-from conftest import tied_pairs
-
-
-def benchmark_ops(monkeypatch, workload, seed):
-    """The (command, config) ops the benchmark draws for a workload round."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "gknbench"))
-    import workloads
-
-    return [(command, cfg) for command, cfg, _ in workloads.build_ops(workload, seed)]
+from conftest import benchmark_module, benchmark_ops, tied_pairs
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -201,6 +197,46 @@ class TestCouplingChecks:
             assert reports[0] == reports[1], (command, cfg)
 
 
+class TestBenchmarkHarness:
+    def test_traced_ops_run_and_uninstall_restores(self, tmp_path, monkeypatch):
+        # the tracer patches `spectral.solve_ivp`, which the oracle no longer
+        # calls: the name must still resolve, or every traced run dies
+        import scipy.integrate
+
+        tracer = benchmark_module(monkeypatch, "tracing").Tracer()
+        namespaces = [gknextend, *tracer.modules.values()]
+        before = [dict(vars(ns)) for ns in namespaces]
+        poly = tracer.modules["polynomials"].Poly
+        mul = poly.__mul__
+        tracer.install()
+        ops = [
+            ("spectrum", {"example": "first_order", "grid_N": 64}),
+            ("derive-bc", {"example": "fourier_3_3"}),
+        ]
+        try:
+            for i, (command, cfg) in enumerate(ops):
+                path = write_config(tmp_path, cfg, f"cfg_{i}.json")
+                out = str(tmp_path / f"r{i}.json")
+                assert main([command, "--config", path, "--out", out]) == 0
+        finally:
+            tracer.uninstall()
+        assert tracer.calls["spectral.shooting_oracle"] == 1
+        assert tracer.calls["extension.derive_boundary_conditions"] >= 1
+        assert tracer.rk_nfev == 0
+        # uninstall puts the resolved name back into the module's namespace
+        assert vars(spectral).pop("solve_ivp") is scipy.integrate.solve_ivp
+        for ns, old in zip(namespaces, before):
+            assert vars(ns).keys() == old.keys()
+            assert all(vars(ns)[name] is value for name, value in old.items()), ns.__name__
+        assert poly.__mul__ is mul
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        src = str(Path(gknextend.__file__).resolve().parents[1])
+        code = "import sys, gknextend.cli; assert 'scipy.integrate' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 class TestRun:
     def test_derive_bc_report_fields(self):
         report = run({"example": "fourier_3_3", "seed": 0}, "derive-bc")
@@ -321,7 +357,8 @@ class TestMain:
 
     def test_first_order_pairs_on_drawn_parameters(self, monkeypatch):
         # the spectrum is symmetric only at alpha = 0; wherever two reported
-        # eigenvalues tie in |lambda| to 9 digits, -lambda comes first
+        # eigenvalues or oracle roots tie in |lambda| to 9 digits, -lambda
+        # comes first
         for command, cfg in benchmark_ops(monkeypatch, "fine_grid_sweep", 1):
             if cfg["example"] != "first_order":
                 continue
@@ -332,6 +369,10 @@ class TestMain:
                 pairs = tied_pairs(evals)
                 assert len(pairs) == (3 if alpha == 0.0 else 0)
                 assert all(evals[i].real < 0 < evals[i + 1].real for i in pairs)
+                roots = report["oracle_eigenvalues"]
+                pairs = tied_pairs(roots)
+                assert len(pairs) == (2 if alpha == 0.0 else 0)
+                assert all(roots[i] < 0 < roots[i + 1] for i in pairs)
 
     @pytest.mark.parametrize(
         "params", [{"b": 30}, {"b": 50}, {"a": 100, "b": 101}], ids=["b30", "b50", "a100_b101"]
@@ -384,6 +425,34 @@ class TestMain:
         assert main(["all", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["boundary_conditions_rendered"] == ["x'(a) = 0", "x'(b) = 0"]
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            model_to_json(build_example("fourier_3_3").model),
+            {
+                "expression": {
+                    "kind": "general_even_order",
+                    "qs": [["2", "1"], ["1", "0", "1/3"], ["3"], ["2", "1/2"]],
+                    "a": "-1/2", "b": "1",
+                },
+                "G": [], "B": [], "Xi": [], "gkn_traces": [],
+            },
+        ],
+        ids=["fourier_3_3", "order_six"],
+    )
+    def test_custom_model_without_candidates(self, tmp_path, capsys, model):
+        # no conditions to derive and no GKN set to verify: an empty
+        # verify-gkn would pass vacuously, so only check-symplectic applies
+        path = write_config(tmp_path, {"example": "custom", "model": model})
+        for command in ("verify-gkn", "derive-bc"):
+            assert main([command, "--config", path]) == 2
+            assert "not applicable to 'custom'" in capsys.readouterr().err
+        out = tmp_path / "rep.json"
+        assert main(["all", "--config", path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert list(report["timings"]) == ["check-symplectic"]
+        assert [c["name"] for c in report["checks"]][-1] == "quotient_nondegenerate"
 
     def test_deterministic_roundtrip(self, tmp_path):
         path = write_config(tmp_path, {"example": "fourier_3_4", "seed": 11})

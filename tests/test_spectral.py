@@ -5,11 +5,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import loop_symmetry_defect, qz_eigenvalues, tied_pairs
+from conftest import (
+    benchmark_ops,
+    loop_symmetry_defect,
+    qz_eigenvalues,
+    rk_fundamental_traces,
+    tied_pairs,
+)
 from gknextend.catalog import build_example, sabotage_rows
 from gknextend.collocation import make_grid
 from gknextend.expressions import (
     ExpressionError,
+    FirstOrderI,
     Fourier,
     GeneralEvenOrder,
     TraceVector,
@@ -26,6 +33,7 @@ from gknextend.extension import (
 from gknextend.polynomials import Poly
 from gknextend.spectral import (
     SpectralError,
+    _fundamental_traces,
     assemble,
     characteristic_value,
     eigenrelation_residual,
@@ -324,6 +332,76 @@ class TestSpectrum:
         indefinite = (Q * w) @ Q.conj().T
         with pytest.raises(SpectralError, match="eigensolver failed"):
             spectrum(dataclasses.replace(op, Gram_red=indefinite), 8)
+
+
+def relative_gap(got, ref):
+    """max over lam of |got - ref| / |ref|, in the Frobenius norm of each trace block."""
+    return float(np.max(np.linalg.norm(got - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))))
+
+
+class TestFundamentalTraces:
+    """The matrix exponential against adaptive RK and against closed forms."""
+
+    @pytest.mark.parametrize("drawn", [False, True], ids=["defaults", "fine_grid_sweep"])
+    @pytest.mark.parametrize("name", ORACLE_EXAMPLES)
+    def test_scan_matches_runge_kutta(self, name, drawn, monkeypatch):
+        params = {}
+        if drawn:
+            params = next(cfg for _, cfg in benchmark_ops(monkeypatch, "fine_grid_sweep", 1)
+                          if "params" in cfg)["params"]
+        entry = build_example(name, params)
+        lams = np.linspace(*entry.spectral_window, 240)
+        got = _fundamental_traces(entry.model.expr, lams)
+        ref = rk_fundamental_traces(entry.model.expr, lams)
+        assert got.shape == ref.shape == (240, 2 * entry.model.expr.order, entry.model.expr.order)
+        assert got.dtype == ref.dtype
+        assert relative_gap(got, ref) <= 1e-10
+
+    def test_minus_x_second_derivative_is_cos_sin_and_cosh_sinh(self):
+        a, b = Fraction(-3, 10), Fraction(9, 10)
+        L = float(b - a)
+        # the oracle's window for this interval is (-40, 320) / L^2
+        lams = np.array([-27.7, -2.5, -1e-3, 1e-3, 0.7, 12.0, 222.2])
+        got = _fundamental_traces(Fourier(a, b), lams)
+        assert got.dtype == np.float64
+        k = np.sqrt(np.abs(lams)) * L
+        pos = lams > 0
+        C = np.where(pos, np.cos(k), np.cosh(k))
+        # the solutions from (1, 0) and (0, 1): cos and sin(k)/sqrt(lam) with
+        # derivatives -sqrt(lam) sin(k) and cos, or their cosh/sinh twins
+        S = np.where(pos, np.sin(k), np.sinh(k)) * L / k
+        dC = np.where(pos, -1.0, 1.0) * k / L * np.where(pos, np.sin(k), np.sinh(k))
+        Yb = np.stack([np.stack([C, S], -1), np.stack([dC, C], -1)], -2)
+        assert np.array_equal(got[:, :2], np.broadcast_to(np.eye(2), (lams.size, 2, 2)))
+        assert relative_gap(got[:, 2:], Yb) <= 1e-12
+
+    def test_first_order_is_an_exponential(self):
+        expr = FirstOrderI()
+        c = expr.constant_coefficients()
+        assert set(c) == {1}
+        a, b = (float(v) for v in expr.interval)
+        lams = np.linspace(-60.0, 60.0, 41)
+        got = _fundamental_traces(expr, lams)
+        assert got.shape == (41, 2, 1)
+        assert np.all(got[:, 0, 0] == 1)
+        assert np.abs(got[:, 1, 0] - np.exp(lams * (b - a) / c[1])).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "qs",
+        [
+            (Poly([Fraction(1, 2)]), Poly([Fraction(-3, 4)]), Poly([Fraction(5, 4)])),
+            (Poly([2 + 1j]), Poly([0.5 - 0.3j]), Poly([1.5 + 0.2j])),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_order_four_matches_runge_kutta(self, qs):
+        expr = GeneralEvenOrder(qs, Fraction(-1, 2), 1)
+        lams = np.linspace(-50.0, 300.0, 60)
+        got = _fundamental_traces(expr, lams)
+        ref = rk_fundamental_traces(expr, lams)
+        assert got.shape == (60, 8, 4)
+        assert got.dtype == ref.dtype == np.result_type(*expr.constant_coefficients().values())
+        assert relative_gap(got, ref) <= 1e-10
 
 
 class TestShootingOracle:
