@@ -10,6 +10,15 @@ through the Cholesky congruence L^-1 A_red L^-* (Gram_red = L L*).  A
 congruence preserves Hermitian-ness and non-Hermitian-ness alike, so the
 eigenvalues stay a measurement of the assembly: an unsymmetric A_red gives
 the same non-real eigenvalues as the generalized problem.
+
+The arithmetic is real whenever the model is: `assemble` works in float64
+when the expression's coefficients, Omega, B, G and the boundary rows all
+have an imaginary part of exactly zero, and in complex128 otherwise, and
+`spectrum` follows the dtype of the pair it is given.  Realness of the
+arrays is not realness of the spectrum: the solver is the general
+non-symmetric one in either dtype, so a real A_red that is not symmetric
+still gives its conjugate pairs of non-real eigenvalues, and the realness
+of the eigenvalues is read from the solver's output.
 """
 
 from __future__ import annotations
@@ -43,34 +52,80 @@ def trace_rows(grid: CollocationGrid, expr: DiffExpr) -> np.ndarray:
     return np.array([grid.diff(k)[idx] for idx in (0, grid.N) for k in range(d)])
 
 
+def _dtype(*arrays) -> type:
+    """float when every array has an imaginary part of exactly zero, else complex."""
+    return complex if any(np.iscomplexobj(m) and np.any(m.imag) for m in arrays) else float
+
+
+def _view(m: np.ndarray, dtype: type) -> np.ndarray:
+    """m in the given dtype: its real part (a view) when dtype is float."""
+    return m.real if dtype is float else m
+
+
 def expr_grid_matrix(expr: DiffExpr, grid: CollocationGrid) -> np.ndarray:
-    """Collocation matrix of the expression on grid samples."""
+    """Collocation matrix of the expression on grid samples, real when its coefficients are."""
     n = grid.N + 1
-    L = np.zeros((n, n), dtype=complex)
-    for j, c in expr.coefficient_polys():
-        cvals = np.array([complex(c(u)) for u in grid.nodes])
-        L += cvals[:, None] * grid.diff(j)
+    coeffs = [
+        (j, np.array([complex(c(u)) for u in grid.nodes])) for j, c in expr.coefficient_polys()
+    ]
+    dtype = _dtype(*(cvals for _, cvals in coeffs))
+    L = np.zeros((n, n), dtype=dtype)
+    for j, cvals in coeffs:
+        L += _view(cvals, dtype)[:, None] * grid.diff(j)
     return L
 
 
-def _trace_lift(model: ExtendedModel, grid: CollocationGrid) -> np.ndarray:
-    """Map from discrete vectors (samples, W coords) to (traces, W coords)."""
-    n = grid.N + 1
-    k = model.k
-    lift = np.zeros((model.trace_dim + k, n + k), dtype=complex)
-    lift[: model.trace_dim, :n] = trace_rows(grid, model.expr)
-    lift[model.trace_dim :, n:] = np.eye(k)
-    return lift
+@dataclass(frozen=True)
+class Discretization:
+    """The part of the assembly that no boundary row enters."""
+
+    model: ExtendedModel
+    grid: CollocationGrid
+    lift: np.ndarray           # (samples, W coords) -> (traces, W coords)
+    A_full: np.ndarray         # action on (samples, W coords)
+    Gram_full: np.ndarray      # block-diagonal: interpolant Gram and G
+
+
+def _discretize(model: ExtendedModel, grid: CollocationGrid) -> Discretization:
+    """Collocate (l x, B a - Omega tr x), real unless l, Omega, B or G is not."""
+    expr = model.expr
+    if grid.N < 2 * expr.order + 4:
+        raise SpectralError(f"N = {grid.N} too small for order {expr.order}")
+    a, b = (float(v) for v in expr.interval)
+    if not (np.isclose(grid.a, a) and np.isclose(grid.b, b)):
+        raise SpectralError("grid interval does not match the expression")
+    n, k, td = grid.N + 1, model.k, model.trace_dim
+    L = expr_grid_matrix(expr, grid)
+    dtype = _dtype(L, model.Omega, model.B.matrix, model.W.G)
+
+    lift = np.zeros((td + k, n + k), dtype=dtype)
+    lift[:td, :n] = trace_rows(grid, expr)
+    lift[td:, n:] = np.eye(k)
+
+    A_full = np.zeros((n + k, n + k), dtype=dtype)
+    A_full[:n, :n] = L
+    A_full[n:, :n] = -_view(model.Omega, dtype) @ lift[:td, :n]
+    A_full[n:, n:] = _view(model.B.matrix, dtype)
+
+    Gram_full = np.zeros((n + k, n + k), dtype=dtype)
+    Gram_full[:n, :n] = grid.gram
+    Gram_full[n:, n:] = _view(model.W.G, dtype)
+    return Discretization(model, grid, lift, A_full, Gram_full)
 
 
 @dataclass(frozen=True)
-class DiscreteExtendedOperator:
-    model: ExtendedModel
+class DiscreteDomain:
+    """A discretization under one set of boundary rows, unreduced."""
+
+    disc: Discretization
     bc: BoundaryConditions
-    grid: CollocationGrid
+
+
+@dataclass(frozen=True)
+class DiscreteExtendedOperator(DiscreteDomain):
+    """The reduced pair (A_red, Gram_red) on the nullspace P of the rows."""
+
     P: np.ndarray              # domain basis, columns span the constrained space
-    A_full: np.ndarray         # action on (samples, W coords)
-    Gram_full: np.ndarray      # block-diagonal: interpolant Gram and G
     A_red: np.ndarray
     Gram_red: np.ndarray
 
@@ -82,34 +137,15 @@ class DiscreteExtendedOperator:
 def assemble(
     model: ExtendedModel, bc: BoundaryConditions, grid: CollocationGrid
 ) -> DiscreteExtendedOperator:
-    """Discretize (l x, B a - Omega tr x) under the given boundary rows."""
-    expr = model.expr
-    if grid.N < 2 * expr.order + 4:
-        raise SpectralError(f"N = {grid.N} too small for order {expr.order}")
-    a, b = (float(v) for v in expr.interval)
-    if not (np.isclose(grid.a, a) and np.isclose(grid.b, b)):
-        raise SpectralError("grid interval does not match the expression")
-    n = grid.N + 1
-    k = model.k
-    lift = _trace_lift(model, grid)
-
-    A_full = np.zeros((n + k, n + k), dtype=complex)
-    A_full[:n, :n] = expr_grid_matrix(expr, grid)
-    A_full[n:, :n] = -model.Omega @ lift[: model.trace_dim, :n]
-    A_full[n:, n:] = model.B.matrix
-
-    Gram_full = np.zeros((n + k, n + k), dtype=complex)
-    Gram_full[:n, :n] = grid.gram
-    Gram_full[n:, n:] = model.W.G
-
-    P = nullspace(bc.canonical @ lift, rtol=1e-10)
-
-    A_red = P.conj().T @ Gram_full @ A_full @ P
-    Gram_red = P.conj().T @ Gram_full @ P
-    return DiscreteExtendedOperator(model, bc, grid, P, A_full, Gram_full, A_red, Gram_red)
+    """Discretize (l x, B a - Omega tr x) under the given boundary rows, real if all are."""
+    disc = _discretize(model, grid)
+    dtype = complex if np.iscomplexobj(disc.lift) else _dtype(bc.canonical)
+    P = nullspace(_view(bc.canonical, dtype) @ disc.lift, rtol=1e-10)
+    PG = P.conj().T @ disc.Gram_full
+    return DiscreteExtendedOperator(disc, bc, P, PG @ disc.A_full @ P, PG @ P)
 
 
-def _probe_basis(op: DiscreteExtendedOperator) -> tuple[np.ndarray, float]:
+def _probe_basis(dom: DiscreteDomain) -> tuple[np.ndarray, float]:
     """Columns spanning the probed subspace, and |A| on it.
 
     The subspace is the Chebyshev polynomials T_0..T_d of
@@ -117,37 +153,39 @@ def _probe_basis(op: DiscreteExtendedOperator) -> tuple[np.ndarray, float]:
     coordinates, restricted to the nullspace of the boundary rows.  |A| is
     the 2-norm of A compressed to a nodal-orthonormal basis of it.
     """
-    grid, k = op.grid, op.model.k
+    disc = dom.disc
+    grid, k = disc.grid, disc.model.k
     n, d = grid.N + 1, min(PROBE_DEGREE, grid.N)
     t = (2 * grid.nodes - grid.a - grid.b) / (grid.b - grid.a)
     basis = np.zeros((n + k, d + 1 + k), dtype=complex)
     basis[:n, : d + 1] = np.polynomial.chebyshev.chebvander(t, d)
     basis[n:, d + 1 :] = np.eye(k)
-    constrained = op.bc.canonical @ _trace_lift(op.model, grid) @ basis
+    constrained = dom.bc.canonical @ disc.lift @ basis
     # the rank rule of scipy.linalg.null_space: rtol = max(shape) * eps
     rtol = max(constrained.shape) * np.finfo(float).eps
     sample_basis = basis @ nullspace(constrained, rtol)
     q, _ = np.linalg.qr(sample_basis)
-    nrmA = np.linalg.norm(q.conj().T @ op.Gram_full @ op.A_full @ q, 2) if q.size else 0.0
+    nrmA = np.linalg.norm(q.conj().T @ disc.Gram_full @ disc.A_full @ q, 2) if q.size else 0.0
     return sample_basis, nrmA
 
 
-def symmetry_defect(op: DiscreteExtendedOperator, seed: int) -> float:
+def symmetry_defect(dom: DiscreteDomain, seed: int) -> float:
     """max |<Au,v> - <u,Av>| / (|u||v|(1 + |A|)) over random domain pairs.
 
     The PROBE_TRIALS pairs are random combinations of the smooth domain
     elements of `_probe_basis`, on which the collocation action is exact up
     to rounding for every kind and grid size.  All pairs are drawn at once
     (the stream of four draws per trial: Re u, Im u, Re v, Im v) and
-    measured as matrix products.
+    measured as matrix products.  The pairs are complex whatever the
+    dtype of the discretization.
     """
     rng = np.random.default_rng(seed)
-    sample_basis, nrmA = _probe_basis(op)
+    sample_basis, nrmA = _probe_basis(dom)
     z = rng.standard_normal((PROBE_TRIALS, 4, sample_basis.shape[1]))
     U = sample_basis @ (z[:, 0] + 1j * z[:, 1]).T
     V = sample_basis @ (z[:, 2] + 1j * z[:, 3]).T
-    G, AU, AV = op.Gram_full, op.A_full @ U, op.A_full @ V
-    GU = G @ U
+    G, A = dom.disc.Gram_full, dom.disc.A_full
+    AU, AV, GU = A @ U, A @ V, G @ U
     # <x, y> = y* G x, one trial per column
     num = np.abs(np.sum(V.conj() * (G @ AU), axis=0) - np.sum(AV.conj() * GU, axis=0))
     norm_u = np.sqrt(np.maximum(np.sum(U.conj() * GU, axis=0).real, 0.0))
@@ -193,9 +231,13 @@ def spectrum(op: DiscreteExtendedOperator, count: int, seed: int = 0) -> Spectru
     eigenvalues of the standard problem C = L^-1 A_red L^-*, and the
     eigenvectors L^-* y.  The congruence keeps honesty: C is Hermitian
     exactly when A_red is, and the solver for C is the general one, so
-    realness is measured from its output, never produced.  Residuals are
-    taken against the original pair.  The symmetry defect is left to the
-    caller, who measures it once.
+    realness is measured from its output, never produced.  Every step
+    follows the dtype of the pair: a real pair goes to the real
+    non-symmetric solver (LAPACK dgeev), whose spectrum is closed under
+    conjugation but not made real, and a complex pair, or a real one with
+    a complex perturbation added, goes to the complex one (zgeev).
+    Residuals are taken against the original pair.  The symmetry defect is
+    left to the caller, who measures it once.
     """
     if count > op.reduced_dim:
         raise SpectralError(f"requested {count} eigenvalues, reduced dim {op.reduced_dim}")

@@ -112,8 +112,8 @@ def _rank(s: np.ndarray, rtol: float) -> int:
 
 
 def nullspace(A: np.ndarray, rtol: float = TOL_RANK) -> np.ndarray:
-    """Orthonormal basis of the nullspace of A (columns)."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    """Orthonormal basis of the nullspace of A (columns), real when A is."""
+    A = np.atleast_2d(np.asarray(A, dtype=complex if np.iscomplexobj(A) else float))
     _, s, vh = np.linalg.svd(A)
     return vh[_rank(s, rtol):].conj().T
 

@@ -137,7 +137,7 @@ def loop_symmetry_defect(op, seed):
     dim = sample_basis.shape[1]
 
     def inner(x, y):
-        return complex(y.conj() @ op.Gram_full @ x)
+        return complex(y.conj() @ op.disc.Gram_full @ x)
 
     def norm(x):
         return float(np.sqrt(max(inner(x, x).real, 0.0)))
@@ -146,7 +146,7 @@ def loop_symmetry_defect(op, seed):
     for _ in range(PROBE_TRIALS):
         u = sample_basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         v = sample_basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        Au, Av = op.A_full @ u, op.A_full @ v
+        Au, Av = op.disc.A_full @ u, op.disc.A_full @ v
         den = norm(u) * norm(v) * (1.0 + nrmA)
         if den > 0:
             worst = max(worst, abs(inner(Au, v) - inner(u, Av)) / den)

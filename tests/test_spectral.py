@@ -1,8 +1,10 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
 from conftest import (
@@ -13,6 +15,7 @@ from conftest import (
     tied_pairs,
 )
 from gknextend.catalog import build_example, sabotage_rows
+from gknextend.cli import main
 from gknextend.collocation import make_grid
 from gknextend.expressions import (
     ExpressionError,
@@ -137,10 +140,24 @@ class TestAssemble:
         entry = build_example("fourier_3_5")
         bc = entry.boundary_conditions()
         op = assemble(entry.model, bc, grid01)
-        from gknextend.spectral import _trace_lift
-
-        resid = np.abs(bc.canonical @ _trace_lift(op.model, op.grid) @ op.P).max()
+        resid = np.abs(bc.canonical @ op.disc.lift @ op.P).max()
         assert resid < 1e-10
+
+    @pytest.mark.parametrize(
+        "name, params, dtype",
+        [
+            *((name, {}, np.float64) for name in
+              ("fourier_3_1", "fourier_3_2a", "fourier_3_3", "fourier_3_4", "fourier_3_5", "legendre_type")),
+            ("first_order", {}, np.complex128),
+            ("fourier_3_3", {"beta_im": 0.7}, np.complex128),
+        ],
+    )
+    def test_dtype_is_real_exactly_when_the_model_is(self, name, params, dtype):
+        entry = build_example(name, params)
+        a, b = (float(v) for v in entry.model.expr.interval)
+        op = assemble(entry.model, entry.boundary_conditions(), make_grid(32, a, b))
+        arrays = (op.disc.lift, op.disc.A_full, op.disc.Gram_full, op.P, op.A_red, op.Gram_red)
+        assert all(m.dtype == dtype for m in arrays)
 
     def test_refuses_tiny_grid(self):
         # fourth-order expression needs N >= 2*4 + 4
@@ -321,6 +338,48 @@ class TestSpectrum:
         )
         assert shifted.max_imag == pytest.approx(0.5, abs=1e-8)
         assert shifted.residuals.max() <= 1e-12
+
+    def test_real_skew_coupling_is_measured(self, grid01):
+        # coupling two Gram-orthonormal eigenvectors by a real skew term turns
+        # [[l1, 0], [0, l2]] into [[l1, s], [-s, l2]]: with s > |l1 - l2|/2 the
+        # pair leaves the real axis, and the real solver must report it
+        entry = build_example("fourier_3_3")
+        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        assert op.A_red.dtype == np.float64
+        G = op.Gram_red
+        w, U = scipy.linalg.eigh(0.5 * (op.A_red + op.A_red.T), G)
+        i = np.argsort(np.abs(w))[1:3]
+        (l1, l2), u1, u2 = w[i], U[:, i[0]], U[:, i[1]]
+        d = abs(l1 - l2) / 2
+        s = 2 * d
+        skew = s * G @ (np.outer(u1, u2) - np.outer(u2, u1)) @ G
+        coupled = dataclasses.replace(op, A_red=op.A_red + skew)
+        assert coupled.A_red.dtype == np.float64
+        rep = spectrum(coupled, 8)
+        height = np.sqrt(s * s - d * d)
+        for want in (l1 + l2) / 2 + np.array([-1j, 1j]) * height:
+            assert np.abs(rep.eigenvalues - want).min() <= 1e-8
+        assert rep.max_imag == pytest.approx(height, abs=1e-8)
+
+    @pytest.mark.parametrize("N", [32, 128, 256])
+    @pytest.mark.parametrize("name", ORACLE_EXAMPLES[1:])
+    def test_real_path_matches_complex_path(self, name, N):
+        entry = build_example(name)
+        a, b = (float(v) for v in entry.model.expr.interval)
+        op = assemble(entry.model, entry.boundary_conditions(), make_grid(N, a, b))
+        assert op.A_red.dtype == np.float64
+        as_complex = dataclasses.replace(
+            op, A_red=op.A_red.astype(complex), Gram_red=op.Gram_red.astype(complex)
+        )
+        got, ref = spectrum(op, 8).eigenvalues, spectrum(as_complex, 8).eigenvalues
+        assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+
+    def test_complex_model_passes_at_the_finest_grid(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"example": "fourier_3_3", "params": {"beta_im": 0.7}, "grid_N": 256})
+        )
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
     def test_indefinite_gram_is_refused(self, grid01):
         # flip the sign of the smallest eigenvalue of Gram_red: still
