@@ -11,10 +11,13 @@ The extended skew form on C^(2d+k) is then
 
     F_ext((x,a),(y,b)) = y* S x - b* G Omega x + (Omega y)* G a,
 
-whose matrix is [[S, Omega* G], [-G Omega, 0]].  The span of the pairs
-(t_j, xi_j) is always inside its radical; quotienting by it leaves a
+whose matrix is [[S, Omega* G], [-G Omega, 0]].  Its radical is exactly
+the span of the pairs (t_j, xi_j); quotienting by it leaves a
 nondegenerate form of dimension 2 * def, the finite shadow of the
-boundary space of the extended minimal operator.
+boundary space of the extended minimal operator.  A constraint set is
+certified self-adjoint when its nullspace is a maximal isotropic subspace
+of F_ext: dimension def + dim W, with F_ext vanishing on it.  That is the
+pull-back of a complete Lagrangian of the quotient.
 """
 
 from __future__ import annotations
@@ -213,7 +216,7 @@ def build_model(
     resid = np.abs(Omega @ Tm).max(initial=0.0)
     if resid > TOL_BUILD * (1 + np.abs(Omega).max(initial=0.0)):
         raise ModelError(f"Omega does not annihilate the partial GKN set ({resid:.3e})")
-    if not sym.subspace_contains(sym.radical(F_ext), M_min, tol=1e-10):
+    if sym.radical_residual(F_ext, M_min) > sym.TOL_RADICAL:
         raise ModelError("minimal pairs (t_j, xi_j) escaped the radical of the extended form")
     return model
 
@@ -244,8 +247,8 @@ def check_gkn_extended(model: ExtendedModel, candidates: Sequence) -> ExtendedGk
 # boundary conditions
 
 
-def rref(C: np.ndarray, tol: float = TOL_PIVOT) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form with relative pivot tolerance."""
+def rref(C: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form with relative pivot tolerance TOL_PIVOT."""
     R = np.array(C, dtype=complex)
     rows, cols = R.shape
     scale = np.abs(R).max(initial=0.0)
@@ -257,7 +260,7 @@ def rref(C: np.ndarray, tol: float = TOL_PIVOT) -> tuple[np.ndarray, list[int]]:
         if r >= rows:
             break
         piv = r + int(np.argmax(np.abs(R[r:, c])))
-        if abs(R[piv, c]) <= tol * scale:
+        if abs(R[piv, c]) <= TOL_PIVOT * scale:
             continue
         R[[r, piv]] = R[[piv, r]]
         R[r] = R[r] / R[r, c]
@@ -266,7 +269,7 @@ def rref(C: np.ndarray, tol: float = TOL_PIVOT) -> tuple[np.ndarray, list[int]]:
                 R[rr] = R[rr] - R[rr, c] * R[r]
         pivots.append(c)
         r += 1
-    R[np.abs(R) <= tol * max(1.0, scale)] = 0.0
+    R[np.abs(R) <= TOL_PIVOT * max(1.0, scale)] = 0.0
     # pivot columns exactly canonical
     for i, c in enumerate(pivots):
         R[:, c] = 0.0
@@ -311,8 +314,6 @@ class BoundaryConditions:
 
     C: np.ndarray
     canonical: np.ndarray
-    pivots: tuple[int, ...]
-    labels: tuple[str, ...]
     human_readable: tuple[str, ...]
 
 
@@ -359,41 +360,39 @@ def derive_boundary_conditions(model: ExtendedModel, candidates: Sequence) -> Bo
             f"internal inconsistency: derived constraints have rank {len(pivots)}, "
             f"expected {model.deficiency}"
         )
-    labels = model.labels()
-    rendered = render_rows(canonical, labels, model.trace_dim)
-    return BoundaryConditions(C, canonical, tuple(pivots), labels, rendered)
+    rendered = render_rows(canonical, model.labels(), model.trace_dim)
+    return BoundaryConditions(C, canonical, rendered)
 
 
 def boundary_conditions_from_rows(model: ExtendedModel, rows: np.ndarray) -> BoundaryConditions:
     """Wrap explicit constraint rows (no GKN provenance implied)."""
     C = np.atleast_2d(np.asarray(rows, dtype=complex))
-    canonical, pivots = rref(C)
-    labels = model.labels()
-    return BoundaryConditions(
-        C, canonical, tuple(pivots), labels, render_rows(canonical, labels, model.trace_dim)
-    )
+    canonical, _ = rref(C)
+    rendered = render_rows(canonical, model.labels(), model.trace_dim)
+    return BoundaryConditions(C, canonical, rendered)
 
 
 def verify_self_adjoint_domain(model: ExtendedModel, bc: BoundaryConditions) -> bool:
     """Does the constrained domain correspond to a self-adjoint restriction?
 
-    The nullspace of the constraint rows, pushed into the quotient of the
-    extended form by the minimal pairs, must be a complete Lagrangian of
-    dimension def(T0).
+    By the GKN-EM theorem the self-adjoint restrictions are the complete
+    Lagrangians of F_ext modulo the minimal pairs.  Pulled back to
+    C^(2d+k) they are the maximal isotropic subspaces of F_ext, so the
+    nullspace N of the rows must have def + dim W columns and N* F_ext N
+    must vanish.  Nothing more is needed because `build_model` makes the
+    radical of F_ext exactly M_min (T is independent and isotropic, S is
+    nondegenerate, G > 0): the quotient is nondegenerate of dimension
+    2 def, so no isotropic subspace is larger than def + dim W, and one of
+    that size contains the radical, since adding the radical keeps it
+    isotropic.  Its image in the quotient is then a Lagrangian of
+    dimension def, which is complete.
     """
     N = sym.nullspace(bc.C)
-    Fq, Q = sym.quotient_by(model.F_ext, model.M_min)
-    if Fq.dim != 2 * model.deficiency or not Fq.nondegenerate:
+    if N.shape[1] != model.deficiency + model.k:
         return False
-    # columns of N are orthonormal, so genuine quotient content has O(1)
-    # singular values; an absolute cutoff correctly reports rank 0 when the
-    # nullspace collapsed into the minimal pairs
-    u, s, _ = np.linalg.svd(Q.conj().T @ N)
-    rank = int(np.sum(s > sym.TOL_RANK))
-    if rank != model.deficiency:
-        return False
-    L = Subspace(Fq.dim, u[:, :rank])
-    return sym.is_complete_lagrangian(Fq, L)
+    F = model.F_ext.matrix
+    resid = np.abs(N.conj().T @ F @ N).max(initial=0.0)
+    return bool(resid <= sym.TOL_FORM * (1.0 + np.abs(F).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -391,18 +391,17 @@ def shooting_oracle(
     model: ExtendedModel,
     bc: BoundaryConditions,
     lam_window: tuple[float, float],
-    scan_points: int = 240,
 ) -> list[float]:
     """Eigenvalues in the window by scanning the characteristic function.
 
-    The uniform scan is one batched evaluation.  Its sign changes are
-    refined together by lockstep Illinois sweeps to 1e-10; windows without
-    sign changes yield an empty list.
+    The uniform scan at 240 points is one batched evaluation.  Its sign
+    changes are refined together by lockstep Illinois sweeps to 1e-10;
+    windows without sign changes yield an empty list.
     """
     lo, hi = lam_window
     if not lo < hi:
         raise SpectralError("empty window")
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(lo, hi, 240)
     vals = characteristic_value(model, bc, grid)
     roots = list(grid[vals == 0.0])
     i = np.flatnonzero(vals[:-1] * vals[1:] < 0)

@@ -3,8 +3,9 @@
 A skew-Hermitian form on C^m is evaluated as ``form(x, y) = y* S x``
 (linear in the first slot, conjugate-linear in the second), so that
 ``form(x, y) == -conj(form(y, x))``.  Rank and degeneracy decisions go
-through SVD with relative thresholds; subspaces are compared by mutual
-projection residuals, never by basis identity.
+through SVD with relative thresholds; whether a subspace is isotropic or
+inside the radical is read off the form on an orthonormal basis of it,
+never off basis identity.
 """
 
 from __future__ import annotations
@@ -128,25 +129,19 @@ def orth_complement(V: Subspace) -> np.ndarray:
     return nullspace(V.orthonormal().conj().T)
 
 
-def subspace_contains(big: Subspace, small: Subspace, tol: float = TOL_RANK) -> bool:
-    """True iff every vector of `small` lies in `big` (projection residual)."""
-    Q = big.orthonormal()
-    P = small.orthonormal()
-    resid = P - Q @ (Q.conj().T @ P)
-    return bool(np.abs(resid).max(initial=0.0) <= tol)
-
-
-def subspaces_equal(a: Subspace, b: Subspace, tol: float = TOL_RANK) -> bool:
-    return subspace_contains(a, b, tol) and subspace_contains(b, a, tol)
-
-
 # ---------------------------------------------------------------------------
 # form operations
 
 
-def radical(F: SkewForm) -> Subspace:
-    """Orthonormal basis of {x : form(x, y) = 0 for all y} = null(S)."""
-    return Subspace(F.dim, nullspace(F.matrix))
+def radical_residual(F: SkewForm, M: Subspace) -> float:
+    """max|S q| / (1 + max|S|) over an orthonormal basis q of M.
+
+    M lies inside the radical of F when this is at most TOL_RADICAL.
+    """
+    if M.ambient_dim != F.dim:
+        raise SymplecticError("subspace ambient dimension does not match form")
+    scale = 1.0 + np.abs(F.matrix).max(initial=0.0)
+    return float(np.abs(F.matrix @ M.orthonormal()).max(initial=0.0) / scale)
 
 
 def quotient_by(F: SkewForm, M: Subspace) -> tuple[SkewForm, np.ndarray]:
@@ -157,15 +152,10 @@ def quotient_by(F: SkewForm, M: Subspace) -> tuple[SkewForm, np.ndarray]:
     basis Q (columns), so callers can push ambient vectors to quotient
     coordinates via Q* v.
     """
-    if M.ambient_dim != F.dim:
-        raise SymplecticError("subspace ambient dimension does not match form")
-    FQ_M = np.abs(F.matrix @ M.orthonormal())
-    resid = FQ_M.max(initial=0.0)
-    if resid > TOL_RADICAL * (1.0 + np.abs(F.matrix).max(initial=0.0)):
-        j = int(np.argmax(FQ_M.sum(axis=0)))
+    resid = radical_residual(F, M)
+    if resid > TOL_RADICAL:
         raise SymplecticError(
-            f"subspace is not inside the radical: basis vector {j} has "
-            f"form residual {resid:.3e}"
+            f"subspace is not inside the radical: relative form residual {resid:.3e}"
         )
     Q = orth_complement(M)
     S_red = Q.conj().T @ F.matrix @ Q
@@ -174,36 +164,6 @@ def quotient_by(F: SkewForm, M: Subspace) -> tuple[SkewForm, np.ndarray]:
     # the form on the zero space counts as degenerate
     nondeg = 0 < matrix_rank(S_red) == S_red.shape[0]
     return SkewForm(S_red, nondegenerate=nondeg), Q
-
-
-def is_lagrangian(F: SkewForm, L: Subspace) -> bool:
-    """True iff the form vanishes identically on L."""
-    Q = L.orthonormal()
-    vals = Q.conj().T @ F.matrix @ Q
-    scale = 1.0 + np.abs(F.matrix).max(initial=0.0)
-    return bool(np.abs(vals).max(initial=0.0) <= TOL_FORM * scale)
-
-
-def symplectic_complement(F: SkewForm, L: Subspace) -> Subspace:
-    """{x : form(x, l) = 0 for all l in L} = null(B_L* S)."""
-    rows = L.basis.conj().T @ F.matrix
-    return Subspace(F.dim, nullspace(rows))
-
-
-def is_complete_lagrangian(F: SkewForm, L: Subspace) -> bool:
-    """Lagrangian and equal to its own symplectic complement.
-
-    Only meaningful for nondegenerate forms; degenerate input must be
-    quotiented by its radical first.
-    """
-    if not F.nondegenerate:
-        raise SymplecticError(
-            "complete-Lagrangian test needs a nondegenerate form; quotient "
-            "by the radical first"
-        )
-    if not is_lagrangian(F, L):
-        return False
-    return subspaces_equal(symplectic_complement(F, L), L)
 
 
 @dataclass(frozen=True)
@@ -232,36 +192,3 @@ def check_gkn_vectors(F: SkewForm, M: Subspace, V) -> GknCheck:
     vals = np.abs(Vm.conj().T @ F.matrix @ Vm)
     symmetric = bool(np.all(vals <= TOL_FORM * scale * np.outer(norms, norms)))
     return GknCheck(independent_mod_M=independent, symmetric=symmetric)
-
-
-# ---------------------------------------------------------------------------
-# test utility: sampling complete Lagrangians of a nondegenerate form
-
-
-def random_complete_lagrangian(F: SkewForm, rng: np.random.Generator) -> Subspace:
-    """Random complete Lagrangian of a nondegenerate balanced form.
-
-    Diagonalize the Hermitian matrix iS; a subspace is Lagrangian iff it is
-    isotropic for that Hermitian form, and the maximal isotropic subspaces of
-    a signature-(d, d) form are exactly the graphs of unitaries between the
-    positive and negative eigenspaces.
-    """
-    if not F.nondegenerate:
-        raise SymplecticError("need a nondegenerate form")
-    H = 1j * F.matrix
-    H = 0.5 * (H + H.conj().T)
-    evals, evecs = np.linalg.eigh(H)
-    pos = evals > 0
-    neg = evals < 0
-    d_pos, d_neg = int(pos.sum()), int(neg.sum())
-    if d_pos != d_neg:
-        raise SymplecticError(
-            f"form has unbalanced signature ({d_pos}, {d_neg}); no complete "
-            f"Lagrangian exists"
-        )
-    # scale eigenvectors so the Hermitian form is exactly +/-1 on them
-    Up = evecs[:, pos] / np.sqrt(evals[pos])
-    Un = evecs[:, neg] / np.sqrt(-evals[neg])
-    z = rng.standard_normal((d_pos, d_pos)) + 1j * rng.standard_normal((d_pos, d_pos))
-    K, _ = np.linalg.qr(z)
-    return Subspace(F.dim, Up + Un @ K)

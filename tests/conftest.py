@@ -192,3 +192,107 @@ def rk_fundamental_traces(expr, lams):
     sol = solve_ivp(rhs, (a, b), y0, method="DOP853", **tol)
     Yb = sol.y[:, -1].reshape(m, m, n).transpose(2, 1, 0)
     return np.concatenate([np.broadcast_to(np.eye(m, dtype=dtype), Yb.shape), Yb], axis=1)
+
+
+# -- independent reference for the self-adjointness certificate -------------
+# The library asks whether the nullspace of the rows is a maximal isotropic
+# subspace of F_ext; these push it into the quotient by the minimal pairs and
+# test it for a complete Lagrangian there, by comparing subspaces.
+
+
+def radical(F):
+    """Orthonormal basis of {x : form(x, y) = 0 for all y} = null(S)."""
+    from gknextend.symplectic import Subspace, nullspace
+
+    return Subspace(F.dim, nullspace(F.matrix))
+
+
+def subspace_contains(big, small, tol=1e-8) -> bool:
+    """True iff every vector of `small` lies in `big` (projection residual)."""
+    Q = big.orthonormal()
+    P = small.orthonormal()
+    resid = P - Q @ (Q.conj().T @ P)
+    return bool(np.abs(resid).max(initial=0.0) <= tol)
+
+
+def subspaces_equal(a, b, tol=1e-8) -> bool:
+    return subspace_contains(a, b, tol) and subspace_contains(b, a, tol)
+
+
+def is_lagrangian(F, L) -> bool:
+    """True iff the form vanishes identically on L."""
+    from gknextend.symplectic import TOL_FORM
+
+    Q = L.orthonormal()
+    vals = Q.conj().T @ F.matrix @ Q
+    scale = 1.0 + np.abs(F.matrix).max(initial=0.0)
+    return bool(np.abs(vals).max(initial=0.0) <= TOL_FORM * scale)
+
+
+def symplectic_complement(F, L):
+    """{x : form(x, l) = 0 for all l in L} = null(B_L* S)."""
+    from gknextend.symplectic import Subspace, nullspace
+
+    return Subspace(F.dim, nullspace(L.basis.conj().T @ F.matrix))
+
+
+def is_complete_lagrangian(F, L) -> bool:
+    """Lagrangian and equal to its own symplectic complement (F nondegenerate)."""
+    from gknextend.symplectic import SymplecticError
+
+    if not F.nondegenerate:
+        raise SymplecticError(
+            "complete-Lagrangian test needs a nondegenerate form; quotient "
+            "by the radical first"
+        )
+    return is_lagrangian(F, L) and subspaces_equal(symplectic_complement(F, L), L)
+
+
+def quotient_certificate(model, bc) -> bool:
+    """The nullspace of the rows, pushed into F_ext / M_min, is a complete
+    Lagrangian of dimension def(T0)."""
+    from gknextend.symplectic import TOL_RANK, Subspace, nullspace, quotient_by
+
+    N = nullspace(bc.C)
+    Fq, Q = quotient_by(model.F_ext, model.M_min)
+    if Fq.dim != 2 * model.deficiency or not Fq.nondegenerate:
+        return False
+    # columns of N are orthonormal, so genuine quotient content has O(1)
+    # singular values; an absolute cutoff reports rank 0 when the nullspace
+    # collapsed into the minimal pairs
+    u, s, _ = np.linalg.svd(Q.conj().T @ N)
+    rank = int(np.sum(s > TOL_RANK))
+    if rank != model.deficiency:
+        return False
+    return is_complete_lagrangian(Fq, Subspace(Fq.dim, u[:, :rank]))
+
+
+def random_complete_lagrangian(F, rng):
+    """Random complete Lagrangian of a nondegenerate balanced form.
+
+    Diagonalize the Hermitian matrix iS; a subspace is Lagrangian iff it is
+    isotropic for that Hermitian form, and the maximal isotropic subspaces of
+    a signature-(d, d) form are exactly the graphs of unitaries between the
+    positive and negative eigenspaces.
+    """
+    from gknextend.symplectic import Subspace, SymplecticError
+
+    if not F.nondegenerate:
+        raise SymplecticError("need a nondegenerate form")
+    H = 1j * F.matrix
+    H = 0.5 * (H + H.conj().T)
+    evals, evecs = np.linalg.eigh(H)
+    pos = evals > 0
+    neg = evals < 0
+    d_pos, d_neg = int(pos.sum()), int(neg.sum())
+    if d_pos != d_neg:
+        raise SymplecticError(
+            f"form has unbalanced signature ({d_pos}, {d_neg}); no complete "
+            f"Lagrangian exists"
+        )
+    # scale eigenvectors so the Hermitian form is exactly +/-1 on them
+    Up = evecs[:, pos] / np.sqrt(evals[pos])
+    Un = evecs[:, neg] / np.sqrt(-evals[neg])
+    z = rng.standard_normal((d_pos, d_pos)) + 1j * rng.standard_normal((d_pos, d_pos))
+    K, _ = np.linalg.qr(z)
+    return Subspace(F.dim, Up + Un @ K)

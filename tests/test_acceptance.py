@@ -32,15 +32,19 @@ from gknextend.spectral import (
     spectrum,
     symmetry_defect,
 )
-from gknextend.symplectic import (
-    SkewForm,
+from gknextend.symplectic import SkewForm, quotient_by
+
+from conftest import (
+    form_eval,
+    gram_schmidt,
     is_complete_lagrangian,
     is_lagrangian,
     radical,
     random_complete_lagrangian,
+    random_skew_hermitian,
+    subspace_contains,
+    w_inner,
 )
-
-from conftest import form_eval, gram_schmidt, random_skew_hermitian, w_inner
 
 A_VALUES = (Fraction(1), Fraction(5, 2), Fraction(10))
 N_RANGE = range(13)
@@ -185,8 +189,6 @@ def test_06_structural_invariants_randomized():
         Tm = model.gkn_partial.matrix(model.trace_dim)
         scale = 1.0 + np.abs(model.Omega).max(initial=0.0)
         ok &= float(np.abs(model.Omega @ Tm).max(initial=0.0)) <= 1e-12 * scale
-        from gknextend.symplectic import quotient_by, subspace_contains
-
         ok &= subspace_contains(radical(model.F_ext), model.M_min, tol=1e-12)
         Fq, _ = quotient_by(model.F_ext, model.M_min)
         ok &= Fq.dim == 2 * model.deficiency and Fq.nondegenerate

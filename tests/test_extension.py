@@ -25,9 +25,17 @@ from gknextend.extension import (
     rref,
     verify_self_adjoint_domain,
 )
-from gknextend.symplectic import quotient_by, radical, subspace_contains
+from gknextend.symplectic import matrix_rank, quotient_by
 
-from conftest import form_eval, trace_of_poly, w_inner
+from conftest import (
+    form_eval,
+    quotient_certificate,
+    radical,
+    random_complete_lagrangian,
+    subspace_contains,
+    trace_of_poly,
+    w_inner,
+)
 
 ALL_ENTRIES = [build_example(n) for n in EXAMPLE_NAMES]
 GKN_ENTRIES = [e for e in ALL_ENTRIES if e.candidates]
@@ -202,6 +210,50 @@ class TestDeriveBoundaryConditions:
         assert "degenerate" in out[0]
 
 
+# parameters at the edges of the schema; each example reads only some of them
+EDGE_PARAMS = (
+    {},
+    {"M": 1e-6},
+    {"M": 1e6},
+    {"A": 1e-3},
+    {"A": 1e5},
+    {"A": 1e12},
+    {"b": 1e-3},
+    {"b": 0.1},
+    {"b": 20.0},
+    {"a": 100.0, "b": 101.0},
+    {"beta_re": 0.4, "beta_im": 0.7},
+)
+
+
+def _candidate_rows(model, cands):
+    return np.vstack([model.stack(t, w).conj() @ model.F_ext.matrix for t, w in cands])
+
+
+def _certificate_cases(entry, rng):
+    """Constraint rows of every kind the certificate meets on one model."""
+    model = entry.model
+    d = model.deficiency
+    published = entry.boundary_conditions().C
+    yield published
+    for cands in entry.controls.values():
+        yield _candidate_rows(model, cands)
+    Fq, Q = quotient_by(model.F_ext, model.M_min)
+    for _ in range(20):
+        lifted = Q @ random_complete_lagrangian(Fq, rng).basis
+        rows = lifted.conj().T @ model.F_ext.matrix
+        yield rows
+        for eps in (1e-3, 1e-6):
+            noise = rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape)
+            yield rows + eps * np.abs(rows).max() * noise
+    mix = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    yield np.vstack([published, mix @ published])  # a dependent extra row: rank d
+    yield np.vstack([published[:-1], mix[:-1] @ published[:-1]])  # rank d - 1
+    for _ in range(3):
+        shape = (d, model.ambient_dim)
+        yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestVerifySelfAdjointDomain:
     @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
     def test_published_verdicts(self, entry):
@@ -219,16 +271,11 @@ class TestVerifySelfAdjointDomain:
     @pytest.mark.parametrize("entry", GKN_ENTRIES, ids=lambda e: e.name)
     def test_mutated_controls_not_self_adjoint(self, entry):
         for ctrl, cands in entry.controls.items():
-            rows = np.vstack(
-                [entry.model.stack(t, w).conj() @ entry.model.F_ext.matrix for t, w in cands]
-            )
-            bc = boundary_conditions_from_rows(entry.model, rows)
+            bc = boundary_conditions_from_rows(entry.model, _candidate_rows(entry.model, cands))
             assert not verify_self_adjoint_domain(entry.model, bc), (entry.name, ctrl)
 
     @pytest.mark.parametrize("entry", GKN_ENTRIES, ids=lambda e: e.name)
     def test_random_lagrangian_completions_verify(self, entry, rng):
-        from gknextend.symplectic import random_complete_lagrangian
-
         model = entry.model
         Fq, Q = quotient_by(model.F_ext, model.M_min)
         for _ in range(10):
@@ -242,6 +289,34 @@ class TestVerifySelfAdjointDomain:
             assert rep.independent_mod_min and rep.symmetric and rep.count_ok
             bc = derive_boundary_conditions(model, cands)
             assert verify_self_adjoint_domain(model, bc)
+
+    @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
+    def test_over_determined_rows_rejected(self, entry):
+        # the published rows plus a_W[k] = 0: the nullspace loses a minimal pair
+        model = entry.model
+        extra = np.zeros((1, model.ambient_dim))
+        extra[0, -1] = 1.0
+        rows = np.vstack([entry.boundary_conditions().C, extra])
+        assert not verify_self_adjoint_domain(model, boundary_conditions_from_rows(model, rows))
+
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_certificate_agrees_with_quotient_reference(self, name):
+        rng = np.random.default_rng(15)
+        seen = set()
+        for params in EDGE_PARAMS:
+            entry = build_example(name, params)
+            key = repr(model_to_json(entry.model))
+            if key in seen:
+                continue
+            seen.add(key)
+            model = entry.model
+            for rows in _certificate_cases(entry, rng):
+                bc = boundary_conditions_from_rows(model, rows)
+                verdict = verify_self_adjoint_domain(model, bc)
+                if matrix_rank(rows) == model.deficiency:
+                    assert verdict is quotient_certificate(model, bc), (params, rows)
+                else:
+                    assert not verdict, (params, rows)
 
 
 class TestDeficiencyVectors:

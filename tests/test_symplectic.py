@@ -2,20 +2,26 @@ import numpy as np
 import pytest
 
 from gknextend.symplectic import (
+    TOL_RADICAL,
     SkewForm,
     Subspace,
     SymplecticError,
     check_gkn_vectors,
+    quotient_by,
+    radical_residual,
+)
+
+from conftest import (
+    form_eval,
     is_complete_lagrangian,
     is_lagrangian,
-    quotient_by,
     radical,
     random_complete_lagrangian,
+    random_skew_hermitian,
+    subspace_contains,
     subspaces_equal,
     symplectic_complement,
 )
-
-from conftest import form_eval, random_skew_hermitian
 
 
 def first_order_form():
@@ -90,9 +96,14 @@ class TestRadical:
         model = legendre_extended_form()
         rad = radical(model.F_ext)
         assert rad.dim == 2
-        from gknextend.symplectic import subspace_contains
-
         assert subspace_contains(rad, model.M_min)
+        assert radical_residual(model.F_ext, model.M_min) <= TOL_RADICAL
+
+    def test_residual_outside_radical(self):
+        # S e_1 = -e_2 for the Fourier form, whose entries have size 1
+        F = fourier_form()
+        assert radical_residual(F, Subspace(4, np.eye(4)[:, :1])) == 0.5
+        assert radical_residual(F, Subspace.zero(4)) == 0.0
 
     def test_rank_nullity(self, rng):
         for _ in range(40):
