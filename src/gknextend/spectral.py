@@ -11,11 +11,16 @@ congruence preserves Hermitian-ness and non-Hermitian-ness alike, so the
 eigenvalues stay a measurement of the assembly: an unsymmetric A_red gives
 the same non-real eigenvalues as the generalized problem.
 
+`spectrum` computes only the eigenvalues the checks read, the few of
+smallest modulus, by ARPACK's non-symmetric shift-invert Arnoldi at a
+shift just below 0, from a fixed generic start vector, and checks that the
+eigenvalues it returns cover every smaller one (see `spectrum`).
+
 The arithmetic is real whenever the model is: `assemble` works in float64
 when the expression's coefficients, Omega, B, G and the boundary rows all
 have an imaginary part of exactly zero, and in complex128 otherwise, and
 `spectrum` follows the dtype of the pair it is given.  Realness of the
-arrays is not realness of the spectrum: the solver is the general
+arrays is not realness of the spectrum: the Arnoldi solver is the general
 non-symmetric one in either dtype, so a real A_red that is not symmetric
 still gives its conjugate pairs of non-real eigenvalues, and the realness
 of the eigenvalues is read from the solver's output.
@@ -224,36 +229,78 @@ def modulus_order(values) -> np.ndarray:
 
 
 def spectrum(op: DiscreteExtendedOperator, count: int, seed: int = 0) -> SpectrumReport:
-    """Eigenvalues of the reduced pair (A_red, Gram_red), smallest |lambda| first.
+    """The `count` eigenvalues of the reduced pair (A_red, Gram_red) of smallest |lambda|.
 
     Gram_red is Hermitian positive definite (the H + W inner product
     restricted to the domain), so with Gram_red = L L* the pair has the
     eigenvalues of the standard problem C = L^-1 A_red L^-*, and the
     eigenvectors L^-* y.  The congruence keeps honesty: C is Hermitian
-    exactly when A_red is, and the solver for C is the general one, so
-    realness is measured from its output, never produced.  Every step
-    follows the dtype of the pair: a real pair goes to the real
-    non-symmetric solver (LAPACK dgeev), whose spectrum is closed under
-    conjugation but not made real, and a complex pair, or a real one with
-    a complex perturbation added, goes to the complex one (zgeev).
+    exactly when A_red is.
+
+    Only the eigenvalues the checks read are computed: ARPACK's
+    non-symmetric shift-invert Arnoldi (`eigs`, real when C is, complex
+    otherwise) returns the k = count + 2 eigenvalues of C nearest to the
+    shift sigma.  It assumes no symmetry of C, so realness is measured
+    from its output, never produced.  The two spare eigenvalues keep a
+    pair +-lambda that straddles the cut whole before `modulus_order`
+    truncates to `count`.  The start vector is a fixed-seed Gaussian:
+    generic, so that no eigenvector is missing from the Krylov space, and
+    the same on every call.  A structured vector such as all ones has no
+    component along the odd eigenvectors of a reflection-symmetric problem
+    in exact arithmetic, and would leave them to rounding.
+
+    The shift is sigma = -tau with tau = 1e-9 ||C||_1, not 0: an exact
+    eigenvalue 0 (fourier_3_3) makes C itself singular.  tau is 1e7 times
+    the rounding eps ||C|| of a computed 0, so C - sigma is far from
+    singular.  It is not small against the spectrum (0.7 on fourier_3_3 at
+    grid_N 256), so the nearest eigenvalues to sigma are checked to hold
+    the smallest in modulus, the no-miss check: with d_k the largest
+    distance from sigma of the k returned eigenvalues, every eigenvalue not
+    returned has |lambda - sigma| >= d_k, hence |lambda| >= d_k - tau; so
+    the kept ones are the `count` smallest in modulus of the whole spectrum
+    if each has |lambda| <= d_k - tau.  Fewer than k returned eigenvalues,
+    or a kept one beyond that radius, is refused, as is an ARPACK failure
+    (`SpectralError`).
+
     Residuals are taken against the original pair.  The symmetry defect is
     left to the caller, who measures it once.
     """
-    if count > op.reduced_dim:
-        raise SpectralError(f"requested {count} eigenvalues, reduced dim {op.reduced_dim}")
+    from scipy.sparse.linalg import ArpackError, eigs  # ~30 ms: only spectrum pays it
+
+    k = count + 2
+    if k >= op.reduced_dim - 1:
+        raise SpectralError(
+            f"requested {count} eigenvalues, reduced dim {op.reduced_dim} "
+            f"(Arnoldi needs count + 3 < reduced dim)"
+        )
     try:
         L = scipy.linalg.cholesky(op.Gram_red, lower=True)
-        X = scipy.linalg.solve_triangular(L, op.A_red, lower=True)
-        C = scipy.linalg.solve_triangular(L, X.conj().T, lower=True).conj().T
-        evals, Y = scipy.linalg.eig(C, overwrite_a=True)
     except scipy.linalg.LinAlgError as e:
         cond = np.linalg.cond(op.Gram_red)
         raise SpectralError(f"eigensolver failed (Gram condition {cond:.3e}): {e}")
+    X = scipy.linalg.solve_triangular(L, op.A_red, lower=True)
+    C = scipy.linalg.solve_triangular(L, X.conj().T, lower=True, overwrite_b=True).conj().T
+    del X
+    tau = 1e-9 * np.linalg.norm(C, 1)
+    v0 = np.random.default_rng(0).standard_normal(op.reduced_dim)
+    try:
+        evals, Y = eigs(C, k=k, sigma=-tau, v0=v0)
+    except ArpackError as e:
+        raise SpectralError(f"eigensolver failed: {e}")
+    del C
+    # every eigenvalue not returned is at least d_k from sigma, so at least d_k - tau from 0
+    radius = np.abs(evals + tau).max(initial=0.0) - tau
     order = modulus_order(evals)[:count]
     evals = evals[order]
+    reach = np.abs(evals).max(initial=0.0)
+    if Y.shape[1] != k or reach > radius:
+        raise SpectralError(
+            f"no-miss check failed: Arnoldi returned {Y.shape[1]} of {k} eigenvalues, "
+            f"kept |lambda| up to {reach:.6e} against a covered radius {radius:.6e}"
+        )
     evecs = scipy.linalg.solve_triangular(L, Y[:, order], lower=True, trans="C")
     resids = np.zeros(count)
-    scale = np.linalg.norm(op.A_red, 2) + np.abs(evals).max(initial=0.0)
+    scale = np.linalg.norm(op.A_red, 2) + reach
     for i in range(count):
         v = evecs[:, i]
         r = op.A_red @ v - evals[i] * (op.Gram_red @ v)

@@ -232,7 +232,10 @@ class TestBenchmarkHarness:
 
     def test_cli_import_leaves_out_scipy_integrate(self):
         src = str(Path(gknextend.__file__).resolve().parents[1])
-        code = "import sys, gknextend.cli; assert 'scipy.integrate' not in sys.modules"
+        code = (
+            "import sys, gknextend.cli; assert 'scipy.integrate' not in sys.modules; "
+            "assert 'scipy.sparse' not in sys.modules"
+        )
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 

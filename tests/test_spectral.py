@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import brentq
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from conftest import (
     benchmark_ops,
@@ -69,14 +70,14 @@ def cos_sinc(lam, L=1.0):
     return np.cos(s).real, L * np.sinc(s / np.pi).real
 
 
-def closed_form_characteristic(name, lam, alpha=0.0):
-    """Characteristic function from the closed-form fundamental system."""
+def closed_form_characteristic(name, lam, alpha=0.0, L=1.0):
+    """Characteristic function from the closed-form fundamental system on an interval of length L."""
     lam = np.asarray(lam, dtype=float)
     if name == "first_order":
         return (alpha - lam) * np.cos(lam / 2) - 2 * np.sin(lam / 2)
     rows, omega = (np.array(m, dtype=float) for m in FOURIER_PUBLISHED[name])
     k = rows.shape[1] - 4
-    C, S = cos_sinc(lam)
+    C, S = cos_sinc(lam, L)
     one, zero = np.ones_like(lam), np.zeros_like(lam)
     # traces of cos(sqrt(lam) u) and sin(sqrt(lam) u)/sqrt(lam)
     traces = np.stack(
@@ -90,11 +91,13 @@ def closed_form_characteristic(name, lam, alpha=0.0):
     return np.linalg.det(sysm)
 
 
-def closed_form_roots(name, window):
-    grid = np.linspace(*window, 20000)
-    vals = closed_form_characteristic(name, grid)
+def closed_form_roots(name, window, L=1.0, num=20000):
+    grid = np.linspace(*window, num)
+    vals = closed_form_characteristic(name, grid, L=L)
     return [
-        brentq(lambda x: float(closed_form_characteristic(name, x)), grid[i], grid[i + 1], xtol=1e-14)
+        brentq(
+            lambda x: float(closed_form_characteristic(name, x, L=L)), grid[i], grid[i + 1], xtol=1e-14
+        )
         for i in np.flatnonzero(vals[:-1] * vals[1:] < 0)
     ]
 
@@ -280,10 +283,96 @@ class TestSpectrum:
         assert abs(lams[0] - lams[1]) <= 1e-8
 
     def test_count_bound(self, grid01):
+        # Arnoldi returns k = count + 2 eigenvalues, and needs k < reduced_dim - 1
         entry = build_example("fourier_3_1")
         op = assemble(entry.model, entry.boundary_conditions(), grid01)
-        with pytest.raises(SpectralError):
-            spectrum(op, op.reduced_dim + 1)
+        for count in (op.reduced_dim + 1, op.reduced_dim - 3):
+            with pytest.raises(SpectralError, match="reduced dim"):
+                spectrum(op, count)
+        rep = spectrum(op, op.reduced_dim - 4)
+        assert len(rep.eigenvalues) == op.reduced_dim - 4
+        assert rep.residuals.max() <= 1e-10
+
+    def test_exact_zero_eigenvalue(self):
+        # fourier_3_3 has the eigenvalue 0 exactly; at b = 30, grid_N 64, C is
+        # singular to the last pivot, so a shift at 0 would fail
+        entry = build_example("fourier_3_3", {"b": 30})
+        op = assemble(entry.model, entry.boundary_conditions(), make_grid(64, 0.0, 30.0))
+        rep = spectrum(op, 8)
+        assert abs(rep.eigenvalues[0]) <= 1e-8
+        assert rep.residuals[0] <= 1e-12
+
+    @pytest.mark.parametrize("params", [{"a": 100, "b": 101}, {"b": 0.001}])
+    def test_five_smallest_match_closed_form(self, params):
+        entry = build_example("fourier_3_3", params)
+        a, b = (float(v) for v in entry.model.expr.interval)
+        op = assemble(entry.model, entry.boundary_conditions(), make_grid(64, a, b))
+        got = spectrum(op, 8).eigenvalues[:5]
+        # the scan resolves the gap 2 / L between the roots 0 and about 2 / L
+        L = b - a
+        expected = closed_form_roots("fourier_3_3", (-1 / L**2, 100 / L**2), L=L, num=100_000)[:5]
+        assert len(expected) == 5 and np.abs(got.imag).max() == 0
+        # relative to the eigenvalue, or to the scale 1 / L^2 of the spectrum at 0
+        scale = np.maximum(1 / L**2, np.abs(expected))
+        assert np.all(np.abs(got.real - expected) <= 1e-9 * scale)
+
+    @staticmethod
+    def patch_eigs(monkeypatch, edit):
+        import scipy.sparse.linalg
+
+        eigs = scipy.sparse.linalg.eigs
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", lambda C, **kw: edit(eigs, C, **kw))
+
+    def test_dropped_eigenvalue_trips_the_no_miss_check(self, grid01, monkeypatch):
+        def drop_smallest(eigs, C, **kw):
+            vals, vecs = eigs(C, **kw)
+            i = np.argmin(np.abs(vals))
+            return np.delete(vals, i), np.delete(vecs, i, axis=1)
+
+        entry = build_example("fourier_3_3")
+        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        self.patch_eigs(monkeypatch, drop_smallest)
+        with pytest.raises(SpectralError, match="no-miss check"):
+            spectrum(op, 8)
+
+    def test_smaller_eigenvalue_outside_the_returned_set_trips_the_no_miss_check(
+        self, grid01, monkeypatch
+    ):
+        # with sigma = -tau the k eigenvalues nearest sigma can leave out one
+        # of smaller modulus: here 9 - tau/2 loses to three values near -9
+        def nearest_k(eigs, C, k, sigma, v0):
+            vals, vecs = scipy.linalg.eig(C)
+            i = np.argsort(np.abs(vals - sigma))[:k]
+            return vals[i], vecs[:, i]
+
+        entry = build_example("fourier_3_3")
+        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        tau = 1e-9 * 30.0
+        vals = [*range(1, 9), -9.0, -9.0 - 1e-10, -9.0 - 2e-10, 9.0 - tau / 2, 20.0, 25.0, 30.0]
+        n = len(vals)
+        diagonal = dataclasses.replace(op, P=np.eye(n), A_red=np.diag(vals), Gram_red=np.eye(n))
+        self.patch_eigs(monkeypatch, nearest_k)
+        assert spectrum(diagonal, 8).eigenvalues.real.tolist() == list(range(1, 9))
+        with pytest.raises(SpectralError, match="no-miss check"):
+            spectrum(diagonal, 9)
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            lambda: ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), None),
+            lambda: ArpackError(-9999),
+        ],
+        ids=["no_convergence", "arpack_error"],
+    )
+    def test_arpack_failure_is_a_refusal(self, tmp_path, capsys, monkeypatch, error):
+        def fail(eigs, C, **kw):
+            raise error()
+
+        self.patch_eigs(monkeypatch, fail)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"example": "fourier_3_3"}))
+        assert main(["spectrum", "--config", str(path)]) == 2
+        assert "eigensolver failed" in capsys.readouterr().err
 
     @staticmethod
     def assert_matches_qz(op):
