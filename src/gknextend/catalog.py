@@ -1,12 +1,23 @@
 """Ready-made extended models for the worked examples.
 
-Each entry packages the differential expression, the extension-space data
-(Gram, self-adjoint B, partial GKN traces), the boundary-space GKN
-candidates whose derived conditions are the published ones, the expected
-canonical constraint matrix, and mutated negative controls.  Everything is
-parameterized the way the sources parameterize it (A for the fourth-order
-jump model, M/N weights and alpha/beta/gamma entries of B for the
-second-order family, alpha for the first-order one).
+Each example is stated by its published facts alone: the differential
+expression, the W weights w, the upper triangle of B, the partial GKN
+traces, the boundary-space GKN candidates whose derived conditions are
+the published ones, a symmetry-control partner, the published canonical
+rows and rendered strings, and the verification plan.  One builder turns
+them into a `CatalogEntry` by one rule:
+
+- W is C^k with Gram diag(1/w) and G-orthonormal basis diag(sqrt w);
+- B is completed from its upper triangle to be self-adjoint for that Gram;
+- three mutated GKN sets, the negative controls, each break exactly one
+  GKN condition (Everitt & Markus, *Boundary Value Problems and
+  Symplectic Algebra*, AMS Surveys 61, 1999): `symmetry` swaps the last
+  candidate for the partner, `independence` swaps the first for the
+  minimal pair (t_1, xi_1), and `cardinality` drops the last.
+
+Everything is parameterized the way the sources parameterize it (A for
+the fourth-order jump model, M/N weights and alpha/beta/gamma entries of
+B for the second-order family, alpha for the first-order one).
 """
 
 from __future__ import annotations
@@ -17,13 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import (
-    FirstOrderI,
-    Fourier,
-    LegendreType,
-    TraceVector,
-    boundary_form,
-)
+from .expressions import FirstOrderI, Fourier, LegendreType, TraceVector, boundary_form
 from .extension import (
     BoundaryConditions,
     ExtendedModel,
@@ -57,6 +62,12 @@ SPECTRUM_COMMANDS = ALGEBRA_COMMANDS + ("spectrum",)
 class CatalogEntry:
     """A worked example together with its verification plan.
 
+    For a catalog example, W has Gram diag(1/w) and basis diag(sqrt w)
+    for the published weights w, and `controls` maps each GKN condition
+    to a mutated candidate set that breaks it alone: `symmetry` swaps the
+    last candidate for a published partner, `independence` swaps the
+    first for the minimal pair (t_1, xi_1), `cardinality` drops the last.
+
     The plan states which CLI commands apply (in the order `all` runs
     them), the verdict the self-adjointness certificate must reach, and
     how `spectrum` checks the example: against shooting-oracle roots in
@@ -69,7 +80,6 @@ class CatalogEntry:
     candidates: tuple                      # ((TraceVector, w-vector), ...)
     expected_canonical: np.ndarray
     expected_strings: tuple[str, ...]
-    expected_omega: np.ndarray
     controls: dict = field(default_factory=dict)
     explicit_rows: Optional[np.ndarray] = None   # used instead of candidates
     commands: tuple[str, ...] = ALGEBRA_COMMANDS
@@ -80,10 +90,6 @@ class CatalogEntry:
         if self.explicit_rows is not None:
             return boundary_conditions_from_rows(self.model, self.explicit_rows)
         return derive_boundary_conditions(self.model, self.candidates)
-
-
-def _tv(*vals) -> TraceVector:
-    return TraceVector(tuple(vals))
 
 
 def _merge(params: dict | None) -> dict:
@@ -98,81 +104,59 @@ def _exact(x: float) -> Fraction:
     return Fraction(x).limit_denominator(10**9)
 
 
-def _b_matrix_2d(p: dict) -> np.ndarray:
-    """General self-adjoint operator for the diag(1/M, 1/N) Gram."""
-    M, N = p["M"], p["N_weight"]
-    beta = complex(p["beta_re"], p["beta_im"])
-    return np.array(
-        [[p["alpha"], beta], [np.conj(beta) * N / M, p["gamma"]]], dtype=complex
-    )
+def _build(
+    name, expr, w, B, T, expected, strings, candidates=(), partner=None, **plan
+) -> CatalogEntry:
+    """The entry of one example from its published facts (see the module docstring).
 
+    T holds the partial GKN traces; each candidate and the partner are
+    stacked (trace, W) vectors of the extended boundary space.
+    """
+    w = np.asarray(w, dtype=float)
+    W = ExtensionSpace(len(w), np.diag(1 / w), np.diag(np.sqrt(w)))
+    B = np.array(B, dtype=complex)
+    i, j = np.tril_indices(len(w), -1)
+    B[i, j] = B[j, i].conj() * w[i] / w[j]
+    T = tuple(TraceVector(t) for t in T)
+    model = build_model(boundary_form(expr), W, OperatorB(B), PartialGKNSet(T))
+    td = model.trace_dim
 
-def _legendre_entry(name: str, p: dict) -> CatalogEntry:
-    A = _exact(p["A"])
-    expr = LegendreType(A)
-    bf = boundary_form(expr)
-    Af = float(A)
-    sA = np.sqrt(Af)
-    W = ExtensionSpace(2, np.eye(2) / Af, np.eye(2) * sA)
-    B = OperatorB.zero(2)
-    T = PartialGKNSet((_tv(sA, 0, 0, 0), _tv(0, 0, sA, 0)))
-    model = build_model(bf, W, B, T)
-    z2 = np.zeros(2)
-    cand = ((_tv(0, 0, 0, sA), z2), (_tv(0, sA, 0, 0), z2))
-    expected = np.array(
-        [
-            [1, 0, 0, 0, -1, 0],
-            [0, 0, 1, 0, 0, -1],
-        ],
-        dtype=complex,
-    )
+    def pair(v):
+        return TraceVector(v[:td]), np.array(v[td:], dtype=complex)
+
+    cands = tuple(pair(v) for v in candidates)
     controls = {
-        "symmetry": ((_tv(0, 0, 0, sA), z2), (_tv(0, 0, sA, 0), z2)),
-        "independence": ((T.traces[0], W.Xi[:, 0]), cand[1]),
-        "cardinality": (cand[0],),
-    }
-    omega = np.array([[0, 8 * Af, 0, 0], [0, 0, 0, -8 * Af]], dtype=complex)
+        "symmetry": cands[:-1] + (pair(partner),),
+        "independence": ((T[0], W.Xi[:, 0]),) + cands[1:],
+        "cardinality": cands[:-1],
+    } if cands else {}
     return CatalogEntry(
-        name, model, cand, expected,
-        ("a_W[1] = x(-1)", "a_W[2] = x(1)"), omega, controls,
+        name, model, cands, np.array(expected, dtype=complex), strings, controls, **plan
+    )
+
+
+def _legendre_type(p: dict) -> dict:
+    A = _exact(p["A"])
+    sA = np.sqrt(float(A))
+    return dict(
+        expr=LegendreType(A), w=(float(A), float(A)), B=np.zeros((2, 2)),
+        T=((sA, 0, 0, 0), (0, 0, sA, 0)),
+        candidates=((0, 0, 0, sA, 0, 0), (0, sA, 0, 0, 0, 0)), partner=(0, 0, sA, 0, 0, 0),
+        expected=[[1, 0, 0, 0, -1, 0], [0, 0, 1, 0, 0, -1]],
+        strings=("a_W[1] = x(-1)", "a_W[2] = x(1)"),
         # singular coefficients: no shooting oracle, eigenvalue claims
         # live in the exact `legendre` suite
         commands=SPECTRUM_COMMANDS + ("legendre",),
     )
 
 
-def _first_order_entry(name: str, p: dict) -> CatalogEntry:
-    expr = FirstOrderI()
-    bf = boundary_form(expr)
-    W = ExtensionSpace(1, np.eye(1))
-    B = OperatorB(np.array([[p["alpha"]]]))
-    T = PartialGKNSet((_tv(1, 1),))
-    model = build_model(bf, W, B, T)
-    cand = ((_tv(0, 1), np.array([0.5])),)
-    expected = np.array([[1, 1, -2]], dtype=complex)
-    controls = {
-        "symmetry": ((_tv(0, 1), np.array([0.0])),),
-        "independence": ((T.traces[0], W.Xi[:, 0]),),
-        "cardinality": (cand[0], (_tv(1, 1), np.array([0.0]))),
-    }
-    omega = np.array([[-1j, 1j]])
-    return CatalogEntry(
-        name, model, cand, expected,
-        ("a_W[1] = 0.5*x(0) + 0.5*x(1)",), omega, controls,
+def _first_order(p: dict) -> dict:
+    return dict(
+        expr=FirstOrderI(), w=(1.0,), B=[[p["alpha"]]], T=((1, 1),),
+        candidates=((0, 1, 0.5),), partner=(0, 1, 0),
+        expected=[[1, 1, -2]], strings=("a_W[1] = 0.5*x(0) + 0.5*x(1)",),
         commands=SPECTRUM_COMMANDS, spectral_window=(-60.0, 60.0),
     )
-
-
-def _fourier_expr(p: dict) -> Fourier:
-    return Fourier(_exact(p["a"]), _exact(p["b"]))
-
-
-def _fourier_model_1d(p: dict, t_trace: TraceVector) -> ExtendedModel:
-    bf = boundary_form(_fourier_expr(p))
-    M = p["M"]
-    W = ExtensionSpace(1, np.eye(1) / M, np.eye(1) * np.sqrt(M))
-    B = OperatorB(np.array([[p["alpha"]]]))
-    return build_model(bf, W, B, PartialGKNSet((t_trace,)))
 
 
 def _fourier_window(p: dict) -> tuple[float, float]:
@@ -183,143 +167,100 @@ def _fourier_window(p: dict) -> tuple[float, float]:
     return (-40.0 / L**2, 320.0 / L**2)
 
 
-def _fourier_3_1_entry(name: str, p: dict) -> CatalogEntry:
-    sM = np.sqrt(p["M"])
-    model = _fourier_model_1d(p, _tv(0, 0, sM, 0))
-    z1 = np.zeros(1)
-    cand = ((_tv(0, 0, 0, 1), z1), (_tv(0, 1, 0, 0), z1))
-    expected = np.array([[1, 0, 0, 0, 0], [0, 0, 1, 0, -1]], dtype=complex)
-    controls = {
-        "symmetry": ((_tv(0, 0, 0, 1), z1), (_tv(0, 0, 1, 0), z1)),
-        "independence": ((model.gkn_partial.traces[0], model.W.Xi[:, 0]), cand[1]),
-        "cardinality": (cand[0],),
-    }
-    omega = np.array([[0, 0, 0, -p["M"]]], dtype=complex)
-    return CatalogEntry(
-        name, model, cand, expected,
-        ("x(a) = 0", "a_W[1] = x(b)"), omega, controls,
-        commands=SPECTRUM_COMMANDS, spectral_window=_fourier_window(p),
+def _fourier(p: dict, **facts) -> dict:
+    """Examples 3.1-3.5: -x'' on [a, b] with dim W = |T|, weights (M, N_weight).
+
+    B has alpha, beta = beta_re + i beta_im and gamma on its upper
+    triangle.  An example is checked against the shooting oracle unless
+    it states its own commands.
+    """
+    k = len(facts["T"])
+    beta = complex(p["beta_re"], p["beta_im"])
+    if "commands" not in facts:
+        facts.update(commands=SPECTRUM_COMMANDS, spectral_window=_fourier_window(p))
+    return dict(
+        expr=Fourier(_exact(p["a"]), _exact(p["b"])),
+        w=(p["M"], p["N_weight"])[:k],
+        B=np.array([[p["alpha"], beta], [0, p["gamma"]]])[:k, :k],
+        **facts,
     )
 
 
-def _fourier_3_2a_entry(name: str, p: dict) -> CatalogEntry:
-    sM = np.sqrt(p["M"])
-    model = _fourier_model_1d(p, _tv(0, sM, 0, 0))
-    z1 = np.zeros(1)
-    cand = ((_tv(1, 0, 0, 0), z1), (_tv(0, 0, 0, 1), z1))
-    expected = np.array([[0, 1, 0, 0, -1], [0, 0, 1, 0, 0]], dtype=complex)
-    controls = {
-        "symmetry": ((_tv(1, 0, 0, 0), z1), (_tv(0, 1, 0, 0), z1)),
-        "independence": ((model.gkn_partial.traces[0], model.W.Xi[:, 0]), cand[1]),
-        "cardinality": (cand[0],),
-    }
-    omega = np.array([[-p["M"], 0, 0, 0]], dtype=complex)
-    return CatalogEntry(
-        name, model, cand, expected,
-        ("a_W[1] = x'(a)", "x(b) = 0"), omega, controls,
-        commands=SPECTRUM_COMMANDS, spectral_window=_fourier_window(p),
+def _fourier_3_1(p: dict) -> dict:
+    return _fourier(
+        p, T=((0, 0, np.sqrt(p["M"]), 0),),
+        candidates=((0, 0, 0, 1, 0), (0, 1, 0, 0, 0)), partner=(0, 0, 1, 0, 0),
+        expected=[[1, 0, 0, 0, 0], [0, 0, 1, 0, -1]], strings=("x(a) = 0", "a_W[1] = x(b)"),
     )
 
 
-def _fourier_3_2b_entry(name: str, p: dict) -> CatalogEntry:
+def _fourier_3_2a(p: dict) -> dict:
+    return _fourier(
+        p, T=((0, np.sqrt(p["M"]), 0, 0),),
+        candidates=((1, 0, 0, 0, 0), (0, 0, 0, 1, 0)), partner=(0, 1, 0, 0, 0),
+        expected=[[0, 1, 0, 0, -1], [0, 0, 1, 0, 0]], strings=("a_W[1] = x'(a)", "x(b) = 0"),
+    )
+
+
+def _fourier_3_2b(p: dict) -> dict:
     """The other reading of the printed display: pairs (x, x'(b)), x(b) = 0."""
-    sM = np.sqrt(p["M"])
-    model = _fourier_model_1d(p, _tv(0, sM, 0, 0))
-    rows = np.array([[0, 0, 0, -1, 1], [0, 0, 1, 0, 0]], dtype=complex)
-    expected = np.array([[0, 0, 1, 0, 0], [0, 0, 0, 1, -1]], dtype=complex)
-    omega = np.array([[-p["M"], 0, 0, 0]], dtype=complex)
-    return CatalogEntry(
-        name, model, (), expected,
-        ("x(b) = 0", "a_W[1] = x'(b)"), omega, {},
-        explicit_rows=rows, expect_self_adjoint=False,
+    return _fourier(
+        p, T=((0, np.sqrt(p["M"]), 0, 0),),
+        explicit_rows=np.array([[0, 0, 0, -1, 1], [0, 0, 1, 0, 0]], dtype=complex),
+        expected=[[0, 0, 1, 0, 0], [0, 0, 0, 1, -1]], strings=("x(b) = 0", "a_W[1] = x'(b)"),
+        commands=ALGEBRA_COMMANDS, expect_self_adjoint=False,
     )
 
 
-def _fourier_model_2d(p: dict, t1: TraceVector, t2: TraceVector) -> ExtendedModel:
-    bf = boundary_form(_fourier_expr(p))
-    M, N = p["M"], p["N_weight"]
-    W = ExtensionSpace(
-        2, np.diag([1.0 / M, 1.0 / N]), np.diag([np.sqrt(M), np.sqrt(N)])
-    )
-    B = OperatorB(_b_matrix_2d(p))
-    return build_model(bf, W, B, PartialGKNSet((t1, t2)))
-
-
-def _fourier_2d_entry(name, p, t1, t2, x1, x2, sym_partner, expected, strings, omega, window):
-    model = _fourier_model_2d(p, t1, t2)
-    z2 = np.zeros(2)
-    cand = ((x1, z2), (x2, z2))
-    controls = {
-        "symmetry": ((x1, z2), (sym_partner, z2)),
-        "independence": ((t1, model.W.Xi[:, 0]), (x2, z2)),
-        "cardinality": ((x1, z2),),
-    }
-    return CatalogEntry(
-        name, model, cand, expected, strings, omega, controls,
-        commands=SPECTRUM_COMMANDS, spectral_window=window,
-    )
-
-
-def _fourier_3_3_entry(name: str, p: dict) -> CatalogEntry:
+def _fourier_3_3(p: dict) -> dict:
     sM, sN = np.sqrt(p["M"]), np.sqrt(p["N_weight"])
-    return _fourier_2d_entry(
-        name, p,
-        _tv(sM, 0, 0, 0), _tv(0, 0, sN, 0),
-        _tv(0, sM, 0, 0), _tv(0, 0, 0, sN),
-        _tv(1, 0, 0, 0),
-        np.array([[1, 0, 0, 0, -1, 0], [0, 0, 1, 0, 0, -1]], dtype=complex),
-        ("a_W[1] = x(a)", "a_W[2] = x(b)"),
-        np.array([[0, p["M"], 0, 0], [0, 0, 0, -p["N_weight"]]], dtype=complex),
-        _fourier_window(p),
+    return _fourier(
+        p, T=((sM, 0, 0, 0), (0, 0, sN, 0)),
+        candidates=((0, sM, 0, 0, 0, 0), (0, 0, 0, sN, 0, 0)), partner=(1, 0, 0, 0, 0, 0),
+        expected=[[1, 0, 0, 0, -1, 0], [0, 0, 1, 0, 0, -1]],
+        strings=("a_W[1] = x(a)", "a_W[2] = x(b)"),
     )
 
 
-def _fourier_3_4_entry(name: str, p: dict) -> CatalogEntry:
+def _fourier_3_4(p: dict) -> dict:
     sM, sN = np.sqrt(p["M"]), np.sqrt(p["N_weight"])
-    return _fourier_2d_entry(
-        name, p,
-        _tv(0, sM, 0, 0), _tv(0, 0, 0, sN),
-        _tv(sM, 0, 0, 0), _tv(0, 0, sN, 0),
-        _tv(0, 1, 0, 0),
-        np.array([[0, 1, 0, 0, -1, 0], [0, 0, 0, 1, 0, -1]], dtype=complex),
-        ("a_W[1] = x'(a)", "a_W[2] = x'(b)"),
-        np.array([[-p["M"], 0, 0, 0], [0, 0, p["N_weight"], 0]], dtype=complex),
-        _fourier_window(p),
+    return _fourier(
+        p, T=((0, sM, 0, 0), (0, 0, 0, sN)),
+        candidates=((sM, 0, 0, 0, 0, 0), (0, 0, sN, 0, 0, 0)), partner=(0, 1, 0, 0, 0, 0),
+        expected=[[0, 1, 0, 0, -1, 0], [0, 0, 0, 1, 0, -1]],
+        strings=("a_W[1] = x'(a)", "a_W[2] = x'(b)"),
     )
 
 
-def _fourier_3_5_entry(name: str, p: dict) -> CatalogEntry:
+def _fourier_3_5(p: dict) -> dict:
     sM, sN = np.sqrt(p["M"]), np.sqrt(p["N_weight"])
-    return _fourier_2d_entry(
-        name, p,
-        _tv(sM, 0, 0, 0), _tv(0, 0, 0, sN),
-        _tv(0, 0, sN, 0), _tv(0, sM, 0, 0),
-        _tv(0, 0, 0, sN),
-        np.array([[1, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, -1]], dtype=complex),
-        ("a_W[1] = x(a)", "a_W[2] = x'(b)"),
-        np.array([[0, p["M"], 0, 0], [0, 0, p["N_weight"], 0]], dtype=complex),
-        _fourier_window(p),
+    return _fourier(
+        p, T=((sM, 0, 0, 0), (0, 0, 0, sN)),
+        candidates=((0, 0, sN, 0, 0, 0), (0, sM, 0, 0, 0, 0)), partner=(0, 0, 0, sN, 0, 0),
+        expected=[[1, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, -1]],
+        strings=("a_W[1] = x(a)", "a_W[2] = x'(b)"),
     )
 
 
-_BUILDERS: dict[str, Callable[[str, dict], CatalogEntry]] = {
-    "legendre_type": _legendre_entry,
-    "first_order": _first_order_entry,
-    "fourier_3_1": _fourier_3_1_entry,
-    "fourier_3_2a": _fourier_3_2a_entry,
-    "fourier_3_2b": _fourier_3_2b_entry,
-    "fourier_3_3": _fourier_3_3_entry,
-    "fourier_3_4": _fourier_3_4_entry,
-    "fourier_3_5": _fourier_3_5_entry,
+# each example's published facts, as a function of the merged params
+_FACTS: dict[str, Callable[[dict], dict]] = {
+    "legendre_type": _legendre_type,
+    "first_order": _first_order,
+    "fourier_3_1": _fourier_3_1,
+    "fourier_3_2a": _fourier_3_2a,
+    "fourier_3_2b": _fourier_3_2b,
+    "fourier_3_3": _fourier_3_3,
+    "fourier_3_4": _fourier_3_4,
+    "fourier_3_5": _fourier_3_5,
 }
 
-EXAMPLE_NAMES = tuple(_BUILDERS)
+EXAMPLE_NAMES = tuple(_FACTS)
 
 
 def build_example(name: str, params: dict | None = None) -> CatalogEntry:
-    if name not in _BUILDERS:
+    if name not in _FACTS:
         raise KeyError(f"unknown example {name!r}; choose one of {EXAMPLE_NAMES}")
-    return _BUILDERS[name](name, _merge(params))
+    return _build(name, **_FACTS[name](_merge(params)))
 
 
 def sabotage_rows(bc: BoundaryConditions, trace_dim: int) -> np.ndarray:

@@ -33,6 +33,7 @@ from .extension import (
     bc_to_json,
     boundary_conditions_from_rows,
     check_gkn_extended,
+    constraint_rows,
     coupling_scale,
     extended_deficiency_vectors,
     model_from_json,
@@ -47,15 +48,6 @@ from .legendre import (
     extended_gram,
     lt_eigenvalue,
     operator_basis,
-)
-from .spectral import (
-    DiscreteDomain,
-    assemble,
-    eigenrelation_residual,
-    modulus_order,
-    shooting_oracle,
-    spectrum,
-    symmetry_defect,
 )
 from .symplectic import TOL_RADICAL, GknError, quotient_by, radical_residual
 
@@ -175,7 +167,7 @@ def _entry_from_config(cfg: dict):
         raise ConfigError(f"bad custom {section!r} section: {type(e).__name__}: {e}") from e
     # without candidates there are no conditions to derive or GKN set to check
     return catalog.CatalogEntry(
-        "custom", model, cands, np.zeros((0, model.ambient_dim)), (), model.Omega.copy(),
+        "custom", model, cands, np.zeros((0, model.ambient_dim)), (),
         commands=catalog.ALGEBRA_COMMANDS if cands else ("check-symplectic",),
     )
 
@@ -226,10 +218,7 @@ def run_verify_gkn(entry, cfg, checks: Checks, report: dict):
             "cardinality": not rep.count_ok,
         }[ctrl]
         checks.eq(f"control_{ctrl}_detected", True, flag)
-        rows = np.vstack(
-            [entry.model.stack(t, w).conj() @ entry.model.F_ext.matrix for t, w in cands]
-        )
-        bad = boundary_conditions_from_rows(entry.model, rows)
+        bad = boundary_conditions_from_rows(entry.model, constraint_rows(entry.model, cands))
         checks.eq(
             f"control_{ctrl}_not_self_adjoint",
             False,
@@ -238,6 +227,17 @@ def run_verify_gkn(entry, cfg, checks: Checks, report: dict):
 
 
 def run_spectrum(entry, cfg, checks: Checks, report: dict):
+    # scipy loads here, so the algebra commands never import it
+    from .spectral import (
+        DiscreteDomain,
+        assemble,
+        eigenrelation_residual,
+        modulus_order,
+        shooting_oracle,
+        spectrum,
+        symmetry_defect,
+    )
+
     seed = cfg["seed"]
     model = entry.model
     a, b = (float(v) for v in model.expr.interval)
@@ -250,8 +250,14 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
         checks.le("symmetry_defect_polynomial_subspace", defect, TOLERANCES["defect"])
     else:
         checks.le("symmetry_defect", defect, TOLERANCES["defect"])
-        rep = spectrum(op, 8, seed=seed)
-        report["eigenvalues"] = rep.to_json(defect)
+        rep = spectrum(op, 8)
+        report["eigenvalues"] = {
+            "eigenvalues": [[float(z.real), float(z.imag)] for z in rep.eigenvalues],
+            "residuals": [float(r) for r in rep.residuals],
+            "max_imag": float(rep.max_imag),
+            "symmetry_defect": float(defect),
+            "seed": seed,
+        }
         checks.le("max_imag_part", rep.max_imag, TOLERANCES["max_imag"])
         roots = shooting_oracle(model, bc, entry.spectral_window)
         oracle5 = [roots[i] for i in modulus_order(roots)[:5]]

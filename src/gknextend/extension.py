@@ -340,6 +340,12 @@ def render_rows(canonical: np.ndarray, labels: Sequence[str], trace_dim: int) ->
     return tuple(out)
 
 
+def constraint_rows(model: ExtendedModel, candidates: Sequence) -> np.ndarray:
+    """Row j is (x,a) -> F_ext((x,a), (x_j,a_j)); no candidates give no rows."""
+    rows = [model.stack(t, w).conj() @ model.F_ext.matrix for t, w in candidates]
+    return np.array(rows, dtype=complex).reshape(len(rows), model.ambient_dim)
+
+
 def derive_boundary_conditions(model: ExtendedModel, candidates: Sequence) -> BoundaryConditions:
     """Constraint matrix whose row j is (x,a) -> F_ext((x,a), (x_j,a_j)).
 
@@ -352,8 +358,7 @@ def derive_boundary_conditions(model: ExtendedModel, candidates: Sequence) -> Bo
         raise ModelError(
             f"candidates are not a GKN set for the extended minimal operator: {report}"
         )
-    rows = [model.stack(t, w).conj() @ model.F_ext.matrix for t, w in candidates]
-    C = np.vstack(rows)
+    C = constraint_rows(model, candidates)
     canonical, pivots = rref(C)
     if len(pivots) != model.deficiency:
         raise ModelError(

@@ -204,17 +204,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray    # sorted by |lambda| to 9 digits, then real part
     residuals: np.ndarray
     max_imag: float
-    seed: int
-
-    def to_json(self, symmetry_defect: float) -> dict:
-        """The report, with the symmetry defect measured on the same assembly."""
-        return {
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
-            "residuals": [float(r) for r in self.residuals],
-            "max_imag": float(self.max_imag),
-            "symmetry_defect": float(symmetry_defect),
-            "seed": self.seed,
-        }
 
 
 def modulus_order(values) -> np.ndarray:
@@ -228,7 +217,7 @@ def modulus_order(values) -> np.ndarray:
     return np.lexsort((values.real, modulus))
 
 
-def spectrum(op: DiscreteExtendedOperator, count: int, seed: int = 0) -> SpectrumReport:
+def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
     """The `count` eigenvalues of the reduced pair (A_red, Gram_red) of smallest |lambda|.
 
     Gram_red is Hermitian positive definite (the H + W inner product
@@ -309,7 +298,6 @@ def spectrum(op: DiscreteExtendedOperator, count: int, seed: int = 0) -> Spectru
         eigenvalues=evals,
         residuals=resids,
         max_imag=float(np.abs(evals.imag).max(initial=0.0)),
-        seed=seed,
     )
 
 
@@ -347,19 +335,21 @@ def _fundamental_traces(expr: DiffExpr, lams: np.ndarray) -> np.ndarray:
     return np.concatenate([np.broadcast_to(np.eye(m, dtype=dtype), Yb.shape), Yb], axis=1)
 
 
-def characteristic_value(model: ExtendedModel, bc: BoundaryConditions, lam):
+def characteristic_value(
+    model: ExtendedModel, bc: BoundaryConditions, lams: np.ndarray
+) -> np.ndarray:
     """Real characteristic function whose zeros are the eigenvalues.
 
     Assembles the square system (boundary rows, W eigen-rows) on the
-    fundamental-solution coefficients and the W coordinates, for a scalar
-    lam (returns a float) or an array of lam (returns an array, one batched
-    matrix exponential).  Liouville's factor exp(-(b - a) tr C / 2) of the
-    companion matrix C divides out the determinant's constant phase (1 for
-    -x''); a non-negligible imaginary remainder raises.
+    fundamental-solution coefficients and the W coordinates, for every
+    lambda of the 1-D array lams at once (one batched matrix exponential).
+    Liouville's factor exp(-(b - a) tr C / 2) of the companion matrix C
+    divides out the determinant's constant phase (1 for -x''); a
+    non-negligible imaginary remainder raises.
     """
     expr = model.expr
     k, td = model.k, model.trace_dim
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    lams = np.asarray(lams, dtype=float)
     fund = _fundamental_traces(expr, lams)
     nf = fund.shape[2]
     rows = bc.canonical
@@ -391,7 +381,7 @@ def characteristic_value(model: ExtendedModel, bc: BoundaryConditions, lam):
             f"(got {det[i]:.3e}); a B that is not self-adjoint for the W inner product "
             f"is outside the oracle's scope"
         )
-    return float(det[0].real) if np.ndim(lam) == 0 else det.real
+    return det.real
 
 
 def _illinois(f, a, b, fa, fb) -> np.ndarray:

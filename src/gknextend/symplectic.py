@@ -171,10 +171,6 @@ class GknCheck:
     independent_mod_M: bool
     symmetric: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.independent_mod_M and self.symmetric
-
 
 def check_gkn_vectors(F: SkewForm, M: Subspace, V) -> GknCheck:
     """Independence modulo M (joint rank) and pairwise form vanishing.

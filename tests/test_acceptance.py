@@ -15,6 +15,7 @@ from gknextend.collocation import make_grid
 from gknextend.extension import (
     boundary_conditions_from_rows,
     check_gkn_extended,
+    constraint_rows,
     extended_deficiency_vectors,
     verify_self_adjoint_domain,
 )
@@ -169,9 +170,7 @@ def test_05_gkn_verification_with_controls():
                 "cardinality": not bad_rep.count_ok,
             }[ctrl]
             ok &= flag
-            rows = np.vstack(
-                [entry.model.stack(tv, w).conj() @ entry.model.F_ext.matrix for tv, w in cands]
-            )
+            rows = constraint_rows(entry.model, cands)
             ok &= not verify_self_adjoint_domain(
                 entry.model, boundary_conditions_from_rows(entry.model, rows)
             )
@@ -235,7 +234,7 @@ def test_08_spectral_oracle_agreement(spectral_assemblies):
     for (name, _), (entry, bc, op, grid) in spectral_assemblies.items():
         defect = symmetry_defect(op, 8)
         ok &= defect <= 1e-9
-        rep = spectrum(op, 8, seed=8)
+        rep = spectrum(op, 8)
         ok &= rep.max_imag <= 1e-8
         roots = shooting_oracle(entry.model, bc, entry.spectral_window)
         oracle5 = sorted(roots, key=abs)[:5]

@@ -231,11 +231,9 @@ class TestBenchmarkHarness:
         assert poly.__mul__ is mul
 
     def test_cli_import_leaves_out_scipy_integrate(self):
+        # `spectral` is imported by `run_spectrum` alone: the algebra commands load no scipy
         src = str(Path(gknextend.__file__).resolve().parents[1])
-        code = (
-            "import sys, gknextend.cli; assert 'scipy.integrate' not in sys.modules; "
-            "assert 'scipy.sparse' not in sys.modules"
-        )
+        code = "import sys, gknextend.cli; assert 'scipy' not in sys.modules"
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
@@ -483,7 +481,6 @@ class TestMain:
             calls.append(args[0])
             return symmetry_defect(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "symmetry_defect", counted)
         monkeypatch.setattr(spectral, "symmetry_defect", counted)
         report = run({"example": example, "seed": 0}, "spectrum")
         assert len(calls) == 2 and calls[0] is not calls[1]

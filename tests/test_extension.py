@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gknextend.catalog import EXAMPLE_NAMES, build_example, sabotage_rows
+from gknextend.catalog import DEFAULT_PARAMS, EXAMPLE_NAMES, build_example, sabotage_rows
 from gknextend.expressions import (
     Fourier,
     TraceVector,
@@ -18,6 +18,7 @@ from gknextend.extension import (
     boundary_conditions_from_rows,
     build_model,
     check_gkn_extended,
+    constraint_rows,
     derive_boundary_conditions,
     extended_deficiency_vectors,
     model_from_json,
@@ -39,6 +40,26 @@ from conftest import (
 
 ALL_ENTRIES = [build_example(n) for n in EXAMPLE_NAMES]
 GKN_ENTRIES = [e for e in ALL_ENTRIES if e.candidates]
+# the defaults and a point off them for every parameter an example reads
+PARAM_SETS = (
+    {},
+    {"A": 2.5, "M": 0.7, "N_weight": 3.2, "alpha": 0.4, "beta_re": 0.3, "beta_im": -0.6,
+     "gamma": -1.1, "a": -0.4, "b": 1.3},
+)
+
+
+def published_omega(name: str, A: float, M: float, N: float) -> list:
+    """Omega of each worked example as the sources print it."""
+    return {
+        "legendre_type": [[0, 8 * A, 0, 0], [0, 0, 0, -8 * A]],
+        "first_order": [[-1j, 1j]],
+        "fourier_3_1": [[0, 0, 0, -M]],
+        "fourier_3_2a": [[-M, 0, 0, 0]],
+        "fourier_3_2b": [[-M, 0, 0, 0]],
+        "fourier_3_3": [[0, M, 0, 0], [0, 0, 0, -N]],
+        "fourier_3_4": [[-M, 0, 0, 0], [0, 0, N, 0]],
+        "fourier_3_5": [[0, M, 0, 0], [0, 0, N, 0]],
+    }[name]
 
 
 class TestBuildModel:
@@ -60,9 +81,13 @@ class TestBuildModel:
         with pytest.raises(ModelError, match="arity"):
             PartialGKNSet((TraceVector((1, 1)),)).matrix(4)
 
-    @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
-    def test_omega_matches_published_value(self, entry):
-        assert np.abs(entry.model.Omega - entry.expected_omega).max() < 1e-12
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_omega_matches_published_value(self, name):
+        for params in PARAM_SETS:
+            p = {**DEFAULT_PARAMS, **params}
+            expected = published_omega(name, p["A"], p["M"], p["N_weight"])
+            Omega = build_example(name, params).model.Omega
+            assert np.abs(Omega - np.array(expected)).max() < 1e-12 * (1 + np.abs(expected).max())
 
     def test_legendre_omega_action(self):
         model = build_example("legendre_type", {"A": 3.0}).model
@@ -169,14 +194,18 @@ class TestGknExtended:
 
     @pytest.mark.parametrize("entry", GKN_ENTRIES, ids=lambda e: e.name)
     def test_controls_fail_where_expected(self, entry):
-        for ctrl, cands in entry.controls.items():
-            rep = check_gkn_extended(entry.model, cands)
-            expected_flag = {
-                "symmetry": not rep.symmetric,
-                "independence": not rep.independent_mod_min,
-                "cardinality": not rep.count_ok,
-            }[ctrl]
-            assert expected_flag, (entry.name, ctrl, rep)
+        # each control breaks the GKN condition it names and keeps the other two
+        for params in PARAM_SETS:
+            built = build_example(entry.name, params)
+            assert set(built.controls) == {"symmetry", "independence", "cardinality"}
+            for ctrl, cands in built.controls.items():
+                rep = check_gkn_extended(built.model, cands)
+                holds = {
+                    "symmetry": rep.symmetric,
+                    "independence": rep.independent_mod_min,
+                    "cardinality": rep.count_ok,
+                }
+                assert holds == {c: c != ctrl for c in holds}, (entry.name, params, ctrl, rep)
 
     def test_minimal_pair_breaks_independence(self):
         entry = build_example("legendre_type")
@@ -226,10 +255,6 @@ EDGE_PARAMS = (
 )
 
 
-def _candidate_rows(model, cands):
-    return np.vstack([model.stack(t, w).conj() @ model.F_ext.matrix for t, w in cands])
-
-
 def _certificate_cases(entry, rng):
     """Constraint rows of every kind the certificate meets on one model."""
     model = entry.model
@@ -237,7 +262,7 @@ def _certificate_cases(entry, rng):
     published = entry.boundary_conditions().C
     yield published
     for cands in entry.controls.values():
-        yield _candidate_rows(model, cands)
+        yield constraint_rows(model, cands)
     Fq, Q = quotient_by(model.F_ext, model.M_min)
     for _ in range(20):
         lifted = Q @ random_complete_lagrangian(Fq, rng).basis
@@ -271,7 +296,7 @@ class TestVerifySelfAdjointDomain:
     @pytest.mark.parametrize("entry", GKN_ENTRIES, ids=lambda e: e.name)
     def test_mutated_controls_not_self_adjoint(self, entry):
         for ctrl, cands in entry.controls.items():
-            bc = boundary_conditions_from_rows(entry.model, _candidate_rows(entry.model, cands))
+            bc = boundary_conditions_from_rows(entry.model, constraint_rows(entry.model, cands))
             assert not verify_self_adjoint_domain(entry.model, bc), (entry.name, ctrl)
 
     @pytest.mark.parametrize("entry", GKN_ENTRIES, ids=lambda e: e.name)

@@ -583,11 +583,11 @@ class TestShootingOracle:
         alpha = 0.75
         entry = build_example("first_order", {"alpha": alpha})
         bc = entry.boundary_conditions()
-        for lam in (-3.3, 0.4, 7.9):
-            got = characteristic_value(entry.model, bc, lam)
-            expected = 2 * ((alpha - lam) * np.cos(lam / 2) - 2 * np.sin(lam / 2))
-            # overall scaling of the determinant is fixed by the canonical rows
-            assert abs(got - expected) < 1e-8 * (1 + abs(expected))
+        lams = np.array([-3.3, 0.4, 7.9])
+        got = characteristic_value(entry.model, bc, lams)
+        expected = 2 * ((alpha - lams) * np.cos(lams / 2) - 2 * np.sin(lams / 2))
+        # overall scaling of the determinant is fixed by the canonical rows
+        assert np.all(np.abs(got - expected) < 1e-8 * (1 + np.abs(expected)))
 
     def test_characteristic_value_batch_first_order(self):
         alpha = -1.25
@@ -606,12 +606,13 @@ class TestShootingOracle:
         expected = (0.6 - lams) * S + 2.5 * C
         assert np.all(np.abs(got - expected) < 1e-8 * (1 + np.abs(expected)))
 
-    def test_characteristic_value_scalar_is_float(self):
+    def test_characteristic_value_single_lambda_matches_batch(self):
         entry = build_example("fourier_3_3")
         bc = entry.boundary_conditions()
-        got = characteristic_value(entry.model, bc, 3.5)
-        assert isinstance(got, float)
-        assert got == pytest.approx(float(characteristic_value(entry.model, bc, [3.5])[0]), rel=1e-9)
+        got = characteristic_value(entry.model, bc, np.array([3.5]))
+        batch = characteristic_value(entry.model, bc, np.array([-2.0, 3.5, 40.0]))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(batch[1], rel=1e-9)
 
     def test_non_self_adjoint_b_is_refused(self):
         # build_model refuses such a B, so swap it into a built model: the
