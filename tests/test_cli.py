@@ -230,7 +230,7 @@ class TestBenchmarkHarness:
             assert all(vars(ns)[name] is value for name, value in old.items()), ns.__name__
         assert poly.__mul__ is mul
 
-    def test_cli_import_leaves_out_scipy_integrate(self):
+    def test_cli_import_leaves_out_scipy(self):
         # `spectral` is imported by `run_spectrum` alone: the algebra commands load no scipy
         src = str(Path(gknextend.__file__).resolve().parents[1])
         code = "import sys, gknextend.cli; assert 'scipy' not in sys.modules"
