@@ -63,10 +63,8 @@ class CatalogEntry:
     """A worked example together with its verification plan.
 
     For a catalog example, W has Gram diag(1/w) and basis diag(sqrt w)
-    for the published weights w, and `controls` maps each GKN condition
-    to a mutated candidate set that breaks it alone: `symmetry` swaps the
-    last candidate for a published partner, `independence` swaps the
-    first for the minimal pair (t_1, xi_1), `cardinality` drops the last.
+    for the published weights w.  `controls` maps each GKN condition to a
+    mutated candidate set that breaks it alone (`negative_controls`).
 
     The plan states which CLI commands apply (in the order `all` runs
     them), the verdict the self-adjointness certificate must reach, and
@@ -125,14 +123,29 @@ def _build(
         return TraceVector(v[:td]), np.array(v[td:], dtype=complex)
 
     cands = tuple(pair(v) for v in candidates)
-    controls = {
-        "symmetry": cands[:-1] + (pair(partner),),
-        "independence": ((T[0], W.Xi[:, 0]),) + cands[1:],
-        "cardinality": cands[:-1],
-    } if cands else {}
+    controls = negative_controls(model, cands, pair(partner) if partner else None)
     return CatalogEntry(
         name, model, cands, np.array(expected, dtype=complex), strings, controls, **plan
     )
+
+
+def negative_controls(model: ExtendedModel, cands: tuple, partner=None) -> dict:
+    """The mutated GKN sets of `cands`, each breaking one GKN condition alone.
+
+    `symmetry` swaps the last candidate for `partner`, when one is given;
+    `independence` swaps the first for the minimal pair (t_1, xi_1), when
+    the model has one (dim W > 0); `cardinality` drops the last.  Without
+    candidates there is no GKN set to mutate.
+    """
+    if not cands:
+        return {}
+    controls = {}
+    if partner is not None:
+        controls["symmetry"] = cands[:-1] + (partner,)
+    if len(model.gkn_partial):
+        controls["independence"] = ((model.gkn_partial.traces[0], model.W.Xi[:, 0]),) + cands[1:]
+    controls["cardinality"] = cands[:-1]
+    return controls
 
 
 def _legendre_type(p: dict) -> dict:

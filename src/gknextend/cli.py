@@ -20,7 +20,6 @@ import json
 import sys
 import time
 import traceback
-from fractions import Fraction
 
 import numpy as np
 from jsonschema.exceptions import best_match
@@ -39,16 +38,7 @@ from .extension import (
     model_from_json,
     verify_self_adjoint_domain,
 )
-from .expressions import apply_expr
-from .legendre import (
-    N_MAX,
-    boundary_identity_check,
-    eigen_residual,
-    extended_eigen_check,
-    extended_gram,
-    lt_eigenvalue,
-    operator_basis,
-)
+from .legendre import N_MAX, exact_suite, lt_eigenvalue, operator_basis
 from .symplectic import TOL_RADICAL, GknError, quotient_by, radical_residual
 
 # acceptance gates, the same for every config
@@ -165,9 +155,11 @@ def _entry_from_config(cfg: dict):
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"bad custom {section!r} section: {type(e).__name__}: {e}") from e
-    # without candidates there are no conditions to derive or GKN set to check
+    # without candidates there are no conditions to derive or GKN set to check;
+    # a custom model states no symmetry partner, so that control is left out
     return catalog.CatalogEntry(
         "custom", model, cands, np.zeros((0, model.ambient_dim)), (),
+        controls=catalog.negative_controls(model, cands),
         commands=catalog.ALGEBRA_COMMANDS if cands else ("check-symplectic",),
     )
 
@@ -301,30 +293,11 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
 
 
 def run_legendre(entry, cfg, checks: Checks, report: dict):
-    expr = entry.model.expr
-    n_max = cfg["n_max"]
-    basis = operator_basis(expr.A, n_max)
-    eig_ok = True
-    bnd_ok = True
-    ext_ok = True
-    neg_ok = True
-    I2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for n in range(n_max + 1):
-        # one image l P_n serves every check of P_n
-        image = apply_expr(expr, basis[n])
-        eig_ok &= eigen_residual(basis, n, image).is_zero()
-        bnd_ok &= boundary_identity_check(basis, n)
-        ext_ok &= extended_eigen_check(basis, n, image)
-        if n:
-            neg_ok &= not extended_eigen_check(basis, n, image, I2)
-    gram = extended_gram(basis)
-    orth_ok = all(gram[m][n] == 0 for m in range(n_max + 1) for n in range(m + 1, n_max + 1))
-    checks.eq("eigenvalue_formula_exact", True, eig_ok)
-    checks.eq("boundary_identity_exact", True, bnd_ok)
-    checks.eq("extended_eigen_relation_exact", True, ext_ok)
-    checks.eq("extended_orthogonality_exact", True, orth_ok)
-    checks.eq("nonzero_B_breaks_eigenvectors", True, neg_ok)
-    report["legendre_eigenvalues"] = [str(lt_eigenvalue(n, expr.A)) for n in range(n_max + 1)]
+    A, n_max = entry.model.expr.A, cfg["n_max"]
+    eigenvalues = [lt_eigenvalue(n, A) for n in range(n_max + 1)]
+    for name, ok in exact_suite(operator_basis(A, n_max), eigenvalues).items():
+        checks.eq(name, True, ok)
+    report["legendre_eigenvalues"] = [str(lam) for lam in eigenvalues]
 
 
 # `all` runs every command an entry lists, in the entry's order

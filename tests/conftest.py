@@ -1,5 +1,6 @@
 import functools
 import importlib
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,13 +67,43 @@ def benchmark_ops(monkeypatch, workload, seed):
     return [(command, cfg) for command, cfg, _ in workloads.build_ops(workload, seed)]
 
 
+def custom_config(name: str) -> dict:
+    """A catalog example restated as a custom model with its candidates."""
+    from gknextend.catalog import build_example
+    from gknextend.extension import model_to_json
+
+    entry = build_example(name)
+
+    def flat(v):
+        return [x for z in np.asarray(v, dtype=complex) for x in (z.real, z.imag)]
+
+    cands = [{"trace": flat(t.as_array()), "w": flat(w)} for t, w in entry.candidates]
+    return {"example": "custom", "model": model_to_json(entry.model), "candidates": cands}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
 
 
 # -- independent reference for the exact Legendre suite ---------------------
-# The library builds P_n from the operator; these build them from the measure.
+# The library builds q_n = c_n P_n from the operator on integers; these build
+# the monic P_n from the measure, and run the suite's checks in Fraction
+# arithmetic the direct way.
+
+
+@dataclass(frozen=True)
+class LTBasis:
+    """Monic polynomials P_0..P_n with deg P_n = n."""
+
+    A: Fraction
+    polys: tuple
+
+    def __len__(self) -> int:
+        return len(self.polys)
+
+    def __getitem__(self, n: int):
+        return self.polys[n]
 
 
 def mu_inner(p, q, A):
@@ -88,21 +119,110 @@ def mu_inner(p, q, A):
 
 @functools.lru_cache(maxsize=None)
 def gram_schmidt(A, n_max):
-    """Monic orthogonal polynomials under the point-mass measure."""
-    from gknextend.legendre import LTBasis
+    """Monic orthogonal polynomials under the point-mass measure.
+
+    The measure is symmetric, so Gram-Schmidt reduces to Stieltjes's
+    three-term recurrence P_(n+1) = u P_n - (|P_n|^2 / |P_(n-1)|^2) P_(n-1).
+    """
     from gknextend.polynomials import Poly
 
     A = Fraction(A)
-    polys = []
-    norms = []
-    for n in range(n_max + 1):
-        p = Poly([Fraction(0)] * n + [Fraction(1)])  # u^n
-        for m, pm in enumerate(polys):
-            c = mu_inner(p, pm, A) / norms[m]
-            p = p - pm.scale(c)
+    polys = [Poly([1])]
+    norms = [mu_inner(polys[0], polys[0], A)]
+    for n in range(n_max):
+        p = Poly((0,) + polys[n].coeffs)  # u P_n
+        if n:
+            p = p - polys[n - 1].scale(norms[n] / norms[n - 1])
         polys.append(p)
         norms.append(mu_inner(p, p, A))
     return LTBasis(A, tuple(polys))
+
+
+def hankel_gram(basis):
+    """Gram matrix <P_m, P_n> from the moments m_k = 2/(k+1) + 2/A (k even)."""
+    A = basis.A
+    degree = len(basis) - 1
+    mom = [Fraction(2, k + 1) + 2 / A if k % 2 == 0 else 0 for k in range(2 * degree + 1)]
+    G = [[Fraction(0)] * len(basis) for _ in basis.polys]
+    for m, pm in enumerate(basis.polys):
+        h = [
+            sum(c * mom[i + j] for j, c in enumerate(pm.coeffs) if c and mom[i + j])
+            for i in range(degree + 1)
+        ]
+        for n in range(m, len(basis)):
+            G[m][n] = G[n][m] = sum(c * hi for c, hi in zip(basis[n].coeffs, h) if c and hi)
+    return G
+
+
+def reference_eigenvalue(n, A):
+    """lambda_n = n(n+1)(n^2 + n + 4A - 2) in Fraction arithmetic."""
+    return Fraction(n) * (n + 1) * (Fraction(n) * n + n + 4 * Fraction(A) - 2)
+
+
+def eigen_residual(basis, n, image):
+    """image - lambda_n P_n, where image = l P_n; zero iff P_n is an exact eigenvector."""
+    return image - basis[n].scale(reference_eigenvalue(n, basis.A))
+
+
+def boundary_identity_check(basis, n) -> bool:
+    """Exact identity 8A P'(1) = lambda_n P(1) and -8A P'(-1) = lambda_n P(-1)."""
+    A = basis.A
+    p = basis[n]
+    dp = p.deriv()
+    lam = reference_eigenvalue(n, A)
+    one = Fraction(1)
+    return (8 * A * dp(one) == lam * p(one)) and (-8 * A * dp(-one) == lam * p(-one))
+
+
+def jump_action(A, p, a, B=None):
+    """W component B a - Omega p of the extended action (l p, B a - Omega p),
+    with Omega p = (8A p'(-1), -8A p'(1)) and B a 2x2 rational matrix (None is zero)."""
+    A = Fraction(A)
+    dp = p.deriv()
+    omega = (8 * A * dp(Fraction(-1)), -8 * A * dp(Fraction(1)))
+    if B is None:
+        return (-omega[0], -omega[1])
+    return (
+        B[0][0] * a[0] + B[0][1] * a[1] - omega[0],
+        B[1][0] * a[0] + B[1][1] * a[1] - omega[1],
+    )
+
+
+def extended_eigen_check(basis, n, image, B=None) -> bool:
+    """Is (P_n, (P_n(-1), P_n(1))) an exact eigenvector of the extended action?
+
+    `image` is l P_n, the H component of the action.
+    """
+    p = basis[n]
+    a = (p(Fraction(-1)), p(Fraction(1)))
+    w = jump_action(basis.A, p, a, B)
+    lam = reference_eigenvalue(n, basis.A)
+    return eigen_residual(basis, n, image).is_zero() and w == (lam * a[0], lam * a[1])
+
+
+def fraction_suite(A, n_max):
+    """The five verdicts of the exact suite, in Fraction arithmetic on the
+    Gram-Schmidt basis."""
+    from gknextend.expressions import LegendreType, apply_expr
+
+    basis = gram_schmidt(Fraction(A), n_max)
+    I2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    images = [apply_expr(LegendreType(basis.A), p) for p in basis.polys]
+    gram = hankel_gram(basis)
+    rng = range(n_max + 1)
+    return {
+        "eigenvalue_formula_exact": all(eigen_residual(basis, n, images[n]).is_zero() for n in rng),
+        "boundary_identity_exact": all(boundary_identity_check(basis, n) for n in rng),
+        "extended_eigen_relation_exact": all(
+            extended_eigen_check(basis, n, images[n]) for n in rng
+        ),
+        "extended_orthogonality_exact": all(
+            gram[m][n] == 0 for m in rng for n in rng if m < n
+        ),
+        "nonzero_B_breaks_eigenvectors": not any(
+            extended_eigen_check(basis, n, images[n], I2) for n in rng
+        ),
+    }
 
 
 # -- independent references for the spectral reductions ---------------------

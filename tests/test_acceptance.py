@@ -20,12 +20,7 @@ from gknextend.extension import (
     verify_self_adjoint_domain,
 )
 from gknextend.expressions import LegendreType, apply_expr
-from gknextend.legendre import (
-    boundary_identity_check,
-    eigen_residual,
-    extended_eigen_check,
-    operator_basis,
-)
+from gknextend.legendre import exact_suite, lt_eigenvalue, operator_basis
 from gknextend.spectral import (
     assemble,
     eigenrelation_residual,
@@ -36,12 +31,15 @@ from gknextend.spectral import (
 from gknextend.symplectic import SkewForm, quotient_by
 
 from conftest import (
+    boundary_identity_check,
+    extended_eigen_check,
     form_eval,
     gram_schmidt,
     is_complete_lagrangian,
     is_lagrangian,
     radical,
     random_complete_lagrangian,
+    reference_eigenvalue,
     random_skew_hermitian,
     subspace_contains,
     w_inner,
@@ -50,6 +48,7 @@ from conftest import (
 A_VALUES = (Fraction(1), Fraction(5, 2), Fraction(10))
 N_RANGE = range(13)
 I2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+EIGENVALUES = {A: [lt_eigenvalue(n, A) for n in N_RANGE] for A in A_VALUES}
 
 GKN_EXAMPLES = (
     "legendre_type",
@@ -109,13 +108,15 @@ def test_01_eigenvalue_formula_exact():
     ok = True
     for A in A_VALUES:
         basis = gram_schmidt(A, 12)
-        # the operator's eigenpolynomials are the measure's orthogonal ones
-        ok &= operator_basis(A, 12).polys == basis.polys
+        q = operator_basis(A, 12)
+        # the operator's eigenvectors are multiples of the measure's orthogonal polynomials
+        ok &= all(
+            tuple(Fraction(c, q[n][-1]) for c in q[n]) == basis[n].coeffs for n in N_RANGE
+        )
+        ok &= exact_suite(q, EIGENVALUES[A])["eigenvalue_formula_exact"]
         for n in N_RANGE:
-            lam = Fraction(n) * (n + 1) * (n * n + n + 4 * A - 2)
-            image = apply_expr(LegendreType(A), basis[n])
-            ok &= image == basis[n].scale(lam)
-            ok &= eigen_residual(basis, n, image).is_zero()
+            lam = reference_eigenvalue(n, A)
+            ok &= apply_expr(LegendreType(A), basis[n]) == basis[n].scale(lam)
     elapsed = time.perf_counter() - t0
     ok &= elapsed <= 30.0
     report(1, "eigenvalue-formula-exact (3 weights, n<=12)", ok, t0)
@@ -128,6 +129,7 @@ def test_02_boundary_identity_exact():
         basis = gram_schmidt(A, 12)
         for n in N_RANGE:
             ok &= boundary_identity_check(basis, n)
+        ok &= exact_suite(operator_basis(A, 12), EIGENVALUES[A])["boundary_identity_exact"]
     report(2, "endpoint-identity-exact (fixed sign pairing)", ok, t0)
 
 
@@ -139,8 +141,10 @@ def test_03_extended_eigenrelation_both_directions():
         images = [apply_expr(LegendreType(A), p) for p in basis.polys]
         for n in N_RANGE:
             ok &= extended_eigen_check(basis, n, images[n])            # B = 0: exact eigenvector
-        for n in range(1, 13):
             ok &= not extended_eigen_check(basis, n, images[n], I2)    # B = I: must fail
+        verdicts = exact_suite(operator_basis(A, 12), EIGENVALUES[A])
+        ok &= verdicts["extended_eigen_relation_exact"]
+        ok &= verdicts["nonzero_B_breaks_eigenvectors"]
     report(3, "extended-eigenvectors-iff-B-zero", ok, t0)
 
 

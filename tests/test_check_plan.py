@@ -5,12 +5,12 @@ boundary conditions of each catalog example at default parameters and of
 one custom model.  It stores no floats, so it holds across platforms.
 """
 
-import numpy as np
 import pytest
 
-from gknextend.catalog import EXAMPLE_NAMES, build_example
+from gknextend.catalog import EXAMPLE_NAMES
 from gknextend.cli import run
-from gknextend.extension import model_to_json
+
+from conftest import custom_config
 
 SYMPLECTIC = [
     "boundary_form_skew_residual",
@@ -65,21 +65,13 @@ GOLDEN = {
     "fourier_3_3": (ORACLE_ALL, ["a_W[1] = x(a)", "a_W[2] = x(b)"]),
     "fourier_3_4": (ORACLE_ALL, ["a_W[1] = x'(a)", "a_W[2] = x'(b)"]),
     "fourier_3_5": (ORACLE_ALL, ["a_W[1] = x(a)", "a_W[2] = x'(b)"]),
-    # a custom model has no published matrix to compare against
+    # a custom model has no published matrix to compare against, and no
+    # symmetry partner for the controls
     "custom": (
-        SYMPLECTIC + ["constrained_domain_self_adjoint"] + GKN,
+        SYMPLECTIC + ["constrained_domain_self_adjoint"] + GKN + CONTROLS[2:],
         ["a_W[1] = x(a)", "a_W[2] = x'(b)"],
     ),
 }
-
-
-def _custom_config() -> dict:
-    entry = build_example("fourier_3_5")
-    cands = []
-    for t, w in entry.candidates:
-        flat = lambda v: [x for z in np.asarray(v, dtype=complex) for x in (z.real, z.imag)]
-        cands.append({"trace": flat(t.as_array()), "w": flat(w)})
-    return {"example": "custom", "model": model_to_json(entry.model), "candidates": cands}
 
 
 def test_golden_covers_the_catalog():
@@ -88,7 +80,7 @@ def test_golden_covers_the_catalog():
 
 @pytest.mark.parametrize("example", list(GOLDEN))
 def test_check_plan_of_all(example):
-    cfg = _custom_config() if example == "custom" else {"example": example}
+    cfg = custom_config("fourier_3_5") if example == "custom" else {"example": example}
     report = run(cfg, "all")
     names, rendered = GOLDEN[example]
     assert [(c["name"], c["pass"]) for c in report["checks"]] == [(n, True) for n in names]

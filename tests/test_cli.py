@@ -6,7 +6,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import gknextend
@@ -16,7 +15,7 @@ from gknextend.cli import CONFIG_SCHEMA, ConfigError, load_config, main, run
 from gknextend.extension import model_to_json
 from gknextend.spectral import symmetry_defect
 
-from conftest import benchmark_module, benchmark_ops, tied_pairs
+from conftest import benchmark_module, benchmark_ops, custom_config, tied_pairs
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -272,25 +271,24 @@ class TestRun:
         assert report["status"] == "fail"
 
     def test_custom_model_round_trip(self):
-        entry = build_example("fourier_3_3")
-        cands = []
-        for t, w in entry.candidates:
-            tr = []
-            for v in t.as_array():
-                tr += [v.real, v.imag]
-            wv = []
-            for v in np.asarray(w, dtype=complex):
-                wv += [v.real, v.imag]
-            cands.append({"trace": tr, "w": wv})
-        cfg = {
-            "example": "custom",
-            "model": model_to_json(entry.model),
-            "candidates": cands,
-            "seed": 0,
-        }
-        report = run(cfg, "derive-bc")
+        report = run({**custom_config("fourier_3_3"), "seed": 0}, "derive-bc")
         assert report["status"] == "pass"
         assert report["boundary_conditions_rendered"] == ["a_W[1] = x(a)", "a_W[2] = x(b)"]
+
+    def test_custom_model_runs_negative_controls(self):
+        # the independence and cardinality rules need only the model and the
+        # candidates; a custom model states no symmetry partner
+        custom = run(custom_config("fourier_3_3"), "verify-gkn")
+        catalog = run({"example": "fourier_3_3"}, "verify-gkn")
+        controls = [c for c in custom["checks"] if c["name"].startswith("control_")]
+        assert [c["name"] for c in controls] == [
+            "control_independence_detected",
+            "control_independence_not_self_adjoint",
+            "control_cardinality_detected",
+            "control_cardinality_not_self_adjoint",
+        ]
+        assert all(c in catalog["checks"] for c in controls)
+        assert custom["status"] == "pass"
 
 
 class TestMain:

@@ -167,9 +167,8 @@ class TestStructuralInvariants:
 class TestMaximalAction:
     def test_polynomial_path_matches_exact_module(self):
         from gknextend.expressions import LegendreType
-        from gknextend.legendre import jump_action
 
-        from conftest import gram_schmidt
+        from conftest import gram_schmidt, jump_action
 
         A = Fraction(1)
         model = build_example("legendre_type", {"A": 1.0}).model

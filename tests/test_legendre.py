@@ -1,26 +1,40 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gknextend import catalog
+from gknextend.cli import run
 from gknextend.expressions import GeneralEvenOrder, LegendreType, apply_expr
 from gknextend.legendre import (
+    IDENTITY,
+    IntegerBasis,
     LegendreError,
-    LTBasis,
-    boundary_identity_check,
-    eigen_residual,
+    apply_terms,
+    endpoint_values,
+    exact_suite,
     expression_matrix,
-    extended_eigen_check,
     extended_gram,
     lt_eigenvalue,
     operator_basis,
+    scaled_terms,
 )
 from gknextend.polynomials import Poly
 
-from conftest import gram_schmidt, mu_inner, random_rational_poly
+from conftest import (
+    extended_eigen_check,
+    fraction_suite,
+    gram_schmidt,
+    mu_inner,
+    random_rational_poly,
+    reference_eigenvalue,
+)
 
 A_VALUES = (Fraction(1), Fraction(5, 2), Fraction(10))
 I2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+ZERO = ((0, 0), (0, 0))
 
 # the A of every `exact_legendre` op of benchmark seeds 1-3, as the CLI reads them
 # from JSON (binary floats), and three exact values far apart
@@ -30,6 +44,40 @@ BASIS_A = tuple(Fraction(a) for a in BENCHMARK_A) + (Fraction(1, 7), Fraction(1)
 
 def image(basis, n):
     return apply_expr(LegendreType(basis.A), basis[n])
+
+
+def suite(basis, control_B=IDENTITY) -> dict:
+    """The exact suite on the basis, with the eigenvalues the formula claims."""
+    eigenvalues = [lt_eigenvalue(n, basis.A) for n in range(len(basis))]
+    return exact_suite(basis, eigenvalues, control_B)
+
+
+def monic(q) -> tuple:
+    """The integer vector q scaled to leading coefficient 1."""
+    return tuple(Fraction(c, q[-1]) for c in q)
+
+
+def scaled(basis, x) -> int:
+    """den * x as an integer, for x a rational multiple of the operator's scale."""
+    v = basis.den * Fraction(x)
+    assert v.denominator == 1
+    return v.numerator
+
+
+def with_vector(basis, n, q) -> IntegerBasis:
+    """The basis with q in place of q_n."""
+    vectors = basis.vectors[:n] + (tuple(q),) + basis.vectors[n + 1:]
+    return IntegerBasis(basis.A, basis.den, basis.terms, vectors)
+
+
+def proportional_to_measure_gram(gram, polys, A) -> bool:
+    """gram == D <p_m, p_n> for one D > 0 (the first polynomial is nonzero)."""
+    D = Fraction(gram[0][0]) / mu_inner(polys[0], polys[0], A)
+    return D > 0 and all(
+        gram[m][n] == D * mu_inner(p, q, A)
+        for m, p in enumerate(polys)
+        for n, q in enumerate(polys)
+    )
 
 
 class TestMuInner:
@@ -50,7 +98,7 @@ class TestMuInner:
 
 
 class TestGramSchmidt:
-    """The reference basis: monic Gram-Schmidt under the point-mass measure."""
+    """The reference basis: monic orthogonal polynomials of the point-mass measure."""
 
     def test_first_three_polynomials(self):
         basis = gram_schmidt(Fraction(1), 2)
@@ -75,25 +123,39 @@ class TestGramSchmidt:
 class TestOperatorBasis:
     @pytest.mark.parametrize("A", BASIS_A, ids=str)
     def test_equals_reference_basis(self, A):
-        assert operator_basis(A, 24).polys == gram_schmidt(A, 24).polys
+        basis = operator_basis(A, 24)
+        for q, p in zip(basis.vectors, gram_schmidt(A, 24).polys):
+            assert monic(q) == p.coeffs
+            assert math.gcd(*q) == 1 and q[-1] > 0
 
     def test_cap(self):
         with pytest.raises(LegendreError):
             operator_basis(Fraction(1), 30)
 
-    @pytest.mark.parametrize("A", A_VALUES)
+    @pytest.mark.parametrize(
+        "A, den",
+        [(Fraction(7, 3), 3), (Fraction(1, 4), 1), (Fraction(3, 8), 2), (Fraction(5, 16), 4)],
+    )
+    def test_den_is_the_least_common_denominator(self, A, den):
+        # the coefficients 4A + 12 and 8A: A = 1/4 needs no scaling at all
+        assert scaled_terms(LegendreType(A))[0] == den
+
+    @pytest.mark.parametrize("A", A_VALUES + (Fraction(1, 4), Fraction(7, 3)))
     def test_matrix_is_triangular_with_the_eigenvalues_on_its_diagonal(self, A):
-        L = expression_matrix(LegendreType(A), 24)
+        den, terms = scaled_terms(LegendreType(A))
+        L = expression_matrix(terms, 24)
         for j in range(25):
-            assert L[j][j] == lt_eigenvalue(j, A)
+            assert L[j][j] == den * lt_eigenvalue(j, A)
             assert all(L[i][j] == 0 for i in range(j + 1, 25))
 
     def test_matrix_columns_are_images_of_monomials(self):
         expr = LegendreType(Fraction(7, 3))
-        L = expression_matrix(expr, 10)
+        den, terms = scaled_terms(expr)
+        L = expression_matrix(terms, 10)
         for j in range(11):
-            col = apply_expr(expr, Poly([0] * j + [1]))
+            col = apply_expr(expr, Poly([0] * j + [1])).scale(den)
             assert Poly([L[i][j] for i in range(11)]) == col
+            assert Poly(apply_terms(terms, (0,) * j + (1,))) == col
 
     @pytest.mark.parametrize(
         "qs",
@@ -104,83 +166,107 @@ class TestOperatorBasis:
     )
     def test_degree_raising_expression_is_refused(self, qs):
         with pytest.raises(LegendreError, match="degree"):
-            expression_matrix(GeneralEvenOrder(qs), 4)
+            expression_matrix(scaled_terms(GeneralEvenOrder(qs))[1], 4)
 
 
 class TestEigenCheck:
     def test_constant(self):
-        basis = gram_schmidt(Fraction(1), 2)
-        img = image(basis, 0)
-        assert img.is_zero()
-        assert eigen_residual(basis, 0, img).is_zero()
+        basis = operator_basis(Fraction(1), 2)
+        assert basis[0] == (1,)
+        assert apply_terms(basis.terms, basis[0]) == ()
 
     def test_linear(self):
         for A in A_VALUES:
-            basis = gram_schmidt(A, 2)
-            img = image(basis, 1)
-            assert img == basis[1].scale(8 * A)
-            assert eigen_residual(basis, 1, img).is_zero()
+            basis = operator_basis(A, 2)
+            assert basis[1] == (0, 1)
+            assert apply_terms(basis.terms, basis[1]) == (0, scaled(basis, 8 * A))
 
     def test_quadratic(self):
         for A in A_VALUES:
-            basis = gram_schmidt(A, 2)
-            img = image(basis, 2)
-            assert img == basis[2].scale(24 * A + 24)
-            assert eigen_residual(basis, 2, img).is_zero()
+            basis = operator_basis(A, 2)
+            lam = scaled(basis, 24 * A + 24)
+            assert apply_terms(basis.terms, basis[2]) == tuple(lam * c for c in basis[2])
 
     @pytest.mark.parametrize("A", A_VALUES)
     def test_formula_through_degree_twelve(self, A):
         basis = gram_schmidt(A, 12)
+        q = operator_basis(A, 12)
         for n in range(13):
-            lam = Fraction(n) * (n + 1) * (n * n + n + 4 * A - 2)
-            img = image(basis, n)
-            assert img == basis[n].scale(lam)
-            assert eigen_residual(basis, n, img).is_zero()
+            lam = reference_eigenvalue(n, A)
+            assert image(basis, n) == basis[n].scale(lam)
+            assert Poly(apply_terms(q.terms, q[n])) == Poly(scaled(q, lam) * c for c in q[n])
+        assert suite(q)["eigenvalue_formula_exact"]
 
     def test_tampered_basis_reports_coefficient(self):
-        basis = gram_schmidt(Fraction(1), 3)
-        wrong = LTBasis(basis.A, (basis[0], basis[1] + Poly([Fraction(1, 7)]), basis[2]))
-        # l(u + 1/7) = 8u against lambda_1 (u + 1/7) = 8u + 8/7: only coefficient 0 differs
-        assert eigen_residual(wrong, 1, image(wrong, 1)).coeffs == (Fraction(-8, 7),)
+        basis = operator_basis(Fraction(1), 3)
+        wrong = with_vector(basis, 1, (1, 7))  # 7(u + 1/7)
+        img = apply_terms(wrong.terms, wrong[1])
+        # l(7u + 1) = 56u against lambda_1 (7u + 1) = 56u + 8: only coefficient 0 differs
+        assert tuple(i - 8 * c for i, c in zip(img, wrong[1])) == (-8, 0)
+        verdicts = suite(wrong)
+        assert not verdicts["eigenvalue_formula_exact"]
+        assert not verdicts["extended_eigen_relation_exact"]
+        assert not verdicts["extended_orthogonality_exact"]
 
 
 class TestBoundaryIdentity:
     def test_trivial_constant(self):
-        basis = gram_schmidt(Fraction(1), 0)
-        assert boundary_identity_check(basis, 0)
+        assert suite(operator_basis(Fraction(1), 0))["boundary_identity_exact"]
 
     @pytest.mark.parametrize("A", A_VALUES)
     def test_exact_through_degree_twelve(self, A):
-        basis = gram_schmidt(A, 12)
+        basis = operator_basis(A, 12)
+        assert suite(basis)["boundary_identity_exact"]
+        w8 = scaled(basis, 8 * A)
         for n in range(13):
-            assert boundary_identity_check(basis, n)
+            qm, qp, dqm, dqp = endpoint_values(basis[n])
+            lam = scaled(basis, lt_eigenvalue(n, A))
+            assert w8 * dqp == lam * qp and -w8 * dqm == lam * qm
+
+    def test_endpoint_values(self):
+        # q = 3 - u + 2u^2 + 5u^3: q(-1) = 1, q(1) = 9, q'(-1) = 10, q'(1) = 18
+        assert endpoint_values((3, -1, 2, 5)) == (1, 9, 10, 18)
+        assert endpoint_values(()) == (0, 0, 0, 0)
 
     def test_opposite_pairing_fails(self):
-        # the empirical sign resolution: swapping the endpoint signs breaks P_1
+        # the empirical sign resolution: swapping the endpoint signs breaks q_1
         A = Fraction(1)
-        basis = gram_schmidt(A, 1)
-        p = basis[1]
-        dp = p.deriv()
-        lam = lt_eigenvalue(1, A)
-        assert -8 * A * dp(Fraction(1)) != lam * p(Fraction(1))
-        assert 8 * A * dp(Fraction(-1)) != lam * p(Fraction(-1))
+        basis = operator_basis(A, 1)
+        qm, qp, dqm, dqp = endpoint_values(basis[1])
+        w8, lam = scaled(basis, 8 * A), scaled(basis, lt_eigenvalue(1, A))
+        assert -w8 * dqp != lam * qp
+        assert w8 * dqm != lam * qm
+        # the library's pairing holds on the same vector, and fails on a
+        # tampered one whose endpoint derivatives keep their values
+        assert suite(basis)["boundary_identity_exact"]
+        assert not suite(with_vector(basis, 1, (1, 1)))["boundary_identity_exact"]
 
 
 class TestExtendedChecks:
     def test_constant_eigenvector(self):
-        basis = gram_schmidt(Fraction(1), 0)
-        assert extended_eigen_check(basis, 0, image(basis, 0))
+        assert suite(operator_basis(Fraction(1), 0))["extended_eigen_relation_exact"]
 
     @pytest.mark.parametrize("A", A_VALUES)
     def test_exact_eigenvectors(self, A):
-        basis = gram_schmidt(A, 10)
-        for n in range(11):
-            assert extended_eigen_check(basis, n, image(basis, n))
+        assert all(suite(operator_basis(A, 10)).values())
 
-    def test_identity_b_breaks_everything_above_zero(self):
+    def test_identity_b_breaks_every_eigenvector(self):
+        # P_0 included: a = (1, 1), Omega P_0 = 0 and lambda_0 = 0, so B a = a != 0
         basis = gram_schmidt(Fraction(1), 10)
-        for n in range(1, 11):
+        for n in range(11):
             assert not extended_eigen_check(basis, n, image(basis, n), I2)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 10])
+    def test_do_nothing_control_reads_false(self, n_max):
+        # B = 0 breaks nothing, so the control check must fail, at n_max 0 too
+        basis = operator_basis(Fraction(5, 2), n_max)
+        assert suite(basis, ZERO)["nonzero_B_breaks_eigenvectors"] is False
+        assert suite(basis, IDENTITY)["nonzero_B_breaks_eigenvectors"] is True
+
+    def test_control_at_n_max_zero_in_the_report(self):
+        report = run({"example": "legendre_type", "n_max": 0}, "legendre")
+        assert report["status"] == "pass"
+        assert {c["name"]: c["pass"] for c in report["checks"]}["nonzero_B_breaks_eigenvectors"]
 
     def test_orthogonality_values(self):
         gram = extended_gram(operator_basis(Fraction(1), 3))
@@ -190,35 +276,70 @@ class TestExtendedChecks:
 
     def test_extended_inner_equals_measure_inner(self):
         for A in A_VALUES:
-            basis = gram_schmidt(A, 6)
-            gram = extended_gram(basis)
-            for m in range(7):
-                for n in range(7):
-                    assert gram[m][n] == mu_inner(basis[m], basis[n], A)
+            basis = operator_basis(A, 6)
+            polys = [Poly(q) for q in basis.vectors]
+            assert proportional_to_measure_gram(extended_gram(basis), polys, A)
 
     @pytest.mark.parametrize("A", A_VALUES + (Fraction(1, 7),))
     def test_moment_form_equals_measure_inner_on_random_polynomials(self, A, rng):
-        polys = tuple(random_rational_poly(rng, int(d)) for d in rng.integers(0, 9, size=6))
-        gram = extended_gram(LTBasis(A, polys))
-        for m, p in enumerate(polys):
-            for n, q in enumerate(polys):
-                assert gram[m][n] == mu_inner(p, q, A)
+        polys = [Poly([1])] + [
+            random_rational_poly(rng, int(d)) for d in rng.integers(0, 9, size=5)
+        ]
+        # clear each polynomial's denominators: the Gram scales by the products
+        vecs = [
+            tuple(int(c * math.lcm(*(c.denominator for c in p.coeffs))) for c in p.coeffs)
+            for p in polys
+        ]
+        gram = extended_gram(IntegerBasis(A, 1, (), tuple(vecs)))
+        assert proportional_to_measure_gram(gram, [Poly(v) for v in vecs], A)
 
     @pytest.mark.parametrize("coeff", [0, 1, 2])
     def test_perturbed_coefficient_breaks_orthogonality(self, coeff):
         basis = operator_basis(Fraction(5, 2), 10)
-        p6 = list(basis[6].coeffs)
-        p6[coeff] += Fraction(1, 1000)
-        gram = extended_gram(LTBasis(basis.A, basis.polys[:6] + (Poly(p6),) + basis.polys[7:]))
+        q6 = list(basis[6])
+        q6[coeff] += 1
+        wrong = with_vector(basis, 6, q6)
+        gram = extended_gram(wrong)
         pairs = [(m, n) for m in range(11) for n in range(11) if m != n]
-        # only the pairs holding the perturbed P_6 lose orthogonality
+        # only the pairs holding the perturbed q_6 lose orthogonality
         assert any(gram[m][n] for m, n in pairs if 6 in (m, n))
         assert not any(gram[m][n] for m, n in pairs if 6 not in (m, n))
+        verdicts = suite(wrong)
+        assert not verdicts["extended_orthogonality_exact"]
+        assert not verdicts["eigenvalue_formula_exact"]
+
+
+class TestAgreementSweep:
+    """The integer suite against the Fraction reference on seeded (A, n_max) pairs."""
+
+    PAIRS = 200
+
+    @staticmethod
+    def draws(seed: int):
+        rng = random.Random(seed)
+        for i in range(TestAgreementSweep.PAIRS):
+            # log-uniform over the schema's range, alternating with short decimals
+            A = 10 ** rng.uniform(-3, 12) if i % 2 else rng.randrange(1, 1000) / 100
+            yield A, rng.randint(0, 24)
+
+    def test_verdicts_eigenvalues_and_basis_match_reference(self):
+        for A, n_max in self.draws(18):
+            exact = catalog._exact(A)
+            cfg = {"example": "legendre_type", "params": {"A": A}, "n_max": n_max}
+            report = run(cfg, "legendre")
+            verdicts = {c["name"]: c["pass"] for c in report["checks"]}
+            assert verdicts == fraction_suite(exact, n_max), (A, n_max)
+            assert report["legendre_eigenvalues"] == [
+                str(reference_eigenvalue(n, exact)) for n in range(n_max + 1)
+            ], (A, n_max)
+            reference = gram_schmidt(exact, n_max)
+            for n, q in enumerate(operator_basis(exact, n_max).vectors):
+                assert monic(q) == reference[n].coeffs, (A, n_max, n)
 
 
 class TestConsistencyWithFloatModel:
     def test_gkn_pipeline_admits_eigenvectors(self):
-        # derived constraint rows annihilate every (P_n, (P_n(-1), P_n(1)))
+        # derived constraint rows annihilate every (q_n, (q_n(-1), q_n(1)))
         from gknextend.catalog import build_example
 
         entry = build_example("legendre_type", {"A": 1.0})
@@ -227,7 +348,7 @@ class TestConsistencyWithFloatModel:
         from conftest import trace_of_poly
 
         for n in range(9):
-            p = basis[n]
+            p = Poly(basis[n]).scale(Fraction(1, max(map(abs, basis[n]))))
             tr = trace_of_poly(LegendreType(Fraction(1)), p).as_array()
             vec = np.concatenate([tr, [complex(p(Fraction(-1))), complex(p(Fraction(1)))]])
             assert np.abs(bc.canonical @ vec).max() < 1e-9
@@ -238,11 +359,10 @@ class TestConsistencyWithFloatModel:
 
         entry = build_example("legendre_type", {"A": 2.0})
         basis = operator_basis(Fraction(2), 6)
+        w8 = scaled(basis, 16)
         for n in range(7):
-            p = basis[n]
-            dp = p.deriv()
-            exact = np.array(
-                [float(16 * dp(Fraction(-1))), float(-16 * dp(Fraction(1)))]
-            )
-            tr = trace_of_poly(LegendreType(Fraction(2)), p)
-            assert np.abs(entry.model.omega_of(tr) - exact).max() < 1e-9
+            _, _, dqm, dqp = endpoint_values(basis[n])
+            exact = np.array([w8 * dqm, -w8 * dqp], dtype=float) / basis.den
+            tr = trace_of_poly(LegendreType(Fraction(2)), Poly(basis[n]))
+            scale = 1 + np.abs(exact).max()
+            assert np.abs(entry.model.omega_of(tr) - exact).max() < 1e-9 * scale
