@@ -147,12 +147,6 @@ class IntegerBasis:
     terms: tuple
     vectors: tuple[tuple[int, ...], ...]
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __getitem__(self, n: int) -> tuple[int, ...]:
-        return self.vectors[n]
-
 
 def operator_basis(A: Fraction, n_max: int) -> IntegerBasis:
     """Primitive integer eigenvectors q_0..q_n_max of the point-mass expression.
@@ -215,14 +209,6 @@ def extended_gram(basis: IntegerBasis) -> list[list[int]]:
     return G
 
 
-def _w_action(den: int, B, a: tuple[int, int], omega: tuple[int, int]) -> tuple[int, int]:
-    """den (B a - Omega q), the W component of den times the extended action."""
-    return (
-        den * (B[0][0] * a[0] + B[0][1] * a[1]) - omega[0],
-        den * (B[1][0] * a[0] + B[1][1] * a[1]) - omega[1],
-    )
-
-
 def exact_suite(basis: IntegerBasis, eigenvalues, control_B=IDENTITY) -> dict[str, bool]:
     """The verdicts of the exact suite on the basis, by check name.
 
@@ -237,19 +223,22 @@ def exact_suite(basis: IntegerBasis, eigenvalues, control_B=IDENTITY) -> dict[st
     """
     den = basis.den
     w8 = _cleared(8 * basis.A, den)
+    (b00, b01), (b10, b11) = control_B
     eig = bnd = ext = control = True
     for q, lam in zip(basis.vectors, eigenvalues, strict=True):
         lam = _cleared(lam, den)
         eig_n = apply_terms(basis.terms, q) == _strip(lam * c for c in q)
         qm, qp, dqm, dqp = endpoint_values(q)
-        a, lam_a = (qm, qp), (lam * qm, lam * qp)
+        lam_a = (lam * qm, lam * qp)
         omega = (w8 * dqm, -w8 * dqp)
         bnd_n = (-omega[0], -omega[1]) == lam_a
         eig &= eig_n
         bnd &= bnd_n
         # with the model's B = 0 the W component -Omega q = lambda a is the boundary identity
         ext &= eig_n and bnd_n
-        control &= not (eig_n and _w_action(den, control_B, a, omega) == lam_a)
+        # den (B a - Omega q), the W component of the control's action, a = (q(-1), q(1))
+        w_n = (den * (b00 * qm + b01 * qp) - omega[0], den * (b10 * qm + b11 * qp) - omega[1])
+        control &= not (eig_n and w_n == lam_a)
     gram = extended_gram(basis)
     orth = all(gram[m][n] == 0 for m in range(len(gram)) for n in range(m + 1, len(gram)))
     return {

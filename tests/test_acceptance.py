@@ -111,7 +111,8 @@ def test_01_eigenvalue_formula_exact():
         q = operator_basis(A, 12)
         # the operator's eigenvectors are multiples of the measure's orthogonal polynomials
         ok &= all(
-            tuple(Fraction(c, q[n][-1]) for c in q[n]) == basis[n].coeffs for n in N_RANGE
+            tuple(Fraction(c, qn[-1]) for c in qn) == basis[n].coeffs
+            for n, qn in enumerate(q.vectors)
         )
         ok &= exact_suite(q, EIGENVALUES[A])["eigenvalue_formula_exact"]
         for n in N_RANGE:

@@ -12,6 +12,7 @@ from gknextend.legendre import (
     IDENTITY,
     IntegerBasis,
     LegendreError,
+    _cleared,
     apply_terms,
     endpoint_values,
     exact_suite,
@@ -48,7 +49,7 @@ def image(basis, n):
 
 def suite(basis, control_B=IDENTITY) -> dict:
     """The exact suite on the basis, with the eigenvalues the formula claims."""
-    eigenvalues = [lt_eigenvalue(n, basis.A) for n in range(len(basis))]
+    eigenvalues = [lt_eigenvalue(n, basis.A) for n in range(len(basis.vectors))]
     return exact_suite(basis, eigenvalues, control_B)
 
 
@@ -57,27 +58,15 @@ def monic(q) -> tuple:
     return tuple(Fraction(c, q[-1]) for c in q)
 
 
-def scaled(basis, x) -> int:
-    """den * x as an integer, for x a rational multiple of the operator's scale."""
-    v = basis.den * Fraction(x)
-    assert v.denominator == 1
-    return v.numerator
-
-
 def with_vector(basis, n, q) -> IntegerBasis:
     """The basis with q in place of q_n."""
     vectors = basis.vectors[:n] + (tuple(q),) + basis.vectors[n + 1:]
     return IntegerBasis(basis.A, basis.den, basis.terms, vectors)
 
 
-def proportional_to_measure_gram(gram, polys, A) -> bool:
-    """gram == D <p_m, p_n> for one D > 0 (the first polynomial is nonzero)."""
-    D = Fraction(gram[0][0]) / mu_inner(polys[0], polys[0], A)
-    return D > 0 and all(
-        gram[m][n] == D * mu_inner(p, q, A)
-        for m, p in enumerate(polys)
-        for n, q in enumerate(polys)
-    )
+def moment_scale(A, degree) -> int:
+    """D = num(A) lcm(1..2d+1), the scale of `extended_gram` for top degree d."""
+    return A.numerator * math.lcm(*range(1, 2 * degree + 2))
 
 
 class TestMuInner:
@@ -172,20 +161,21 @@ class TestOperatorBasis:
 class TestEigenCheck:
     def test_constant(self):
         basis = operator_basis(Fraction(1), 2)
-        assert basis[0] == (1,)
-        assert apply_terms(basis.terms, basis[0]) == ()
+        assert basis.vectors[0] == (1,)
+        assert apply_terms(basis.terms, basis.vectors[0]) == ()
 
     def test_linear(self):
         for A in A_VALUES:
             basis = operator_basis(A, 2)
-            assert basis[1] == (0, 1)
-            assert apply_terms(basis.terms, basis[1]) == (0, scaled(basis, 8 * A))
+            assert basis.vectors[1] == (0, 1)
+            assert apply_terms(basis.terms, basis.vectors[1]) == (0, _cleared(8 * A, basis.den))
 
     def test_quadratic(self):
         for A in A_VALUES:
             basis = operator_basis(A, 2)
-            lam = scaled(basis, 24 * A + 24)
-            assert apply_terms(basis.terms, basis[2]) == tuple(lam * c for c in basis[2])
+            lam = _cleared(24 * A + 24, basis.den)
+            q2 = basis.vectors[2]
+            assert apply_terms(basis.terms, q2) == tuple(lam * c for c in q2)
 
     @pytest.mark.parametrize("A", A_VALUES)
     def test_formula_through_degree_twelve(self, A):
@@ -194,15 +184,16 @@ class TestEigenCheck:
         for n in range(13):
             lam = reference_eigenvalue(n, A)
             assert image(basis, n) == basis[n].scale(lam)
-            assert Poly(apply_terms(q.terms, q[n])) == Poly(scaled(q, lam) * c for c in q[n])
+            qn = q.vectors[n]
+            assert Poly(apply_terms(q.terms, qn)) == Poly(_cleared(lam, q.den) * c for c in qn)
         assert suite(q)["eigenvalue_formula_exact"]
 
     def test_tampered_basis_reports_coefficient(self):
         basis = operator_basis(Fraction(1), 3)
         wrong = with_vector(basis, 1, (1, 7))  # 7(u + 1/7)
-        img = apply_terms(wrong.terms, wrong[1])
+        img = apply_terms(wrong.terms, wrong.vectors[1])
         # l(7u + 1) = 56u against lambda_1 (7u + 1) = 56u + 8: only coefficient 0 differs
-        assert tuple(i - 8 * c for i, c in zip(img, wrong[1])) == (-8, 0)
+        assert tuple(i - 8 * c for i, c in zip(img, wrong.vectors[1])) == (-8, 0)
         verdicts = suite(wrong)
         assert not verdicts["eigenvalue_formula_exact"]
         assert not verdicts["extended_eigen_relation_exact"]
@@ -217,10 +208,10 @@ class TestBoundaryIdentity:
     def test_exact_through_degree_twelve(self, A):
         basis = operator_basis(A, 12)
         assert suite(basis)["boundary_identity_exact"]
-        w8 = scaled(basis, 8 * A)
+        w8 = _cleared(8 * A, basis.den)
         for n in range(13):
-            qm, qp, dqm, dqp = endpoint_values(basis[n])
-            lam = scaled(basis, lt_eigenvalue(n, A))
+            qm, qp, dqm, dqp = endpoint_values(basis.vectors[n])
+            lam = _cleared(lt_eigenvalue(n, A), basis.den)
             assert w8 * dqp == lam * qp and -w8 * dqm == lam * qm
 
     def test_endpoint_values(self):
@@ -232,8 +223,8 @@ class TestBoundaryIdentity:
         # the empirical sign resolution: swapping the endpoint signs breaks q_1
         A = Fraction(1)
         basis = operator_basis(A, 1)
-        qm, qp, dqm, dqp = endpoint_values(basis[1])
-        w8, lam = scaled(basis, 8 * A), scaled(basis, lt_eigenvalue(1, A))
+        qm, qp, dqm, dqp = endpoint_values(basis.vectors[1])
+        w8, lam = _cleared(8 * A, basis.den), _cleared(lt_eigenvalue(1, A), basis.den)
         assert -w8 * dqp != lam * qp
         assert w8 * dqm != lam * qm
         # the library's pairing holds on the same vector, and fails on a
@@ -277,26 +268,30 @@ class TestExtendedChecks:
     def test_extended_inner_equals_measure_inner(self):
         for A in A_VALUES:
             basis = operator_basis(A, 6)
+            gram, D = extended_gram(basis), moment_scale(A, 6)
             polys = [Poly(q) for q in basis.vectors]
-            assert proportional_to_measure_gram(extended_gram(basis), polys, A)
+            for m, p in enumerate(polys):
+                for n, q in enumerate(polys):
+                    assert gram[m][n] == D * mu_inner(p, q, A)
 
     @pytest.mark.parametrize("A", A_VALUES + (Fraction(1, 7),))
     def test_moment_form_equals_measure_inner_on_random_polynomials(self, A, rng):
-        polys = [Poly([1])] + [
-            random_rational_poly(rng, int(d)) for d in rng.integers(0, 9, size=5)
-        ]
+        polys = [random_rational_poly(rng, int(d)) for d in rng.integers(0, 9, size=6)]
         # clear each polynomial's denominators: the Gram scales by the products
         vecs = [
             tuple(int(c * math.lcm(*(c.denominator for c in p.coeffs))) for c in p.coeffs)
             for p in polys
         ]
         gram = extended_gram(IntegerBasis(A, 1, (), tuple(vecs)))
-        assert proportional_to_measure_gram(gram, [Poly(v) for v in vecs], A)
+        D = moment_scale(A, max(len(v) for v in vecs) - 1)
+        for m, p in enumerate(vecs):
+            for n, q in enumerate(vecs):
+                assert gram[m][n] == D * mu_inner(Poly(p), Poly(q), A)
 
     @pytest.mark.parametrize("coeff", [0, 1, 2])
     def test_perturbed_coefficient_breaks_orthogonality(self, coeff):
         basis = operator_basis(Fraction(5, 2), 10)
-        q6 = list(basis[6])
+        q6 = list(basis.vectors[6])
         q6[coeff] += 1
         wrong = with_vector(basis, 6, q6)
         gram = extended_gram(wrong)
@@ -318,7 +313,7 @@ class TestAgreementSweep:
     def draws(seed: int):
         rng = random.Random(seed)
         for i in range(TestAgreementSweep.PAIRS):
-            # log-uniform over the schema's range, alternating with short decimals
+            # log-uniform over [1e-3, 1e12], alternating with short decimals
             A = 10 ** rng.uniform(-3, 12) if i % 2 else rng.randrange(1, 1000) / 100
             yield A, rng.randint(0, 24)
 
@@ -339,7 +334,7 @@ class TestAgreementSweep:
 
 class TestConsistencyWithFloatModel:
     def test_gkn_pipeline_admits_eigenvectors(self):
-        # derived constraint rows annihilate every (q_n, (q_n(-1), q_n(1)))
+        # derived constraint rows annihilate every (P_n, (P_n(-1), P_n(1)))
         from gknextend.catalog import build_example
 
         entry = build_example("legendre_type", {"A": 1.0})
@@ -348,7 +343,7 @@ class TestConsistencyWithFloatModel:
         from conftest import trace_of_poly
 
         for n in range(9):
-            p = Poly(basis[n]).scale(Fraction(1, max(map(abs, basis[n]))))
+            p = Poly(monic(basis.vectors[n]))
             tr = trace_of_poly(LegendreType(Fraction(1)), p).as_array()
             vec = np.concatenate([tr, [complex(p(Fraction(-1))), complex(p(Fraction(1)))]])
             assert np.abs(bc.canonical @ vec).max() < 1e-9
@@ -359,10 +354,12 @@ class TestConsistencyWithFloatModel:
 
         entry = build_example("legendre_type", {"A": 2.0})
         basis = operator_basis(Fraction(2), 6)
-        w8 = scaled(basis, 16)
+        w8 = _cleared(16, basis.den)
         for n in range(7):
-            _, _, dqm, dqp = endpoint_values(basis[n])
-            exact = np.array([w8 * dqm, -w8 * dqp], dtype=float) / basis.den
-            tr = trace_of_poly(LegendreType(Fraction(2)), Poly(basis[n]))
-            scale = 1 + np.abs(exact).max()
-            assert np.abs(entry.model.omega_of(tr) - exact).max() < 1e-9 * scale
+            q = basis.vectors[n]
+            _, _, dqm, dqp = endpoint_values(q)
+            # Omega of the monic P_n = q_n / c_n, with c_n the leading coefficient of q_n
+            scale = basis.den * q[-1]
+            exact = np.array([float(Fraction(w8 * dqm, scale)), float(Fraction(-w8 * dqp, scale))])
+            tr = trace_of_poly(LegendreType(Fraction(2)), Poly(monic(q)))
+            assert np.abs(entry.model.omega_of(tr) - exact).max() < 1e-9
