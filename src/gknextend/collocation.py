@@ -7,10 +7,15 @@ exact Gram is what the discrete operators use for inner products: with it,
 integration by parts for polynomial interpolants is an identity rather
 than a quadrature approximation, which is what keeps the symmetry defect
 of honestly self-adjoint assemblies at rounding level.
+
+Only the affine scaling depends on [a, b]: the nodes, the first
+differentiation matrix and the Gram are built once per N on [-1, 1]
+(`_reference_grid`) and scaled to [a, b] by each `make_grid` call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,36 +39,36 @@ class CollocationGrid:
     a: float
     b: float
     nodes: np.ndarray          # ascending, nodes[0] = a, nodes[-1] = b
-    D: tuple                   # D[j] differentiates j+1 times (j = 0..3)
+    D1: np.ndarray             # differentiates once
     gram: np.ndarray           # exact L2 Gram of the nodal interpolants
 
+    @functools.cached_property
+    def _powers(self) -> list:
+        return [self.D1]
+
     def diff(self, order: int) -> np.ndarray:
+        """Differentiation `order` times; D2..D4 are built on first use, as D_(j+1) = D_j D1."""
         if not 0 <= order <= 4:
             raise ValueError("differentiation matrices available for orders 0..4")
-        return self.D[order - 1] if order else np.eye(self.N + 1)
+        if not order:
+            return np.eye(self.N + 1)
+        powers = self._powers
+        while len(powers) < order:
+            powers.append(powers[-1] @ self.D1)
+        return powers[order - 1]
 
 
-def make_grid(N: int, a: float, b: float) -> CollocationGrid:
-    if N < 8:
-        raise ValueError("grid too coarse; need N >= 8")
-    if not a < b:
-        raise ValueError("need a < b")
+@functools.lru_cache(maxsize=4)
+def _reference_grid(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending CGL nodes t, d/dt and the exact interpolant Gram on [-1, 1], read-only."""
     t, Dt = _cheb_matrix(N)
-    # u = (a+b)/2 - t (b-a)/2 is ascending in the node index
-    nodes = (a + b) / 2.0 - t * (b - a) / 2.0
-    nodes[0], nodes[-1] = a, b
-    D1 = -2.0 / (b - a) * Dt
-    D2 = D1 @ D1
-    D3 = D2 @ D1
-    D4 = D3 @ D1
+    t, D1 = -t, -Dt
     # exact interpolant Gram via Gauss-Legendre resampling (degree 2N needs N+1 points)
     gx, gw = np.polynomial.legendre.leggauss(N + 1)
-    gu = (a + b) / 2.0 + gx * (b - a) / 2.0
-    gw = gw * (b - a) / 2.0
     bary = np.ones(N + 1)
     bary[0] = bary[-1] = 0.5
     bary *= (-1.0) ** np.arange(N + 1)
-    diff = gu[:, None] - nodes[None, :]
+    diff = gx[:, None] - t[None, :]
     exact_hit = diff == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         C = bary[None, :] / diff
@@ -73,4 +78,24 @@ def make_grid(N: int, a: float, b: float) -> CollocationGrid:
         E[exact_hit] = 1.0
     gram = E.T @ (gw[:, None] * E)
     gram = 0.5 * (gram + gram.T)
-    return CollocationGrid(N, float(a), float(b), nodes, (D1, D2, D3, D4), gram)
+    for m in (t, D1, gram):
+        m.flags.writeable = False
+    return t, D1, gram
+
+
+def make_grid(N: int, a: float, b: float) -> CollocationGrid:
+    """The CGL grid of `_reference_grid(N)` under u = (a + b)/2 + h t, h = (b - a)/2.
+
+    d/du = d/dt / h and du = h dt, so D1 and the Gram are the reference
+    ones scaled by 1/h and h; `diff` builds D2..D4 from D1 when an
+    expression of that order first asks for them.
+    """
+    if N < 8:
+        raise ValueError("grid too coarse; need N >= 8")
+    if not a < b:
+        raise ValueError("need a < b")
+    t, D1_ref, gram_ref = _reference_grid(N)
+    h = (np.float64(b) - np.float64(a)) / 2
+    nodes = (a + b) / 2.0 + t * h
+    nodes[0], nodes[-1] = a, b
+    return CollocationGrid(N, float(a), float(b), nodes, D1_ref * (1 / h), h * gram_ref)

@@ -36,6 +36,7 @@ import scipy.linalg
 from .collocation import CollocationGrid
 from .expressions import DiffExpr, ExpSolution
 from .extension import BoundaryConditions, ExtendedModel
+from .polynomials import Poly
 from .symplectic import GknError, nullspace
 
 
@@ -67,12 +68,22 @@ def _view(m: np.ndarray, dtype: type) -> np.ndarray:
     return m.real if dtype is float else m
 
 
+def _horner(p: Poly, u: np.ndarray) -> np.ndarray:
+    """p at every node of u, in `Poly.__call__`'s order and float arithmetic.
+
+    `Fraction + float` is `float(Fraction) + float`, so each value is
+    bit-identical to `p(u_i)` at that node.
+    """
+    acc = np.zeros_like(u)
+    for c in reversed(p.coeffs):
+        acc = acc * u + (complex(c) if isinstance(c, complex) else float(c))
+    return acc
+
+
 def expr_grid_matrix(expr: DiffExpr, grid: CollocationGrid) -> np.ndarray:
     """Collocation matrix of the expression on grid samples, real when its coefficients are."""
     n = grid.N + 1
-    coeffs = [
-        (j, np.array([complex(c(u)) for u in grid.nodes])) for j, c in expr.coefficient_polys()
-    ]
+    coeffs = [(j, _horner(c, grid.nodes)) for j, c in expr.coefficient_polys()]
     dtype = _dtype(*(cvals for _, cvals in coeffs))
     L = np.zeros((n, n), dtype=dtype)
     for j, cvals in coeffs:
@@ -150,13 +161,12 @@ def assemble(
     return DiscreteExtendedOperator(disc, bc, P, PG @ disc.A_full @ P, PG @ P)
 
 
-def _probe_basis(dom: DiscreteDomain) -> tuple[np.ndarray, float]:
-    """Columns spanning the probed subspace, and |A| on it.
+def _probe_basis(dom: DiscreteDomain) -> np.ndarray:
+    """Columns (samples, W coordinates) spanning the probed subspace.
 
     The subspace is the Chebyshev polynomials T_0..T_d of
     t = (2u - a - b)/(b - a) (d = min(PROBE_DEGREE, N)) and the W
-    coordinates, restricted to the nullspace of the boundary rows.  |A| is
-    the 2-norm of A compressed to a nodal-orthonormal basis of it.
+    coordinates, restricted to the nullspace of the boundary rows.
     """
     disc = dom.disc
     grid, k = disc.grid, disc.model.k
@@ -168,33 +178,44 @@ def _probe_basis(dom: DiscreteDomain) -> tuple[np.ndarray, float]:
     constrained = dom.bc.canonical @ disc.lift @ basis
     # the rank rule of scipy.linalg.null_space: rtol = max(shape) * eps
     rtol = max(constrained.shape) * np.finfo(float).eps
-    sample_basis = basis @ nullspace(constrained, rtol)
-    q, _ = np.linalg.qr(sample_basis)
-    nrmA = np.linalg.norm(q.conj().T @ disc.Gram_full @ disc.A_full @ q, 2) if q.size else 0.0
-    return sample_basis, nrmA
+    return basis @ nullspace(constrained, rtol)
 
 
 def symmetry_defect(dom: DiscreteDomain, seed: int) -> float:
     """max |<Au,v> - <u,Av>| / (|u||v|(1 + |A|)) over random domain pairs.
 
-    The PROBE_TRIALS pairs are random combinations of the smooth domain
-    elements of `_probe_basis`, on which the collocation action is exact up
-    to rounding for every kind and grid size.  All pairs are drawn at once
-    (the stream of four draws per trial: Re u, Im u, Re v, Im v) and
-    measured as matrix products.  The pairs are complex whatever the
+    The PROBE_TRIALS pairs are random combinations u = S z_u, v = S z_v of
+    the columns S of `_probe_basis`, smooth domain elements on which the
+    collocation action is exact up to rounding for every kind and grid
+    size.  All pairs are drawn at once (the stream of four draws per trial:
+    Re z_u, Im z_u, Re z_v, Im z_v), and the pairs are complex whatever the
     dtype of the discretization.
+
+    Everything is measured in the probe basis.  With S = Q R (Q
+    orthonormal in nodal coordinates, as for |A|), one pair of products
+    A Q and Q* G forms the m x m matrices K = Q* G A Q and Nm = Q* G Q
+    (m <= PROBE_DEGREE + 1 + dim W).  With y = R z, G = G* gives
+    <Au, v> - <u, Av> = y_v* (K - K*) y_u and |u|^2 = y_u* Nm y_u, and
+    |A| = ||K||_2 is the 2-norm of A compressed to Q.  The work is
+    O(n^2 m) per probe, not O(n^2) per pair.
     """
     rng = np.random.default_rng(seed)
-    sample_basis, nrmA = _probe_basis(dom)
-    z = rng.standard_normal((PROBE_TRIALS, 4, sample_basis.shape[1]))
-    U = sample_basis @ (z[:, 0] + 1j * z[:, 1]).T
-    V = sample_basis @ (z[:, 2] + 1j * z[:, 3]).T
+    S = _probe_basis(dom)
+    z = rng.standard_normal((PROBE_TRIALS, 4, S.shape[1]))
+    if not S.size:
+        return 0.0
+    Q, R = np.linalg.qr(S)
     G, A = dom.disc.Gram_full, dom.disc.A_full
-    AU, AV, GU = A @ U, A @ V, G @ U
-    # <x, y> = y* G x, one trial per column
-    num = np.abs(np.sum(V.conj() * (G @ AU), axis=0) - np.sum(AV.conj() * GU, axis=0))
-    norm_u = np.sqrt(np.maximum(np.sum(U.conj() * GU, axis=0).real, 0.0))
-    norm_v = np.sqrt(np.maximum(np.sum(V.conj() * (G @ V), axis=0).real, 0.0))
+    QG = Q.conj().T @ G
+    K = QG @ (A @ Q)
+    Nm = QG @ Q
+    nrmA = np.linalg.norm(K, 2)
+    Yu = R @ (z[:, 0] + 1j * z[:, 1]).T
+    Yv = R @ (z[:, 2] + 1j * z[:, 3]).T
+    # one trial per column
+    num = np.abs(np.sum(Yv.conj() * ((K - K.conj().T) @ Yu), axis=0))
+    norm_u = np.sqrt(np.maximum(np.sum(Yu.conj() * (Nm @ Yu), axis=0).real, 0.0))
+    norm_v = np.sqrt(np.maximum(np.sum(Yv.conj() * (Nm @ Yv), axis=0).real, 0.0))
     den = norm_u * norm_v * (1.0 + nrmA)
     return float(np.max(num[den > 0] / den[den > 0], initial=0.0))
 

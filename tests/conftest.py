@@ -86,6 +86,43 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+# -- independent reference for the collocation grid ------------------------
+# The library builds nodes, d/dt and the Gram once per N on [-1, 1] and
+# scales them to [a, b]; this builds them on [a, b] directly.
+
+
+def direct_grid(N, a, b):
+    """Nodes, (D1, D2, D3, D4) and the Gram of the CGL grid, built from scratch on [a, b]."""
+    from gknextend.collocation import _cheb_matrix
+
+    t, Dt = _cheb_matrix(N)
+    # u = (a+b)/2 - t (b-a)/2 is ascending in the node index
+    nodes = (a + b) / 2.0 - t * (b - a) / 2.0
+    nodes[0], nodes[-1] = a, b
+    D1 = -2.0 / (b - a) * Dt
+    D2 = D1 @ D1
+    D3 = D2 @ D1
+    D4 = D3 @ D1
+    # exact interpolant Gram via Gauss-Legendre resampling (degree 2N needs N+1 points)
+    gx, gw = np.polynomial.legendre.leggauss(N + 1)
+    gu = (a + b) / 2.0 + gx * (b - a) / 2.0
+    gw = gw * (b - a) / 2.0
+    bary = np.ones(N + 1)
+    bary[0] = bary[-1] = 0.5
+    bary *= (-1.0) ** np.arange(N + 1)
+    diff = gu[:, None] - nodes[None, :]
+    exact_hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C = bary[None, :] / diff
+        E = C / C.sum(axis=1)[:, None]
+    if exact_hit.any():
+        E[exact_hit.any(axis=1)] = 0.0
+        E[exact_hit] = 1.0
+    gram = E.T @ (gw[:, None] * E)
+    gram = 0.5 * (gram + gram.T)
+    return nodes, (D1, D2, D3, D4), gram
+
+
 # -- independent reference for the exact Legendre suite ---------------------
 # The library builds q_n = c_n P_n from the operator on integers; these build
 # the monic P_n from the measure, and run the suite's checks in Fraction
@@ -226,8 +263,9 @@ def fraction_suite(A, n_max):
 
 
 # -- independent references for the spectral reductions ---------------------
-# The library solves the reduced pair through a Cholesky congruence and draws
-# the symmetry-defect probe in one batch; these do both the direct way.
+# The library solves the reduced pair through a Cholesky congruence and
+# measures the symmetry defect in the probe basis; these do both the direct
+# way, the defect in sample space, for all pairs at once and pair by pair.
 
 
 def qz_eigenvalues(op):
@@ -248,12 +286,41 @@ def tied_pairs(evals) -> list[int]:
     return [i for i in range(len(evals) - 1) if modulus[i] == modulus[i + 1]]
 
 
-def loop_symmetry_defect(op, seed):
-    """The symmetry defect one pair at a time, from explicit inner products."""
-    from gknextend.spectral import PROBE_TRIALS, _probe_basis
+def sample_probe(op):
+    """The probe basis and |A| on it, from the full sample-space matrices."""
+    from gknextend.spectral import _probe_basis
+
+    sample_basis = _probe_basis(op)
+    q, _ = np.linalg.qr(sample_basis)
+    nrmA = np.linalg.norm(q.conj().T @ op.disc.Gram_full @ op.disc.A_full @ q, 2) if q.size else 0.0
+    return sample_basis, nrmA
+
+
+def batch_symmetry_defect(op, seed):
+    """The symmetry defect of every pair at once, as sample-space matrix products."""
+    from gknextend.spectral import PROBE_TRIALS
 
     rng = np.random.default_rng(seed)
-    sample_basis, nrmA = _probe_basis(op)
+    sample_basis, nrmA = sample_probe(op)
+    z = rng.standard_normal((PROBE_TRIALS, 4, sample_basis.shape[1]))
+    U = sample_basis @ (z[:, 0] + 1j * z[:, 1]).T
+    V = sample_basis @ (z[:, 2] + 1j * z[:, 3]).T
+    G, A = op.disc.Gram_full, op.disc.A_full
+    AU, AV, GU = A @ U, A @ V, G @ U
+    # <x, y> = y* G x, one trial per column
+    num = np.abs(np.sum(V.conj() * (G @ AU), axis=0) - np.sum(AV.conj() * GU, axis=0))
+    norm_u = np.sqrt(np.maximum(np.sum(U.conj() * GU, axis=0).real, 0.0))
+    norm_v = np.sqrt(np.maximum(np.sum(V.conj() * (G @ V), axis=0).real, 0.0))
+    den = norm_u * norm_v * (1.0 + nrmA)
+    return float(np.max(num[den > 0] / den[den > 0], initial=0.0))
+
+
+def loop_symmetry_defect(op, seed):
+    """The symmetry defect one pair at a time, from explicit inner products."""
+    from gknextend.spectral import PROBE_TRIALS
+
+    rng = np.random.default_rng(seed)
+    sample_basis, nrmA = sample_probe(op)
     dim = sample_basis.shape[1]
 
     def inner(x, y):

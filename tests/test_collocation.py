@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gknextend.collocation import make_grid
+from conftest import direct_grid
+from gknextend import cli
+from gknextend.collocation import _reference_grid, make_grid
 
 
 class TestGrid:
@@ -43,3 +45,52 @@ class TestGrid:
     def test_too_coarse_rejected(self):
         with pytest.raises(ValueError):
             make_grid(4, 0.0, 1.0)
+
+
+class TestReferenceGrid:
+    """make_grid scales a per-N reference on [-1, 1]; direct_grid builds on [a, b]."""
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (100.0, 101.0), (0.0, 1e-3), (-1.0, 99.0)])
+    @pytest.mark.parametrize("N", [8, 16, 64, 256, 257])
+    def test_agrees_with_direct_build(self, N, interval):
+        a, b = interval
+        g = make_grid(N, a, b)
+        nodes, D, _ = direct_grid(N, a, b)
+        assert g.nodes[0] == a and g.nodes[-1] == b
+        for got, want in zip((g.nodes, *map(g.diff, range(1, 5))), (nodes, *D)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # The interpolant Gram depends on b - a only.  Built directly on
+        # [100, 101], it loses digits to the cancellation in (Gauss point -
+        # node) at an offset of 100 (3.7e-12 relative at N = 256), so it is
+        # compared with the direct build on the centred interval of equal length.
+        h = (b - a) / 2
+        want = direct_grid(N, -h, h)[2]
+        assert np.abs(g.gram - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_returned_arrays_do_not_alias_the_reference(self):
+        def arrays(g):
+            return (g.nodes, *map(g.diff, range(1, 5)), g.gram)
+
+        before = arrays(make_grid(32, 0.0, 1.0))
+        for m in arrays(make_grid(32, 0.0, 1.0)):
+            m[...] = np.nan
+        for x, y in zip(before, arrays(make_grid(32, 0.0, 1.0))):
+            assert np.array_equal(x, y)
+
+    def test_higher_derivatives_built_on_first_use(self):
+        g = make_grid(16, 0.0, 1.0)
+        assert g.diff(2) is g.diff(2)
+        assert np.array_equal(g.diff(4), g.diff(3) @ g.diff(1))
+
+    def test_reference_is_read_only(self):
+        for m in _reference_grid(32):
+            assert not m.flags.writeable
+
+    def test_built_once_per_N(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"example": "fourier_3_3", "grid_N": 48}')
+        _reference_grid.cache_clear()
+        for _ in range(2):
+            assert cli.main(["spectrum", "--config", str(path)]) == 0
+        info = _reference_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 1)

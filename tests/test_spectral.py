@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from conftest import (
+    batch_symmetry_defect,
     benchmark_ops,
     loop_symmetry_defect,
     qz_eigenvalues,
@@ -38,6 +39,7 @@ from gknextend.polynomials import Poly
 from gknextend.spectral import (
     SpectralError,
     _fundamental_traces,
+    _horner,
     assemble,
     characteristic_value,
     eigenrelation_residual,
@@ -173,6 +175,23 @@ class TestAssemble:
         with pytest.raises(SpectralError, match="interval"):
             assemble(entry.model, entry.boundary_conditions(), make_grid(64, 0.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            build_example("legendre_type", {"A": 2.37}).model.expr,
+            build_example("legendre_type", {"A": 1e5}).model.expr,
+            GeneralEvenOrder((Poly([0.3, -0.7]), Poly([1.1, 0.25, 0.0375]), Poly([0.6])), -0.5, 1.25),
+            build_example("fourier_3_3").model.expr,
+        ],
+        ids=["legendre_type_2.37", "legendre_type_1e5", "float_order_four", "fourier_3_3"],
+    )
+    def test_horner_is_bit_identical_to_poly_call(self, expr):
+        a, b = (float(v) for v in expr.interval)
+        nodes = make_grid(256, a, b).nodes
+        for _, c in expr.coefficient_polys():
+            want = np.array([complex(c(u)) for u in nodes])
+            assert np.asarray(_horner(c, nodes), dtype=complex).tobytes() == want.tobytes()
+
 
 # a short and an off-centre interval are the hardest cases for the
 # sabotage control
@@ -228,6 +247,19 @@ class TestSymmetryDefect:
         for rows in (bc, bad):
             op = assemble(entry.model, rows, grid)
             assert abs(symmetry_defect(op, 11) - loop_symmetry_defect(op, 11)) <= 1e-12
+
+    @pytest.mark.parametrize("name", SPECTRUM_EXAMPLES)
+    def test_probe_basis_equals_sample_space(self, name):
+        # K = Q* G A Q and Q* G Q in place of products with the 50 sampled
+        # pairs: only rounding differs, within the pairwise test's bound
+        entry = build_example(name)
+        a, b = (float(v) for v in entry.model.expr.interval)
+        grid = make_grid(64, a, b)
+        bc = entry.boundary_conditions()
+        bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, entry.model.trace_dim))
+        for rows in (bc, bad):
+            op = assemble(entry.model, rows, grid)
+            assert abs(symmetry_defect(op, 11) - batch_symmetry_defect(op, 11)) <= 1e-12
 
     @pytest.mark.parametrize("N", [16, 64, 256])
     @pytest.mark.parametrize("params", DEFECT_PARAMS, ids=str)
