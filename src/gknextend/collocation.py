@@ -9,8 +9,9 @@ than a quadrature approximation, which is what keeps the symmetry defect
 of honestly self-adjoint assemblies at rounding level.
 
 Only the affine scaling depends on [a, b]: the nodes, the first
-differentiation matrix and the Gram are built once per N on [-1, 1]
-(`_reference_grid`) and scaled to [a, b] by each `make_grid` call.
+differentiation matrix, the Gram and its Cholesky factor are built once
+per N on [-1, 1] (`_reference_grid`) and scaled to [a, b] by each
+`make_grid` call.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ class CollocationGrid:
     nodes: np.ndarray          # ascending, nodes[0] = a, nodes[-1] = b
     D1: np.ndarray             # differentiates once
     gram: np.ndarray           # exact L2 Gram of the nodal interpolants
+    gram_factor: np.ndarray    # upper R_ref with gram = h R_ref^T R_ref, read-only
+
+    @property
+    def h(self) -> float:
+        """Half the interval length: u = (a + b)/2 + h t maps [-1, 1] onto [a, b]."""
+        return (self.b - self.a) / 2
 
     @functools.cached_property
     def _powers(self) -> list:
@@ -59,8 +66,9 @@ class CollocationGrid:
 
 
 @functools.lru_cache(maxsize=4)
-def _reference_grid(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending CGL nodes t, d/dt and the exact interpolant Gram on [-1, 1], read-only."""
+def _reference_grid(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending CGL nodes t, d/dt, the exact interpolant Gram on [-1, 1] and
+    its upper Cholesky factor R_ref (gram = R_ref^T R_ref), read-only."""
     t, Dt = _cheb_matrix(N)
     t, D1 = -t, -Dt
     # exact interpolant Gram via Gauss-Legendre resampling (degree 2N needs N+1 points)
@@ -78,9 +86,10 @@ def _reference_grid(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         E[exact_hit] = 1.0
     gram = E.T @ (gw[:, None] * E)
     gram = 0.5 * (gram + gram.T)
-    for m in (t, D1, gram):
+    R_ref = np.linalg.cholesky(gram).T
+    for m in (t, D1, gram, R_ref):
         m.flags.writeable = False
-    return t, D1, gram
+    return t, D1, gram, R_ref
 
 
 def make_grid(N: int, a: float, b: float) -> CollocationGrid:
@@ -88,14 +97,15 @@ def make_grid(N: int, a: float, b: float) -> CollocationGrid:
 
     d/du = d/dt / h and du = h dt, so D1 and the Gram are the reference
     ones scaled by 1/h and h; `diff` builds D2..D4 from D1 when an
-    expression of that order first asks for them.
+    expression of that order first asks for them.  The Gram's factor is
+    the reference one, shared: gram = h R_ref^T R_ref.
     """
     if N < 8:
         raise ValueError("grid too coarse; need N >= 8")
     if not a < b:
         raise ValueError("need a < b")
-    t, D1_ref, gram_ref = _reference_grid(N)
+    t, D1_ref, gram_ref, R_ref = _reference_grid(N)
     h = (np.float64(b) - np.float64(a)) / 2
     nodes = (a + b) / 2.0 + t * h
     nodes[0], nodes[-1] = a, b
-    return CollocationGrid(N, float(a), float(b), nodes, D1_ref * (1 / h), h * gram_ref)
+    return CollocationGrid(N, float(a), float(b), nodes, D1_ref * (1 / h), h * gram_ref, R_ref)

@@ -2,14 +2,17 @@
 
 A discrete vector stacks (samples on the grid, W coordinates).  Boundary
 conditions are imposed by restriction to the nullspace of the discretized
-constraint rows (basis recombination), so the reduced pair (A_red, Gram_red)
-stays honestly checkable for Hermitian symmetry instead of being made
-symmetric by construction.  The H + W inner product makes Gram_red
-positive definite, so `spectrum` solves the pair as one standard problem
-through the Cholesky congruence L^-1 A_red L^-* (Gram_red = L L*).  A
-congruence preserves Hermitian-ness and non-Hermitian-ness alike, so the
-eigenvalues stay a measurement of the assembly: an unsymmetric A_red gives
-the same non-real eigenvalues as the generalized problem.
+constraint rows (basis recombination), so the reduced operator stays
+honestly checkable for Hermitian symmetry instead of being made symmetric
+by construction.  The basis of that nullspace is orthonormal for the
+H + W inner product G = blockdiag(interpolant Gram, G_W): with G = R* R
+(R = blockdiag(sqrt(h) R_ref, R_W), R_ref the grid's cached Cholesky
+factor), `assemble` takes the rows in the coordinates y = R x, where G is
+the identity, and an orthonormal basis Q of their nullspace there, so
+that the operator is the one standard matrix C = Q* R A R^-1 Q.  A
+change of basis keeps Hermitian-ness and non-Hermitian-ness alike, so
+the eigenvalues of C stay a measurement of the assembly: an unsymmetric
+assembly gives the same non-real eigenvalues in any basis.
 
 `spectrum` computes only the eigenvalues the checks read, the few of
 smallest modulus, by ARPACK's non-symmetric shift-invert Arnoldi at a
@@ -19,9 +22,9 @@ eigenvalues it returns cover every smaller one (see `spectrum`).
 The arithmetic is real whenever the model is: `assemble` works in float64
 when the expression's coefficients, Omega, B, G and the boundary rows all
 have an imaginary part of exactly zero, and in complex128 otherwise, and
-`spectrum` follows the dtype of the pair it is given.  Realness of the
+`spectrum` follows the dtype of the C it is given.  Realness of the
 arrays is not realness of the spectrum: the Arnoldi solver is the general
-non-symmetric one in either dtype, so a real A_red that is not symmetric
+non-symmetric one in either dtype, so a real C that is not symmetric
 still gives its conjugate pairs of non-real eigenvalues, and the realness
 of the eigenvalues is read from the solver's output.
 """
@@ -139,26 +142,60 @@ class DiscreteDomain:
 
 @dataclass(frozen=True)
 class DiscreteExtendedOperator(DiscreteDomain):
-    """The reduced pair (A_red, Gram_red) on the nullspace P of the rows."""
+    """The operator C = Q* R A_full R^-1 Q in the G-orthonormal domain basis R^-1 Q.
 
-    P: np.ndarray              # domain basis, columns span the constrained space
-    A_red: np.ndarray
-    Gram_red: np.ndarray
+    Q is an orthonormal basis of the rows' nullspace in the coordinates
+    y = R x, Gram_full = R* R (see the module docstring).
+    """
+
+    Q: np.ndarray
+    C: np.ndarray
 
     @property
     def reduced_dim(self) -> int:
-        return self.P.shape[1]
+        return self.Q.shape[1]
+
+
+def _constraint_rows(disc: Discretization, bc: BoundaryConditions) -> np.ndarray:
+    """The boundary rows on (samples, W coordinates), real when the rows and the lift are."""
+    dtype = complex if np.iscomplexobj(disc.lift) else _dtype(bc.canonical)
+    return _view(bc.canonical, dtype) @ disc.lift
+
+
+def _right_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """M R^-1 for an upper triangular R."""
+    return scipy.linalg.solve_triangular(R, M.T, trans="T").T
 
 
 def assemble(
     model: ExtendedModel, bc: BoundaryConditions, grid: CollocationGrid
 ) -> DiscreteExtendedOperator:
-    """Discretize (l x, B a - Omega tr x) under the given boundary rows, real if all are."""
+    """Discretize (l x, B a - Omega tr x) under the given boundary rows, real if all are.
+
+    R_W, the W block of R, is the upper Cholesky factor of G; a G that is
+    not positive definite is refused.  In R A_full R^-1 the sqrt(h) of the
+    H block cancels, leaving R_ref L R_ref^-1; only the coupling row
+    -R_W Omega tr R_ref^-1 / sqrt(h) carries it, and B enters as
+    R_W B R_W^-1.
+    """
     disc = _discretize(model, grid)
-    dtype = complex if np.iscomplexobj(disc.lift) else _dtype(bc.canonical)
-    P = nullspace(_view(bc.canonical, dtype) @ disc.lift, rtol=1e-10)
-    PG = P.conj().T @ disc.Gram_full
-    return DiscreteExtendedOperator(disc, bc, P, PG @ disc.A_full @ P, PG @ P)
+    n = grid.N + 1
+    try:
+        R_W = scipy.linalg.cholesky(disc.Gram_full[n:, n:], lower=False)
+    except scipy.linalg.LinAlgError as e:
+        raise SpectralError(f"the W Gram matrix G is not positive definite: {e}")
+    R_H, sqrt_h = grid.gram_factor, np.sqrt(grid.h)
+    rows = _constraint_rows(disc, bc)
+    Q = nullspace(
+        np.hstack([_right_solve(rows[:, :n], R_H) / sqrt_h, _right_solve(rows[:, n:], R_W)]),
+        rtol=1e-10,
+    )
+    Qh, Qw = Q[:n], Q[n:]
+    # A_full R^-1 Q, with R_ref^-1 Q_h = sqrt(h) times the H rows of R^-1 Q
+    AZ = disc.A_full[:, :n] @ scipy.linalg.solve_triangular(R_H, Qh)
+    W_rows = AZ[n:] / sqrt_h + disc.A_full[n:, n:] @ scipy.linalg.solve_triangular(R_W, Qw)
+    C = Qh.conj().T @ (R_H @ AZ[:n]) + Qw.conj().T @ (R_W @ W_rows)
+    return DiscreteExtendedOperator(disc, bc, Q, C)
 
 
 def _probe_basis(dom: DiscreteDomain) -> np.ndarray:
@@ -166,16 +203,18 @@ def _probe_basis(dom: DiscreteDomain) -> np.ndarray:
 
     The subspace is the Chebyshev polynomials T_0..T_d of
     t = (2u - a - b)/(b - a) (d = min(PROBE_DEGREE, N)) and the W
-    coordinates, restricted to the nullspace of the boundary rows.
+    coordinates, restricted to the nullspace of the boundary rows.  It is
+    real when the rows and the lift are.
     """
     disc = dom.disc
     grid, k = disc.grid, disc.model.k
     n, d = grid.N + 1, min(PROBE_DEGREE, grid.N)
     t = (2 * grid.nodes - grid.a - grid.b) / (grid.b - grid.a)
-    basis = np.zeros((n + k, d + 1 + k), dtype=complex)
+    rows = _constraint_rows(disc, dom.bc)
+    basis = np.zeros((n + k, d + 1 + k), dtype=rows.dtype)
     basis[:n, : d + 1] = np.polynomial.chebyshev.chebvander(t, d)
     basis[n:, d + 1 :] = np.eye(k)
-    constrained = dom.bc.canonical @ disc.lift @ basis
+    constrained = rows @ basis
     # the rank rule of scipy.linalg.null_space: rtol = max(shape) * eps
     rtol = max(constrained.shape) * np.finfo(float).eps
     return basis @ nullspace(constrained, rtol)
@@ -239,13 +278,13 @@ def modulus_order(values) -> np.ndarray:
 
 
 def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
-    """The `count` eigenvalues of the reduced pair (A_red, Gram_red) of smallest |lambda|.
+    """The `count` eigenvalues of the reduced operator C of smallest |lambda|.
 
-    Gram_red is Hermitian positive definite (the H + W inner product
-    restricted to the domain), so with Gram_red = L L* the pair has the
-    eigenvalues of the standard problem C = L^-1 A_red L^-*, and the
-    eigenvectors L^-* y.  The congruence keeps honesty: C is Hermitian
-    exactly when A_red is.
+    C is the operator in a G-orthonormal domain basis (see
+    `DiscreteExtendedOperator`): its reduced Gram is the identity, so C
+    is one standard matrix, Hermitian exactly when the assembly is
+    symmetric for the H + W inner product, and its eigenvectors are
+    coordinates in that basis.
 
     Only the eigenvalues the checks read are computed: ARPACK's
     non-symmetric shift-invert Arnoldi (`eigs`, real when C is, complex
@@ -253,11 +292,23 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
     shift sigma.  It assumes no symmetry of C, so realness is measured
     from its output, never produced.  The two spare eigenvalues keep a
     pair +-lambda that straddles the cut whole before `modulus_order`
-    truncates to `count`.  The start vector is a fixed-seed Gaussian:
+    truncates to `count`.  The Krylov space holds 2k + 4 vectors, three
+    more than ARPACK's default: with the default, a spectrum of pairs
+    +-lambda (first_order at alpha = 0) split at the k-th eigenvalue left
+    the kept eigenpairs at residuals up to 4e-12 for some start vectors
+    (grid_N 24 and 32), and 1e-13 or less with three more vectors, at
+    the same cost.  The start vector is a fixed-seed Gaussian:
     generic, so that no eigenvector is missing from the Krylov space, and
     the same on every call.  A structured vector such as all ones has no
     component along the odd eigenvectors of a reflection-symmetric problem
     in exact arithmetic, and would leave them to rounding.
+
+    ARPACK sees C scaled by the power of two 2^-e, e the exponent of
+    max |C| (`frexp`), so that max |C| lies in [1/2, 1) whatever the
+    interval length; the scaling is exact, and the eigenvalues are scaled
+    back exactly.  On a long interval the unscaled C is tiny (max |C| is
+    6e-294 at b = 1e150, grid_N 64), and the shift-invert iterates of
+    (C - sigma)^-1 overflow to inf.
 
     The shift is sigma = -tau with tau = 1e-9 ||C||_1, not 0: an exact
     eigenvalue 0 (fourier_3_3) makes C itself singular.  tau is 1e7 times
@@ -272,8 +323,12 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
     or a kept one beyond that radius, is refused, as is an ARPACK failure
     (`SpectralError`).
 
-    Residuals are taken against the original pair.  The symmetry defect is
-    left to the caller, who measures it once.
+    The residual of an eigenpair (lambda, y) is
+    ||C y - lambda y|| / (||y|| max(s + reach, 1)), with s the largest
+    column 2-norm of C and reach the largest kept |lambda|.  s <= ||C||_2,
+    so a residual reads at least as large as with the 2-norm, which would
+    take an SVD.  The symmetry defect is left to the caller, who measures
+    it once.
     """
     from scipy.sparse.linalg import ArpackError, eigs  # ~30 ms: only spectrum pays it
 
@@ -283,21 +338,16 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
             f"requested {count} eigenvalues, reduced dim {op.reduced_dim} "
             f"(Arnoldi needs count + 3 < reduced dim)"
         )
-    try:
-        L = scipy.linalg.cholesky(op.Gram_red, lower=True)
-    except scipy.linalg.LinAlgError as e:
-        cond = np.linalg.cond(op.Gram_red)
-        raise SpectralError(f"eigensolver failed (Gram condition {cond:.3e}): {e}")
-    X = scipy.linalg.solve_triangular(L, op.A_red, lower=True)
-    C = scipy.linalg.solve_triangular(L, X.conj().T, lower=True, overwrite_b=True).conj().T
-    del X
+    C = op.C
+    scale = np.ldexp(1.0, -np.frexp(np.abs(C).max())[1])
     tau = 1e-9 * np.linalg.norm(C, 1)
     v0 = np.random.default_rng(0).standard_normal(op.reduced_dim)
+    ncv = min(2 * k + 4, op.reduced_dim)
     try:
-        evals, Y = eigs(C, k=k, sigma=-tau, v0=v0)
+        evals, Y = eigs(C * scale, k=k, ncv=ncv, sigma=-tau * scale, v0=v0)
     except ArpackError as e:
         raise SpectralError(f"eigensolver failed: {e}")
-    del C
+    evals = evals / scale
     # every eigenvalue not returned is at least d_k from sigma, so at least d_k - tau from 0
     radius = np.abs(evals + tau).max(initial=0.0) - tau
     order = modulus_order(evals)[:count]
@@ -308,13 +358,11 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
             f"no-miss check failed: Arnoldi returned {Y.shape[1]} of {k} eigenvalues, "
             f"kept |lambda| up to {reach:.6e} against a covered radius {radius:.6e}"
         )
-    evecs = scipy.linalg.solve_triangular(L, Y[:, order], lower=True, trans="C")
-    resids = np.zeros(count)
-    scale = np.linalg.norm(op.A_red, 2) + reach
-    for i in range(count):
-        v = evecs[:, i]
-        r = op.A_red @ v - evals[i] * (op.Gram_red @ v)
-        resids[i] = np.linalg.norm(r) / (np.linalg.norm(v) * max(scale, 1.0))
+    Y = Y[:, order]
+    s = np.linalg.norm(C, axis=0).max()
+    resids = np.linalg.norm(C @ Y - Y * evals, axis=0) / (
+        np.linalg.norm(Y, axis=0) * max(s + reach, 1.0)
+    )
     return SpectrumReport(
         eigenvalues=evals,
         residuals=resids,

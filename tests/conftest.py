@@ -263,19 +263,34 @@ def fraction_suite(A, n_max):
 
 
 # -- independent references for the spectral reductions ---------------------
-# The library solves the reduced pair through a Cholesky congruence and
-# measures the symmetry defect in the probe basis; these do both the direct
-# way, the defect in sample space, for all pairs at once and pair by pair.
+# The library builds the operator in a G-orthonormal basis of the domain and
+# measures the symmetry defect in the probe basis; these reduce the full
+# matrices the direct way: the domain basis from a Cholesky factor of the
+# whole Gram, the eigenvalues from a Euclidean basis by QZ, and the defect
+# in sample space, for all pairs at once and pair by pair.
 
 
-def qz_eigenvalues(op):
-    """All eigenvalues of (A_red, Gram_red) by complex QZ, smallest |lambda| first.
+def domain_basis(op):
+    """The domain basis R^-1 Q and R, with Gram_full = R* R factored whole."""
+    import scipy.linalg
 
+    R = scipy.linalg.cholesky(op.disc.Gram_full, lower=False)
+    return scipy.linalg.solve_triangular(R, op.Q), R
+
+
+def qz_eigenvalues(dom):
+    """All eigenvalues of the constrained operator by complex QZ, smallest |lambda| first.
+
+    P is a Euclidean orthonormal basis of the nullspace of the boundary
+    rows, and QZ solves the pencil (P* G A P, P* G P) of the full matrices.
     Ties in |lambda| to 9 significant digits go by real part.
     """
     import scipy.linalg
 
-    evals = scipy.linalg.eigvals(op.A_red, op.Gram_red)
+    disc = dom.disc
+    P = scipy.linalg.null_space(dom.bc.canonical @ disc.lift, rcond=1e-10)
+    PG = P.conj().T @ disc.Gram_full
+    evals = scipy.linalg.eigvals(PG @ disc.A_full @ P, PG @ P)
     modulus = [float(f"{m:.8e}") for m in np.abs(evals)]
     return evals[np.lexsort((evals.real, modulus))]
 

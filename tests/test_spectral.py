@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 from fractions import Fraction
@@ -10,12 +11,15 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from conftest import (
     batch_symmetry_defect,
+    benchmark_module,
     benchmark_ops,
+    domain_basis,
     loop_symmetry_defect,
     qz_eigenvalues,
     rk_fundamental_traces,
     tied_pairs,
 )
+from gknextend import catalog
 from gknextend.catalog import build_example, sabotage_rows
 from gknextend.cli import main
 from gknextend.collocation import make_grid
@@ -124,6 +128,52 @@ def fourier_k0_model(a=0.0, b=1.0):
 DIRICHLET_ROWS = np.array([[1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex)
 
 
+# a short and an off-centre interval are the hardest cases for the
+# sabotage control
+DEFECT_PARAMS = {
+    "defaults": {},
+    "short": {"a": 0.05, "b": 0.6, "M": 0.85},
+    "off_centre": {"a": 0.4, "b": 2.35, "M": 0.55, "N_weight": 1.15, "alpha": -0.9, "gamma": -0.7},
+}
+ORACLE_EXAMPLES = [
+    "first_order", "fourier_3_1", "fourier_3_2a", "fourier_3_3", "fourier_3_4", "fourier_3_5",
+]
+SPECTRUM_EXAMPLES = ["legendre_type", *ORACLE_EXAMPLES]
+# the W weights each oracle example reads: first_order has its own fixed
+# weight, and the one-coordinate examples read M alone
+WEIGHT_PARAMS = {"first_order": (), "fourier_3_1": ("M",), "fourier_3_2a": ("M",)}
+EXTREME_WEIGHTS = [
+    (name, params)
+    for name in ORACLE_EXAMPLES
+    for params in [{}] + [
+        {key: v}
+        for key in WEIGHT_PARAMS.get(name, ("M", "N_weight"))
+        for v in (1e-12, 1e-6, 1e6, 1e12)
+    ]
+]
+
+
+def reference_roots(reference, name, params):
+    """Zeros of the benchmark's closed-form characteristic function.
+
+    The uniform scan of its window is joined by +-10^(-15..0): a pair +-eps
+    near 0 (fourier_3_5 at a small N_weight) shares one cell of the uniform
+    scan and shows no sign change there.
+    """
+    p = reference.params_of({"params": params})
+    f = reference.characteristic(name, p)
+    near_0 = np.logspace(-15, 0, 301)
+    scan = np.linspace(*reference.window(name, p), 20000)
+    grid = np.unique(np.concatenate([scan, near_0, -near_0]))
+    vals = f(grid)
+    roots = list(grid[vals == 0.0])
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+        roots.append(
+            brentq(lambda x: float(f(x)), grid[i], grid[i + 1], xtol=1e-14, rtol=4 * np.finfo(float).eps)
+        )
+    return np.array(roots)
+
+
 class TestAssemble:
     def test_dimension_bookkeeping_3_1(self, grid01):
         entry = build_example("fourier_3_1")
@@ -145,8 +195,35 @@ class TestAssemble:
         entry = build_example("fourier_3_5")
         bc = entry.boundary_conditions()
         op = assemble(entry.model, bc, grid01)
-        resid = np.abs(bc.canonical @ op.disc.lift @ op.P).max()
+        resid = np.abs(bc.canonical @ op.disc.lift @ domain_basis(op)[0]).max()
         assert resid < 1e-10
+
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    @pytest.mark.parametrize(
+        "name, params",
+        [(name, {}) for name in SPECTRUM_EXAMPLES]
+        + [
+            (name, params)
+            for name in ORACLE_EXAMPLES[1:]
+            for params in ({"M": 1e-12}, {"N_weight": 1e12}, {"b": 1e-3}, {"a": 100, "b": 101})
+        ],
+        ids=str,
+    )
+    def test_domain_basis_is_g_orthonormal(self, name, params, N):
+        # P = R^-1 Q with R factored from the whole Gram: each row, as a
+        # functional of G-norm ||row R^-1||, vanishes on the G-unit columns
+        # of P; P* G P = I; and C is the operator in that basis, P* G A P
+        entry = build_example(name, params)
+        a, b = (float(v) for v in entry.model.expr.interval)
+        bc = entry.boundary_conditions()
+        op = assemble(entry.model, bc, make_grid(N, a, b))
+        P, R = domain_basis(op)
+        rows = bc.canonical @ op.disc.lift
+        dual = np.linalg.norm(scipy.linalg.solve_triangular(R, rows.T, trans="T"), axis=0)
+        assert np.all(np.abs(rows @ P).max(axis=1) <= 1e-12 * dual)
+        G, A = op.disc.Gram_full, op.disc.A_full
+        assert np.abs(P.conj().T @ G @ P - np.eye(op.reduced_dim)).max() <= 1e-12
+        assert np.abs(P.conj().T @ G @ A @ P - op.C).max() <= 1e-12 * np.abs(op.C).max()
 
     @pytest.mark.parametrize(
         "name, params, dtype",
@@ -161,7 +238,7 @@ class TestAssemble:
         entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
         op = assemble(entry.model, entry.boundary_conditions(), make_grid(32, a, b))
-        arrays = (op.disc.lift, op.disc.A_full, op.disc.Gram_full, op.P, op.A_red, op.Gram_red)
+        arrays = (op.disc.lift, op.disc.A_full, op.disc.Gram_full, op.Q, op.C)
         assert all(m.dtype == dtype for m in arrays)
 
     def test_refuses_tiny_grid(self):
@@ -191,19 +268,6 @@ class TestAssemble:
         for _, c in expr.coefficient_polys():
             want = np.array([complex(c(u)) for u in nodes])
             assert np.asarray(_horner(c, nodes), dtype=complex).tobytes() == want.tobytes()
-
-
-# a short and an off-centre interval are the hardest cases for the
-# sabotage control
-DEFECT_PARAMS = {
-    "defaults": {},
-    "short": {"a": 0.05, "b": 0.6, "M": 0.85},
-    "off_centre": {"a": 0.4, "b": 2.35, "M": 0.55, "N_weight": 1.15, "alpha": -0.9, "gamma": -0.7},
-}
-ORACLE_EXAMPLES = [
-    "first_order", "fourier_3_1", "fourier_3_2a", "fourier_3_3", "fourier_3_4", "fourier_3_5",
-]
-SPECTRUM_EXAMPLES = ["legendre_type", *ORACLE_EXAMPLES]
 
 
 class TestSymmetryDefect:
@@ -334,6 +398,21 @@ class TestSpectrum:
         assert abs(rep.eigenvalues[0]) <= 1e-8
         assert rep.residuals[0] <= 1e-12
 
+    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize("name, params", EXTREME_WEIGHTS, ids=str)
+    def test_extreme_weights_match_closed_form(self, name, params, N, monkeypatch):
+        # W weights from 1e-12 to 1e12 cost no accuracy in the G-orthonormal
+        # basis: a Euclidean one lost up to 1.6e-5 (fourier_3_3 at N_weight
+        # 1e-12, grid_N 64), with residuals up to 4.4e-4
+        entry = build_example(name, params)
+        a, b = (float(v) for v in entry.model.expr.interval)
+        rep = spectrum(assemble(entry.model, entry.boundary_conditions(), make_grid(N, a, b)), 8)
+        roots = reference_roots(benchmark_module(monkeypatch, "reference"), name, params)
+        for z in rep.eigenvalues[:5]:
+            r = roots[np.argmin(np.abs(roots - z))]
+            assert abs(z - r) <= 1e-9 * max(1.0, abs(r))
+        assert rep.residuals.max() <= 1e-12
+
     @pytest.mark.parametrize("params", [{"a": 100, "b": 101}, {"b": 0.001}])
     def test_five_smallest_match_closed_form(self, params):
         entry = build_example("fourier_3_3", params)
@@ -372,7 +451,7 @@ class TestSpectrum:
     ):
         # with sigma = -tau the k eigenvalues nearest sigma can leave out one
         # of smaller modulus: here 9 - tau/2 loses to three values near -9
-        def nearest_k(eigs, C, k, sigma, v0):
+        def nearest_k(eigs, C, k, sigma, **kw):
             vals, vecs = scipy.linalg.eig(C)
             i = np.argsort(np.abs(vals - sigma))[:k]
             return vals[i], vecs[:, i]
@@ -382,7 +461,7 @@ class TestSpectrum:
         tau = 1e-9 * 30.0
         vals = [*range(1, 9), -9.0, -9.0 - 1e-10, -9.0 - 2e-10, 9.0 - tau / 2, 20.0, 25.0, 30.0]
         n = len(vals)
-        diagonal = dataclasses.replace(op, P=np.eye(n), A_red=np.diag(vals), Gram_red=np.eye(n))
+        diagonal = dataclasses.replace(op, Q=np.eye(n), C=np.diag(vals))
         self.patch_eigs(monkeypatch, nearest_k)
         assert spectrum(diagonal, 8).eigenvalues.real.tolist() == list(range(1, 9))
         with pytest.raises(SpectralError, match="no-miss check"):
@@ -409,7 +488,6 @@ class TestSpectrum:
     @staticmethod
     def assert_matches_qz(op):
         rep = spectrum(op, 8)
-        # residuals against the original pair check the back-transformed vectors
         assert rep.residuals.max() <= 1e-12
         got, ref = rep.eigenvalues, qz_eigenvalues(op)
         # both orders break ties in |lambda| by real part, so even the pairs
@@ -440,20 +518,18 @@ class TestSpectrum:
         entry = build_example("first_order")
         op = assemble(entry.model, entry.boundary_conditions(), grid01)
         m = op.reduced_dim
-        Q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-        rotated = dataclasses.replace(
-            op, A_red=Q.conj().T @ op.A_red @ Q, Gram_red=Q.conj().T @ op.Gram_red @ Q
-        )
-        assert np.abs(rotated.Gram_red.imag).max() > 0.1 * np.abs(rotated.Gram_red).max()
+        U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        rotated = dataclasses.replace(op, Q=op.Q @ U, C=U.conj().T @ op.C @ U)
+        assert np.abs(rotated.Q.imag).max() > 0.1 * np.abs(rotated.Q).max()
         self.assert_matches_qz(rotated)
 
     def test_non_real_shift_is_measured(self, grid01):
-        # A_red + 0.5i Gram_red has the honest eigenvalues plus 0.5i: the
-        # congruence carries non-Hermitian parts through, it never removes them
+        # C + 0.5i I has the honest eigenvalues plus 0.5i: the solver carries
+        # non-Hermitian parts through, it never removes them
         entry = build_example("fourier_3_3")
         op = assemble(entry.model, entry.boundary_conditions(), grid01)
         honest = spectrum(op, 8)
-        shifted = spectrum(dataclasses.replace(op, A_red=op.A_red + 0.5j * op.Gram_red), 8)
+        shifted = spectrum(dataclasses.replace(op, C=op.C + 0.5j * np.eye(op.reduced_dim)), 8)
         assert np.abs(shifted.eigenvalues - (honest.eigenvalues + 0.5j)).max() <= 1e-8 * (
             1 + np.abs(honest.eigenvalues).max()
         )
@@ -461,21 +537,20 @@ class TestSpectrum:
         assert shifted.residuals.max() <= 1e-12
 
     def test_real_skew_coupling_is_measured(self, grid01):
-        # coupling two Gram-orthonormal eigenvectors by a real skew term turns
+        # coupling two orthonormal eigenvectors by a real skew term turns
         # [[l1, 0], [0, l2]] into [[l1, s], [-s, l2]]: with s > |l1 - l2|/2 the
         # pair leaves the real axis, and the real solver must report it
         entry = build_example("fourier_3_3")
         op = assemble(entry.model, entry.boundary_conditions(), grid01)
-        assert op.A_red.dtype == np.float64
-        G = op.Gram_red
-        w, U = scipy.linalg.eigh(0.5 * (op.A_red + op.A_red.T), G)
+        assert op.C.dtype == np.float64
+        w, U = scipy.linalg.eigh(0.5 * (op.C + op.C.T))
         i = np.argsort(np.abs(w))[1:3]
         (l1, l2), u1, u2 = w[i], U[:, i[0]], U[:, i[1]]
         d = abs(l1 - l2) / 2
         s = 2 * d
-        skew = s * G @ (np.outer(u1, u2) - np.outer(u2, u1)) @ G
-        coupled = dataclasses.replace(op, A_red=op.A_red + skew)
-        assert coupled.A_red.dtype == np.float64
+        skew = s * (np.outer(u1, u2) - np.outer(u2, u1))
+        coupled = dataclasses.replace(op, C=op.C + skew)
+        assert coupled.C.dtype == np.float64
         rep = spectrum(coupled, 8)
         height = np.sqrt(s * s - d * d)
         for want in (l1 + l2) / 2 + np.array([-1j, 1j]) * height:
@@ -488,10 +563,8 @@ class TestSpectrum:
         entry = build_example(name)
         a, b = (float(v) for v in entry.model.expr.interval)
         op = assemble(entry.model, entry.boundary_conditions(), make_grid(N, a, b))
-        assert op.A_red.dtype == np.float64
-        as_complex = dataclasses.replace(
-            op, A_red=op.A_red.astype(complex), Gram_red=op.Gram_red.astype(complex)
-        )
+        assert op.C.dtype == np.float64
+        as_complex = dataclasses.replace(op, Q=op.Q.astype(complex), C=op.C.astype(complex))
         got, ref = spectrum(op, 8).eigenvalues, spectrum(as_complex, 8).eigenvalues
         assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
 
@@ -502,16 +575,23 @@ class TestSpectrum:
         )
         assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
-    def test_indefinite_gram_is_refused(self, grid01):
-        # flip the sign of the smallest eigenvalue of Gram_red: still
-        # Hermitian and as well conditioned, but no longer an inner product
+    def test_indefinite_gram_is_refused(self, grid01, tmp_path, capsys, monkeypatch):
+        # flip the sign of the smallest eigenvalue of G: still Hermitian and
+        # as well conditioned, but no longer an inner product.  ExtensionSpace
+        # refuses such a G, so it is swapped into a built model's W
         entry = build_example("fourier_3_3")
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
-        w, Q = np.linalg.eigh(op.Gram_red)
+        w, U = np.linalg.eigh(entry.model.W.G)
         w[0] = -w[0]
-        indefinite = (Q * w) @ Q.conj().T
-        with pytest.raises(SpectralError, match="eigensolver failed"):
-            spectrum(dataclasses.replace(op, Gram_red=indefinite), 8)
+        W = copy.copy(entry.model.W)
+        object.__setattr__(W, "G", (U * w) @ U.conj().T)
+        bad = dataclasses.replace(entry, model=dataclasses.replace(entry.model, W=W))
+        with pytest.raises(SpectralError, match="not positive definite"):
+            assemble(bad.model, bad.boundary_conditions(), grid01)
+        monkeypatch.setattr(catalog, "build_example", lambda name, params=None: bad)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"example": "fourier_3_3"}))
+        assert main(["spectrum", "--config", str(path)]) == 2
+        assert "not positive definite" in capsys.readouterr().err
 
 
 def relative_gap(got, ref):
