@@ -177,6 +177,8 @@ def _fourier_window(p: dict) -> tuple[float, float]:
     L = float(p["b"]) - float(p["a"])
     if not np.isfinite(L * L):
         raise ModelError(f"interval length b - a = {L:g} is too long: its square overflows")
+    if L * L == 0:
+        raise ModelError(f"interval length b - a = {L:g} is too short: its square underflows to 0")
     return (-40.0 / L**2, 320.0 / L**2)
 
 

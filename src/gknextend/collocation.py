@@ -11,7 +11,9 @@ of honestly self-adjoint assemblies at rounding level.
 Only the affine scaling depends on [a, b]: the nodes, the first
 differentiation matrix, the Gram and its Cholesky factor are built once
 per N on [-1, 1] (`_reference_grid`) and scaled to [a, b] by each
-`make_grid` call.
+`make_grid` call.  So are the right factors D_j R_ref^-1 that the
+assembly in the Gram-orthonormal coordinates reads (`_right_factors`),
+each on first use (`CollocationGrid.reference_diff_rinv`).
 """
 
 from __future__ import annotations
@@ -64,6 +66,26 @@ class CollocationGrid:
             powers.append(powers[-1] @ self.D1)
         return powers[order - 1]
 
+    def reference_diff_rinv(self, order: int) -> np.ndarray:
+        """(D_order R_ref^-1) on [-1, 1], read-only and shared by every grid of this N.
+
+        d/du = d/dt / h, so this grid's D_order R_ref^-1 is h^-order times
+        it.  Each order is built on first use: the reference d/dt raised to
+        the power as `diff` raises it, then one triangular right solve.
+        """
+        factors = _right_factors(self.N)
+        if order not in factors:
+            import scipy.linalg  # the CLI imports this module; its algebra commands never load scipy
+
+            D1 = -_cheb_matrix(self.N)[1]
+            D = np.eye(self.N + 1) if order == 0 else D1
+            for _ in range(order - 1):
+                D = D @ D1
+            F = scipy.linalg.solve_triangular(self.gram_factor, D.T, trans="T").T
+            F.flags.writeable = False
+            factors[order] = F
+        return factors[order]
+
 
 @functools.lru_cache(maxsize=4)
 def _reference_grid(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -90,6 +112,12 @@ def _reference_grid(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     for m in (t, D1, gram, R_ref):
         m.flags.writeable = False
     return t, D1, gram, R_ref
+
+
+@functools.lru_cache(maxsize=4)
+def _right_factors(N: int) -> dict[int, np.ndarray]:
+    """The D_j R_ref^-1 on [-1, 1] built so far for N, by j (see `reference_diff_rinv`)."""
+    return {}
 
 
 def make_grid(N: int, a: float, b: float) -> CollocationGrid:

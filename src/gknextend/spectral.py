@@ -40,7 +40,7 @@ from .collocation import CollocationGrid
 from .expressions import DiffExpr, ExpSolution
 from .extension import BoundaryConditions, ExtendedModel
 from .polynomials import Poly
-from .symplectic import GknError, nullspace
+from .symplectic import GknError, matrix_rank, nullspace
 
 
 class SpectralError(GknError):
@@ -83,11 +83,16 @@ def _horner(p: Poly, u: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _coefficient_values(expr: DiffExpr, grid: CollocationGrid) -> tuple[list, type]:
+    """[(j, c_j at the nodes)] of l x = sum_j c_j x^(j), and float when every c_j is real."""
+    coeffs = [(j, _horner(c, grid.nodes)) for j, c in expr.coefficient_polys()]
+    return coeffs, _dtype(*(cvals for _, cvals in coeffs))
+
+
 def expr_grid_matrix(expr: DiffExpr, grid: CollocationGrid) -> np.ndarray:
     """Collocation matrix of the expression on grid samples, real when its coefficients are."""
     n = grid.N + 1
-    coeffs = [(j, _horner(c, grid.nodes)) for j, c in expr.coefficient_polys()]
-    dtype = _dtype(*(cvals for _, cvals in coeffs))
+    coeffs, dtype = _coefficient_values(expr, grid)
     L = np.zeros((n, n), dtype=dtype)
     for j, cvals in coeffs:
         L += _view(cvals, dtype)[:, None] * grid.diff(j)
@@ -145,7 +150,9 @@ class DiscreteExtendedOperator(DiscreteDomain):
     """The operator C = Q* R A_full R^-1 Q in the G-orthonormal domain basis R^-1 Q.
 
     Q is an orthonormal basis of the rows' nullspace in the coordinates
-    y = R x, Gram_full = R* R (see the module docstring).
+    y = R x, Gram_full = R* R (see the module docstring): the last columns
+    of the product of Householder reflectors that `assemble` takes from
+    the rows.
     """
 
     Q: np.ndarray
@@ -156,15 +163,45 @@ class DiscreteExtendedOperator(DiscreteDomain):
         return self.Q.shape[1]
 
 
-def _constraint_rows(disc: Discretization, bc: BoundaryConditions) -> np.ndarray:
-    """The boundary rows on (samples, W coordinates), real when the rows and the lift are."""
-    dtype = complex if np.iscomplexobj(disc.lift) else _dtype(bc.canonical)
-    return _view(bc.canonical, dtype) @ disc.lift
+def _constraint_rows(lift: np.ndarray, bc: BoundaryConditions) -> np.ndarray:
+    """The boundary rows through a lift on (samples, W coordinates), real when the rows and the lift are."""
+    dtype = complex if np.iscomplexobj(lift) else _dtype(bc.canonical)
+    return _view(bc.canonical, dtype) @ lift
 
 
 def _right_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
     """M R^-1 for an upper triangular R."""
     return scipy.linalg.solve_triangular(R, M.T, trans="T").T
+
+
+def _row_pivoted_reflectors(rows: np.ndarray) -> tuple[np.ndarray, list]:
+    """Householder QR of rows*, pivoting its rows (the coordinates), as (perm, reflectors).
+
+    Step i moves the coordinate of largest modulus in the remaining column
+    i to position i (Powell-Reid row pivoting) and takes the Hermitian
+    reflector I - tau u u* (tau = 2 / |u|^2, u zero above i) that maps that
+    column onto position i.  With P the permutation, P rows* = H [T; 0] and
+    H = H_0 ... H_(r-1).  Pivoting keeps the reflectors row-wise accurate
+    when the coordinates differ in scale by orders of magnitude (a W weight
+    of 1e-12 makes one coordinate of a row 1e6 times the others): each u
+    is at most 1 where the column is small, and no coordinate of one scale
+    is swapped into a coordinate of another.
+    """
+    X = rows.conj().T.copy()
+    perm = np.arange(X.shape[0])
+    reflectors = []
+    for i in range(X.shape[1]):
+        p = i + int(np.argmax(np.abs(X[i:, i])))
+        X[[i, p]] = X[[p, i]]
+        perm[[i, p]] = perm[[p, i]]
+        for j, (u, _) in enumerate(reflectors):
+            u[[i - j, p - j]] = u[[p - j, i - j]]
+        u = X[i:, i].copy()
+        u[0] += u[0] / abs(u[0]) * np.linalg.norm(u)
+        tau = 2.0 / np.vdot(u, u).real
+        X[i:, i:] -= tau * np.outer(u, u.conj() @ X[i:, i:])
+        reflectors.append((u, tau))
+    return perm, reflectors
 
 
 def assemble(
@@ -173,29 +210,66 @@ def assemble(
     """Discretize (l x, B a - Omega tr x) under the given boundary rows, real if all are.
 
     R_W, the W block of R, is the upper Cholesky factor of G; a G that is
-    not positive definite is refused.  In R A_full R^-1 the sqrt(h) of the
-    H block cancels, leaving R_ref L R_ref^-1; only the coupling row
+    not positive definite is refused.  In M = R A_full R^-1 the sqrt(h) of
+    the H block cancels, leaving R_ref L R_ref^-1; only the coupling block
     -R_W Omega tr R_ref^-1 / sqrt(h) carries it, and B enters as
-    R_W B R_W^-1.
+    R_W B R_W^-1.  L R_ref^-1 = sum_j diag(c_j) h^-j (D_j R_ref^-1)_ref
+    costs O(n^2) per j from the grid's cached right factors, so the one
+    O(n^3) step is the product with R_ref (two real products when L is
+    complex), and tr R_ref^-1 is a triangular solve with the 2d trace rows
+    alone.
+
+    The r boundary rows in y = R x coordinates must have rank r at rtol
+    1e-10; rows of lower rank are refused (`SpectralError`).  Their QR
+    factorization rows_y* = H [T; 0] (LAPACK's geqrf, Golub & Van Loan
+    5.2) leaves H as r Householder reflectors I - tau v v*: the first r
+    columns of the unitary H span the rows, so Q = H[:, r:] is an
+    orthonormal basis of their nullspace and C = Q* M Q = (H* M H)[r:, r:].
+    Each reflector enters M as two rank-1 updates and Q as one, O(r n^2)
+    in all.
     """
     disc = _discretize(model, grid)
-    n = grid.N + 1
+    n, k, td = grid.N + 1, model.k, model.trace_dim
     try:
         R_W = scipy.linalg.cholesky(disc.Gram_full[n:, n:], lower=False)
     except scipy.linalg.LinAlgError as e:
         raise SpectralError(f"the W Gram matrix G is not positive definite: {e}")
-    R_H, sqrt_h = grid.gram_factor, np.sqrt(grid.h)
-    rows = _constraint_rows(disc, bc)
-    Q = nullspace(
-        np.hstack([_right_solve(rows[:, :n], R_H) / sqrt_h, _right_solve(rows[:, n:], R_W)]),
-        rtol=1e-10,
-    )
-    Qh, Qw = Q[:n], Q[n:]
-    # A_full R^-1 Q, with R_ref^-1 Q_h = sqrt(h) times the H rows of R^-1 Q
-    AZ = disc.A_full[:, :n] @ scipy.linalg.solve_triangular(R_H, Qh)
-    W_rows = AZ[n:] / sqrt_h + disc.A_full[n:, n:] @ scipy.linalg.solve_triangular(R_W, Qw)
-    C = Qh.conj().T @ (R_H @ AZ[:n]) + Qw.conj().T @ (R_W @ W_rows)
-    return DiscreteExtendedOperator(disc, bc, Q, C)
+    R_ref = grid.gram_factor
+    # the lift in y coordinates: the trace rows times R_ref^-1 / sqrt(h), and R_W^-1
+    lift_y = np.zeros_like(disc.lift)
+    lift_y[:td, :n] = _right_solve(disc.lift[:td, :n].real, R_ref) / np.sqrt(grid.h)
+    lift_y[td:, n:] = _right_solve(np.eye(k), R_W)
+    rows_y = _constraint_rows(lift_y, bc)
+    r = rows_y.shape[0]
+    # the rank of each row on its own scale: h^-j scales a j-th derivative's row
+    unit_rows = rows_y / np.maximum(np.linalg.norm(rows_y, axis=1), np.finfo(float).tiny)[:, None]
+    rank = matrix_rank(unit_rows, rtol=1e-10)
+    if rank < r:
+        raise SpectralError(f"the {r} boundary rows have rank {rank} on the grid")
+
+    coeffs, _ = _coefficient_values(model.expr, grid)
+    LR = sum(((1 / grid.h) ** j * cvals)[:, None] * grid.reference_diff_rinv(j) for j, cvals in coeffs)
+    M = np.zeros((n + k, n + k), dtype=np.result_type(disc.A_full, rows_y))
+    M[:n, :n] = R_ref @ LR.real
+    if np.iscomplexobj(LR):
+        M[:n, :n].imag = R_ref @ LR.imag
+    # A_full[n:, :n] is -Omega tr, so -Omega tr R_ref^-1 / sqrt(h) is -Omega times the lifted trace rows
+    Omega = _view(model.Omega, complex if np.iscomplexobj(disc.A_full) else float)
+    M[n:, :n] = R_W @ (-Omega @ lift_y[:td, :n])
+    M[n:, n:] = _right_solve(R_W @ disc.A_full[n:, n:], R_W)
+
+    perm, reflectors = _row_pivoted_reflectors(rows_y)
+    M = M[np.ix_(perm, perm)]
+    for i, (u, tau) in enumerate(reflectors):
+        M[i:] -= tau * np.outer(u, u.conj() @ M[i:])
+        M[:, i:] -= tau * np.outer(M[:, i:] @ u, u.conj())
+    Qp = np.zeros((n + k, n + k - r), dtype=rows_y.dtype)
+    Qp[r:] = np.eye(n + k - r)
+    for i, (u, tau) in reversed(list(enumerate(reflectors))):
+        Qp[i:] -= tau * np.outer(u, u.conj() @ Qp[i:])
+    Q = np.empty_like(Qp)
+    Q[perm] = Qp
+    return DiscreteExtendedOperator(disc, bc, Q, M[r:, r:].copy())
 
 
 def _probe_basis(dom: DiscreteDomain) -> np.ndarray:
@@ -210,7 +284,7 @@ def _probe_basis(dom: DiscreteDomain) -> np.ndarray:
     grid, k = disc.grid, disc.model.k
     n, d = grid.N + 1, min(PROBE_DEGREE, grid.N)
     t = (2 * grid.nodes - grid.a - grid.b) / (grid.b - grid.a)
-    rows = _constraint_rows(disc, dom.bc)
+    rows = _constraint_rows(disc.lift, dom.bc)
     basis = np.zeros((n + k, d + 1 + k), dtype=rows.dtype)
     basis[:n, : d + 1] = np.polynomial.chebyshev.chebvander(t, d)
     basis[n:, d + 1 :] = np.eye(k)
@@ -374,38 +448,99 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
 # shooting oracle
 
 
-def _fundamental_traces(expr: DiffExpr, lams: np.ndarray) -> np.ndarray:
-    """Traces [I; Y(b)] of a fundamental system of l x = lam x, for every lam at once.
+# Higham (2005), "The scaling and squaring method for the matrix exponential
+# revisited": the [13/13] Pade approximant's coefficients b_0..b_13, and the
+# 1-norm theta_13 up to which it is exp to double precision
+PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+THETA_13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp of every matrix of the stack A (shape (..., m, m)) by scaling and squaring.
+
+    Each member is scaled by its own power of two 2^-s_i, the least with
+    ||A_i||_1 2^-s_i <= THETA_13 (exact in binary, by `frexp`); the [13/13]
+    Pade approximant r = q^-1 p of the whole stack is then six batched
+    products and one batched solve, and member i is squared s_i times.
+    Every step treats each member alone, so a member's exponential is the
+    same in any stack.
+    """
+    mant, e = np.frexp(np.abs(A).sum(axis=-2).max(axis=-1) / THETA_13)
+    s = np.maximum(e - (mant == 0.5), 0)
+    A = A * np.ldexp(1.0, -s)[..., None, None]
+    b = PADE_13
+    ident = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident
+    X = np.linalg.solve(V - U, V + U)
+    for k in range(s.max(initial=0)):
+        sq = s > k
+        X[sq] = X[sq] @ X[sq]
+    return X
+
+
+@dataclass(frozen=True)
+class Companion:
+    """The constant part of the companion system of l x = lam x, for every lam.
 
     For l x = sum_j c_j x^(j) of order m with constant c_j, the state
     (x, x', ..., x^(m-1)) solves z' = C z with the companion matrix C of
-    x^(m) = (lam x - sum_{j<m} c_j x^(j)) / c_m, so Y(b) = exp((b - a) C)
-    exactly, from Y(a) = I.  Column s of Y holds the derivatives of
-    solution s (solution-major), and Y is real when every c_j is.  One
-    batched scaling-and-squaring expm serves every lam.  Shape
-    (len(lams), 2m, m).
+    x^(m) = (lam x - sum_{j<m} c_j x^(j)) / c_m; `base` is C at lam = 0,
+    and lam enters C[m-1, 0] as lam / c_m.  Built once per oracle call.
     """
-    m = expr.order
-    if expr.traces_per_endpoint != m:
-        raise SpectralError(
-            f"shooting needs the full trace layout of an order-{m} expression, "
-            f"got {expr.traces_per_endpoint} traces per endpoint"
-        )
-    c = expr.constant_coefficients()
-    dtype = np.result_type(*c.values())
-    a, b = (float(v) for v in expr.interval)
-    C = np.zeros((lams.size, m, m), dtype=dtype)
-    C[:, np.arange(m - 1), np.arange(1, m)] = 1
-    for j, v in c.items():
-        if j < m:
-            C[:, m - 1, j] = -v / c[m]
-    C[:, m - 1, 0] += lams / c[m]
-    Yb = scipy.linalg.expm((b - a) * C)
-    return np.concatenate([np.broadcast_to(np.eye(m, dtype=dtype), Yb.shape), Yb], axis=1)
+
+    order: int
+    base: np.ndarray           # C at lam = 0, real when every c_j is
+    lead: float | complex      # c_m
+    sub_lead: float | complex  # c_(m-1), 0 when absent
+    a: float
+    b: float
+
+    @classmethod
+    def of(cls, expr: DiffExpr) -> "Companion":
+        m = expr.order
+        if expr.traces_per_endpoint != m:
+            raise SpectralError(
+                f"shooting needs the full trace layout of an order-{m} expression, "
+                f"got {expr.traces_per_endpoint} traces per endpoint"
+            )
+        c = expr.constant_coefficients()
+        base = np.zeros((m, m), dtype=np.result_type(*c.values()))
+        base[np.arange(m - 1), np.arange(1, m)] = 1
+        for j, v in c.items():
+            if j < m:
+                base[m - 1, j] = -v / c[m]
+        a, b = (float(v) for v in expr.interval)
+        return cls(m, base, c[m], c.get(m - 1, 0), a, b)
+
+
+def _fundamental_traces(comp: Companion, lams: np.ndarray) -> np.ndarray:
+    """Traces [I; Y(b)] of a fundamental system of l x = lam x, for every lam at once.
+
+    Y(b) = exp((b - a) C) exactly, from Y(a) = I, for the companion matrix
+    C of `Companion`.  Column s of Y holds the derivatives of solution s
+    (solution-major), and Y is real when every c_j is.  One batched
+    `_expm` serves every lam.  Shape (len(lams), 2m, m).
+    """
+    m = comp.order
+    C = np.repeat(comp.base[None], lams.size, axis=0)
+    C[:, m - 1, 0] += lams / comp.lead
+    Yb = _expm((comp.b - comp.a) * C)
+    return np.concatenate([np.broadcast_to(np.eye(m, dtype=Yb.dtype), Yb.shape), Yb], axis=1)
 
 
 def characteristic_value(
-    model: ExtendedModel, bc: BoundaryConditions, lams: np.ndarray
+    model: ExtendedModel,
+    bc: BoundaryConditions,
+    lams: np.ndarray,
+    companion: Companion | None = None,
 ) -> np.ndarray:
     """Real characteristic function whose zeros are the eigenvalues.
 
@@ -414,12 +549,13 @@ def characteristic_value(
     lambda of the 1-D array lams at once (one batched matrix exponential).
     Liouville's factor exp(-(b - a) tr C / 2) of the companion matrix C
     divides out the determinant's constant phase (1 for -x''); a
-    non-negligible imaginary remainder raises.
+    non-negligible imaginary remainder raises.  `companion` is
+    `Companion.of(model.expr)`, built here when not given.
     """
-    expr = model.expr
+    comp = Companion.of(model.expr) if companion is None else companion
     k, td = model.k, model.trace_dim
     lams = np.asarray(lams, dtype=float)
-    fund = _fundamental_traces(expr, lams)
+    fund = _fundamental_traces(comp, lams)
     nf = fund.shape[2]
     rows = bc.canonical
     nb = rows.shape[0]
@@ -435,10 +571,8 @@ def characteristic_value(
     M[:, nb:, nf:] = model.B.matrix - lams[:, None, None] * np.eye(k)
     # Liouville: det Y(b) = exp((b - a) tr C) for the companion matrix C;
     # half of that constant phase is divided out
-    m, c = expr.order, expr.constant_coefficients()
-    a, b = (float(v) for v in expr.interval)
-    trace_c = (lams * (m == 1) - c.get(m - 1, 0)) / c[m]
-    det = np.linalg.det(M) * np.exp(-0.5 * (b - a) * trace_c)
+    trace_c = (lams * (comp.order == 1) - comp.sub_lead) / comp.lead
+    det = np.linalg.det(M) * np.exp(-0.5 * (comp.b - comp.a) * trace_c)
     # rounding noise in Im(det) scales with the determinant's natural
     # size, not with Re(det), which vanishes at eigenvalues
     hadamard = np.prod(np.maximum(np.linalg.norm(M, axis=1), 1e-30), axis=1)
@@ -507,14 +641,15 @@ def shooting_oracle(
     lo, hi = lam_window
     if not lo < hi:
         raise SpectralError("empty window")
+    comp = Companion.of(model.expr)
     grid = np.linspace(lo, hi, 240)
-    vals = characteristic_value(model, bc, grid)
+    vals = characteristic_value(model, bc, grid, comp)
     roots = list(grid[vals == 0.0])
     i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
     if i.size:
         roots += list(
             _illinois(
-                lambda lams: characteristic_value(model, bc, lams),
+                lambda lams: characteristic_value(model, bc, lams, comp),
                 grid[i], grid[i + 1], vals[i], vals[i + 1],
             )
         )

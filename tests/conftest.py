@@ -266,8 +266,9 @@ def fraction_suite(A, n_max):
 # The library builds the operator in a G-orthonormal basis of the domain and
 # measures the symmetry defect in the probe basis; these reduce the full
 # matrices the direct way: the domain basis from a Cholesky factor of the
-# whole Gram, the eigenvalues from a Euclidean basis by QZ, and the defect
-# in sample space, for all pairs at once and pair by pair.
+# whole Gram, the operator by the SVD-nullspace route the library replaced,
+# the eigenvalues from a Euclidean basis by QZ, and the defect in sample
+# space, for all pairs at once and pair by pair.
 
 
 def domain_basis(op):
@@ -276,6 +277,43 @@ def domain_basis(op):
 
     R = scipy.linalg.cholesky(op.disc.Gram_full, lower=False)
     return scipy.linalg.solve_triangular(R, op.Q), R
+
+
+def reference_assemble(model, bc, grid):
+    """The operator of `spectral.assemble` by the route it replaced.
+
+    The nullspace basis Q of the rows in y = R x coordinates comes from an
+    SVD (rtol 1e-10), the triangular solves run with all n columns of Q,
+    and C = Q* R A_full R^-1 Q is formed from the H and W blocks.
+    """
+    import scipy.linalg
+    from gknextend.spectral import (
+        DiscreteExtendedOperator,
+        SpectralError,
+        _constraint_rows,
+        _discretize,
+        _right_solve,
+    )
+    from gknextend.symplectic import nullspace
+
+    disc = _discretize(model, grid)
+    n = grid.N + 1
+    try:
+        R_W = scipy.linalg.cholesky(disc.Gram_full[n:, n:], lower=False)
+    except scipy.linalg.LinAlgError as e:
+        raise SpectralError(f"the W Gram matrix G is not positive definite: {e}")
+    R_H, sqrt_h = grid.gram_factor, np.sqrt(grid.h)
+    rows = _constraint_rows(disc.lift, bc)
+    Q = nullspace(
+        np.hstack([_right_solve(rows[:, :n], R_H) / sqrt_h, _right_solve(rows[:, n:], R_W)]),
+        rtol=1e-10,
+    )
+    Qh, Qw = Q[:n], Q[n:]
+    # A_full R^-1 Q, with R_ref^-1 Q_h = sqrt(h) times the H rows of R^-1 Q
+    AZ = disc.A_full[:, :n] @ scipy.linalg.solve_triangular(R_H, Qh)
+    W_rows = AZ[n:] / sqrt_h + disc.A_full[n:, n:] @ scipy.linalg.solve_triangular(R_W, Qw)
+    C = Qh.conj().T @ (R_H @ AZ[:n]) + Qw.conj().T @ (R_W @ W_rows)
+    return DiscreteExtendedOperator(disc, bc, Q, C)
 
 
 def qz_eigenvalues(dom):

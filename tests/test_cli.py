@@ -146,6 +146,21 @@ class TestInternalErrors:
             "config error: interval length b - a = 1e+300 is too long: its square overflows\n"
         )
 
+    @pytest.mark.parametrize(
+        "name, b, command",
+        [("fourier_3_3", 1e-300, c) for c in ("check-symplectic", "derive-bc", "spectrum")]
+        + [("fourier_3_1", 1e-170, "derive-bc")],
+    )
+    def test_underflowing_interval(self, tmp_path, capsys, name, b, command):
+        # the spectral window divides by (b - a)^2, which underflows to 0
+        path = write_config(tmp_path, {"example": name, "params": {"b": b}})
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: interval length b - a = {b:g} is too short: its square underflows to 0\n"
+        )
+
     def test_fault_of_the_verifier(self, tmp_path, capsys, monkeypatch):
         def broken(entry, cfg, checks, report):
             raise RuntimeError("broken runner")

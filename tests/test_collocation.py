@@ -3,7 +3,8 @@ import pytest
 
 from conftest import direct_grid
 from gknextend import cli
-from gknextend.collocation import _reference_grid, make_grid
+from gknextend.catalog import build_example
+from gknextend.collocation import _reference_grid, _right_factors, make_grid
 
 
 class TestGrid:
@@ -94,3 +95,22 @@ class TestReferenceGrid:
             assert cli.main(["spectrum", "--config", str(path)]) == 0
         info = _reference_grid.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_right_factor_times_gram_factor_is_the_reference_power(self, order):
+        # on [-1, 1] (h = 1) the grid's D_order is the reference one
+        g = make_grid(48, -1.0, 1.0)
+        F = g.reference_diff_rinv(order)
+        assert not F.flags.writeable
+        assert F is make_grid(48, 2.0, 2.5).reference_diff_rinv(order)
+        D = g.diff(order)
+        assert np.abs(F @ g.gram_factor - D).max() <= 1e-12 * np.abs(D).max()
+
+    def test_right_factors_built_only_for_the_orders_used(self):
+        from gknextend.spectral import assemble
+
+        _right_factors.cache_clear()
+        for name, orders in (("fourier_3_3", {2}), ("first_order", {1, 2})):
+            entry = build_example(name)
+            assemble(entry.model, entry.boundary_conditions(), make_grid(40, 0.0, 1.0))
+            assert set(_right_factors(40)) == orders

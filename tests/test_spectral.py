@@ -16,6 +16,7 @@ from conftest import (
     domain_basis,
     loop_symmetry_defect,
     qz_eigenvalues,
+    reference_assemble,
     rk_fundamental_traces,
     tied_pairs,
 )
@@ -31,6 +32,7 @@ from gknextend.expressions import (
     TraceVector,
     boundary_form,
 )
+from gknextend.legendre import lt_eigenvalue
 from gknextend.extension import (
     ExtensionSpace,
     OperatorB,
@@ -41,7 +43,10 @@ from gknextend.extension import (
 )
 from gknextend.polynomials import Poly
 from gknextend.spectral import (
+    THETA_13,
+    Companion,
     SpectralError,
+    _expm,
     _fundamental_traces,
     _horner,
     assemble,
@@ -268,6 +273,58 @@ class TestAssemble:
         for _, c in expr.coefficient_polys():
             want = np.array([complex(c(u)) for u in nodes])
             assert np.asarray(_horner(c, nodes), dtype=complex).tobytes() == want.tobytes()
+
+
+def nearest_gap(got, ref):
+    """Largest distance from a member of either set to the other set, relative to max(1, |lambda|).
+
+    A pair +-lambda of nearly equal modulus can come in either order, so the
+    sets are matched by nearest member, not entry by entry.
+    """
+    d = np.abs(got[:, None] - ref[None, :]) / np.maximum(1.0, np.abs(ref))[None, :]
+    return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+class TestAgainstReferenceAssembly:
+    """`assemble` against the SVD-nullspace, triangular-solve route it replaced."""
+
+    @pytest.mark.parametrize(
+        "name, params, N",
+        [(name, params, N) for name, params in EXTREME_WEIGHTS for N in (32, 64, 256)]
+        + [("legendre_type", {}, N) for N in (32, 64)],
+        ids=str,
+    )
+    def test_eigenvalues_match(self, name, params, N):
+        entry = build_example(name, params)
+        a, b = (float(v) for v in entry.model.expr.interval)
+        bc, grid = entry.boundary_conditions(), make_grid(N, a, b)
+        got = spectrum(assemble(entry.model, bc, grid), 8).eigenvalues
+        ref = spectrum(reference_assemble(entry.model, bc, grid), 8).eigenvalues
+        assert nearest_gap(got, ref) <= 1e-9
+
+    @pytest.mark.parametrize("A", [1, 2.37])
+    def test_legendre_type_at_the_finest_grid(self, A):
+        # at grid_N 256 the two routes differ by ~1e-7 on legendre_type, and
+        # it is the replaced route that is further from the exact eigenvalues
+        entry = build_example("legendre_type", {"A": A})
+        bc, grid = entry.boundary_conditions(), make_grid(256, -1.0, 1.0)
+        exact = np.array([float(lt_eigenvalue(i, entry.model.expr.A)) for i in range(8)])
+
+        def error(op):
+            got = np.sort(spectrum(op, 8).eigenvalues.real)
+            return np.max(np.abs(got - exact) / np.maximum(1.0, exact))
+
+        assert error(assemble(entry.model, bc, grid)) < error(reference_assemble(entry.model, bc, grid))
+
+    def test_rank_deficient_rows_are_refused(self, grid01):
+        entry = build_example("fourier_3_3")
+        bc = entry.boundary_conditions()
+        repeated = dataclasses.replace(bc, canonical=np.vstack([bc.canonical, 2 * bc.canonical[1]]))
+        with pytest.raises(SpectralError, match="3 boundary rows have rank 2"):
+            assemble(entry.model, repeated, grid01)
+        # the rank is read row by row on each row's own scale
+        scaled = dataclasses.replace(bc, canonical=bc.canonical * np.array([[1e-100], [1e100]]))
+        assert assemble(entry.model, scaled, grid01).reduced_dim == (65 + 2) - 2
 
 
 class TestSymmetryDefect:
@@ -599,6 +656,60 @@ def relative_gap(got, ref):
     return float(np.max(np.linalg.norm(got - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))))
 
 
+def exp_stack(rng, m, dtype, norms):
+    """Seeded m x m matrices of the given 1-norms whose eigenvalues have real part <= 0.
+
+    A real 1x1 member is -norm; the others are shifted by their spectral
+    abscissa when it is positive, so every exponential is a normal float.
+    """
+    Z = rng.standard_normal((len(norms), m, m))
+    if dtype is complex:
+        Z = Z + 1j * rng.standard_normal(Z.shape)
+    if m == 1 and dtype is float:
+        Z = -np.abs(Z)
+    else:
+        abscissa = np.linalg.eigvals(Z).real.max(axis=-1)
+        Z = Z - np.maximum(abscissa, 0)[:, None, None] * np.eye(m)
+    Z /= np.abs(Z).sum(axis=-2).max(axis=-1)[:, None, None]
+    return Z * np.asarray(norms)[:, None, None]
+
+
+def max_gap(got, ref):
+    """max |got - ref| / max |ref| per member (no squares: e^-700 squared underflows)."""
+    return np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+
+
+class TestExpm:
+    """The batched scaling-and-squaring Pade exponential against scipy.linalg.expm.
+
+    The forward error of exp(A) is about cond(exp, A) eps, and the condition
+    number is at least ||A||; the bound 1e-14 max(1, ||A||_1) is 45 eps times it.
+    """
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_scipy(self, rng, m, dtype):
+        # e^-1000 underflows: a real 1x1 member reaches 1-norm 700, the others 1e3
+        top = np.log10(700) if (m, dtype) == (1, float) else 3
+        norms = np.logspace(-8, top, 34)
+        A = exp_stack(rng, m, dtype, norms)
+        got = _expm(A)
+        assert got.shape == A.shape and got.dtype == A.dtype
+        ref = np.array([scipy.linalg.expm(a) for a in A])
+        assert np.all(max_gap(got, ref) <= 1e-14 * np.maximum(1.0, norms))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_equals_member_by_member(self, rng, dtype):
+        # one stack whose members take 0 to 8 squarings: s_i = ceil(log2(||A_i||_1 / theta_13))
+        norms = rng.permutation(np.concatenate([np.logspace(-8, -1, 8), THETA_13 * 2.0 ** (np.arange(9) - 0.5)]))
+        A = exp_stack(rng, 2, dtype, norms)
+        assert set(np.maximum(np.ceil(np.log2(norms / THETA_13)), 0)) == set(range(9))
+        got = _expm(A)
+        assert np.array_equal(got, np.array([_expm(a[None])[0] for a in A]))
+        ref = np.array([scipy.linalg.expm(a) for a in A])
+        assert np.all(max_gap(got, ref) <= 1e-14 * np.maximum(1.0, norms))
+
+
 class TestFundamentalTraces:
     """The matrix exponential against adaptive RK and against closed forms."""
 
@@ -611,7 +722,7 @@ class TestFundamentalTraces:
                           if "params" in cfg)["params"]
         entry = build_example(name, params)
         lams = np.linspace(*entry.spectral_window, 240)
-        got = _fundamental_traces(entry.model.expr, lams)
+        got = _fundamental_traces(Companion.of(entry.model.expr), lams)
         ref = rk_fundamental_traces(entry.model.expr, lams)
         assert got.shape == ref.shape == (240, 2 * entry.model.expr.order, entry.model.expr.order)
         assert got.dtype == ref.dtype
@@ -622,7 +733,7 @@ class TestFundamentalTraces:
         L = float(b - a)
         # the oracle's window for this interval is (-40, 320) / L^2
         lams = np.array([-27.7, -2.5, -1e-3, 1e-3, 0.7, 12.0, 222.2])
-        got = _fundamental_traces(Fourier(a, b), lams)
+        got = _fundamental_traces(Companion.of(Fourier(a, b)), lams)
         assert got.dtype == np.float64
         k = np.sqrt(np.abs(lams)) * L
         pos = lams > 0
@@ -641,7 +752,7 @@ class TestFundamentalTraces:
         assert set(c) == {1}
         a, b = (float(v) for v in expr.interval)
         lams = np.linspace(-60.0, 60.0, 41)
-        got = _fundamental_traces(expr, lams)
+        got = _fundamental_traces(Companion.of(expr), lams)
         assert got.shape == (41, 2, 1)
         assert np.all(got[:, 0, 0] == 1)
         assert np.abs(got[:, 1, 0] - np.exp(lams * (b - a) / c[1])).max() <= 1e-13
@@ -657,7 +768,7 @@ class TestFundamentalTraces:
     def test_order_four_matches_runge_kutta(self, qs):
         expr = GeneralEvenOrder(qs, Fraction(-1, 2), 1)
         lams = np.linspace(-50.0, 300.0, 60)
-        got = _fundamental_traces(expr, lams)
+        got = _fundamental_traces(Companion.of(expr), lams)
         ref = rk_fundamental_traces(expr, lams)
         assert got.shape == (60, 8, 4)
         assert got.dtype == ref.dtype == np.result_type(*expr.constant_coefficients().values())
