@@ -9,8 +9,12 @@ H + W inner product G = blockdiag(interpolant Gram, G_W): with G = R* R
 (R = blockdiag(sqrt(h) R_ref, R_W), R_ref the grid's cached Cholesky
 factor), `assemble` takes the rows in the coordinates y = R x, where G is
 the identity, and an orthonormal basis Q of their nullspace there, so
-that the operator is the one standard matrix C = Q* R A R^-1 Q.  A
-change of basis keeps Hermitian-ness and non-Hermitian-ness alike, so
+that the operator is the one standard matrix C = Q* R A R^-1 Q.  Q is
+the trailing columns of a product H of Householder reflectors taken from
+the rows, so C = (H* M H)[r:, r:] costs rank-1 updates of M = R A R^-1,
+and M's one O(n^3) step is a product with R_ref: L R_ref^-1 is read
+from right factors D_j R_ref^-1 cached per grid size (see `assemble`).
+A change of basis keeps Hermitian-ness and non-Hermitian-ness alike, so
 the eigenvalues of C stay a measurement of the assembly: an unsymmetric
 assembly gives the same non-real eigenvalues in any basis.
 
@@ -18,6 +22,10 @@ assembly gives the same non-real eigenvalues in any basis.
 smallest modulus, by ARPACK's non-symmetric shift-invert Arnoldi at a
 shift just below 0, from a fixed generic start vector, and checks that the
 eigenvalues it returns cover every smaller one (see `spectrum`).
+
+The shooting oracle takes the fundamental matrices of a constant-
+coefficient ODE as matrix exponentials, for a whole stack of lambda at
+once, by one batched scaling-and-squaring Pade approximant (`_expm`).
 
 The arithmetic is real whenever the model is: `assemble` works in float64
 when the expression's coefficients, Omega, B, G and the boundary rows all
@@ -174,34 +182,46 @@ def _right_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(R, M.T, trans="T").T
 
 
-def _row_pivoted_reflectors(rows: np.ndarray) -> tuple[np.ndarray, list]:
-    """Householder QR of rows*, pivoting its rows (the coordinates), as (perm, reflectors).
+def _row_pivoted_reflectors(rows: np.ndarray) -> tuple[list, list]:
+    """Householder QR of rows*, pivoting its rows (the coordinates), as (swaps, reflectors).
 
-    Step i moves the coordinate of largest modulus in the remaining column
-    i to position i (Powell-Reid row pivoting) and takes the Hermitian
-    reflector I - tau u u* (tau = 2 / |u|^2, u zero above i) that maps that
-    column onto position i.  With P the permutation, P rows* = H [T; 0] and
-    H = H_0 ... H_(r-1).  Pivoting keeps the reflectors row-wise accurate
-    when the coordinates differ in scale by orders of magnitude (a W weight
-    of 1e-12 makes one coordinate of a row 1e6 times the others): each u
-    is at most 1 where the column is small, and no coordinate of one scale
-    is swapped into a coordinate of another.
+    Step i swaps the coordinate of largest modulus in the remaining column
+    i into position i (Powell-Reid row pivoting) and takes the Hermitian
+    reflector I - tau u u* (tau = 2 / |u|^2, u zero above i) that maps
+    that column onto position i.  With P the product of the swaps, in
+    order, P rows* = H [T; 0] and H = H_0 ... H_(r-1).  Pivoting keeps
+    the reflectors accurate row by row when the coordinates differ in
+    scale by orders of magnitude (a W weight of 1e-12 makes one coordinate
+    of a row 1e6 times the others): no entry of u exceeds 1, and no
+    coordinate of one scale is swapped into a coordinate of another.
     """
     X = rows.conj().T.copy()
-    perm = np.arange(X.shape[0])
-    reflectors = []
+    swaps, reflectors = [], []
     for i in range(X.shape[1]):
         p = i + int(np.argmax(np.abs(X[i:, i])))
         X[[i, p]] = X[[p, i]]
-        perm[[i, p]] = perm[[p, i]]
         for j, (u, _) in enumerate(reflectors):
             u[[i - j, p - j]] = u[[p - j, i - j]]
         u = X[i:, i].copy()
         u[0] += u[0] / abs(u[0]) * np.linalg.norm(u)
         tau = 2.0 / np.vdot(u, u).real
-        X[i:, i:] -= tau * np.outer(u, u.conj() @ X[i:, i:])
+        X[i:, i:] -= np.outer(tau * u, u.conj() @ X[i:, i:])
+        swaps.append((i, p))
         reflectors.append((u, tau))
-    return perm, reflectors
+    return swaps, reflectors
+
+
+def _fill_h_block(out: np.ndarray, expr: DiffExpr, grid: CollocationGrid) -> None:
+    """out = R_ref L R_ref^-1, from L R_ref^-1 = sum_j diag(c_j) h^-j (D_j R_ref^-1)_ref.
+
+    Each term is O(n^2) from the grid's cached right factors; the product
+    with the real R_ref is one real product, or two when L is complex.
+    """
+    coeffs, _ = _coefficient_values(expr, grid)
+    LR = sum(((1 / grid.h) ** j * cvals)[:, None] * grid.reference_diff_rinv(j) for j, cvals in coeffs)
+    out[...] = grid.gram_factor @ LR.real
+    if np.iscomplexobj(LR):
+        out.imag = grid.gram_factor @ LR.imag
 
 
 def assemble(
@@ -247,28 +267,26 @@ def assemble(
     if rank < r:
         raise SpectralError(f"the {r} boundary rows have rank {rank} on the grid")
 
-    coeffs, _ = _coefficient_values(model.expr, grid)
-    LR = sum(((1 / grid.h) ** j * cvals)[:, None] * grid.reference_diff_rinv(j) for j, cvals in coeffs)
     M = np.zeros((n + k, n + k), dtype=np.result_type(disc.A_full, rows_y))
-    M[:n, :n] = R_ref @ LR.real
-    if np.iscomplexobj(LR):
-        M[:n, :n].imag = R_ref @ LR.imag
+    _fill_h_block(M[:n, :n], model.expr, grid)
     # A_full[n:, :n] is -Omega tr, so -Omega tr R_ref^-1 / sqrt(h) is -Omega times the lifted trace rows
     Omega = _view(model.Omega, complex if np.iscomplexobj(disc.A_full) else float)
     M[n:, :n] = R_W @ (-Omega @ lift_y[:td, :n])
     M[n:, n:] = _right_solve(R_W @ disc.A_full[n:, n:], R_W)
 
-    perm, reflectors = _row_pivoted_reflectors(rows_y)
-    M = M[np.ix_(perm, perm)]
+    swaps, reflectors = _row_pivoted_reflectors(rows_y)
+    for i, p in swaps:
+        M[[i, p]] = M[[p, i]]
+        M[:, [i, p]] = M[:, [p, i]]
     for i, (u, tau) in enumerate(reflectors):
-        M[i:] -= tau * np.outer(u, u.conj() @ M[i:])
-        M[:, i:] -= tau * np.outer(M[:, i:] @ u, u.conj())
-    Qp = np.zeros((n + k, n + k - r), dtype=rows_y.dtype)
-    Qp[r:] = np.eye(n + k - r)
+        M[i:] -= np.outer(tau * u, u.conj() @ M[i:])
+        M[:, i:] -= np.outer(M[:, i:] @ u, tau * u.conj())
+    Q = np.zeros((n + k, n + k - r), dtype=rows_y.dtype)
+    np.fill_diagonal(Q[r:], 1)
     for i, (u, tau) in reversed(list(enumerate(reflectors))):
-        Qp[i:] -= tau * np.outer(u, u.conj() @ Qp[i:])
-    Q = np.empty_like(Qp)
-    Q[perm] = Qp
+        Q[i:] -= np.outer(tau * u, u.conj() @ Q[i:])
+    for i, p in reversed(swaps):
+        Q[[i, p]] = Q[[p, i]]
     return DiscreteExtendedOperator(disc, bc, Q, M[r:, r:].copy())
 
 
@@ -351,6 +369,30 @@ def modulus_order(values) -> np.ndarray:
     return np.lexsort((values.real, modulus))
 
 
+def _magnitudes(C: np.ndarray) -> tuple[float, float, float]:
+    """max |C_ij|, ||C||_1 and the largest column 2-norm, from one |C|."""
+    absC = np.abs(C)
+    return absC.max(), absC.sum(axis=0).max(), np.sqrt(np.einsum("ij,ij->j", absC, absC).max())
+
+
+def _shift_invert_eigs(C: np.ndarray, scale: float, k: int, ncv: int, sigma: float, v0: np.ndarray):
+    """`eigs(C * scale, k, ncv=ncv, sigma=sigma, v0=v0)`, holding one n x n array besides C.
+
+    Given a dense matrix, eigs copies it once to shift it and again to
+    factor it.  Here C * scale is shifted as eigs shifts it and factored
+    in place, and eigs reads C * scale as C (x * scale), the same floats
+    for a power of two `scale`.
+    """
+    from scipy.sparse.linalg import LinearOperator, eigs
+
+    shifted = np.multiply(C, scale, order="F")
+    shifted.flat[:: C.shape[0] + 1] -= sigma
+    lu = scipy.linalg.lu_factor(shifted, overwrite_a=True)
+    A = LinearOperator(C.shape, matvec=lambda x: C @ (x * scale), dtype=C.dtype)
+    OPinv = LinearOperator(C.shape, matvec=lambda x: scipy.linalg.lu_solve(lu, x), dtype=C.dtype)
+    return eigs(A, k=k, ncv=ncv, sigma=sigma, v0=v0, OPinv=OPinv)
+
+
 def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
     """The `count` eigenvalues of the reduced operator C of smallest |lambda|.
 
@@ -404,7 +446,7 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
     take an SVD.  The symmetry defect is left to the caller, who measures
     it once.
     """
-    from scipy.sparse.linalg import ArpackError, eigs  # ~30 ms: only spectrum pays it
+    from scipy.sparse.linalg import ArpackError  # ~30 ms: only spectrum pays it
 
     k = count + 2
     if k >= op.reduced_dim - 1:
@@ -413,12 +455,13 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
             f"(Arnoldi needs count + 3 < reduced dim)"
         )
     C = op.C
-    scale = np.ldexp(1.0, -np.frexp(np.abs(C).max())[1])
-    tau = 1e-9 * np.linalg.norm(C, 1)
+    max_abs, norm_1, s = _magnitudes(C)
+    scale = np.ldexp(1.0, -np.frexp(max_abs)[1])
+    tau = 1e-9 * norm_1
     v0 = np.random.default_rng(0).standard_normal(op.reduced_dim)
     ncv = min(2 * k + 4, op.reduced_dim)
     try:
-        evals, Y = eigs(C * scale, k=k, ncv=ncv, sigma=-tau * scale, v0=v0)
+        evals, Y = _shift_invert_eigs(C, scale, k, ncv, -tau * scale, v0)
     except ArpackError as e:
         raise SpectralError(f"eigensolver failed: {e}")
     evals = evals / scale
@@ -433,7 +476,6 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
             f"kept |lambda| up to {reach:.6e} against a covered radius {radius:.6e}"
         )
     Y = Y[:, order]
-    s = np.linalg.norm(C, axis=0).max()
     resids = np.linalg.norm(C @ Y - Y * evals, axis=0) / (
         np.linalg.norm(Y, axis=0) * max(s + reach, 1.0)
     )

@@ -509,7 +509,7 @@ class TestSpectrum:
         # with sigma = -tau the k eigenvalues nearest sigma can leave out one
         # of smaller modulus: here 9 - tau/2 loses to three values near -9
         def nearest_k(eigs, C, k, sigma, **kw):
-            vals, vecs = scipy.linalg.eig(C)
+            vals, vecs = scipy.linalg.eig(C @ np.eye(C.shape[1]))
             i = np.argsort(np.abs(vals - sigma))[:k]
             return vals[i], vecs[:, i]
 
