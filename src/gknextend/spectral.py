@@ -240,11 +240,13 @@ def assemble(
     alone.
 
     The r boundary rows in y = R x coordinates must have rank r at rtol
-    1e-10; rows of lower rank are refused (`SpectralError`).  Their QR
-    factorization rows_y* = H [T; 0] (LAPACK's geqrf, Golub & Van Loan
-    5.2) leaves H as r Householder reflectors I - tau v v*: the first r
-    columns of the unitary H span the rows, so Q = H[:, r:] is an
-    orthonormal basis of their nullspace and C = Q* M Q = (H* M H)[r:, r:].
+    1e-10, each row taken on its own scale (h^-j scales the row of a j-th
+    derivative); rows of lower rank are refused (`SpectralError`).  Their
+    row-pivoted Householder QR P rows_y* = H [T; 0]
+    (`_row_pivoted_reflectors`; Golub & Van Loan 5.1-5.2) gives r
+    reflectors whose product H is unitary with its first r columns
+    spanning the permuted rows, so Q = P* H[:, r:] is an orthonormal
+    basis of their nullspace and C = Q* M Q = (H* P M P* H)[r:, r:].
     Each reflector enters M as two rank-1 updates and Q as one, O(r n^2)
     in all.
     """
@@ -254,10 +256,9 @@ def assemble(
         R_W = scipy.linalg.cholesky(disc.Gram_full[n:, n:], lower=False)
     except scipy.linalg.LinAlgError as e:
         raise SpectralError(f"the W Gram matrix G is not positive definite: {e}")
-    R_ref = grid.gram_factor
     # the lift in y coordinates: the trace rows times R_ref^-1 / sqrt(h), and R_W^-1
     lift_y = np.zeros_like(disc.lift)
-    lift_y[:td, :n] = _right_solve(disc.lift[:td, :n].real, R_ref) / np.sqrt(grid.h)
+    lift_y[:td, :n] = _right_solve(disc.lift[:td, :n].real, grid.gram_factor) / np.sqrt(grid.h)
     lift_y[td:, n:] = _right_solve(np.eye(k), R_W)
     rows_y = _constraint_rows(lift_y, bc)
     r = rows_y.shape[0]
@@ -511,6 +512,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
     Every step treats each member alone, so a member's exponential is the
     same in any stack.
     """
+    # ratio = mant 2^e with mant in [1/2, 1): the least s >= 0 with ratio <= 2^s
     mant, e = np.frexp(np.abs(A).sum(axis=-2).max(axis=-1) / THETA_13)
     s = np.maximum(e - (mant == 0.5), 0)
     A = A * np.ldexp(1.0, -s)[..., None, None]
