@@ -491,6 +491,28 @@ class TestSpectrum:
         eigs = scipy.sparse.linalg.eigs
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", lambda C, **kw: edit(eigs, C, **kw))
 
+    @pytest.mark.parametrize(
+        "name, params, N",
+        [("fourier_3_3", {}, 256), ("first_order", {}, 256), ("fourier_3_3", {"beta_im": 0.7}, 64),
+         ("fourier_3_1", {"b": 1e150}, 64)],
+        ids=str,
+    )
+    def test_in_place_factorization_matches_plain_eigs(self, name, params, N, monkeypatch):
+        # spectrum factors one copy of C * scale in place and hands eigs C (x * scale);
+        # eigs given the dense C * scale alone must find the same floats
+        entry = build_example(name, params)
+        a, b = (float(v) for v in entry.model.expr.interval)
+        op = assemble(entry.model, entry.boundary_conditions(), make_grid(N, a, b))
+        got = spectrum(op, 8)
+
+        def dense(eigs, A, OPinv, **kw):
+            return eigs(A @ np.eye(A.shape[1]), **kw)
+
+        self.patch_eigs(monkeypatch, dense)
+        want = spectrum(op, 8)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.residuals.tobytes() == want.residuals.tobytes()
+
     def test_dropped_eigenvalue_trips_the_no_miss_check(self, grid01, monkeypatch):
         def drop_smallest(eigs, C, **kw):
             vals, vecs = eigs(C, **kw)
