@@ -5,6 +5,7 @@ from conftest import direct_grid
 from gknextend import cli
 from gknextend.catalog import build_example
 from gknextend.collocation import _reference_grid, _right_factors, make_grid
+from gknextend.spectral import assemble
 
 
 class TestGrid:
@@ -107,8 +108,6 @@ class TestReferenceGrid:
         assert np.abs(F @ g.gram_factor - D).max() <= 1e-12 * np.abs(D).max()
 
     def test_right_factors_built_only_for_the_orders_used(self):
-        from gknextend.spectral import assemble
-
         _right_factors.cache_clear()
         for name, orders in (("fourier_3_3", {2}), ("first_order", {1, 2})):
             entry = build_example(name)
