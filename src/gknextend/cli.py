@@ -221,9 +221,8 @@ def run_verify_gkn(entry, cfg, checks: Checks, report: dict):
 def run_spectrum(entry, cfg, checks: Checks, report: dict):
     # scipy loads here, so the algebra commands never import it
     from .spectral import (
-        DiscreteDomain,
-        _discretize,
         assemble,
+        discretize,
         eigenrelation_residual,
         modulus_order,
         shooting_oracle,
@@ -236,16 +235,19 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
     a, b = (float(v) for v in model.expr.interval)
     grid = make_grid(cfg["grid_N"], a, b)
     bc = entry.boundary_conditions()
+    # both defects and the reduced operator read this one discretization
+    disc = discretize(model, grid)
 
     if entry.spectral_window is None:
         # only the two defects are read: no reduced operator is built
-        op = DiscreteDomain(_discretize(model, grid), bc)
         checks.le(
-            "symmetry_defect_polynomial_subspace", symmetry_defect(op, seed), TOLERANCES["defect"]
+            "symmetry_defect_polynomial_subspace",
+            symmetry_defect(disc, bc, seed),
+            TOLERANCES["defect"],
         )
     else:
-        op = assemble(model, bc, grid)
-        defect = symmetry_defect(op, seed)
+        op = assemble(disc, bc)
+        defect = symmetry_defect(disc, bc, seed)
         checks.le("symmetry_defect", defect, TOLERANCES["defect"])
         rep = spectrum(op, 8)
         report["eigenvalues"] = {
@@ -260,16 +262,16 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
         oracle5 = [roots[i] for i in modulus_order(roots)[:5]]
         report["oracle_eigenvalues"] = [float(r) for r in oracle5]
         checks.eq("oracle_found_five", True, len(oracle5) == 5)
-        disc = sorted(rep.eigenvalues.real, key=abs)
+        discrete = sorted(rep.eigenvalues.real, key=abs)
         worst = 0.0
         for r in oracle5:
-            err = min(abs(d - r) for d in disc) / max(1.0, abs(r))
+            err = min(abs(d - r) for d in discrete) / max(1.0, abs(r))
             worst = max(worst, err)
         checks.le("oracle_agreement_rel", worst, TOLERANCES["oracle_rel"])
         # the other direction: a root pair inside one scan cell has no sign
         # change, so each of the five smallest eigenvalues needs an oracle root
         worst = 0.0
-        for d in disc[:5]:
+        for d in discrete[:5]:
             err = min((abs(r - d) for r in roots), default=np.inf) / max(1.0, abs(d))
             worst = max(worst, err)
         checks.le("oracle_covers_discrete", worst, TOLERANCES["oracle_rel"])
@@ -292,7 +294,7 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
         model, catalog.sabotage_rows(bc, model.trace_dim)
     )
     # no boundary row enters the discretization, so the sabotaged rows share it
-    defect_bad = symmetry_defect(DiscreteDomain(op.disc, sab), seed)
+    defect_bad = symmetry_defect(disc, sab, seed)
     checks.ge("sabotaged_defect_floor", defect_bad, TOLERANCES["sabotage_floor"])
     report["sabotaged_defect"] = float(defect_bad)
 

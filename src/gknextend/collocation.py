@@ -12,8 +12,11 @@ Only the affine scaling depends on [a, b]: the nodes, the first
 differentiation matrix, the Gram and its Cholesky factor are built once
 per N on [-1, 1] (`_reference_grid`) and scaled to [a, b] by each
 `make_grid` call.  So are the right factors D_j R_ref^-1 that the
-assembly in the Gram-orthonormal coordinates reads (`_right_factors`),
-each on first use (`CollocationGrid.reference_diff_rinv`).
+discretization in the Gram-orthonormal coordinates reads
+(`_right_factors`), each on first use
+(`CollocationGrid.reference_diff_rinv`).  No grid holds D2..D4: the
+discretization reads a j-th derivative through D_j R_ref^-1 alone, and
+its trace rows as the endpoint rows of D1^j (`spectral.trace_rows`).
 """
 
 from __future__ import annotations
@@ -51,27 +54,12 @@ class CollocationGrid:
         """Half the interval length: u = (a + b)/2 + h t maps [-1, 1] onto [a, b]."""
         return (self.b - self.a) / 2
 
-    @functools.cached_property
-    def _powers(self) -> list:
-        return [self.D1]
-
-    def diff(self, order: int) -> np.ndarray:
-        """Differentiation `order` times; D2..D4 are built on first use, as D_(j+1) = D_j D1."""
-        if not 0 <= order <= 4:
-            raise ValueError("differentiation matrices available for orders 0..4")
-        if not order:
-            return np.eye(self.N + 1)
-        powers = self._powers
-        while len(powers) < order:
-            powers.append(powers[-1] @ self.D1)
-        return powers[order - 1]
-
     def reference_diff_rinv(self, order: int) -> np.ndarray:
         """(D_order R_ref^-1) on [-1, 1], read-only and shared by every grid of this N.
 
         d/du = d/dt / h, so this grid's D_order R_ref^-1 is h^-order times
         it.  Each order is built on first use: the reference d/dt raised to
-        the power as `diff` raises it, then one triangular right solve.
+        the power, D_(j+1) = D_j D1, then one triangular right solve.
         """
         factors = _right_factors(self.N)
         if order not in factors:
@@ -124,9 +112,8 @@ def make_grid(N: int, a: float, b: float) -> CollocationGrid:
     """The CGL grid of `_reference_grid(N)` under u = (a + b)/2 + h t, h = (b - a)/2.
 
     d/du = d/dt / h and du = h dt, so D1 and the Gram are the reference
-    ones scaled by 1/h and h; `diff` builds D2..D4 from D1 when an
-    expression of that order first asks for them.  The Gram's factor is
-    the reference one, shared: gram = h R_ref^T R_ref.
+    ones scaled by 1/h and h.  The Gram's factor is the reference one,
+    shared: gram = h R_ref^T R_ref.
     """
     if N < 8:
         raise ValueError("grid too coarse; need N >= 8")

@@ -1,22 +1,28 @@
 """Collocation discretization of extended operators and spectral checks.
 
-A discrete vector stacks (samples on the grid, W coordinates).  Boundary
-conditions are imposed by restriction to the nullspace of the discretized
+A discrete vector stacks (samples on the grid, W coordinates).  The
+operator is built once per model and grid, with no boundary row in it
+(`discretize`): with the H + W inner product G = blockdiag(interpolant
+Gram, G_W) factored as G = R* R (R = blockdiag(sqrt(h) R_ref, R_W), R_ref
+the grid's cached Cholesky factor), it is M = R A R^-1, the operator in
+the coordinates y = R x where G is the identity.  M's one O(n^3) step is
+a product with R_ref: L R_ref^-1 is read from right factors D_j R_ref^-1
+cached per grid size.
+
+Both symmetry defects, of the honest and of the sabotaged rows, read M
+(`symmetry_defect`), and so does the reduction whose spectrum is reported.
+Boundary conditions are imposed by restriction to the nullspace of the
 constraint rows (basis recombination), so the reduced operator stays
 honestly checkable for Hermitian symmetry instead of being made symmetric
-by construction.  The basis of that nullspace is orthonormal for the
-H + W inner product G = blockdiag(interpolant Gram, G_W): with G = R* R
-(R = blockdiag(sqrt(h) R_ref, R_W), R_ref the grid's cached Cholesky
-factor), `assemble` takes the rows in the coordinates y = R x, where G is
-the identity, and an orthonormal basis Q of their nullspace there, so
-that the operator is the one standard matrix C = Q* R A R^-1 Q.  Q is
-the trailing columns of a product H of Householder reflectors taken from
-the rows, so C = (H* M H)[r:, r:] costs rank-1 updates of M = R A R^-1,
-and M's one O(n^3) step is a product with R_ref: L R_ref^-1 is read
-from right factors D_j R_ref^-1 cached per grid size (see `assemble`).
-A change of basis keeps Hermitian-ness and non-Hermitian-ness alike, so
-the eigenvalues of C stay a measurement of the assembly: an unsymmetric
-assembly gives the same non-real eigenvalues in any basis.
+by construction.  `assemble` takes the rows in y coordinates and an
+orthonormal basis Q of their nullspace there, the trailing columns of a
+product H of Householder reflectors taken from the rows, so that the
+operator is the one standard matrix C = Q* M Q = (H* M H)[r:, r:], at
+the cost of rank-1 updates of a copy of M.  The domain basis R^-1 Q is
+G-orthonormal.  A change of basis keeps Hermitian-ness and
+non-Hermitian-ness alike, so the eigenvalues of C stay a measurement of
+the assembly: an unsymmetric assembly gives the same non-real
+eigenvalues in any basis.
 
 `spectrum` computes only the eigenvalues the checks read, the few of
 smallest modulus, by ARPACK's non-symmetric shift-invert Arnoldi at a
@@ -27,9 +33,10 @@ The shooting oracle takes the fundamental matrices of a constant-
 coefficient ODE as matrix exponentials, for a whole stack of lambda at
 once, by one batched scaling-and-squaring Pade approximant (`_expm`).
 
-The arithmetic is real whenever the model is: `assemble` works in float64
-when the expression's coefficients, Omega, B, G and the boundary rows all
-have an imaginary part of exactly zero, and in complex128 otherwise, and
+The arithmetic is real whenever the model is: `discretize` works in
+float64 when the expression's coefficients, Omega, B and G all have an
+imaginary part of exactly zero, and in complex128 otherwise; `assemble`
+does so when M and the boundary rows are real; and
 `spectrum` follows the dtype of the C it is given.  Realness of the
 arrays is not realness of the spectrum: the Arnoldi solver is the general
 non-symmetric one in either dtype, so a real C that is not symmetric
@@ -64,9 +71,17 @@ PROBE_TRIALS = 50
 
 
 def trace_rows(grid: CollocationGrid, expr: DiffExpr) -> np.ndarray:
-    """Matrix extracting the expression's trace vector from grid samples."""
-    d = expr.traces_per_endpoint
-    return np.array([grid.diff(k)[idx] for idx in (0, grid.N) for k in range(d)])
+    """Matrix extracting the expression's trace vector from grid samples.
+
+    The rows x^(k)(a) for k < d, then x^(k)(b), are the endpoint rows of
+    D1^k, each the row before it times D1.
+    """
+    d, n = expr.traces_per_endpoint, grid.N + 1
+    rows = np.zeros((2, d, n))
+    rows[0, 0, 0] = rows[1, 0, -1] = 1.0
+    for k in range(1, d):
+        rows[:, k] = rows[:, k - 1] @ grid.D1
+    return rows.reshape(2 * d, n)
 
 
 def _dtype(*arrays) -> type:
@@ -91,78 +106,98 @@ def _horner(p: Poly, u: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _coefficient_values(expr: DiffExpr, grid: CollocationGrid) -> tuple[list, type]:
-    """[(j, c_j at the nodes)] of l x = sum_j c_j x^(j), and float when every c_j is real."""
-    coeffs = [(j, _horner(c, grid.nodes)) for j, c in expr.coefficient_polys()]
-    return coeffs, _dtype(*(cvals for _, cvals in coeffs))
+def _right_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """M R^-1 for an upper triangular R."""
+    return scipy.linalg.solve_triangular(R, M.T, trans="T").T
 
 
-def expr_grid_matrix(expr: DiffExpr, grid: CollocationGrid) -> np.ndarray:
-    """Collocation matrix of the expression on grid samples, real when its coefficients are."""
-    n = grid.N + 1
-    coeffs, dtype = _coefficient_values(expr, grid)
-    L = np.zeros((n, n), dtype=dtype)
-    for j, cvals in coeffs:
-        L += _view(cvals, dtype)[:, None] * grid.diff(j)
-    return L
+def _fill_h_block(out: np.ndarray, coeffs: list, grid: CollocationGrid) -> None:
+    """Set a zero `out` to R_ref L R_ref^-1, with L R_ref^-1 = sum_j diag(c_j) h^-j (D_j R_ref^-1)_ref.
+
+    `coeffs` is [(j, c_j at the nodes)].  Each term is O(n^2) from the
+    grid's cached right factors; the product with the real R_ref is one
+    real product for each part of L R_ref^-1, real and imaginary, that is
+    not exactly zero (l x = i x' has no real part).
+    """
+    LR = sum(((1 / grid.h) ** j * cvals)[:, None] * grid.reference_diff_rinv(j) for j, cvals in coeffs)
+    if np.any(LR.real):
+        out.real = grid.gram_factor @ LR.real
+    if np.iscomplexobj(LR) and np.any(LR.imag):
+        out.imag = grid.gram_factor @ LR.imag
 
 
 @dataclass(frozen=True)
 class Discretization:
-    """The part of the assembly that no boundary row enters."""
+    """The operator (l x, B a - Omega tr x) collocated as M = R A R^-1, under no boundary row.
+
+    A acts on (samples, W coordinates), and R = blockdiag(sqrt(h) R_ref,
+    R_W) factors the H + W Gram G = R* R, so in the coordinates y = R x the
+    inner product is the Euclidean one and M is the operator there.  No
+    boundary row enters it, so the honest and the sabotaged rows share one.
+    """
 
     model: ExtendedModel
     grid: CollocationGrid
     lift: np.ndarray           # (samples, W coords) -> (traces, W coords)
-    A_full: np.ndarray         # action on (samples, W coords)
-    Gram_full: np.ndarray      # block-diagonal: interpolant Gram and G
+    lift_y: np.ndarray         # the lift in y coordinates, lift R^-1
+    R_W: np.ndarray            # upper Cholesky factor of G
+    M: np.ndarray              # R A R^-1, read-only
 
 
-def _discretize(model: ExtendedModel, grid: CollocationGrid) -> Discretization:
-    """Collocate (l x, B a - Omega tr x), real unless l, Omega, B or G is not."""
+def discretize(model: ExtendedModel, grid: CollocationGrid) -> Discretization:
+    """Collocate (l x, B a - Omega tr x) as M = R A R^-1, real unless l, Omega, B or G is not.
+
+    The grid must lie on the expression's interval, endpoint for endpoint
+    (`make_grid` stores both exactly).  R_W, the W block of R, is the upper
+    Cholesky factor of G; a G that is not positive definite is refused.  In
+    M the sqrt(h) of the H block cancels, leaving R_ref L R_ref^-1
+    (`_fill_h_block`), whose one O(n^3) step is the product with R_ref;
+    only the coupling block -R_W Omega tr R_ref^-1 / sqrt(h) carries it,
+    and B enters as R_W B R_W^-1.  tr R_ref^-1 is a triangular solve with
+    the 2d trace rows alone.
+    """
     expr = model.expr
     if grid.N < 2 * expr.order + 4:
         raise SpectralError(f"N = {grid.N} too small for order {expr.order}")
     a, b = (float(v) for v in expr.interval)
-    if not (np.isclose(grid.a, a) and np.isclose(grid.b, b)):
+    if not (grid.a == a and grid.b == b):
         raise SpectralError("grid interval does not match the expression")
     n, k, td = grid.N + 1, model.k, model.trace_dim
-    L = expr_grid_matrix(expr, grid)
-    dtype = _dtype(L, model.Omega, model.B.matrix, model.W.G)
+    coeffs = [(j, _horner(c, grid.nodes)) for j, c in expr.coefficient_polys()]
+    dtype = _dtype(*(cvals for _, cvals in coeffs), model.Omega, model.B.matrix, model.W.G)
+    try:
+        R_W = scipy.linalg.cholesky(_view(model.W.G, dtype), lower=False)
+    except scipy.linalg.LinAlgError as e:
+        raise SpectralError(f"the W Gram matrix G is not positive definite: {e}")
 
     lift = np.zeros((td + k, n + k), dtype=dtype)
     lift[:td, :n] = trace_rows(grid, expr)
     lift[td:, n:] = np.eye(k)
+    # the lift in y coordinates: the trace rows times R_ref^-1 / sqrt(h), and R_W^-1
+    lift_y = np.zeros_like(lift)
+    lift_y[:td, :n] = _right_solve(lift[:td, :n].real, grid.gram_factor) / np.sqrt(grid.h)
+    lift_y[td:, n:] = _right_solve(np.eye(k), R_W)
 
-    A_full = np.zeros((n + k, n + k), dtype=dtype)
-    A_full[:n, :n] = L
-    A_full[n:, :n] = -_view(model.Omega, dtype) @ lift[:td, :n]
-    A_full[n:, n:] = _view(model.B.matrix, dtype)
-
-    Gram_full = np.zeros((n + k, n + k), dtype=dtype)
-    Gram_full[:n, :n] = grid.gram
-    Gram_full[n:, n:] = _view(model.W.G, dtype)
-    return Discretization(model, grid, lift, A_full, Gram_full)
+    M = np.zeros((n + k, n + k), dtype=dtype)
+    _fill_h_block(M[:n, :n], coeffs, grid)
+    # A's coupling block is -Omega tr: -Omega tr R_ref^-1 / sqrt(h) is -Omega times the lifted rows
+    M[n:, :n] = R_W @ (-_view(model.Omega, dtype) @ lift_y[:td, :n])
+    M[n:, n:] = _right_solve(R_W @ _view(model.B.matrix, dtype), R_W)
+    M.flags.writeable = False
+    return Discretization(model, grid, lift, lift_y, R_W, M)
 
 
 @dataclass(frozen=True)
-class DiscreteDomain:
-    """A discretization under one set of boundary rows, unreduced."""
+class DiscreteExtendedOperator:
+    """The operator C = Q* M Q in the G-orthonormal domain basis R^-1 Q.
+
+    Q is an orthonormal basis of the rows' nullspace in the coordinates
+    y = R x (see `Discretization`): the last columns of the product of
+    Householder reflectors that `assemble` takes from the rows.
+    """
 
     disc: Discretization
     bc: BoundaryConditions
-
-
-@dataclass(frozen=True)
-class DiscreteExtendedOperator(DiscreteDomain):
-    """The operator C = Q* R A_full R^-1 Q in the G-orthonormal domain basis R^-1 Q.
-
-    Q is an orthonormal basis of the rows' nullspace in the coordinates
-    y = R x, Gram_full = R* R (see the module docstring): the last columns
-    of the product of Householder reflectors that `assemble` takes from
-    the rows.
-    """
-
     Q: np.ndarray
     C: np.ndarray
 
@@ -175,11 +210,6 @@ def _constraint_rows(lift: np.ndarray, bc: BoundaryConditions) -> np.ndarray:
     """The boundary rows through a lift on (samples, W coordinates), real when the rows and the lift are."""
     dtype = complex if np.iscomplexobj(lift) else _dtype(bc.canonical)
     return _view(bc.canonical, dtype) @ lift
-
-
-def _right_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """M R^-1 for an upper triangular R."""
-    return scipy.linalg.solve_triangular(R, M.T, trans="T").T
 
 
 def _row_pivoted_reflectors(rows: np.ndarray) -> tuple[list, list]:
@@ -211,33 +241,8 @@ def _row_pivoted_reflectors(rows: np.ndarray) -> tuple[list, list]:
     return swaps, reflectors
 
 
-def _fill_h_block(out: np.ndarray, expr: DiffExpr, grid: CollocationGrid) -> None:
-    """out = R_ref L R_ref^-1, from L R_ref^-1 = sum_j diag(c_j) h^-j (D_j R_ref^-1)_ref.
-
-    Each term is O(n^2) from the grid's cached right factors; the product
-    with the real R_ref is one real product, or two when L is complex.
-    """
-    coeffs, _ = _coefficient_values(expr, grid)
-    LR = sum(((1 / grid.h) ** j * cvals)[:, None] * grid.reference_diff_rinv(j) for j, cvals in coeffs)
-    out[...] = grid.gram_factor @ LR.real
-    if np.iscomplexobj(LR):
-        out.imag = grid.gram_factor @ LR.imag
-
-
-def assemble(
-    model: ExtendedModel, bc: BoundaryConditions, grid: CollocationGrid
-) -> DiscreteExtendedOperator:
-    """Discretize (l x, B a - Omega tr x) under the given boundary rows, real if all are.
-
-    R_W, the W block of R, is the upper Cholesky factor of G; a G that is
-    not positive definite is refused.  In M = R A_full R^-1 the sqrt(h) of
-    the H block cancels, leaving R_ref L R_ref^-1; only the coupling block
-    -R_W Omega tr R_ref^-1 / sqrt(h) carries it, and B enters as
-    R_W B R_W^-1.  L R_ref^-1 = sum_j diag(c_j) h^-j (D_j R_ref^-1)_ref
-    costs O(n^2) per j from the grid's cached right factors, so the one
-    O(n^3) step is the product with R_ref (two real products when L is
-    complex), and tr R_ref^-1 is a triangular solve with the 2d trace rows
-    alone.
+def assemble(disc: Discretization, bc: BoundaryConditions) -> DiscreteExtendedOperator:
+    """Reduce M to the domain of the given boundary rows, real if the rows and M are.
 
     The r boundary rows in y = R x coordinates must have rank r at rtol
     1e-10, each row taken on its own scale (h^-j scales the row of a j-th
@@ -247,20 +252,10 @@ def assemble(
     reflectors whose product H is unitary with its first r columns
     spanning the permuted rows, so Q = P* H[:, r:] is an orthonormal
     basis of their nullspace and C = Q* M Q = (H* P M P* H)[r:, r:].
-    Each reflector enters M as two rank-1 updates and Q as one, O(r n^2)
-    in all.
+    Each reflector enters a copy of M as two rank-1 updates and Q as one,
+    O(r n^2) in all; `disc.M` itself is read-only.
     """
-    disc = _discretize(model, grid)
-    n, k, td = grid.N + 1, model.k, model.trace_dim
-    try:
-        R_W = scipy.linalg.cholesky(disc.Gram_full[n:, n:], lower=False)
-    except scipy.linalg.LinAlgError as e:
-        raise SpectralError(f"the W Gram matrix G is not positive definite: {e}")
-    # the lift in y coordinates: the trace rows times R_ref^-1 / sqrt(h), and R_W^-1
-    lift_y = np.zeros_like(disc.lift)
-    lift_y[:td, :n] = _right_solve(disc.lift[:td, :n].real, grid.gram_factor) / np.sqrt(grid.h)
-    lift_y[td:, n:] = _right_solve(np.eye(k), R_W)
-    rows_y = _constraint_rows(lift_y, bc)
+    rows_y = _constraint_rows(disc.lift_y, bc)
     r = rows_y.shape[0]
     # the rank of each row on its own scale: h^-j scales a j-th derivative's row
     unit_rows = rows_y / np.maximum(np.linalg.norm(rows_y, axis=1), np.finfo(float).tiny)[:, None]
@@ -268,13 +263,7 @@ def assemble(
     if rank < r:
         raise SpectralError(f"the {r} boundary rows have rank {rank} on the grid")
 
-    M = np.zeros((n + k, n + k), dtype=np.result_type(disc.A_full, rows_y))
-    _fill_h_block(M[:n, :n], model.expr, grid)
-    # A_full[n:, :n] is -Omega tr, so -Omega tr R_ref^-1 / sqrt(h) is -Omega times the lifted trace rows
-    Omega = _view(model.Omega, complex if np.iscomplexobj(disc.A_full) else float)
-    M[n:, :n] = R_W @ (-Omega @ lift_y[:td, :n])
-    M[n:, n:] = _right_solve(R_W @ disc.A_full[n:, n:], R_W)
-
+    M = disc.M.astype(np.result_type(disc.M, rows_y))
     swaps, reflectors = _row_pivoted_reflectors(rows_y)
     for i, p in swaps:
         M[[i, p]] = M[[p, i]]
@@ -282,7 +271,7 @@ def assemble(
     for i, (u, tau) in enumerate(reflectors):
         M[i:] -= np.outer(tau * u, u.conj() @ M[i:])
         M[:, i:] -= np.outer(M[:, i:] @ u, tau * u.conj())
-    Q = np.zeros((n + k, n + k - r), dtype=rows_y.dtype)
+    Q = np.zeros((M.shape[0], M.shape[0] - r), dtype=rows_y.dtype)
     np.fill_diagonal(Q[r:], 1)
     for i, (u, tau) in reversed(list(enumerate(reflectors))):
         Q[i:] -= np.outer(tau * u, u.conj() @ Q[i:])
@@ -291,7 +280,7 @@ def assemble(
     return DiscreteExtendedOperator(disc, bc, Q, M[r:, r:].copy())
 
 
-def _probe_basis(dom: DiscreteDomain) -> np.ndarray:
+def _probe_basis(disc: Discretization, bc: BoundaryConditions) -> np.ndarray:
     """Columns (samples, W coordinates) spanning the probed subspace.
 
     The subspace is the Chebyshev polynomials T_0..T_d of
@@ -299,11 +288,10 @@ def _probe_basis(dom: DiscreteDomain) -> np.ndarray:
     coordinates, restricted to the nullspace of the boundary rows.  It is
     real when the rows and the lift are.
     """
-    disc = dom.disc
     grid, k = disc.grid, disc.model.k
     n, d = grid.N + 1, min(PROBE_DEGREE, grid.N)
     t = (2 * grid.nodes - grid.a - grid.b) / (grid.b - grid.a)
-    rows = _constraint_rows(disc.lift, dom.bc)
+    rows = _constraint_rows(disc.lift, bc)
     basis = np.zeros((n + k, d + 1 + k), dtype=rows.dtype)
     basis[:n, : d + 1] = np.polynomial.chebyshev.chebvander(t, d)
     basis[n:, d + 1 :] = np.eye(k)
@@ -313,8 +301,8 @@ def _probe_basis(dom: DiscreteDomain) -> np.ndarray:
     return basis @ nullspace(constrained, rtol)
 
 
-def symmetry_defect(dom: DiscreteDomain, seed: int) -> float:
-    """max |<Au,v> - <u,Av>| / (|u||v|(1 + |A|)) over random domain pairs.
+def symmetry_defect(disc: Discretization, bc: BoundaryConditions, seed: int) -> float:
+    """max |<Au,v> - <u,Av>| / (|u||v|(1 + |A|)) over random domain pairs of the rows.
 
     The PROBE_TRIALS pairs are random combinations u = S z_u, v = S z_v of
     the columns S of `_probe_basis`, smooth domain elements on which the
@@ -323,27 +311,29 @@ def symmetry_defect(dom: DiscreteDomain, seed: int) -> float:
     Re z_u, Im z_u, Re z_v, Im z_v), and the pairs are complex whatever the
     dtype of the discretization.
 
-    Everything is measured in the probe basis.  With S = Q R (Q
-    orthonormal in nodal coordinates, as for |A|), one pair of products
-    A Q and Q* G forms the m x m matrices K = Q* G A Q and Nm = Q* G Q
-    (m <= PROBE_DEGREE + 1 + dim W).  With y = R z, G = G* gives
+    Everything is measured in the probe basis, on the M whose reduction
+    `spectrum` reads.  With S = Q R_s (Q orthonormal in nodal coordinates,
+    as for |A|) and Z = R Q = blockdiag(sqrt(h) R_ref, R_W) Q, the m x m
+    matrices K = Z* M Z = Q* G A Q and Nm = Z* Z = Q* G Q
+    (m <= PROBE_DEGREE + 1 + dim W) cost one product with R_ref and one
+    with M.  With y = R_s z, G = G* gives
     <Au, v> - <u, Av> = y_v* (K - K*) y_u and |u|^2 = y_u* Nm y_u, and
     |A| = ||K||_2 is the 2-norm of A compressed to Q.  The work is
     O(n^2 m) per probe, not O(n^2) per pair.
     """
     rng = np.random.default_rng(seed)
-    S = _probe_basis(dom)
+    S = _probe_basis(disc, bc)
     z = rng.standard_normal((PROBE_TRIALS, 4, S.shape[1]))
     if not S.size:
         return 0.0
-    Q, R = np.linalg.qr(S)
-    G, A = dom.disc.Gram_full, dom.disc.A_full
-    QG = Q.conj().T @ G
-    K = QG @ (A @ Q)
-    Nm = QG @ Q
+    Q, R_s = np.linalg.qr(S)
+    n = disc.grid.N + 1
+    Z = np.vstack([np.sqrt(disc.grid.h) * (disc.grid.gram_factor @ Q[:n]), disc.R_W @ Q[n:]])
+    K = Z.conj().T @ (disc.M @ Z)
+    Nm = Z.conj().T @ Z
     nrmA = np.linalg.norm(K, 2)
-    Yu = R @ (z[:, 0] + 1j * z[:, 1]).T
-    Yv = R @ (z[:, 2] + 1j * z[:, 3]).T
+    Yu = R_s @ (z[:, 0] + 1j * z[:, 1]).T
+    Yv = R_s @ (z[:, 2] + 1j * z[:, 3]).T
     # one trial per column
     num = np.abs(np.sum(Yv.conj() * ((K - K.conj().T) @ Yu), axis=0))
     norm_u = np.sqrt(np.maximum(np.sum(Yu.conj() * (Nm @ Yu), axis=0).real, 0.0))

@@ -263,24 +263,69 @@ def fraction_suite(A, n_max):
 
 
 # -- independent references for the spectral reductions ---------------------
-# The library builds the operator in a G-orthonormal basis of the domain and
-# measures the symmetry defect in the probe basis; these reduce the full
-# matrices the direct way: the domain basis from a Cholesky factor of the
-# whole Gram, the operator by the SVD-nullspace route the library replaced,
-# the eigenvalues from a Euclidean basis by QZ, and the defect in sample
-# space, for all pairs at once and pair by pair.
+# The library builds the operator once as M = R A R^-1 in coordinates where
+# the H + W Gram is the identity, reduces it in a G-orthonormal basis of the
+# domain and measures the symmetry defect on M in the probe basis.  These
+# work on the nodal matrices instead: the action A_full on (samples, W
+# coordinates) from the powers D1^j, and the block-diagonal Gram_full.  From
+# them they build the domain basis from a Cholesky factor of the whole Gram,
+# the operator by the SVD-nullspace route the library replaced, the
+# eigenvalues from a Euclidean basis by QZ, and the defect in sample space,
+# for all pairs at once and pair by pair.
 
 
-def domain_basis(op):
+@dataclass(frozen=True)
+class NodalDiscretization:
+    """(l x, B a - Omega tr x) collocated on grid samples, as the library once built it."""
+
+    lift: np.ndarray           # (samples, W coords) -> (traces, W coords)
+    A_full: np.ndarray         # action on (samples, W coords)
+    Gram_full: np.ndarray      # block-diagonal: interpolant Gram and G
+
+
+def nodal_discretize(model, grid):
+    """The nodal matrices of the model on the grid, real unless l, Omega, B or G is not."""
+    from gknextend.spectral import _dtype, _horner, _view
+
+    expr = model.expr
+    n, k, td = grid.N + 1, model.k, model.trace_dim
+    # I, D1, ..., D1^4, each the one before it times D1
+    powers = [np.eye(n), grid.D1]
+    while len(powers) < 5:
+        powers.append(powers[-1] @ grid.D1)
+    coeffs = [(j, _horner(c, grid.nodes)) for j, c in expr.coefficient_polys()]
+    dtype = _dtype(*(cvals for _, cvals in coeffs))
+    L = np.zeros((n, n), dtype=dtype)
+    for j, cvals in coeffs:
+        L += _view(cvals, dtype)[:, None] * powers[j]
+    dtype = _dtype(L, model.Omega, model.B.matrix, model.W.G)
+
+    d = expr.traces_per_endpoint
+    lift = np.zeros((td + k, n + k), dtype=dtype)
+    lift[:td, :n] = [powers[j][idx] for idx in (0, grid.N) for j in range(d)]
+    lift[td:, n:] = np.eye(k)
+
+    A_full = np.zeros((n + k, n + k), dtype=dtype)
+    A_full[:n, :n] = L
+    A_full[n:, :n] = -_view(model.Omega, dtype) @ lift[:td, :n]
+    A_full[n:, n:] = _view(model.B.matrix, dtype)
+
+    Gram_full = np.zeros((n + k, n + k), dtype=dtype)
+    Gram_full[:n, :n] = grid.gram
+    Gram_full[n:, n:] = _view(model.W.G, dtype)
+    return NodalDiscretization(lift, A_full, Gram_full)
+
+
+def domain_basis(op, Gram_full):
     """The domain basis R^-1 Q and R, with Gram_full = R* R factored whole."""
     import scipy.linalg
 
-    R = scipy.linalg.cholesky(op.disc.Gram_full, lower=False)
+    R = scipy.linalg.cholesky(Gram_full, lower=False)
     return scipy.linalg.solve_triangular(R, op.Q), R
 
 
 def reference_assemble(model, bc, grid):
-    """The operator of `spectral.assemble` by the route it replaced.
+    """The operator of `spectral.assemble` by the route it replaced, from the nodal matrices.
 
     The nullspace basis Q of the rows in y = R x coordinates comes from an
     SVD (rtol 1e-10), the triangular solves run with all n columns of Q,
@@ -291,44 +336,44 @@ def reference_assemble(model, bc, grid):
         DiscreteExtendedOperator,
         SpectralError,
         _constraint_rows,
-        _discretize,
         _right_solve,
+        discretize,
     )
     from gknextend.symplectic import nullspace
 
-    disc = _discretize(model, grid)
+    nodal = nodal_discretize(model, grid)
     n = grid.N + 1
     try:
-        R_W = scipy.linalg.cholesky(disc.Gram_full[n:, n:], lower=False)
+        R_W = scipy.linalg.cholesky(nodal.Gram_full[n:, n:], lower=False)
     except scipy.linalg.LinAlgError as e:
         raise SpectralError(f"the W Gram matrix G is not positive definite: {e}")
     R_H, sqrt_h = grid.gram_factor, np.sqrt(grid.h)
-    rows = _constraint_rows(disc.lift, bc)
+    rows = _constraint_rows(nodal.lift, bc)
     Q = nullspace(
         np.hstack([_right_solve(rows[:, :n], R_H) / sqrt_h, _right_solve(rows[:, n:], R_W)]),
         rtol=1e-10,
     )
     Qh, Qw = Q[:n], Q[n:]
     # A_full R^-1 Q, with R_ref^-1 Q_h = sqrt(h) times the H rows of R^-1 Q
-    AZ = disc.A_full[:, :n] @ scipy.linalg.solve_triangular(R_H, Qh)
-    W_rows = AZ[n:] / sqrt_h + disc.A_full[n:, n:] @ scipy.linalg.solve_triangular(R_W, Qw)
+    AZ = nodal.A_full[:, :n] @ scipy.linalg.solve_triangular(R_H, Qh)
+    W_rows = AZ[n:] / sqrt_h + nodal.A_full[n:, n:] @ scipy.linalg.solve_triangular(R_W, Qw)
     C = Qh.conj().T @ (R_H @ AZ[:n]) + Qw.conj().T @ (R_W @ W_rows)
-    return DiscreteExtendedOperator(disc, bc, Q, C)
+    return DiscreteExtendedOperator(discretize(model, grid), bc, Q, C)
 
 
-def qz_eigenvalues(dom):
+def qz_eigenvalues(op):
     """All eigenvalues of the constrained operator by complex QZ, smallest |lambda| first.
 
     P is a Euclidean orthonormal basis of the nullspace of the boundary
-    rows, and QZ solves the pencil (P* G A P, P* G P) of the full matrices.
-    Ties in |lambda| to 9 significant digits go by real part.
+    rows, and QZ solves the pencil (P* G A P, P* G P) of the nodal
+    matrices.  Ties in |lambda| to 9 significant digits go by real part.
     """
     import scipy.linalg
 
-    disc = dom.disc
-    P = scipy.linalg.null_space(dom.bc.canonical @ disc.lift, rcond=1e-10)
-    PG = P.conj().T @ disc.Gram_full
-    evals = scipy.linalg.eigvals(PG @ disc.A_full @ P, PG @ P)
+    nodal = nodal_discretize(op.disc.model, op.disc.grid)
+    P = scipy.linalg.null_space(op.bc.canonical @ nodal.lift, rcond=1e-10)
+    PG = P.conj().T @ nodal.Gram_full
+    evals = scipy.linalg.eigvals(PG @ nodal.A_full @ P, PG @ P)
     modulus = [float(f"{m:.8e}") for m in np.abs(evals)]
     return evals[np.lexsort((evals.real, modulus))]
 
@@ -339,26 +384,27 @@ def tied_pairs(evals) -> list[int]:
     return [i for i in range(len(evals) - 1) if modulus[i] == modulus[i + 1]]
 
 
-def sample_probe(op):
-    """The probe basis and |A| on it, from the full sample-space matrices."""
+def sample_probe(disc, bc, nodal):
+    """The probe basis and |A| on it, from the nodal matrices."""
     from gknextend.spectral import _probe_basis
 
-    sample_basis = _probe_basis(op)
+    sample_basis = _probe_basis(disc, bc)
     q, _ = np.linalg.qr(sample_basis)
-    nrmA = np.linalg.norm(q.conj().T @ op.disc.Gram_full @ op.disc.A_full @ q, 2) if q.size else 0.0
+    nrmA = np.linalg.norm(q.conj().T @ nodal.Gram_full @ nodal.A_full @ q, 2) if q.size else 0.0
     return sample_basis, nrmA
 
 
-def batch_symmetry_defect(op, seed):
-    """The symmetry defect of every pair at once, as sample-space matrix products."""
+def batch_symmetry_defect(disc, bc, seed):
+    """The symmetry defect of every pair at once, as nodal matrix products."""
     from gknextend.spectral import PROBE_TRIALS
 
     rng = np.random.default_rng(seed)
-    sample_basis, nrmA = sample_probe(op)
+    nodal = nodal_discretize(disc.model, disc.grid)
+    sample_basis, nrmA = sample_probe(disc, bc, nodal)
     z = rng.standard_normal((PROBE_TRIALS, 4, sample_basis.shape[1]))
     U = sample_basis @ (z[:, 0] + 1j * z[:, 1]).T
     V = sample_basis @ (z[:, 2] + 1j * z[:, 3]).T
-    G, A = op.disc.Gram_full, op.disc.A_full
+    G, A = nodal.Gram_full, nodal.A_full
     AU, AV, GU = A @ U, A @ V, G @ U
     # <x, y> = y* G x, one trial per column
     num = np.abs(np.sum(V.conj() * (G @ AU), axis=0) - np.sum(AV.conj() * GU, axis=0))
@@ -368,16 +414,17 @@ def batch_symmetry_defect(op, seed):
     return float(np.max(num[den > 0] / den[den > 0], initial=0.0))
 
 
-def loop_symmetry_defect(op, seed):
-    """The symmetry defect one pair at a time, from explicit inner products."""
+def loop_symmetry_defect(disc, bc, seed):
+    """The symmetry defect one pair at a time, from explicit nodal inner products."""
     from gknextend.spectral import PROBE_TRIALS
 
     rng = np.random.default_rng(seed)
-    sample_basis, nrmA = sample_probe(op)
+    nodal = nodal_discretize(disc.model, disc.grid)
+    sample_basis, nrmA = sample_probe(disc, bc, nodal)
     dim = sample_basis.shape[1]
 
     def inner(x, y):
-        return complex(y.conj() @ op.disc.Gram_full @ x)
+        return complex(y.conj() @ nodal.Gram_full @ x)
 
     def norm(x):
         return float(np.sqrt(max(inner(x, x).real, 0.0)))
@@ -386,7 +433,7 @@ def loop_symmetry_defect(op, seed):
     for _ in range(PROBE_TRIALS):
         u = sample_basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         v = sample_basis @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        Au, Av = op.disc.A_full @ u, op.disc.A_full @ v
+        Au, Av = nodal.A_full @ u, nodal.A_full @ v
         den = norm(u) * norm(v) * (1.0 + nrmA)
         if den > 0:
             worst = max(worst, abs(inner(Au, v) - inner(u, Av)) / den)

@@ -23,6 +23,7 @@ from gknextend.expressions import LegendreType, apply_expr
 from gknextend.legendre import exact_suite, lt_eigenvalue, operator_basis
 from gknextend.spectral import (
     assemble,
+    discretize,
     eigenrelation_residual,
     shooting_oracle,
     spectrum,
@@ -223,23 +224,23 @@ def test_07_deficiency_isomorphism():
 
 
 @pytest.fixture(scope="module")
-def spectral_assemblies():
+def spectral_discretizations():
     out = {}
     grid = make_grid(64, 0.0, 1.0)
     for name, params in SPECTRAL_CASES:
         entry = build_example(name, params)
         bc = entry.boundary_conditions()
-        out[(name, tuple(sorted(params.items())))] = (entry, bc, assemble(entry.model, bc, grid), grid)
+        out[(name, tuple(sorted(params.items())))] = (entry, bc, discretize(entry.model, grid))
     return out
 
 
-def test_08_spectral_oracle_agreement(spectral_assemblies):
+def test_08_spectral_oracle_agreement(spectral_discretizations):
     t0 = time.perf_counter()
     ok = True
-    for (name, _), (entry, bc, op, grid) in spectral_assemblies.items():
-        defect = symmetry_defect(op, 8)
+    for (name, _), (entry, bc, disc) in spectral_discretizations.items():
+        defect = symmetry_defect(disc, bc, 8)
         ok &= defect <= 1e-9
-        rep = spectrum(op, 8)
+        rep = spectrum(assemble(disc, bc), 8)
         ok &= rep.max_imag <= 1e-8
         roots = shooting_oracle(entry.model, bc, entry.spectral_window)
         oracle5 = sorted(roots, key=abs)[:5]
@@ -253,16 +254,16 @@ def test_08_spectral_oracle_agreement(spectral_assemblies):
     report(8, "first-5-eigenvalues-match-shooting-oracle", ok, t0)
 
 
-def test_09_negative_spectral_controls(spectral_assemblies):
+def test_09_negative_spectral_controls(spectral_discretizations):
     t0 = time.perf_counter()
     ok = True
-    for (name, _), (entry, bc, op, grid) in spectral_assemblies.items():
-        honest = symmetry_defect(op, 9)
+    for (name, _), (entry, bc, disc) in spectral_discretizations.items():
+        honest = symmetry_defect(disc, bc, 9)
         bad = boundary_conditions_from_rows(
             entry.model, sabotage_rows(bc, entry.model.trace_dim)
         )
-        op_bad = assemble(entry.model, bad, grid)
-        sab = symmetry_defect(op_bad, 9)
+        # the sabotaged rows share the discretization, as in `spectrum`
+        sab = symmetry_defect(disc, bad, 9)
         ok &= sab >= 1e-4
         ok &= sab >= 1e4 * max(honest, 1e-300)
     report(9, "sabotaged-conditions-raise-defect-4-orders", ok, t0)

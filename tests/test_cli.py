@@ -235,6 +235,9 @@ class TestBenchmarkHarness:
         finally:
             tracer.uninstall()
         assert tracer.calls["spectral.shooting_oracle"] == 1
+        # the hook on `assemble` still reads the reduced operator's size
+        assert tracer.calls["spectral.symmetry_defect"] == 2
+        assert tracer.reduced_dim > 0
         assert tracer.calls["extension.derive_boundary_conditions"] >= 1
         assert tracer.rk_nfev == 0
         # uninstall puts the resolved name back into the module's namespace
@@ -486,17 +489,19 @@ class TestMain:
         assert json.loads(capsys.readouterr().out)["seed"] == 42
 
     @pytest.mark.parametrize("example", ["fourier_3_1", "legendre_type"])
-    def test_symmetry_defect_measured_once_per_assembly(self, example, monkeypatch):
-        # once for the honest assembly, once for the sabotaged one
+    def test_both_defects_read_one_discretization(self, example, monkeypatch):
+        # once for the honest rows, once for the sabotaged ones, on one M
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
+            calls.append(args)
             return symmetry_defect(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "symmetry_defect", counted)
         report = run({"example": example, "seed": 0}, "spectrum")
-        assert len(calls) == 2 and calls[0] is not calls[1]
+        assert len(calls) == 2
+        (disc, honest, _), (disc_bad, sabotaged, _) = calls
+        assert disc_bad is disc and sabotaged is not honest
         if "eigenvalues" in report:
             got = next(c["got"] for c in report["checks"] if c["name"] == "symmetry_defect")
             assert report["eigenvalues"]["symmetry_defect"] == got

@@ -5,7 +5,7 @@ from conftest import direct_grid
 from gknextend import cli
 from gknextend.catalog import build_example
 from gknextend.collocation import _reference_grid, _right_factors, make_grid
-from gknextend.spectral import assemble
+from gknextend.spectral import discretize, trace_rows
 
 
 class TestGrid:
@@ -19,15 +19,34 @@ class TestGrid:
         g = make_grid(N, 0.0, 1.0)
         for m in range(1, 6):
             u = g.nodes**m
-            du = g.diff(1) @ u
+            du = g.D1 @ u
             assert np.abs(du - m * g.nodes ** (m - 1)).max() < 1e-10
 
     def test_higher_derivatives(self):
-        # repeated differentiation amplifies roundoff roughly like N^(2k) eps
+        # repeated differentiation amplifies roundoff roughly like N^(2k) eps;
+        # the assembly applies D_k as h^-k (D_k R_ref^-1)_ref R_ref
         g = make_grid(48, -1.0, 1.0)
         u = g.nodes**5
-        assert np.abs(g.diff(2) @ u - 20 * g.nodes**3).max() < 1e-8
-        assert np.abs(g.diff(4) @ u - 120 * g.nodes).max() < 1e-4
+
+        def diff(k):
+            return g.reference_diff_rinv(k) @ (g.gram_factor @ u) / g.h**k
+
+        assert np.abs(diff(2) - 20 * g.nodes**3).max() < 1e-8
+        assert np.abs(diff(4) - 120 * g.nodes).max() < 1e-4
+
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    @pytest.mark.parametrize("name", ["fourier_3_3", "first_order", "legendre_type"])
+    def test_trace_rows_are_endpoint_rows_of_the_powers(self, name, N):
+        # x^(k) at a, then at b, for k below the traces per endpoint
+        expr = build_example(name).model.expr
+        a, b = (float(v) for v in expr.interval)
+        _, D, _ = direct_grid(N, a, b)
+        powers = [np.eye(N + 1), *D]
+        d = expr.traces_per_endpoint
+        want = np.array([powers[k][idx] for idx in (0, N) for k in range(d)])
+        got = trace_rows(make_grid(N, a, b), expr)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1))
 
     def test_gram_is_exact_for_polynomial_samples(self, rng):
         g = make_grid(24, 0.0, 2.0)
@@ -59,7 +78,7 @@ class TestReferenceGrid:
         g = make_grid(N, a, b)
         nodes, D, _ = direct_grid(N, a, b)
         assert g.nodes[0] == a and g.nodes[-1] == b
-        for got, want in zip((g.nodes, *map(g.diff, range(1, 5))), (nodes, *D)):
+        for got, want in ((g.nodes, nodes), (g.D1, D[0])):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         # The interpolant Gram depends on b - a only.  Built directly on
         # [100, 101], it loses digits to the cancellation in (Gauss point -
@@ -71,18 +90,13 @@ class TestReferenceGrid:
 
     def test_returned_arrays_do_not_alias_the_reference(self):
         def arrays(g):
-            return (g.nodes, *map(g.diff, range(1, 5)), g.gram)
+            return (g.nodes, g.D1, g.gram)
 
         before = arrays(make_grid(32, 0.0, 1.0))
         for m in arrays(make_grid(32, 0.0, 1.0)):
             m[...] = np.nan
         for x, y in zip(before, arrays(make_grid(32, 0.0, 1.0))):
             assert np.array_equal(x, y)
-
-    def test_higher_derivatives_built_on_first_use(self):
-        g = make_grid(16, 0.0, 1.0)
-        assert g.diff(2) is g.diff(2)
-        assert np.array_equal(g.diff(4), g.diff(3) @ g.diff(1))
 
     def test_reference_is_read_only(self):
         for m in _reference_grid(32):
@@ -99,17 +113,17 @@ class TestReferenceGrid:
 
     @pytest.mark.parametrize("order", range(5))
     def test_right_factor_times_gram_factor_is_the_reference_power(self, order):
-        # on [-1, 1] (h = 1) the grid's D_order is the reference one
+        # on [-1, 1] (h = 1) the D_order of a direct build is the reference one
         g = make_grid(48, -1.0, 1.0)
         F = g.reference_diff_rinv(order)
         assert not F.flags.writeable
         assert F is make_grid(48, 2.0, 2.5).reference_diff_rinv(order)
-        D = g.diff(order)
+        D = [np.eye(49), *direct_grid(48, -1.0, 1.0)[1]][order]
         assert np.abs(F @ g.gram_factor - D).max() <= 1e-12 * np.abs(D).max()
 
     def test_right_factors_built_only_for_the_orders_used(self):
         _right_factors.cache_clear()
         for name, orders in (("fourier_3_3", {2}), ("first_order", {1, 2})):
             entry = build_example(name)
-            assemble(entry.model, entry.boundary_conditions(), make_grid(40, 0.0, 1.0))
+            discretize(entry.model, make_grid(40, 0.0, 1.0))
             assert set(_right_factors(40)) == orders

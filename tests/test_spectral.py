@@ -15,6 +15,7 @@ from conftest import (
     benchmark_ops,
     domain_basis,
     loop_symmetry_defect,
+    nodal_discretize,
     qz_eigenvalues,
     reference_assemble,
     rk_fundamental_traces,
@@ -51,6 +52,7 @@ from gknextend.spectral import (
     _horner,
     assemble,
     characteristic_value,
+    discretize,
     eigenrelation_residual,
     shooting_oracle,
     spectrum,
@@ -182,25 +184,26 @@ def reference_roots(reference, name, params):
 class TestAssemble:
     def test_dimension_bookkeeping_3_1(self, grid01):
         entry = build_example("fourier_3_1")
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
         assert op.reduced_dim == (65 + 1) - 2
 
     def test_dimension_bookkeeping_legendre(self):
         entry = build_example("legendre_type")
         grid = make_grid(64, -1.0, 1.0)
-        op = assemble(entry.model, entry.boundary_conditions(), grid)
+        op = assemble(discretize(entry.model, grid), entry.boundary_conditions())
         assert op.reduced_dim == (65 + 2) - 2
 
     def test_dimension_bookkeeping_first_order(self, grid01):
         entry = build_example("first_order")
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
         assert op.reduced_dim == (65 + 1) - 1
 
     def test_domain_basis_satisfies_constraints(self, grid01):
         entry = build_example("fourier_3_5")
         bc = entry.boundary_conditions()
-        op = assemble(entry.model, bc, grid01)
-        resid = np.abs(bc.canonical @ op.disc.lift @ domain_basis(op)[0]).max()
+        op = assemble(discretize(entry.model, grid01), bc)
+        P, _ = domain_basis(op, nodal_discretize(entry.model, grid01).Gram_full)
+        resid = np.abs(bc.canonical @ op.disc.lift @ P).max()
         assert resid < 1e-10
 
     @pytest.mark.parametrize("N", [16, 64, 256])
@@ -217,16 +220,19 @@ class TestAssemble:
     def test_domain_basis_is_g_orthonormal(self, name, params, N):
         # P = R^-1 Q with R factored from the whole Gram: each row, as a
         # functional of G-norm ||row R^-1||, vanishes on the G-unit columns
-        # of P; P* G P = I; and C is the operator in that basis, P* G A P
+        # of P; P* G P = I; and C is the operator in that basis, P* G A P,
+        # with G and A the nodal matrices
         entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
         bc = entry.boundary_conditions()
-        op = assemble(entry.model, bc, make_grid(N, a, b))
-        P, R = domain_basis(op)
+        grid = make_grid(N, a, b)
+        op = assemble(discretize(entry.model, grid), bc)
+        nodal = nodal_discretize(entry.model, grid)
+        G, A = nodal.Gram_full, nodal.A_full
+        P, R = domain_basis(op, G)
         rows = bc.canonical @ op.disc.lift
         dual = np.linalg.norm(scipy.linalg.solve_triangular(R, rows.T, trans="T"), axis=0)
         assert np.all(np.abs(rows @ P).max(axis=1) <= 1e-12 * dual)
-        G, A = op.disc.Gram_full, op.disc.A_full
         assert np.abs(P.conj().T @ G @ P - np.eye(op.reduced_dim)).max() <= 1e-12
         assert np.abs(P.conj().T @ G @ A @ P - op.C).max() <= 1e-12 * np.abs(op.C).max()
 
@@ -242,20 +248,42 @@ class TestAssemble:
     def test_dtype_is_real_exactly_when_the_model_is(self, name, params, dtype):
         entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
-        op = assemble(entry.model, entry.boundary_conditions(), make_grid(32, a, b))
-        arrays = (op.disc.lift, op.disc.A_full, op.disc.Gram_full, op.Q, op.C)
+        grid = make_grid(32, a, b)
+        disc = discretize(entry.model, grid)
+        op = assemble(disc, entry.boundary_conditions())
+        nodal = nodal_discretize(entry.model, grid)
+        arrays = (disc.lift, disc.lift_y, disc.R_W, disc.M, op.Q, op.C, nodal.A_full, nodal.Gram_full)
         assert all(m.dtype == dtype for m in arrays)
 
     def test_refuses_tiny_grid(self):
         # fourth-order expression needs N >= 2*4 + 4
         entry = build_example("legendre_type")
         with pytest.raises(SpectralError, match="too small"):
-            assemble(entry.model, entry.boundary_conditions(), make_grid(8, -1.0, 1.0))
+            discretize(entry.model, make_grid(8, -1.0, 1.0))
 
     def test_refuses_wrong_interval(self):
         entry = build_example("fourier_3_1")
         with pytest.raises(SpectralError, match="interval"):
-            assemble(entry.model, entry.boundary_conditions(), make_grid(64, 0.0, 2.0))
+            discretize(entry.model, make_grid(64, 0.0, 2.0))
+
+    def test_refuses_an_interval_within_isclose_tolerance(self):
+        # np.isclose's absolute tolerance 1e-8 would take [0, 1e-9] for [0, 2e-9]
+        entry = build_example("fourier_3_3", {"b": 2e-9})
+        assert discretize(entry.model, make_grid(32, 0.0, 2e-9)).grid.b == 2e-9
+        with pytest.raises(SpectralError, match="interval"):
+            discretize(entry.model, make_grid(32, 0.0, 1e-9))
+
+    @pytest.mark.parametrize("name", ["fourier_3_3", "first_order", "legendre_type"])
+    def test_assemble_leaves_m_as_it_was(self, name):
+        # the sabotaged defect reads M after the honest rows are reduced
+        entry = build_example(name)
+        a, b = (float(v) for v in entry.model.expr.interval)
+        disc = discretize(entry.model, make_grid(32, a, b))
+        before = disc.M.tobytes()
+        assemble(disc, entry.boundary_conditions())
+        assert disc.M.tobytes() == before
+        with pytest.raises(ValueError, match="read-only"):
+            disc.M[0, 0] = 1.0
 
     @pytest.mark.parametrize(
         "expr",
@@ -298,7 +326,7 @@ class TestAgainstReferenceAssembly:
         entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
         bc, grid = entry.boundary_conditions(), make_grid(N, a, b)
-        got = spectrum(assemble(entry.model, bc, grid), 8).eigenvalues
+        got = spectrum(assemble(discretize(entry.model, grid), bc), 8).eigenvalues
         ref = spectrum(reference_assemble(entry.model, bc, grid), 8).eigenvalues
         assert nearest_gap(got, ref) <= 1e-9
 
@@ -314,36 +342,36 @@ class TestAgainstReferenceAssembly:
             got = np.sort(spectrum(op, 8).eigenvalues.real)
             return np.max(np.abs(got - exact) / np.maximum(1.0, exact))
 
-        assert error(assemble(entry.model, bc, grid)) < error(reference_assemble(entry.model, bc, grid))
+        got = assemble(discretize(entry.model, grid), bc)
+        assert error(got) < error(reference_assemble(entry.model, bc, grid))
 
     def test_rank_deficient_rows_are_refused(self, grid01):
         entry = build_example("fourier_3_3")
         bc = entry.boundary_conditions()
         repeated = dataclasses.replace(bc, canonical=np.vstack([bc.canonical, 2 * bc.canonical[1]]))
         with pytest.raises(SpectralError, match="3 boundary rows have rank 2"):
-            assemble(entry.model, repeated, grid01)
+            assemble(discretize(entry.model, grid01), repeated)
         # the rank is read row by row on each row's own scale
         scaled = dataclasses.replace(bc, canonical=bc.canonical * np.array([[1e-100], [1e100]]))
-        assert assemble(entry.model, scaled, grid01).reduced_dim == (65 + 2) - 2
+        assert assemble(discretize(entry.model, grid01), scaled).reduced_dim == (65 + 2) - 2
 
 
 class TestSymmetryDefect:
     def test_honest_build_is_tiny(self, grid01):
         entry = build_example("fourier_3_1", {"alpha": 1.0})
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
-        assert symmetry_defect(op, 3) <= 1e-9
+        disc = discretize(entry.model, grid01)
+        assert symmetry_defect(disc, entry.boundary_conditions(), 3) <= 1e-9
 
     def test_sabotaged_build_is_large(self, grid01):
         entry = build_example("fourier_3_1", {"alpha": 1.0})
         bc = entry.boundary_conditions()
         bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, 4))
-        op = assemble(entry.model, bad, grid01)
-        assert symmetry_defect(op, 3) >= 1e-3
+        assert symmetry_defect(discretize(entry.model, grid01), bad, 3) >= 1e-3
 
     def test_deterministic_given_seed(self, grid01):
         entry = build_example("fourier_3_3")
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
-        assert symmetry_defect(op, 7) == symmetry_defect(op, 7)
+        disc, bc = discretize(entry.model, grid01), entry.boundary_conditions()
+        assert symmetry_defect(disc, bc, 7) == symmetry_defect(disc, bc, 7)
 
     def test_legendre_polynomial_subspace(self):
         # the singular fourth-order kind gets the same Chebyshev probe; its
@@ -353,34 +381,40 @@ class TestSymmetryDefect:
             entry = build_example("legendre_type", {"A": A})
             bc = entry.boundary_conditions()
             bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, 4))
-            assert symmetry_defect(assemble(entry.model, bc, grid), 0) <= 1e-9
-            assert symmetry_defect(assemble(entry.model, bad, grid), 0) >= 1e-4
+            disc = discretize(entry.model, grid)
+            assert symmetry_defect(disc, bc, 0) <= 1e-9
+            assert symmetry_defect(disc, bad, 0) >= 1e-4
 
     @pytest.mark.parametrize("name", SPECTRUM_EXAMPLES)
     def test_batch_equals_pairwise_loop(self, name):
-        # the same stream of pairs, so only the summation order differs;
-        # honest defects are rounding noise and agree at this grid size
+        # the same stream of pairs against the nodal A_full and Gram_full one
+        # pair at a time: in exact arithmetic the same numbers, so only
+        # rounding differs; honest defects are rounding noise and agree at
+        # this grid size
         entry = build_example(name)
         a, b = (float(v) for v in entry.model.expr.interval)
-        grid = make_grid(64, a, b)
+        disc = discretize(entry.model, make_grid(64, a, b))
         bc = entry.boundary_conditions()
         bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, entry.model.trace_dim))
         for rows in (bc, bad):
-            op = assemble(entry.model, rows, grid)
-            assert abs(symmetry_defect(op, 11) - loop_symmetry_defect(op, 11)) <= 1e-12
+            assert abs(symmetry_defect(disc, rows, 11) - loop_symmetry_defect(disc, rows, 11)) <= 1e-12
 
-    @pytest.mark.parametrize("name", SPECTRUM_EXAMPLES)
-    def test_probe_basis_equals_sample_space(self, name):
-        # K = Q* G A Q and Q* G Q in place of products with the 50 sampled
-        # pairs: only rounding differs, within the pairwise test's bound
-        entry = build_example(name)
+    @pytest.mark.parametrize(
+        "name, params",
+        [pytest.param(name, {}, id=name) for name in SPECTRUM_EXAMPLES]
+        + [pytest.param("fourier_3_3", {"beta_im": 0.7}, id="fourier_3_3-beta_im")],
+    )
+    def test_probe_basis_equals_sample_space(self, name, params):
+        # K = Z* M Z and Z* Z in place of products of the nodal A_full and
+        # Gram_full with the 50 sampled pairs: only rounding differs, within
+        # the pairwise test's bound
+        entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
-        grid = make_grid(64, a, b)
+        disc = discretize(entry.model, make_grid(64, a, b))
         bc = entry.boundary_conditions()
         bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, entry.model.trace_dim))
         for rows in (bc, bad):
-            op = assemble(entry.model, rows, grid)
-            assert abs(symmetry_defect(op, 11) - batch_symmetry_defect(op, 11)) <= 1e-12
+            assert abs(symmetry_defect(disc, rows, 11) - batch_symmetry_defect(disc, rows, 11)) <= 1e-12
 
     @pytest.mark.parametrize("N", [16, 64, 256])
     @pytest.mark.parametrize("params", DEFECT_PARAMS, ids=str)
@@ -391,8 +425,9 @@ class TestSymmetryDefect:
         grid = make_grid(N, a, b)
         bc = entry.boundary_conditions()
         bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, entry.model.trace_dim))
-        assert symmetry_defect(assemble(entry.model, bc, grid), 0) <= 1e-9
-        assert symmetry_defect(assemble(entry.model, bad, grid), 0) >= 1e-4
+        disc = discretize(entry.model, grid)
+        assert symmetry_defect(disc, bc, 0) <= 1e-9
+        assert symmetry_defect(disc, bad, 0) >= 1e-4
 
 
 class TestSpectrum:
@@ -406,8 +441,9 @@ class TestSpectrum:
         from gknextend.extension import derive_boundary_conditions
 
         bc = derive_boundary_conditions(model, cands)
-        grid = make_grid(64, 0.0, 2 * np.pi)
-        op = assemble(model, bc, grid)
+        # the model's interval is 2 pi to 6 digits of its denominator: the grid takes it exactly
+        grid = make_grid(64, *(float(v) for v in model.expr.interval))
+        op = assemble(discretize(model, grid), bc)
         rep = spectrum(op, 5)
         expected = np.array([0.0, 1.0, 1.0, 4.0, 4.0])
         assert np.abs(np.sort(rep.eigenvalues.real) - expected).max() < 1e-6
@@ -415,14 +451,14 @@ class TestSpectrum:
 
     def test_example_3_1_first_eigenvalue_regression(self, grid01):
         entry = build_example("fourier_3_1", {"alpha": 0.0})
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
         rep = spectrum(op, 3)
         lam1 = sorted(rep.eigenvalues.real, key=abs)[0]
         assert abs(lam1 - LAMBDA_31_ALPHA0) < 1e-9
 
     def test_example_2_real_spectrum(self, grid01):
         entry = build_example("first_order", {"alpha": 0.0})
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
         rep = spectrum(op, 10)
         assert rep.max_imag <= 1e-6
 
@@ -431,14 +467,14 @@ class TestSpectrum:
         bc = entry.boundary_conditions()
         lams = []
         for N in (32, 64):
-            op = assemble(entry.model, bc, make_grid(N, 0.0, 1.0))
+            op = assemble(discretize(entry.model, make_grid(N, 0.0, 1.0)), bc)
             lams.append(sorted(spectrum(op, 3).eigenvalues.real, key=abs)[0])
         assert abs(lams[0] - lams[1]) <= 1e-8
 
     def test_count_bound(self, grid01):
         # Arnoldi returns k = count + 2 eigenvalues, and needs k < reduced_dim - 1
         entry = build_example("fourier_3_1")
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
         for count in (op.reduced_dim + 1, op.reduced_dim - 3):
             with pytest.raises(SpectralError, match="reduced dim"):
                 spectrum(op, count)
@@ -450,7 +486,7 @@ class TestSpectrum:
         # fourier_3_3 has the eigenvalue 0 exactly; at b = 30, grid_N 64, C is
         # singular to the last pivot, so a shift at 0 would fail
         entry = build_example("fourier_3_3", {"b": 30})
-        op = assemble(entry.model, entry.boundary_conditions(), make_grid(64, 0.0, 30.0))
+        op = assemble(discretize(entry.model, make_grid(64, 0.0, 30.0)), entry.boundary_conditions())
         rep = spectrum(op, 8)
         assert abs(rep.eigenvalues[0]) <= 1e-8
         assert rep.residuals[0] <= 1e-12
@@ -463,7 +499,7 @@ class TestSpectrum:
         # 1e-12, grid_N 64), with residuals up to 4.4e-4
         entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
-        rep = spectrum(assemble(entry.model, entry.boundary_conditions(), make_grid(N, a, b)), 8)
+        rep = spectrum(assemble(discretize(entry.model, make_grid(N, a, b)), entry.boundary_conditions()), 8)
         roots = reference_roots(benchmark_module(monkeypatch, "reference"), name, params)
         for z in rep.eigenvalues[:5]:
             r = roots[np.argmin(np.abs(roots - z))]
@@ -474,7 +510,7 @@ class TestSpectrum:
     def test_five_smallest_match_closed_form(self, params):
         entry = build_example("fourier_3_3", params)
         a, b = (float(v) for v in entry.model.expr.interval)
-        op = assemble(entry.model, entry.boundary_conditions(), make_grid(64, a, b))
+        op = assemble(discretize(entry.model, make_grid(64, a, b)), entry.boundary_conditions())
         got = spectrum(op, 8).eigenvalues[:5]
         # the scan resolves the gap 2 / L between the roots 0 and about 2 / L
         L = b - a
@@ -502,7 +538,7 @@ class TestSpectrum:
         # eigs given the dense C * scale alone must find the same floats
         entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
-        op = assemble(entry.model, entry.boundary_conditions(), make_grid(N, a, b))
+        op = assemble(discretize(entry.model, make_grid(N, a, b)), entry.boundary_conditions())
         got = spectrum(op, 8)
 
         def dense(eigs, A, OPinv, **kw):
@@ -520,7 +556,7 @@ class TestSpectrum:
             return np.delete(vals, i), np.delete(vecs, i, axis=1)
 
         entry = build_example("fourier_3_3")
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
         self.patch_eigs(monkeypatch, drop_smallest)
         with pytest.raises(SpectralError, match="no-miss check"):
             spectrum(op, 8)
@@ -536,7 +572,7 @@ class TestSpectrum:
             return vals[i], vecs[:, i]
 
         entry = build_example("fourier_3_3")
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
         tau = 1e-9 * 30.0
         vals = [*range(1, 9), -9.0, -9.0 - 1e-10, -9.0 - 2e-10, 9.0 - tau / 2, 20.0, 25.0, 30.0]
         n = len(vals)
@@ -579,13 +615,14 @@ class TestSpectrum:
     def test_congruence_matches_qz(self, name, N):
         entry = build_example(name)
         a, b = (float(v) for v in entry.model.expr.interval)
-        self.assert_matches_qz(assemble(entry.model, entry.boundary_conditions(), make_grid(N, a, b)))
+        grid = make_grid(N, a, b)
+        self.assert_matches_qz(assemble(discretize(entry.model, grid), entry.boundary_conditions()))
 
     @pytest.mark.parametrize("N", [32, 128, 256])
     def test_first_order_pairs_read_minus_then_plus(self, N):
         # at alpha = 0 the spectrum is symmetric: 0, then pairs -lambda, +lambda
         entry = build_example("first_order")
-        op = assemble(entry.model, entry.boundary_conditions(), make_grid(N, 0.0, 1.0))
+        op = assemble(discretize(entry.model, make_grid(N, 0.0, 1.0)), entry.boundary_conditions())
         evals = spectrum(op, 8).eigenvalues
         pairs = tied_pairs(evals)
         assert len(pairs) == 3
@@ -595,7 +632,7 @@ class TestSpectrum:
         # the catalog's domain bases are real; complex boundary rows give a
         # complex one, which a unitary change of reduced basis imitates
         entry = build_example("first_order")
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
         m = op.reduced_dim
         U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
         rotated = dataclasses.replace(op, Q=op.Q @ U, C=U.conj().T @ op.C @ U)
@@ -606,7 +643,7 @@ class TestSpectrum:
         # C + 0.5i I has the honest eigenvalues plus 0.5i: the solver carries
         # non-Hermitian parts through, it never removes them
         entry = build_example("fourier_3_3")
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
         honest = spectrum(op, 8)
         shifted = spectrum(dataclasses.replace(op, C=op.C + 0.5j * np.eye(op.reduced_dim)), 8)
         assert np.abs(shifted.eigenvalues - (honest.eigenvalues + 0.5j)).max() <= 1e-8 * (
@@ -620,7 +657,7 @@ class TestSpectrum:
         # [[l1, 0], [0, l2]] into [[l1, s], [-s, l2]]: with s > |l1 - l2|/2 the
         # pair leaves the real axis, and the real solver must report it
         entry = build_example("fourier_3_3")
-        op = assemble(entry.model, entry.boundary_conditions(), grid01)
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
         assert op.C.dtype == np.float64
         w, U = scipy.linalg.eigh(0.5 * (op.C + op.C.T))
         i = np.argsort(np.abs(w))[1:3]
@@ -641,7 +678,7 @@ class TestSpectrum:
     def test_real_path_matches_complex_path(self, name, N):
         entry = build_example(name)
         a, b = (float(v) for v in entry.model.expr.interval)
-        op = assemble(entry.model, entry.boundary_conditions(), make_grid(N, a, b))
+        op = assemble(discretize(entry.model, make_grid(N, a, b)), entry.boundary_conditions())
         assert op.C.dtype == np.float64
         as_complex = dataclasses.replace(op, Q=op.Q.astype(complex), C=op.C.astype(complex))
         got, ref = spectrum(op, 8).eigenvalues, spectrum(as_complex, 8).eigenvalues
@@ -665,7 +702,7 @@ class TestSpectrum:
         object.__setattr__(W, "G", (U * w) @ U.conj().T)
         bad = dataclasses.replace(entry, model=dataclasses.replace(entry.model, W=W))
         with pytest.raises(SpectralError, match="not positive definite"):
-            assemble(bad.model, bad.boundary_conditions(), grid01)
+            assemble(discretize(bad.model, grid01), bad.boundary_conditions())
         monkeypatch.setattr(catalog, "build_example", lambda name, params=None: bad)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"example": "fourier_3_3"}))
@@ -919,7 +956,7 @@ class TestShootingOracle:
         roots = shooting_oracle(model, bc, (1.0, 100.0))
         assert len(roots) == 3
         assert np.abs(np.array(roots) - expected).max() < 1e-7
-        evals = spectrum(assemble(model, bc, make_grid(32, 0.0, 1.0)), 3).eigenvalues
+        evals = spectrum(assemble(discretize(model, make_grid(32, 0.0, 1.0)), bc), 3).eigenvalues
         assert np.abs(evals - expected).max() < 1e-6
 
     def test_variable_coefficients_are_refused(self):
