@@ -17,13 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import operator
 import sys
 import time
 import traceback
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import catalog
 from .collocation import make_grid
@@ -81,8 +81,75 @@ CONFIG_SCHEMA = {
     },
 }
 
-_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-_VALIDATOR.check_schema(CONFIG_SCHEMA)
+# JSON Schema's types and bounds, as `_violations` reads them; CONFIG_SCHEMA
+# uses these and type, enum, required, properties and additionalProperties only
+_PY_TYPES = {"object": dict, "array": list, "number": (int, float)}
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+}
+
+
+def _is_type(instance, name: str) -> bool:
+    """JSON Schema's types: a bool is no number, and an integral float is an integer."""
+    if isinstance(instance, bool):
+        return False
+    if name == "integer":
+        return isinstance(instance, int) or isinstance(instance, float) and instance.is_integer()
+    return isinstance(instance, _PY_TYPES[name])
+
+
+def _violations(instance, schema: dict, path: tuple = ()):
+    """Yield `(path, type_mismatch, message)` for each keyword `instance` breaks.
+
+    Keywords are read in the order `schema` lists them, and each message is
+    worded as the Draft 2020-12 reference validator that the tests compare
+    with words it. `type_mismatch` is true unless `schema` has a `type` that
+    `instance` is.
+    """
+    is_object = isinstance(instance, dict)
+    mismatch = not ("type" in schema and _is_type(instance, schema["type"]))
+    for keyword, value in schema.items():
+        messages = ()
+        if keyword == "type" and mismatch:
+            messages = (f"{instance!r} is not of type {value!r}",)
+        elif keyword == "enum" and instance not in value:
+            messages = (f"{instance!r} is not one of {value!r}",)
+        elif keyword == "required" and is_object:
+            messages = [f"{key!r} is a required property" for key in value if key not in instance]
+        elif keyword == "additionalProperties" and is_object and not value:
+            known = schema.get("properties", {})
+            extras = sorted((key for key in instance if key not in known), key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                names = ", ".join(map(repr, extras))
+                messages = (f"Additional properties are not allowed ({names} {verb} unexpected)",)
+        elif keyword == "properties" and is_object:
+            for key, sub in value.items():
+                if key in instance:
+                    yield from _violations(instance[key], sub, (*path, key))
+        elif keyword in _BOUNDS and _is_type(instance, "number"):
+            broken, words = _BOUNDS[keyword]
+            if broken(instance, value):
+                messages = (f"{instance!r} {words} {value!r}",)
+        for message in messages:
+            yield path, mismatch, message
+
+
+def _schema_violation(cfg) -> str | None:
+    """The message that reference's `best_match` picks, or None when `cfg` is valid.
+
+    That is the shallowest violation, among siblings the one with the
+    greatest path, then one that breaks its schema's `type`; `max` keeps the
+    first yielded of a tie, as `best_match` does.
+    """
+    best = max(
+        _violations(cfg, CONFIG_SCHEMA),
+        key=lambda v: (-len(v[0]), v[0], v[1]),
+        default=None,
+    )
+    return None if best is None else best[2]
 
 
 class ConfigError(GknError):
@@ -93,15 +160,27 @@ def _refuse_constant(name: str):
     raise ConfigError(f"config holds {name}, which is not a finite number")
 
 
+def _finite_float(text: str) -> float:
+    # json reads a literal such as 1e400 as inf without calling parse_constant
+    x = float(text)
+    if not math.isfinite(x):
+        _refuse_constant(text)
+    return x
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as f:
-            cfg = json.load(f, parse_constant=_refuse_constant)
+            cfg = json.load(f, parse_constant=_refuse_constant, parse_float=_finite_float)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
-    error = best_match(_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+    message = _schema_violation(cfg)
+    if message is not None:
+        raise ConfigError(f"config schema violation: {message}")
+    # the schema counts 32.0 as an integer; the commands need an int
+    for key, sub in CONFIG_SCHEMA["properties"].items():
+        if sub.get("type") == "integer" and key in cfg:
+            cfg[key] = int(cfg[key])
     if cfg["example"] == "custom" and "model" not in cfg:
         raise ConfigError("custom example needs a 'model' section")
     params = catalog._merge(cfg.get("params"))
@@ -371,17 +450,20 @@ def write_csv(report: dict, path: str):
                 w.writerow([i, re, im, res])
 
 
+# built once: `main` is also the in-process API, called once per op
+_PARSER = argparse.ArgumentParser(
+    prog="gkn-extend",
+    description="Verify extended-space self-adjoint operator constructions.",
+)
+_PARSER.add_argument("command", choices=[*COMMANDS, "all"])
+_PARSER.add_argument("--config", required=True, help="JSON config path")
+_PARSER.add_argument("--out", help="write the JSON report here instead of stdout")
+_PARSER.add_argument("--seed", type=int, help="override the config seed")
+_PARSER.add_argument("--csv", help="write the eigenvalue table as CSV")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="gkn-extend",
-        description="Verify extended-space self-adjoint operator constructions.",
-    )
-    parser.add_argument("command", choices=[*COMMANDS, "all"])
-    parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--csv", help="write the eigenvalue table as CSV")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = load_config(args.config)

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,10 +10,14 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 import gknextend
 from gknextend import cli, legendre, spectral
-from gknextend.catalog import build_example
+from gknextend.catalog import DEFAULT_PARAMS, build_example
 from gknextend.cli import CONFIG_SCHEMA, ConfigError, load_config, main, run
 from gknextend.extension import model_to_json
 from gknextend.spectral import symmetry_defect
@@ -22,6 +29,69 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return str(p)
+
+
+# the keywords cli's validator implements
+SCHEMA_KEYWORDS = {
+    "type", "properties", "additionalProperties", "required",
+    "enum", "minimum", "maximum", "exclusiveMinimum",
+}
+
+# any JSON value, for keys and sections the schema does not expect it in
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mostly(usual, rare, odds: int):
+    """`usual`, but `rare` once in `odds` draws (`one_of` would draw them alike)."""
+    return st.integers(1, odds).flatmap(lambda i: rare if i == 1 else usual)
+
+
+def schema_values(schema: dict):
+    """Configs near `schema`: its enum members, numbers about its bounds as ints,
+    integral and other floats and bools, objects with known keys left out and
+    unknown keys added, and now and then any JSON value."""
+    if "enum" in schema:
+        near = st.sampled_from(schema["enum"])
+    elif "properties" in schema:
+        props = {k: schema_values(sub) for k, sub in schema["properties"].items()}
+        required = schema.get("required", ())
+        with_required = st.fixed_dictionaries(
+            {k: props[k] for k in required},
+            optional={k: v for k, v in props.items() if k not in required},
+        )
+        known = mostly(with_required, st.fixed_dictionaries({}, optional=props), 4)
+        unknown = st.dictionaries(st.text(max_size=5), JSON_VALUES, min_size=1, max_size=2)
+        near = st.builds(lambda extra, known: {**extra, **known}, mostly(st.just({}), unknown, 4), known)
+    elif schema.get("type") in ("number", "integer"):
+        lo = schema.get("minimum", schema.get("exclusiveMinimum", -3))
+        inside = st.integers(lo, schema.get("maximum", 300))
+        ints = st.integers(lo - 3, schema.get("maximum", 300) + 3)
+        near = mostly(inside, inside.map(float) | ints | st.floats(lo - 3, 300) | st.booleans(), 2)
+    else:
+        return JSON_VALUES
+    return mostly(near, JSON_VALUES, 8)
+
+
+def subschemas(schema: dict):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from subschemas(sub)
+
+
+REFERENCE = Draft202012Validator(CONFIG_SCHEMA)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("schema") / "cfg.json"
 
 
 class TestConfigValidation:
@@ -52,6 +122,55 @@ class TestConfigValidation:
     def test_schema_document_matches(self):
         doc = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
         assert json.loads(doc.read_text()) == CONFIG_SCHEMA
+
+    def test_schema_is_valid_draft_2020_12(self):
+        Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+    def test_schema_uses_only_the_validated_keywords(self):
+        for sub in subschemas(CONFIG_SCHEMA):
+            assert set(sub) <= SCHEMA_KEYWORDS, sorted(set(sub) - SCHEMA_KEYWORDS)
+            # `in` compares strings as jsonschema's enum does; it would take True for 1
+            assert all(isinstance(v, str) for v in sub.get("enum", ()))
+            assert sub.get("type", "object") in ("object", "array", "number", "integer")
+            assert sub.get("additionalProperties", False) is False
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(cfg=schema_values(CONFIG_SCHEMA))
+    def test_same_verdict_and_message_as_jsonschema(self, cfg, fuzz_path):
+        fuzz_path.write_text(json.dumps(cfg))
+        error = best_match(REFERENCE.iter_errors(cfg))
+        if error is None:
+            try:
+                load_config(str(fuzz_path))
+            except ConfigError as e:
+                # only the checks after the schema: a custom model, a < b
+                assert "schema" not in str(e)
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["derive-bc", "--config", str(fuzz_path)]) == 2
+        assert err.getvalue() == f"config error: config schema violation: {error.message}\n"
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("spectrum", {"example": "fourier_3_3", "grid_N": 32.0}),
+            ("spectrum", {"example": "fourier_3_3", "grid_N": 32, "seed": 3.0}),
+            ("legendre", {"example": "legendre_type", "n_max": 10.0}),
+        ],
+        ids=["grid_N", "seed", "n_max"],
+    )
+    def test_integral_float_runs_as_its_int(self, tmp_path, command, cfg):
+        # JSON Schema counts 32.0 as an integer, so the config is valid
+        reports = []
+        for twin in (cfg, {k: int(v) if isinstance(v, float) else v for k, v in cfg.items()}):
+            out = tmp_path / "rep.json"
+            assert main([command, "--config", write_config(tmp_path, twin), "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            del report["timings"]
+            reports.append(report)
+        # `==` takes 3.0 for 3; the report's text does not
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
 
 
 class TestRefusals:
@@ -97,14 +216,18 @@ class TestRefusals:
         err = self.refused(tmp_path, capsys, {"example": "custom", "model": model})
         assert "'model'" in err
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_json_constant(self, tmp_path, capsys, constant):
-        # Python's json module accepts these; the schema's number tests do not see them
+    @pytest.mark.parametrize("key", list(DEFAULT_PARAMS))
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_json_number(self, tmp_path, capsys, constant, key):
+        # Python's json module accepts the constants, and reads a literal that
+        # overflows as inf; the schema's number tests see neither
         path = tmp_path / "cfg.json"
-        path.write_text('{"example": "fourier_3_3", "params": {"alpha": %s}}' % constant)
+        path.write_text('{"example": "legendre_type", "params": {"%s": %s}}' % (key, constant))
         for command in ("derive-bc", "spectrum"):
             assert main([command, "--config", str(path)]) == 2
-            assert constant in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                f"config error: config holds {constant}, which is not a finite number\n"
+            )
 
     @pytest.mark.parametrize(
         "name", ["fourier_3_1", "fourier_3_2a", "fourier_3_3", "fourier_3_4", "fourier_3_5"]
@@ -247,10 +370,14 @@ class TestBenchmarkHarness:
             assert all(vars(ns)[name] is value for name, value in old.items()), ns.__name__
         assert poly.__mul__ is mul
 
-    def test_cli_import_leaves_out_scipy(self):
-        # `spectral` is imported by `run_spectrum` alone: the algebra commands load no scipy
+    def test_cli_import_leaves_out_scipy_and_jsonschema(self):
+        # `spectral` is imported by `run_spectrum` alone: the algebra commands
+        # load no scipy; configs are validated by cli's own schema walk
         src = str(Path(gknextend.__file__).resolve().parents[1])
-        code = "import sys, gknextend.cli; assert 'scipy' not in sys.modules"
+        code = (
+            "import sys, gknextend.cli; "
+            "assert 'scipy' not in sys.modules and 'jsonschema' not in sys.modules"
+        )
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
@@ -331,6 +458,24 @@ class TestMain:
         assert main(["derive-bc", "--config", path, flag, target]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: cannot write {target}: No such file or directory\n"
+
+    def test_arguments_parsed_without_building_a_parser(self, tmp_path, monkeypatch):
+        # the parser is built once, at import
+        monkeypatch.setattr(argparse, "ArgumentParser", None)
+        path = write_config(tmp_path, {"example": "first_order"})
+        assert main(["derive-bc", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["nope", "--config", "c.json"], 2), (["derive-bc"], 2)],
+        ids=["help", "unknown_command", "no_config"],
+    )
+    def test_usage_exit_codes(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).startswith("usage: gkn-extend [-h] --config CONFIG")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"example": "bogus"})
