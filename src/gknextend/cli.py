@@ -75,7 +75,7 @@ CONFIG_SCHEMA = {
         # every kind keeps a wide margin on both defect gates up to 256
         "grid_N": {"type": "integer", "minimum": 16, "maximum": 256},
         "n_max": {"type": "integer", "minimum": 0, "maximum": N_MAX},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "model": {"type": "object"},
         "candidates": {"type": "array"},
     },
@@ -157,7 +157,8 @@ class ConfigError(GknError):
 
 
 def _refuse_constant(name: str):
-    raise ConfigError(f"config holds {name}, which is not a finite number")
+    shown = name if len(name) <= 40 else f"{name[:20]}... ({len(name)} characters)"
+    raise ConfigError(f"config holds {shown}, which is not a finite number")
 
 
 def _finite_float(text: str) -> float:
@@ -168,12 +169,32 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def load_config(path: str) -> dict:
+def _finite_int(text: str) -> int:
+    # an integer literal past the float range is refused like 1e400; this
+    # also keeps int() from meeting a literal over its 4300-digit limit
+    if not math.isfinite(float(text)):
+        _refuse_constant(text)
+    return int(text)
+
+
+def load_config(path: str, seed: int | None = None) -> dict:
+    """The config at `path`, validated against CONFIG_SCHEMA.
+
+    `seed`, when given (the --seed flag), replaces the config's seed
+    before validation, so the flag meets the schema's bounds as the key does.
+    """
     try:
         with open(path) as f:
-            cfg = json.load(f, parse_constant=_refuse_constant, parse_float=_finite_float)
-    except (OSError, json.JSONDecodeError) as e:
+            cfg = json.load(
+                f, parse_constant=_refuse_constant, parse_float=_finite_float, parse_int=_finite_int
+            )
+    except ConfigError:
+        raise
+    except (OSError, ValueError, RecursionError) as e:
+        # ValueError: not JSON, or not UTF-8; RecursionError: nested too deep to decode
         raise ConfigError(f"cannot read config {path}: {e}")
+    if seed is not None and isinstance(cfg, dict):
+        cfg["seed"] = seed
     message = _schema_violation(cfg)
     if message is not None:
         raise ConfigError(f"config schema violation: {message}")
@@ -466,9 +487,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = load_config(args.config, args.seed)
         report = run(cfg, args.command)
         text = json.dumps(report, indent=2, default=_json_default)
         if args.out:

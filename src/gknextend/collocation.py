@@ -11,11 +11,12 @@ of honestly self-adjoint assemblies at rounding level.
 Only the affine scaling depends on [a, b]: the nodes, the first
 differentiation matrix, the Gram and its Cholesky factor are built once
 per N on [-1, 1] (`_reference_grid`) and scaled to [a, b] by each
-`make_grid` call.  So are the right factors D_j R_ref^-1 that the
-discretization in the Gram-orthonormal coordinates reads
-(`_right_factors`), each on first use
-(`CollocationGrid.reference_diff_rinv`).  No grid holds D2..D4: the
-discretization reads a j-th derivative through D_j R_ref^-1 alone, and
+`make_grid` call.  So are the right factors D_j R_ref^-1 and the
+similarity transforms R_ref D_j R_ref^-1 that the discretization in the
+Gram-orthonormal coordinates reads (`_right_factors`, `_similar_factors`),
+each on first use (`CollocationGrid.reference_diff_rinv`,
+`CollocationGrid.reference_diff_similar`).  No grid holds D2..D4: the
+discretization reads a j-th derivative through those factors alone, and
 its trace rows as the endpoint rows of D1^j (`spectral.trace_rows`).
 """
 
@@ -59,20 +60,40 @@ class CollocationGrid:
 
         d/du = d/dt / h, so this grid's D_order R_ref^-1 is h^-order times
         it.  Each order is built on first use: the reference d/dt raised to
-        the power, D_(j+1) = D_j D1, then one triangular right solve.
+        the power, then one triangular right solve (`_diff_rinv`).
         """
         factors = _right_factors(self.N)
         if order not in factors:
-            import scipy.linalg  # the CLI imports this module; its algebra commands never load scipy
-
-            D1 = -_cheb_matrix(self.N)[1]
-            D = np.eye(self.N + 1) if order == 0 else D1
-            for _ in range(order - 1):
-                D = D @ D1
-            F = scipy.linalg.solve_triangular(self.gram_factor, D.T, trans="T").T
-            F.flags.writeable = False
-            factors[order] = F
+            factors[order] = _read_only(self._diff_rinv(order))
         return factors[order]
+
+    def reference_diff_similar(self, order: int) -> np.ndarray:
+        """(R_ref D_order R_ref^-1) on [-1, 1], read-only and shared by every grid of this N.
+
+        A constant coefficient commutes with R_ref, so a constant-coefficient
+        term of the operator in the Gram-orthonormal coordinates is a scalar
+        times this.  Built on first use as R_ref (D_order R_ref^-1), without
+        keeping the right factor.
+        """
+        similar = _similar_factors(self.N)
+        if order not in similar:
+            similar[order] = _read_only(self.gram_factor @ self._diff_rinv(order))
+        return similar[order]
+
+    def _diff_rinv(self, order: int) -> np.ndarray:
+        """D_order R_ref^-1 on [-1, 1]: d/dt to the power, D_(j+1) = D_j D1, then one triangular right solve."""
+        import scipy.linalg  # the CLI imports this module; its algebra commands never load scipy
+
+        D1 = -_cheb_matrix(self.N)[1]
+        D = np.eye(self.N + 1) if order == 0 else D1
+        for _ in range(order - 1):
+            D = D @ D1
+        return scipy.linalg.solve_triangular(self.gram_factor, D.T, trans="T").T
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
 @functools.lru_cache(maxsize=4)
@@ -105,6 +126,12 @@ def _reference_grid(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 @functools.lru_cache(maxsize=4)
 def _right_factors(N: int) -> dict[int, np.ndarray]:
     """The D_j R_ref^-1 on [-1, 1] built so far for N, by j (see `reference_diff_rinv`)."""
+    return {}
+
+
+@functools.lru_cache(maxsize=4)
+def _similar_factors(N: int) -> dict[int, np.ndarray]:
+    """The R_ref D_j R_ref^-1 on [-1, 1] built so far for N, by j (see `reference_diff_similar`)."""
     return {}
 
 

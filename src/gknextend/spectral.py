@@ -5,12 +5,17 @@ operator is built once per model and grid, with no boundary row in it
 (`discretize`): with the H + W inner product G = blockdiag(interpolant
 Gram, G_W) factored as G = R* R (R = blockdiag(sqrt(h) R_ref, R_W), R_ref
 the grid's cached Cholesky factor), it is M = R A R^-1, the operator in
-the coordinates y = R x where G is the identity.  M's one O(n^3) step is
-a product with R_ref: L R_ref^-1 is read from right factors D_j R_ref^-1
-cached per grid size.
+the coordinates y = R x where G is the identity.  Its H block is
+R_ref L R_ref^-1, from factors cached per grid size: a constant
+coefficient commutes with R_ref and scales the cached R_ref D_j R_ref^-1,
+so a constant-coefficient l costs no O(n^3) step; the variable terms sum
+to L R_ref^-1 from right factors D_j R_ref^-1 and take one product with
+R_ref.
 
 Both symmetry defects, of the honest and of the sabotaged rows, read M
-(`symmetry_defect`), and so does the reduction whose spectrum is reported.
+(`symmetry_defect`) through one image of the probe columns that no
+boundary row enters (`Discretization.probe`), and so does the reduction
+whose spectrum is reported.
 Boundary conditions are imposed by restriction to the nullspace of the
 constraint rows (basis recombination), so the reduced operator stays
 honestly checkable for Hermitian symmetry instead of being made symmetric
@@ -26,8 +31,10 @@ eigenvalues in any basis.
 
 `spectrum` computes only the eigenvalues the checks read, the few of
 smallest modulus, by ARPACK's non-symmetric shift-invert Arnoldi at a
-shift just below 0, from a fixed generic start vector, and checks that the
-eigenvalues it returns cover every smaller one (see `spectrum`).
+shift just below 0 (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM
+1998), from a fixed generic start vector, with LAPACK getrs solves on one
+getrf factorization, and checks that the eigenvalues it returns cover
+every smaller one (see `spectrum`).
 
 The shooting oracle takes the fundamental matrices of a constant-
 coefficient ODE as matrix exponentials, for a whole stack of lambda at
@@ -46,6 +53,7 @@ of the eigenvalues is read from the solver's output.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,18 +120,50 @@ def _right_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _fill_h_block(out: np.ndarray, coeffs: list, grid: CollocationGrid) -> None:
-    """Set a zero `out` to R_ref L R_ref^-1, with L R_ref^-1 = sum_j diag(c_j) h^-j (D_j R_ref^-1)_ref.
+    """Set a zero `out` to R_ref L R_ref^-1 for L = sum_j diag(c_j) h^-j D_j.
 
-    `coeffs` is [(j, c_j at the nodes)].  Each term is O(n^2) from the
-    grid's cached right factors; the product with the real R_ref is one
-    real product for each part of L R_ref^-1, real and imaginary, that is
-    not exactly zero (l x = i x' has no real part).
+    `coeffs` is [(j, c_j, c_j at the nodes)].  A constant c_j (degree 0)
+    commutes with R_ref, so its term is c_j h^-j G_j, O(n^2) from the
+    grid's cached G_j = (R_ref D_j R_ref^-1)_ref.  The variable terms sum
+    to L_var R_ref^-1 = sum_j diag(c_j) h^-j (D_j R_ref^-1)_ref from cached
+    right factors, and the product with the real R_ref is the block's one
+    O(n^3) step.  A part, real or imaginary, of a constant term or of
+    L_var R_ref^-1 is added only when it is not exactly zero (l x = i x'
+    has no real part), each part of L_var R_ref^-1 by one real product.
     """
-    LR = sum(((1 / grid.h) ** j * cvals)[:, None] * grid.reference_diff_rinv(j) for j, cvals in coeffs)
-    if np.any(LR.real):
-        out.real = grid.gram_factor @ LR.real
-    if np.iscomplexobj(LR) and np.any(LR.imag):
-        out.imag = grid.gram_factor @ LR.imag
+    variable = []
+    for j, c, cvals in coeffs:
+        if c.degree == 0:
+            cj, G = (1 / grid.h) ** j * cvals[0], grid.reference_diff_similar(j)
+            if cj.real:
+                out.real += cj.real * G
+            if cj.imag:
+                out.imag += cj.imag * G
+        else:
+            variable.append(((1 / grid.h) ** j * cvals)[:, None] * grid.reference_diff_rinv(j))
+    if variable:
+        LR = sum(variable)
+        if np.any(LR.real):
+            out.real += grid.gram_factor @ LR.real
+        if np.iscomplexobj(LR) and np.any(LR.imag):
+            out.imag += grid.gram_factor @ LR.imag
+
+
+@dataclass(frozen=True)
+class ProbeImage:
+    """The probe columns of the symmetry defect through a discretization, for any rows.
+
+    The columns V on (samples, W coordinates) are the Chebyshev
+    polynomials T_0..T_d of t = (2u - a - b)/(b - a) (d = min(PROBE_DEGREE,
+    N)) and the W coordinates.  None depends on boundary rows: with
+    P = R V = blockdiag(sqrt(h) R_ref, R_W) V, the blocks are
+    P* M P = V* G A V and the H + W Gram of the columns P* P = V* G V.
+    """
+
+    lift_V: np.ndarray         # lift V: boundary rows on the traces map z to rows lift V z
+    K: np.ndarray              # P* M P
+    gram: np.ndarray           # P* P
+    VV: np.ndarray             # V* V
 
 
 @dataclass(frozen=True)
@@ -133,7 +173,8 @@ class Discretization:
     A acts on (samples, W coordinates), and R = blockdiag(sqrt(h) R_ref,
     R_W) factors the H + W Gram G = R* R, so in the coordinates y = R x the
     inner product is the Euclidean one and M is the operator there.  No
-    boundary row enters it, so the honest and the sabotaged rows share one.
+    boundary row enters it, so the honest and the sabotaged rows share one,
+    and share its `probe`.
     """
 
     model: ExtendedModel
@@ -143,6 +184,21 @@ class Discretization:
     R_W: np.ndarray            # upper Cholesky factor of G
     M: np.ndarray              # R A R^-1, read-only
 
+    @functools.cached_property
+    def probe(self) -> ProbeImage:
+        """The `ProbeImage`, built on first use: its n x n products are R_ref and M with m0 columns."""
+        grid, k = self.grid, self.model.k
+        n, d = grid.N + 1, min(PROBE_DEGREE, grid.N)
+        t = (2 * grid.nodes - grid.a - grid.b) / (grid.b - grid.a)
+        V = np.zeros((n + k, d + 1 + k))
+        V[:n, : d + 1] = np.polynomial.chebyshev.chebvander(t, d)
+        V[n:, d + 1 :] = np.eye(k)
+        P = np.zeros((n + k, d + 1 + k), dtype=self.M.dtype)
+        P[:n, : d + 1] = np.sqrt(grid.h) * (grid.gram_factor @ V[:n, : d + 1])
+        P[n:, d + 1 :] = self.R_W
+        Ph = P.conj().T
+        return ProbeImage(self.lift @ V, Ph @ (self.M @ P), Ph @ P, V.T @ V)
+
 
 def discretize(model: ExtendedModel, grid: CollocationGrid) -> Discretization:
     """Collocate (l x, B a - Omega tr x) as M = R A R^-1, real unless l, Omega, B or G is not.
@@ -151,10 +207,12 @@ def discretize(model: ExtendedModel, grid: CollocationGrid) -> Discretization:
     (`make_grid` stores both exactly).  R_W, the W block of R, is the upper
     Cholesky factor of G; a G that is not positive definite is refused.  In
     M the sqrt(h) of the H block cancels, leaving R_ref L R_ref^-1
-    (`_fill_h_block`), whose one O(n^3) step is the product with R_ref;
-    only the coupling block -R_W Omega tr R_ref^-1 / sqrt(h) carries it,
-    and B enters as R_W B R_W^-1.  tr R_ref^-1 is a triangular solve with
-    the 2d trace rows alone.
+    (`_fill_h_block`): O(n^2) per constant-coefficient term, and one
+    product with R_ref, the only O(n^3) step, when some coefficient varies
+    (legendre_type, a custom model); only the coupling block
+    -R_W Omega tr R_ref^-1 / sqrt(h) carries the sqrt(h), and B enters as
+    R_W B R_W^-1.  tr R_ref^-1 is a triangular solve with the 2d trace
+    rows alone.
     """
     expr = model.expr
     if grid.N < 2 * expr.order + 4:
@@ -163,8 +221,8 @@ def discretize(model: ExtendedModel, grid: CollocationGrid) -> Discretization:
     if not (grid.a == a and grid.b == b):
         raise SpectralError("grid interval does not match the expression")
     n, k, td = grid.N + 1, model.k, model.trace_dim
-    coeffs = [(j, _horner(c, grid.nodes)) for j, c in expr.coefficient_polys()]
-    dtype = _dtype(*(cvals for _, cvals in coeffs), model.Omega, model.B.matrix, model.W.G)
+    coeffs = [(j, c, _horner(c, grid.nodes)) for j, c in expr.coefficient_polys()]
+    dtype = _dtype(*(cvals for _, _, cvals in coeffs), model.Omega, model.B.matrix, model.W.G)
     try:
         R_W = scipy.linalg.cholesky(_view(model.W.G, dtype), lower=False)
     except scipy.linalg.LinAlgError as e:
@@ -280,64 +338,59 @@ def assemble(disc: Discretization, bc: BoundaryConditions) -> DiscreteExtendedOp
     return DiscreteExtendedOperator(disc, bc, Q, M[r:, r:].copy())
 
 
-def _probe_basis(disc: Discretization, bc: BoundaryConditions) -> np.ndarray:
-    """Columns (samples, W coordinates) spanning the probed subspace.
+def _probe_nullspace(probe: ProbeImage, bc: BoundaryConditions) -> np.ndarray:
+    """An orthonormal basis N of the coefficient vectors z whose V z satisfies the rows.
 
-    The subspace is the Chebyshev polynomials T_0..T_d of
-    t = (2u - a - b)/(b - a) (d = min(PROBE_DEGREE, N)) and the W
-    coordinates, restricted to the nullspace of the boundary rows.  It is
-    real when the rows and the lift are.
+    V z is then a domain element of the rows: the probed subspace is the
+    span of V N.  N is real when the rows and the lift are.
     """
-    grid, k = disc.grid, disc.model.k
-    n, d = grid.N + 1, min(PROBE_DEGREE, grid.N)
-    t = (2 * grid.nodes - grid.a - grid.b) / (grid.b - grid.a)
-    rows = _constraint_rows(disc.lift, bc)
-    basis = np.zeros((n + k, d + 1 + k), dtype=rows.dtype)
-    basis[:n, : d + 1] = np.polynomial.chebyshev.chebvander(t, d)
-    basis[n:, d + 1 :] = np.eye(k)
-    constrained = rows @ basis
+    constrained = _constraint_rows(probe.lift_V, bc)
     # the rank rule of scipy.linalg.null_space: rtol = max(shape) * eps
     rtol = max(constrained.shape) * np.finfo(float).eps
-    return basis @ nullspace(constrained, rtol)
+    return nullspace(constrained, rtol)
 
 
 def symmetry_defect(disc: Discretization, bc: BoundaryConditions, seed: int) -> float:
     """max |<Au,v> - <u,Av>| / (|u||v|(1 + |A|)) over random domain pairs of the rows.
 
-    The PROBE_TRIALS pairs are random combinations u = S z_u, v = S z_v of
-    the columns S of `_probe_basis`, smooth domain elements on which the
-    collocation action is exact up to rounding for every kind and grid
-    size.  All pairs are drawn at once (the stream of four draws per trial:
-    Re z_u, Im z_u, Re z_v, Im z_v), and the pairs are complex whatever the
-    dtype of the discretization.
+    The PROBE_TRIALS pairs are random combinations u = V N z_u, v = V N z_v
+    of the probe columns V (see `ProbeImage`) restricted by the basis N of
+    `_probe_nullspace`: smooth domain elements on which the collocation
+    action is exact up to rounding for every kind and grid size.  All
+    pairs are drawn at once (the stream of four draws per trial: Re z_u,
+    Im z_u, Re z_v, Im z_v), and the pairs are complex whatever the dtype
+    of the discretization.
 
-    Everything is measured in the probe basis, on the M whose reduction
-    `spectrum` reads.  With S = Q R_s (Q orthonormal in nodal coordinates,
-    as for |A|) and Z = R Q = blockdiag(sqrt(h) R_ref, R_W) Q, the m x m
-    matrices K = Z* M Z = Q* G A Q and Nm = Z* Z = Q* G Q
-    (m <= PROBE_DEGREE + 1 + dim W) cost one product with R_ref and one
-    with M.  With y = R_s z, G = G* gives
-    <Au, v> - <u, Av> = y_v* (K - K*) y_u and |u|^2 = y_u* Nm y_u, and
-    |A| = ||K||_2 is the 2-norm of A compressed to Q.  The work is
-    O(n^2 m) per probe, not O(n^2) per pair.
+    Everything is measured in the (d + 1 + k)-dimensional probe space, on
+    the M whose reduction `spectrum` reads, from the discretization's
+    `probe`, shared by the honest and the sabotaged rows: with
+    K = N* (V* G A V) N and Nm = N* (V* G V) N, G = G* gives
+    <Au, v> - <u, Av> = z_v* (K - K*) z_u and |u|^2 = z_u* Nm z_u.  |A| is
+    the 2-norm of A compressed to an orthonormal basis V N R_s^-1 of the
+    probed subspace in nodal coordinates, ||R_s^-* K R_s^-1||_2, with R_s
+    the Cholesky factor of N* V* V N.  Each call works on matrices of at
+    most m0 = PROBE_DEGREE + 1 + dim W rows and columns alone.
     """
     rng = np.random.default_rng(seed)
-    S = _probe_basis(disc, bc)
-    z = rng.standard_normal((PROBE_TRIALS, 4, S.shape[1]))
-    if not S.size:
+    probe = disc.probe
+    N = _probe_nullspace(probe, bc)
+    z = rng.standard_normal((PROBE_TRIALS, 4, N.shape[1]))
+    if not N.size:
         return 0.0
-    Q, R_s = np.linalg.qr(S)
-    n = disc.grid.N + 1
-    Z = np.vstack([np.sqrt(disc.grid.h) * (disc.grid.gram_factor @ Q[:n]), disc.R_W @ Q[n:]])
-    K = Z.conj().T @ (disc.M @ Z)
-    Nm = Z.conj().T @ Z
-    nrmA = np.linalg.norm(K, 2)
-    Yu = R_s @ (z[:, 0] + 1j * z[:, 1]).T
-    Yv = R_s @ (z[:, 2] + 1j * z[:, 3]).T
+    Nh = N.conj().T
+    K = Nh @ probe.K @ N
+    Nm = Nh @ probe.gram @ N
+    R_s = scipy.linalg.cholesky(Nh @ probe.VV @ N, lower=False)
+    # R_s^-* K R_s^-1
+    K_q = scipy.linalg.solve_triangular(R_s, K, trans="C")
+    K_q = scipy.linalg.solve_triangular(R_s, K_q.conj().T, trans="C").conj().T
+    nrmA = np.linalg.norm(K_q, 2)
+    Zu = (z[:, 0] + 1j * z[:, 1]).T
+    Zv = (z[:, 2] + 1j * z[:, 3]).T
     # one trial per column
-    num = np.abs(np.sum(Yv.conj() * ((K - K.conj().T) @ Yu), axis=0))
-    norm_u = np.sqrt(np.maximum(np.sum(Yu.conj() * (Nm @ Yu), axis=0).real, 0.0))
-    norm_v = np.sqrt(np.maximum(np.sum(Yv.conj() * (Nm @ Yv), axis=0).real, 0.0))
+    num = np.abs(np.sum(Zv.conj() * ((K - K.conj().T) @ Zu), axis=0))
+    norm_u = np.sqrt(np.maximum(np.sum(Zu.conj() * (Nm @ Zu), axis=0).real, 0.0))
+    norm_v = np.sqrt(np.maximum(np.sum(Zv.conj() * (Nm @ Zv), axis=0).real, 0.0))
     den = norm_u * norm_v * (1.0 + nrmA)
     return float(np.max(num[den > 0] / den[den > 0], initial=0.0))
 
@@ -371,16 +424,23 @@ def _shift_invert_eigs(C: np.ndarray, scale: float, k: int, ncv: int, sigma: flo
 
     Given a dense matrix, eigs copies it once to shift it and again to
     factor it.  Here C * scale is shifted as eigs shifts it and factored
-    in place, and eigs reads C * scale as C (x * scale), the same floats
-    for a power of two `scale`.
+    in place by LAPACK's getrf, each shift-invert step is one getrs solve
+    with that factorization (the routines `lu_factor` and `lu_solve`
+    call, without their per-call wrapping and finiteness scan), and eigs
+    reads C * scale as C (x * scale), the same floats for a power of two
+    `scale`.  C must be finite (`spectrum` checks it); a factorization
+    with getrf's info != 0, a singular or invalid C - sigma, is refused.
     """
     from scipy.sparse.linalg import LinearOperator, eigs
 
     shifted = np.multiply(C, scale, order="F")
     shifted.flat[:: C.shape[0] + 1] -= sigma
-    lu = scipy.linalg.lu_factor(shifted, overwrite_a=True)
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (shifted,))
+    lu, piv, info = getrf(shifted, overwrite_a=True)
+    if info != 0:
+        raise SpectralError(f"cannot factor C - sigma I for the shift-invert solves (getrf info {info})")
     A = LinearOperator(C.shape, matvec=lambda x: C @ (x * scale), dtype=C.dtype)
-    OPinv = LinearOperator(C.shape, matvec=lambda x: scipy.linalg.lu_solve(lu, x), dtype=C.dtype)
+    OPinv = LinearOperator(C.shape, matvec=lambda x: getrs(lu, piv, x)[0], dtype=C.dtype)
     return eigs(A, k=k, ncv=ncv, sigma=sigma, v0=v0, OPinv=OPinv)
 
 
@@ -427,8 +487,9 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
     returned has |lambda - sigma| >= d_k, hence |lambda| >= d_k - tau; so
     the kept ones are the `count` smallest in modulus of the whole spectrum
     if each has |lambda| <= d_k - tau.  Fewer than k returned eigenvalues,
-    or a kept one beyond that radius, is refused, as is an ARPACK failure
-    (`SpectralError`).
+    or a kept one beyond that radius, is refused, as are a C with an entry
+    that is not finite, an ARPACK failure and eigenpairs that are not
+    finite (`SpectralError`), so that no NaN reaches a check.
 
     The residual of an eigenpair (lambda, y) is
     ||C y - lambda y|| / (||y|| max(s + reach, 1)), with s the largest
@@ -447,6 +508,8 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
         )
     C = op.C
     max_abs, norm_1, s = _magnitudes(C)
+    if not np.isfinite(max_abs):
+        raise SpectralError("the reduced operator C has an entry that is not finite")
     scale = np.ldexp(1.0, -np.frexp(max_abs)[1])
     tau = 1e-9 * norm_1
     v0 = np.random.default_rng(0).standard_normal(op.reduced_dim)
@@ -455,6 +518,8 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
         evals, Y = _shift_invert_eigs(C, scale, k, ncv, -tau * scale, v0)
     except ArpackError as e:
         raise SpectralError(f"eigensolver failed: {e}")
+    if not (np.isfinite(evals).all() and np.isfinite(Y).all()):
+        raise SpectralError("eigensolver failed: it returned eigenpairs that are not finite")
     evals = evals / scale
     # every eigenvalue not returned is at least d_k from sigma, so at least d_k - tau from 0
     radius = np.abs(evals + tau).max(initial=0.0) - tau
@@ -715,14 +780,20 @@ def eigenrelation_residual(
     """||T_hat(x, a) - lam (x, a)|| / ||(x, a)|| in the quadrature + G norm.
 
     l x comes from the exact exponential derivatives of x; samples are
-    taken on the grid.
+    taken on the grid.  The grid's Gram is real and symmetric, so
+    h* gram h = Re(h)^T gram Re(h) + Im(h)^T gram Im(h): the real and
+    imaginary parts of both H vectors take one real product with the
+    Gram, with no complex copy of it.
     """
     a = np.asarray(a, dtype=complex).reshape(-1)
     x_h = x.value(grid.nodes)
     h_res = x.apply(grid.nodes) - lam * x_h
     w_res = model.B.matrix @ a - model.omega_of(x.trace()) - lam * a
+    H = np.stack([h_res.real, h_res.imag, x_h.real, x_h.imag], axis=1)
+    h2 = np.einsum("ij,ij->j", H, grid.gram @ H)
 
-    def norm2(h, w):
-        return (h.conj() @ grid.gram @ h).real + (w.conj() @ model.W.G @ w).real
+    def w2(w):
+        return (w.conj() @ model.W.G @ w).real
 
-    return float(np.sqrt(max(norm2(h_res, w_res), 0.0) / norm2(x_h, a)))
+    num = h2[0] + h2[1] + w2(w_res)
+    return float(np.sqrt(max(num, 0.0) / (h2[2] + h2[3] + w2(a))))

@@ -271,7 +271,10 @@ def fraction_suite(A, n_max):
 # them they build the domain basis from a Cholesky factor of the whole Gram,
 # the operator by the SVD-nullspace route the library replaced, the
 # eigenvalues from a Euclidean basis by QZ, and the defect in sample space,
-# for all pairs at once and pair by pair.
+# for all pairs at once and pair by pair.  Two more keep routes on M that
+# the library replaced: the H block of M as one product of R_ref with
+# every term, constant or not, and the defect from a QR of the restricted
+# probe columns, with products with R_ref and M on every call.
 
 
 @dataclass(frozen=True)
@@ -384,11 +387,79 @@ def tied_pairs(evals) -> list[int]:
     return [i for i in range(len(evals) - 1) if modulus[i] == modulus[i + 1]]
 
 
+def one_product_h_block(model, grid):
+    """The H block R_ref L R_ref^-1 of M as one product of R_ref with L R_ref^-1.
+
+    L R_ref^-1 = sum_j diag(c_j) h^-j (D_j R_ref^-1)_ref over every term,
+    constant coefficients included, from the grid's right factors; one
+    real product with R_ref for each part, real and imaginary.
+    """
+    from gknextend.spectral import _horner
+
+    coeffs = [(j, _horner(c, grid.nodes)) for j, c in model.expr.coefficient_polys()]
+    LR = sum(((1 / grid.h) ** j * cvals)[:, None] * grid.reference_diff_rinv(j) for j, cvals in coeffs)
+    block = grid.gram_factor @ LR.real
+    if np.iscomplexobj(LR):
+        block = block + 1j * (grid.gram_factor @ LR.imag)
+    return block
+
+
+def probe_basis(disc, bc):
+    """Columns (samples, W coordinates) spanning the probed subspace.
+
+    The Chebyshev polynomials T_0..T_d of t = (2u - a - b)/(b - a)
+    (d = min(PROBE_DEGREE, N)) and the W coordinates, times a nullspace
+    basis of the boundary rows on them; real when the rows and the lift are.
+    """
+    from gknextend.spectral import PROBE_DEGREE, _constraint_rows
+    from gknextend.symplectic import nullspace
+
+    grid, k = disc.grid, disc.model.k
+    n, d = grid.N + 1, min(PROBE_DEGREE, grid.N)
+    t = (2 * grid.nodes - grid.a - grid.b) / (grid.b - grid.a)
+    rows = _constraint_rows(disc.lift, bc)
+    basis = np.zeros((n + k, d + 1 + k), dtype=rows.dtype)
+    basis[:n, : d + 1] = np.polynomial.chebyshev.chebvander(t, d)
+    basis[n:, d + 1 :] = np.eye(k)
+    constrained = rows @ basis
+    # the rank rule of scipy.linalg.null_space: rtol = max(shape) * eps
+    rtol = max(constrained.shape) * np.finfo(float).eps
+    return basis @ nullspace(constrained, rtol)
+
+
+def qr_symmetry_defect(disc, bc, seed):
+    """The symmetry defect on M from a QR of the restricted probe columns.
+
+    With S = Q R_s and Z = blockdiag(sqrt(h) R_ref, R_W) Q, the defect of
+    each pair is |y_v* (K - K*) y_u| / (|u||v|(1 + ||K||_2)) for
+    K = Z* M Z, |u|^2 = y_u* Z* Z y_u and y = R_s z: one product with
+    R_ref and one with M for every call.
+    """
+    from gknextend.spectral import PROBE_TRIALS
+
+    rng = np.random.default_rng(seed)
+    S = probe_basis(disc, bc)
+    z = rng.standard_normal((PROBE_TRIALS, 4, S.shape[1]))
+    if not S.size:
+        return 0.0
+    Q, R_s = np.linalg.qr(S)
+    n = disc.grid.N + 1
+    Z = np.vstack([np.sqrt(disc.grid.h) * (disc.grid.gram_factor @ Q[:n]), disc.R_W @ Q[n:]])
+    K = Z.conj().T @ (disc.M @ Z)
+    Nm = Z.conj().T @ Z
+    nrmA = np.linalg.norm(K, 2)
+    Yu = R_s @ (z[:, 0] + 1j * z[:, 1]).T
+    Yv = R_s @ (z[:, 2] + 1j * z[:, 3]).T
+    num = np.abs(np.sum(Yv.conj() * ((K - K.conj().T) @ Yu), axis=0))
+    norm_u = np.sqrt(np.maximum(np.sum(Yu.conj() * (Nm @ Yu), axis=0).real, 0.0))
+    norm_v = np.sqrt(np.maximum(np.sum(Yv.conj() * (Nm @ Yv), axis=0).real, 0.0))
+    den = norm_u * norm_v * (1.0 + nrmA)
+    return float(np.max(num[den > 0] / den[den > 0], initial=0.0))
+
+
 def sample_probe(disc, bc, nodal):
     """The probe basis and |A| on it, from the nodal matrices."""
-    from gknextend.spectral import _probe_basis
-
-    sample_basis = _probe_basis(disc, bc)
+    sample_basis = probe_basis(disc, bc)
     q, _ = np.linalg.qr(sample_basis)
     nrmA = np.linalg.norm(q.conj().T @ nodal.Gram_full @ nodal.A_full @ q, 2) if q.size else 0.0
     return sample_basis, nrmA

@@ -230,6 +230,59 @@ class TestRefusals:
             )
 
     @pytest.mark.parametrize(
+        "example, key", [("legendre_type", "A"), ("fourier_3_3", "b"), ("fourier_3_3", "seed")]
+    )
+    @pytest.mark.parametrize("digits", [401, 5000], ids=["past_float", "past_int_limit"])
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_integer_literal_past_the_float_range(self, tmp_path, capsys, example, key, digits, sign):
+        # json reads an integer literal with int(), not parse_float; past 4300
+        # digits int() itself refuses it with a ValueError
+        literal = sign + "1" * digits
+        entry = '"seed": %s' % literal if key == "seed" else '"params": {"%s": %s}' % (key, literal)
+        path = tmp_path / "cfg.json"
+        path.write_text('{"example": "%s", %s}' % (example, entry))
+        for command in ("derive-bc", "spectrum"):
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: config holds {literal[:20]}... ({len(literal)} characters), "
+                "which is not a finite number\n"
+            )
+
+    def test_largest_integer_literal_in_range_runs(self, tmp_path):
+        # 10^308 fits a float: the seed runs, and stays an exact int
+        path = write_config(tmp_path, {"example": "fourier_3_3", "seed": 10**308})
+        out = tmp_path / "rep.json"
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == 10**308
+
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_negative_seed(self, tmp_path, capsys, route):
+        # numpy's SeedSequence takes no negative seed: the schema refuses it,
+        # and the --seed flag meets the same bound
+        cfg = {"example": "fourier_3_3", "seed": -1 if route == "config" else 0}
+        argv = ["spectrum", "--config", write_config(tmp_path, cfg)]
+        if route == "flag":
+            argv += ["--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: config schema violation: -1 is less than the minimum of 0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"example": "fourier_3_3", "x": "\xff"}',
+            b'{"example": "custom", "model": ' + b"[" * 10**5 + b"]" * 10**5 + b"}",
+        ],
+        ids=["not_utf8", "nested_too_deep"],
+    )
+    def test_unreadable_config(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        assert main(["derive-bc", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+
+    @pytest.mark.parametrize(
         "name", ["fourier_3_1", "fourier_3_2a", "fourier_3_3", "fourier_3_4", "fourier_3_5"]
     )
     def test_interval_too_long_for_deficiency_solutions(self, tmp_path, capsys, name):

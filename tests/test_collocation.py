@@ -4,7 +4,7 @@ import pytest
 from conftest import direct_grid
 from gknextend import cli
 from gknextend.catalog import build_example
-from gknextend.collocation import _reference_grid, _right_factors, make_grid
+from gknextend.collocation import _reference_grid, _right_factors, _similar_factors, make_grid
 from gknextend.spectral import discretize, trace_rows
 
 
@@ -121,9 +121,26 @@ class TestReferenceGrid:
         D = [np.eye(49), *direct_grid(48, -1.0, 1.0)[1]][order]
         assert np.abs(F @ g.gram_factor - D).max() <= 1e-12 * np.abs(D).max()
 
+    @pytest.mark.parametrize("order", range(5))
+    def test_similar_factor_is_gram_factor_times_right_factor(self, order):
+        g = make_grid(48, -1.0, 1.0)
+        G = g.reference_diff_similar(order)
+        assert not G.flags.writeable
+        assert G is make_grid(48, 2.0, 2.5).reference_diff_similar(order)
+        want = g.gram_factor @ g.reference_diff_rinv(order)
+        assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_right_factors_built_only_for_the_orders_used(self):
+        # a constant coefficient reads R_ref D_j R_ref^-1 alone, and D_j R_ref^-1
+        # is kept only for the variable ones
         _right_factors.cache_clear()
-        for name, orders in (("fourier_3_3", {2}), ("first_order", {1, 2})):
+        _similar_factors.cache_clear()
+        for name, a, right, similar in (
+            ("fourier_3_3", 0.0, set(), {2}),
+            ("first_order", 0.0, set(), {1, 2}),
+            ("legendre_type", -1.0, {1, 2, 3, 4}, {1, 2}),
+        ):
             entry = build_example(name)
-            discretize(entry.model, make_grid(40, 0.0, 1.0))
-            assert set(_right_factors(40)) == orders
+            discretize(entry.model, make_grid(40, a, 1.0))
+            assert set(_right_factors(40)) == right
+            assert set(_similar_factors(40)) == similar

@@ -16,12 +16,15 @@ from conftest import (
     domain_basis,
     loop_symmetry_defect,
     nodal_discretize,
+    one_product_h_block,
+    qr_symmetry_defect,
     qz_eigenvalues,
     reference_assemble,
     rk_fundamental_traces,
     tied_pairs,
 )
 from gknextend import catalog
+from gknextend import spectral as spectral_module
 from gknextend.catalog import build_example, sabotage_rows
 from gknextend.cli import main
 from gknextend.collocation import make_grid
@@ -135,6 +138,13 @@ def fourier_k0_model(a=0.0, b=1.0):
 DIRICHLET_ROWS = np.array([[1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex)
 
 
+def mixed_coefficient_model():
+    """-((1 + u/2) x')' + 3 x on [-1/2, 1]: x'' has a variable coefficient, x' and x constant ones."""
+    expr = GeneralEvenOrder((Poly([3]), Poly([1, Fraction(1, 2)])), Fraction(-1, 2), Fraction(1))
+    assert {j: c.degree for j, c in expr.coefficient_polys()} == {0: 0, 1: 0, 2: 1}
+    return classical_model(expr)
+
+
 # a short and an off-centre interval are the hardest cases for the
 # sabotage control
 DEFECT_PARAMS = {
@@ -235,6 +245,20 @@ class TestAssemble:
         assert np.all(np.abs(rows @ P).max(axis=1) <= 1e-12 * dual)
         assert np.abs(P.conj().T @ G @ P - np.eye(op.reduced_dim)).max() <= 1e-12
         assert np.abs(P.conj().T @ G @ A @ P - op.C).max() <= 1e-12 * np.abs(op.C).max()
+
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    @pytest.mark.parametrize("name", [*SPECTRUM_EXAMPLES, "mixed"])
+    def test_h_block_matches_one_product_route(self, name, N):
+        # constant terms read R_ref D_j R_ref^-1 from the grid's cache, variable
+        # ones go through one product with R_ref: the same block as one
+        # product for every term, to rounding
+        model = mixed_coefficient_model() if name == "mixed" else build_example(name).model
+        a, b = (float(v) for v in model.expr.interval)
+        grid = make_grid(N, a, b)
+        M = discretize(model, grid).M[: N + 1, : N + 1]
+        want = one_product_h_block(model, grid)
+        assert M.dtype == want.dtype
+        assert np.abs(M - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize(
         "name, params, dtype",
@@ -415,6 +439,32 @@ class TestSymmetryDefect:
         bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, entry.model.trace_dim))
         for rows in (bc, bad):
             assert abs(symmetry_defect(disc, rows, 11) - batch_symmetry_defect(disc, rows, 11)) <= 1e-12
+
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    @pytest.mark.parametrize("name", [*SPECTRUM_EXAMPLES, "mixed"])
+    def test_probe_image_matches_qr_route(self, name, N):
+        # the probe image's Gram blocks restricted to each rows' nullspace, in
+        # place of a QR of the restricted columns and products with R_ref and
+        # M on every call; the defects are normalised, and at grid_N 256 the
+        # honest ones are themselves rounding noise of 1e-11 to 1e-10
+        if name == "mixed":
+            # with no W coordinate to sabotage, the initial-value rows x(a) = x'(a) = 0 break symmetry
+            model = mixed_coefficient_model()
+            bc = boundary_conditions_from_rows(model, DIRICHLET_ROWS)
+            bad = boundary_conditions_from_rows(model, np.eye(4, dtype=complex)[:2])
+        else:
+            entry = build_example(name)
+            model, bc = entry.model, entry.boundary_conditions()
+            bad = boundary_conditions_from_rows(model, sabotage_rows(bc, model.trace_dim))
+        a, b = (float(v) for v in model.expr.interval)
+        disc = discretize(model, make_grid(N, a, b))
+        tol = 1e-12 if N <= 64 else 2e-11
+        for rows in (bc, bad):
+            for seed in (0, 11):
+                assert abs(symmetry_defect(disc, rows, seed) - qr_symmetry_defect(disc, rows, seed)) <= tol
+        assert symmetry_defect(disc, bc, 0) <= 1e-9
+        assert symmetry_defect(disc, bad, 0) >= 1e-4
+        assert disc.probe is disc.probe
 
     @pytest.mark.parametrize("N", [16, 64, 256])
     @pytest.mark.parametrize("params", DEFECT_PARAMS, ids=str)
@@ -599,6 +649,39 @@ class TestSpectrum:
         path.write_text(json.dumps({"example": "fourier_3_3"}))
         assert main(["spectrum", "--config", str(path)]) == 2
         assert "eigensolver failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_c_is_a_refusal(self, tmp_path, capsys, monkeypatch, bad):
+        def poisoned(disc, bc):
+            op = assemble(disc, bc)
+            C = op.C.copy()
+            C[3, 5] = bad
+            return dataclasses.replace(op, C=C)
+
+        monkeypatch.setattr(spectral_module, "assemble", poisoned)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"example": "fourier_3_3"}))
+        assert main(["spectrum", "--config", str(path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    def test_singular_shifted_operator_is_a_refusal(self, grid01):
+        # C = 0 puts the shift at 0: getrf meets an exactly singular C - sigma I
+        entry = build_example("fourier_3_3")
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        with pytest.raises(SpectralError, match="getrf info"):
+            spectrum(dataclasses.replace(op, C=np.zeros_like(op.C)), 8)
+
+    def test_non_finite_eigenpairs_are_a_refusal(self, grid01, monkeypatch):
+        def nan_vectors(eigs, C, **kw):
+            vals, vecs = eigs(C, **kw)
+            vecs[0, 0] = np.nan
+            return vals, vecs
+
+        entry = build_example("fourier_3_3")
+        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        self.patch_eigs(monkeypatch, nan_vectors)
+        with pytest.raises(SpectralError, match="not finite"):
+            spectrum(op, 8)
 
     @staticmethod
     def assert_matches_qz(op):
