@@ -9,11 +9,9 @@ oracles) against independent references.  The rest of the library lives
 in the submodules.
 """
 
-from .expressions import Fourier, TraceVector, boundary_form
+from .expressions import Fourier, boundary_form
 from .extension import (
     ExtensionSpace,
-    OperatorB,
-    PartialGKNSet,
     build_model,
     derive_boundary_conditions,
     verify_self_adjoint_domain,

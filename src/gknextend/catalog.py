@@ -4,8 +4,11 @@ Each example is stated by its published facts alone: the differential
 expression, the W weights w, the upper triangle of B, the partial GKN
 traces, the boundary-space GKN candidates whose derived conditions are
 the published ones, a symmetry-control partner, the published canonical
-rows and rendered strings, and the verification plan.  One builder turns
-them into a `CatalogEntry` by one rule:
+rows and rendered strings, and the verification plan.  Traces,
+candidates and the partner are vectors of the extended boundary space,
+written one per row: trace coordinates, then (for candidates and the
+partner) W coordinates.  One builder turns them into a `CatalogEntry` by
+one rule:
 
 - W is C^k with Gram diag(1/w) and G-orthonormal basis diag(sqrt w);
 - B is completed from its upper triangle to be self-adjoint for that Gram;
@@ -28,14 +31,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import FirstOrderI, Fourier, LegendreType, TraceVector, boundary_form
+from .expressions import FirstOrderI, Fourier, LegendreType, boundary_form
 from .extension import (
     BoundaryConditions,
     ExtendedModel,
     ExtensionSpace,
     ModelError,
-    OperatorB,
-    PartialGKNSet,
     boundary_conditions_from_rows,
     build_model,
     derive_boundary_conditions,
@@ -75,7 +76,7 @@ class CatalogEntry:
 
     name: str
     model: ExtendedModel
-    candidates: tuple                      # ((TraceVector, w-vector), ...)
+    candidates: np.ndarray                 # count x ambient_dim, stacked (trace, W) rows
     expected_canonical: np.ndarray
     expected_strings: tuple[str, ...]
     controls: dict = field(default_factory=dict)
@@ -105,45 +106,36 @@ def _exact(x: float) -> Fraction:
 def _build(
     name, expr, w, B, T, expected, strings, candidates=(), partner=None, **plan
 ) -> CatalogEntry:
-    """The entry of one example from its published facts (see the module docstring).
-
-    T holds the partial GKN traces; each candidate and the partner are
-    stacked (trace, W) vectors of the extended boundary space.
-    """
+    """The entry of one example from its published facts (see the module docstring)."""
     w = np.asarray(w, dtype=float)
     W = ExtensionSpace(len(w), np.diag(1 / w), np.diag(np.sqrt(w)))
     B = np.array(B, dtype=complex)
     i, j = np.tril_indices(len(w), -1)
     B[i, j] = B[j, i].conj() * w[i] / w[j]
-    T = tuple(TraceVector(t) for t in T)
-    model = build_model(boundary_form(expr), W, OperatorB(B), PartialGKNSet(T))
-    td = model.trace_dim
-
-    def pair(v):
-        return TraceVector(v[:td]), np.array(v[td:], dtype=complex)
-
-    cands = tuple(pair(v) for v in candidates)
-    controls = negative_controls(model, cands, pair(partner) if partner else None)
+    model = build_model(boundary_form(expr), W, B, T)
+    cands = np.array(candidates, dtype=complex).reshape(-1, model.ambient_dim)
+    controls = negative_controls(model, cands, partner)
     return CatalogEntry(
         name, model, cands, np.array(expected, dtype=complex), strings, controls, **plan
     )
 
 
-def negative_controls(model: ExtendedModel, cands: tuple, partner=None) -> dict:
-    """The mutated GKN sets of `cands`, each breaking one GKN condition alone.
+def negative_controls(model: ExtendedModel, cands: np.ndarray, partner=None) -> dict:
+    """The mutated GKN sets of the candidate rows, each breaking one GKN condition alone.
 
     `symmetry` swaps the last candidate for `partner`, when one is given;
-    `independence` swaps the first for the minimal pair (t_1, xi_1), when
-    the model has one (dim W > 0); `cardinality` drops the last.  Without
-    candidates there is no GKN set to mutate.
+    `independence` swaps the first for the minimal pair (t_1, xi_1), the
+    first basis vector of M_min, when the model has one (dim W > 0);
+    `cardinality` drops the last.  Without candidates there is no GKN set
+    to mutate.
     """
-    if not cands:
+    if not cands.size:
         return {}
     controls = {}
     if partner is not None:
-        controls["symmetry"] = cands[:-1] + (partner,)
-    if len(model.gkn_partial):
-        controls["independence"] = ((model.gkn_partial.traces[0], model.W.Xi[:, 0]),) + cands[1:]
+        controls["symmetry"] = np.vstack([cands[:-1], partner])
+    if model.k:
+        controls["independence"] = np.vstack([model.M_min.basis[:, 0], cands[1:]])
     controls["cardinality"] = cands[:-1]
     return controls
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import catalog
 from .collocation import make_grid
 from .extension import (
-    _trace_from_json,
+    _cvec_from_json,
     bc_to_json,
     boundary_conditions_from_rows,
     check_gkn_extended,
@@ -248,11 +248,13 @@ def _entry_from_config(cfg: dict):
     try:
         model = model_from_json(cfg["model"])
         section = "candidates"
-        # traces and W coordinates alike are flat [re, im, ...] lists
-        cands = tuple(
-            (_trace_from_json(item["trace"]), _trace_from_json(item.get("w", [])).as_array())
-            for item in cfg.get("candidates", [])
-        )
+        # each item, a flat [re, im, ...] trace and W part, is one stacked row
+        rows = []
+        for item in cfg.get("candidates", []):
+            trace = _cvec_from_json(item["trace"], model.trace_dim, "candidates[].trace")
+            w = _cvec_from_json(item.get("w", []), model.k, "candidates[].w")
+            rows.append(np.concatenate([trace, w]))
+        cands = np.array(rows, dtype=complex).reshape(-1, model.ambient_dim)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"bad custom {section!r} section: {type(e).__name__}: {e}") from e
     # without candidates there are no conditions to derive or GKN set to check;
@@ -260,7 +262,7 @@ def _entry_from_config(cfg: dict):
     return catalog.CatalogEntry(
         "custom", model, cands, np.zeros((0, model.ambient_dim)), (),
         controls=catalog.negative_controls(model, cands),
-        commands=catalog.ALGEBRA_COMMANDS if cands else ("check-symplectic",),
+        commands=catalog.ALGEBRA_COMMANDS if cands.size else ("check-symplectic",),
     )
 
 
@@ -269,12 +271,12 @@ def run_check_symplectic(entry, cfg, checks: Checks, report: dict):
     model = entry.model
     S = model.boundary.form.matrix
     checks.le("boundary_form_skew_residual", float(np.abs(S + S.conj().T).max()), tol)
-    W, Tm = model.W, model.gkn_partial.matrix(model.trace_dim)
-    # <Omega x, xi_j>_W = [x, t_j]_H is linear in x: row j of Xi* G Omega = T* S
-    coupling = W.Xi.conj().T @ W.G @ model.Omega - Tm.conj().T @ S
+    W, T = model.W, model.T
+    # <Omega x, xi_j>_W = [x, t_j]_H is linear in x: row j of Xi* G Omega = conj(T) S
+    coupling = W.Xi.conj().T @ W.G @ model.Omega - T.conj() @ S
     # relative to the form's size on T, as build_model measures them
-    scale = coupling_scale(S, Tm)
-    checks.le("omega_annihilates_gkn_set", np.abs(model.Omega @ Tm).max(initial=0.0) / scale, tol)
+    scale = coupling_scale(S, T)
+    checks.le("omega_annihilates_gkn_set", np.abs(model.Omega @ T.T).max(initial=0.0) / scale, tol)
     checks.le("omega_coupling_identity", np.abs(coupling).max(initial=0.0) / scale, tol)
     inside = radical_residual(model.F_ext, model.M_min) <= TOL_RADICAL
     checks.eq("minimal_pairs_inside_radical", True, inside)
@@ -297,16 +299,16 @@ def run_derive_bc(entry, cfg, checks: Checks, report: dict):
 
 
 def run_verify_gkn(entry, cfg, checks: Checks, report: dict):
-    if entry.candidates:
+    if entry.candidates.size:
         rep = check_gkn_extended(entry.model, entry.candidates)
-        checks.eq("gkn_independent_mod_minimal", True, rep.independent_mod_min)
+        checks.eq("gkn_independent_mod_minimal", True, rep.independent_mod_M)
         checks.eq("gkn_symmetric", True, rep.symmetric)
         checks.eq("gkn_count", True, rep.count_ok)
     for ctrl, cands in entry.controls.items():
         rep = check_gkn_extended(entry.model, cands)
         flag = {
             "symmetry": not rep.symmetric,
-            "independence": not rep.independent_mod_min,
+            "independence": not rep.independent_mod_M,
             "cardinality": not rep.count_ok,
         }[ctrl]
         checks.eq(f"control_{ctrl}_detected", True, flag)

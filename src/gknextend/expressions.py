@@ -17,7 +17,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .polynomials import Poly, poly_from_json, poly_to_json
+from .polynomials import Poly, count_real_roots, poly_from_json, poly_to_json
 from .symplectic import GknError, SkewForm
 
 
@@ -192,9 +192,10 @@ class GeneralEvenOrder(DiffExpr):
     """sum_j (-1)^j (q_j(u) x^(j))^(j) with real polynomial q_j, on [a, b].
 
     `qs[j]` is the coefficient polynomial of the j-th term; the order of the
-    expression is 2 * (len(qs) - 1).  Regular on a compact interval, so
-    every classical solution of l x = +-i x is square integrable and the
-    deficiency index is the full trace count per endpoint.
+    expression is 2 * (len(qs) - 1).  Refused unless q_n has no root on
+    [a, b], counted exactly: then the expression is regular on a compact
+    interval, every classical solution of l x = +-i x is square integrable
+    and the deficiency index is the full trace count per endpoint.
     """
 
     qs: tuple[Poly, ...]
@@ -211,6 +212,12 @@ class GeneralEvenOrder(DiffExpr):
             raise ExpressionError("need a < b")
         if len(self.qs) < 2 or self.qs[-1].is_zero():
             raise ExpressionError("leading coefficient q_n must not vanish identically")
+        roots = count_real_roots(self.qs[-1], self.a, self.b)
+        if roots:
+            raise ExpressionError(
+                f"leading coefficient q_n vanishes at {roots} point(s) of [a, b]; the "
+                f"expression is singular there"
+            )
 
     @property
     def traces_per_endpoint(self) -> int:
@@ -245,30 +252,6 @@ def apply_expr(expr: DiffExpr, p: Poly) -> Poly:
     for j, c in expr.coefficient_polys():
         out = out + c * p.deriv(j)
     return out
-
-
-# ---------------------------------------------------------------------------
-# trace vectors
-
-
-@dataclass(frozen=True)
-class TraceVector:
-    """Endpoint data in the fixed layout of the expression kind.
-
-    Values may be exact scalars (Fraction) or complex floats; `as_array`
-    gives the float view used by the numerical layers.
-    """
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([complex(v) for v in self.values], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +298,8 @@ def boundary_form(expr: DiffExpr) -> BoundaryForm:
     By Lagrange's identity y* S x = [x, y](b) - [x, y](a), taken exactly
     and rounded last.  A kind keeping d < m traces per endpoint needs every
     term on x^(s) or y^(r) with r or s >= d to vanish exactly there; one
-    keeping all m needs c_m(a), c_m(b) != 0.
+    keeping all m needs c_m(a), c_m(b) != 0, or S is degenerate and refused
+    (`GeneralEvenOrder` refuses a c_m with a root on [a, b] before that).
     """
     d = expr.traces_per_endpoint
     polys = expr.coefficient_polys()
@@ -323,11 +307,6 @@ def boundary_form(expr: DiffExpr) -> BoundaryForm:
     blocks = []
     for e in expr.interval:
         E = _bracket(polys, m, e)
-        if d == m and E[0][m - 1] == 0:  # E[0][m-1] = c_m(e)
-            raise ExpressionError(
-                "leading coefficient vanishes at an endpoint; the expression "
-                "is singular there and the full-trace boundary form degenerates"
-            )
         if any(E[r][s] != 0 for r in range(m) for s in range(m) if max(r, s) >= d):
             raise ExpressionError(
                 f"the boundary terms at u = {e} do not close on the {d} traces "
@@ -379,7 +358,7 @@ class ExpSolution:
         """l x sampled at u, using the exact exponential derivatives."""
         return self.expr.symbol(self.mu) * self.value(u)
 
-    def trace(self) -> TraceVector:
+    def trace(self) -> np.ndarray:
         d = self.expr.traces_per_endpoint
         ends = self.value([float(e) for e in self.expr.interval])
-        return TraceVector(tuple(complex(self.mu**k * x) for x in ends for k in range(d)))
+        return np.array([self.mu**k * x for x in ends for k in range(d)], dtype=complex)

@@ -2,10 +2,11 @@
 
 Vectors of the extended boundary space are stacked as (trace coords, W
 coords) in C^(2d+k), with W kept in *standard* coordinates and its inner
-product carried by an explicit Gram matrix G: <a, b>_W = b* G a.  The
-columns of Xi are the G-orthonormal basis against which the coupling map
-Omega is expanded, Omega(tr x) = Xi (T* S tr x) with T the column matrix
-of the partial-GKN traces.
+product carried by an explicit Gram matrix G: <a, b>_W = b* G a.  Sets of
+such vectors are arrays with one vector per row: the k x 2d partial GKN
+traces T, and the candidates, count x (2d+k).  The columns of Xi are the
+G-orthonormal basis against which the coupling map Omega is expanded,
+Omega(tr x) = Xi (conj(T) S tr x).
 
 The extended skew form on C^(2d+k) is then
 
@@ -34,7 +35,6 @@ from .expressions import (
     DiffExpr,
     ExpSolution,
     ExpressionError,
-    TraceVector,
     boundary_form,
 )
 from .symplectic import SkewForm, Subspace
@@ -74,53 +74,11 @@ class ExtensionSpace:
 
 
 @dataclass(frozen=True)
-class OperatorB:
-    """Operator on W, self-adjoint with respect to the G inner product."""
-
-    matrix: np.ndarray
-
-    @staticmethod
-    def zero(k: int) -> "OperatorB":
-        return OperatorB(np.zeros((k, k)))
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-
-    def check_against(self, W: ExtensionSpace):
-        GB = W.G @ self.matrix
-        resid = np.abs(GB - GB.conj().T).max(initial=0.0)
-        if resid > 1e-10 * (1 + np.abs(GB).max(initial=0.0)):
-            raise ModelError(
-                f"B is not self-adjoint for the W inner product (GB residual {resid:.3e})"
-            )
-
-
-@dataclass(frozen=True)
-class PartialGKNSet:
-    """Up to def(T0) maximal-domain traces, independent, pairwise symmetric."""
-
-    traces: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "traces", tuple(self.traces))
-
-    def __len__(self) -> int:
-        return len(self.traces)
-
-    def matrix(self, arity: int) -> np.ndarray:
-        """The traces as the columns of an arity x len(self) matrix."""
-        cols = [t.as_array() for t in self.traces]
-        if any(c.shape != (arity,) for c in cols):
-            raise ModelError("partial GKN traces have wrong arity for this expression")
-        return np.array(cols, dtype=complex).reshape(len(cols), arity).T
-
-
-@dataclass(frozen=True)
 class ExtendedModel:
     boundary: BoundaryForm
     W: ExtensionSpace
-    B: OperatorB
-    gkn_partial: PartialGKNSet
+    B: np.ndarray              # k x k, self-adjoint for the W Gram
+    T: np.ndarray              # k x 2d, the partial GKN traces as rows
     Omega: np.ndarray          # k x 2d, acts on trace coordinates
     F_ext: SkewForm            # on C^(2d + k)
     M_min: Subspace            # span{(t_j, xi_j)}
@@ -145,38 +103,22 @@ class ExtendedModel:
     def deficiency(self) -> int:
         return self.expr.deficiency
 
-    def stack(self, trace, w) -> np.ndarray:
-        """(trace, W) pair as a vector of the extended boundary space."""
-        t = trace.as_array() if isinstance(trace, TraceVector) else np.asarray(trace, dtype=complex)
-        w = np.asarray(w, dtype=complex).reshape(-1)
-        if t.shape[0] != self.trace_dim or w.shape[0] != self.k:
-            raise ModelError("stacked vector has wrong trace or W dimension")
-        return np.concatenate([t, w])
-
-    def omega_of(self, trace) -> np.ndarray:
-        t = trace.as_array() if isinstance(trace, TraceVector) else np.asarray(trace, dtype=complex)
-        return self.Omega @ t
-
     def labels(self) -> tuple[str, ...]:
         return self.boundary.labels + tuple(f"a_W[{j+1}]" for j in range(self.k))
 
 
-def coupling_scale(S: np.ndarray, Tm: np.ndarray) -> float:
+def coupling_scale(S: np.ndarray, T: np.ndarray) -> float:
     """1 + max|S| (1 + max|T|)^2, the size of the form on the partial GKN traces T."""
-    return 1.0 + np.abs(S).max(initial=0.0) * (1 + np.abs(Tm).max(initial=0.0)) ** 2
+    return 1.0 + np.abs(S).max(initial=0.0) * (1 + np.abs(T).max(initial=0.0)) ** 2
 
 
-def build_model(
-    bf: BoundaryForm,
-    W: ExtensionSpace,
-    B: OperatorB,
-    T: PartialGKNSet,
-) -> ExtendedModel:
+def build_model(bf: BoundaryForm, W: ExtensionSpace, B, T) -> ExtendedModel:
     """Assemble Omega, the extended form, and the minimal-pair span.
 
-    Rejects inputs violating the construction's standing assumptions:
-    dim W <= def(T0), |T| = dim W, T independent with pairwise vanishing
-    boundary form, B self-adjoint for the W Gram.
+    B is k x k and T is k x 2d, one partial GKN trace per row (k = dim W;
+    empty lists for k = 0).  Rejects inputs violating the construction's
+    standing assumptions: dim W <= def(T0), |T| = dim W, T independent with
+    pairwise vanishing boundary form, B self-adjoint for the W Gram.
     """
     expr = bf.expr
     ndef = expr.deficiency
@@ -185,18 +127,25 @@ def build_model(
             f"dim W = {W.k} exceeds the deficiency index {ndef}; the "
             f"construction requires dim W <= def(T0)"
         )
+    B, T = np.asarray(B, dtype=complex), np.asarray(T, dtype=complex)
     if len(T) != W.k:
         raise ModelError(f"partial GKN set has {len(T)} vectors, dim W = {W.k}")
-    if B.matrix.shape != (W.k, W.k):
+    if W.k == B.size == 0:
+        B, T = B.reshape(0, 0), T.reshape(0, bf.arity)
+    if B.shape != (W.k, W.k):
         raise ModelError("B has wrong shape for W")
-    B.check_against(W)
+    GB = W.G @ B
+    resid = np.abs(GB - GB.conj().T).max(initial=0.0)
+    if resid > 1e-10 * (1 + np.abs(GB).max(initial=0.0)):
+        raise ModelError(f"B is not self-adjoint for the W inner product (GB residual {resid:.3e})")
 
     S = bf.form.matrix
-    Tm = T.matrix(bf.arity)
-    if sym.matrix_rank(Tm) != W.k:
+    if T.shape != (W.k, bf.arity):
+        raise ModelError("partial GKN traces have wrong arity for this expression")
+    if sym.matrix_rank(T) != W.k:
         raise ModelError("partial GKN traces are linearly dependent")
-    vals = Tm.conj().T @ S @ Tm
-    bad = np.argwhere(np.abs(vals) > sym.TOL_FORM * coupling_scale(S, Tm))
+    vals = T.conj() @ S @ T.T
+    bad = np.argwhere(np.abs(vals) > sym.TOL_FORM * coupling_scale(S, T))
     if bad.size:
         i, j = bad[0]
         raise ModelError(
@@ -204,16 +153,16 @@ def build_model(
             f"[t_{i+1}, t_{j+1}]_H = {vals[j, i]:.3e}"
         )
 
-    Omega = W.Xi @ (Tm.conj().T @ S)
+    Omega = W.Xi @ (T.conj() @ S)
     F = np.block([[S, Omega.conj().T @ W.G], [-W.G @ Omega, np.zeros((W.k, W.k))]])
     F = 0.5 * (F - F.conj().T)
     F_ext = SkewForm(F, nondegenerate=False)
-    M_min = Subspace(bf.arity + W.k, np.vstack([Tm, W.Xi]))
+    M_min = Subspace(bf.arity + W.k, np.vstack([T.T, W.Xi]))
 
     model = ExtendedModel(bf, W, B, T, Omega, F_ext, M_min)
 
     # construction invariants, checked at build time
-    resid = np.abs(Omega @ Tm).max(initial=0.0)
+    resid = np.abs(Omega @ T.T).max(initial=0.0)
     if resid > TOL_BUILD * (1 + np.abs(Omega).max(initial=0.0)):
         raise ModelError(f"Omega does not annihilate the partial GKN set ({resid:.3e})")
     if sym.radical_residual(F_ext, M_min) > sym.TOL_RADICAL:
@@ -221,26 +170,9 @@ def build_model(
     return model
 
 
-@dataclass(frozen=True)
-class ExtendedGknReport:
-    independent_mod_min: bool
-    symmetric: bool
-    count_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.independent_mod_min and self.symmetric and self.count_ok
-
-
-def check_gkn_extended(model: ExtendedModel, candidates: Sequence) -> ExtendedGknReport:
-    """GKN conditions for (trace, W) pairs, modulo the minimal pairs."""
-    vecs = [model.stack(t, w) for t, w in candidates]
-    res = sym.check_gkn_vectors(model.F_ext, model.M_min, vecs)
-    return ExtendedGknReport(
-        independent_mod_min=res.independent_mod_M,
-        symmetric=res.symmetric,
-        count_ok=len(candidates) == model.deficiency,
-    )
+def check_gkn_extended(model: ExtendedModel, candidates) -> sym.GknCheck:
+    """GKN conditions for stacked (trace, W) rows modulo the minimal pairs; the count is def(T0)."""
+    return sym.check_gkn_vectors(model.F_ext, model.M_min, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +272,12 @@ def render_rows(canonical: np.ndarray, labels: Sequence[str], trace_dim: int) ->
     return tuple(out)
 
 
-def constraint_rows(model: ExtendedModel, candidates: Sequence) -> np.ndarray:
-    """Row j is (x,a) -> F_ext((x,a), (x_j,a_j)); no candidates give no rows."""
-    rows = [model.stack(t, w).conj() @ model.F_ext.matrix for t, w in candidates]
-    return np.array(rows, dtype=complex).reshape(len(rows), model.ambient_dim)
+def constraint_rows(model: ExtendedModel, candidates) -> np.ndarray:
+    """Row j is (x,a) -> F_ext((x,a), (x_j,a_j)), (x_j,a_j) the j-th candidate row."""
+    return np.asarray(candidates, dtype=complex).conj() @ model.F_ext.matrix
 
 
-def derive_boundary_conditions(model: ExtendedModel, candidates: Sequence) -> BoundaryConditions:
+def derive_boundary_conditions(model: ExtendedModel, candidates) -> BoundaryConditions:
     """Constraint matrix whose row j is (x,a) -> F_ext((x,a), (x_j,a_j)).
 
     The candidates must pass `check_gkn_extended`; the rows of a valid GKN
@@ -422,9 +353,9 @@ def extended_deficiency_vectors(model: ExtendedModel, sign: int) -> list[Extende
     out = []
     eye = np.eye(model.k)
     for s in sols:
-        om = model.omega_of(s.trace())
-        a = np.linalg.solve(model.B.matrix - sign * 1j * eye, om)
-        w_resid = np.abs(model.B.matrix @ a - om - sign * 1j * a).max(initial=0.0)
+        om = model.Omega @ s.trace()
+        a = np.linalg.solve(model.B - sign * 1j * eye, om)
+        w_resid = np.abs(model.B @ a - om - sign * 1j * a).max(initial=0.0)
         if w_resid > 1e-10 * (1 + np.abs(om).max(initial=0.0)):
             raise ModelError(f"deficiency vector failed its eigen-relation ({w_resid:.3e})")
         out.append(ExtendedDeficiencyVector(s, a, sign))
@@ -445,25 +376,24 @@ def _cmat_from_json(data) -> np.ndarray:
     return np.array(rows, dtype=complex) if rows else np.zeros((0, 0), dtype=complex)
 
 
-def _trace_to_json(t: TraceVector) -> list:
-    flat = []
-    for v in t.as_array():
-        flat += [float(v.real), float(v.imag)]
-    return flat
-
-
-def _trace_from_json(data) -> TraceVector:
-    vals = [complex(data[2 * i], data[2 * i + 1]) for i in range(len(data) // 2)]
-    return TraceVector(tuple(vals))
+def _cvec_from_json(data, length: int, name: str) -> np.ndarray:
+    """A flat [re, im, ...] list of `length` complex numbers; `name` names it in a refusal."""
+    if not isinstance(data, list) or any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) for x in data
+    ):
+        raise ModelError(f"{name} must be a flat list of numbers [re, im, ...]")
+    if len(data) != 2 * length:
+        raise ModelError(f"{name} holds {len(data)} numbers, not {2 * length}: [re, im] each")
+    return np.array(data, dtype=float).view(complex)
 
 
 def model_to_json(model: ExtendedModel) -> dict:
     return {
         "expression": model.expr.to_json(),
         "G": _cmat_to_json(model.W.G),
-        "B": _cmat_to_json(model.B.matrix),
+        "B": _cmat_to_json(model.B),
         "Xi": _cmat_to_json(model.W.Xi),
-        "gkn_traces": [_trace_to_json(t) for t in model.gkn_partial.traces],
+        "gkn_traces": [[x for z in t for x in (float(z.real), float(z.imag))] for t in model.T],
     }
 
 
@@ -472,12 +402,12 @@ def model_from_json(data: dict) -> ExtendedModel:
     if kind not in EXPRESSION_KINDS:
         raise ExpressionError(f"unknown expression kind {kind!r}")
     expr = EXPRESSION_KINDS[kind].from_json(data["expression"])
+    bf = boundary_form(expr)
     G = _cmat_from_json(data["G"])
     Xi = _cmat_from_json(data["Xi"]) if "Xi" in data else None
     W = ExtensionSpace(G.shape[0], G, Xi)
-    B = OperatorB(_cmat_from_json(data["B"]))
-    T = PartialGKNSet(tuple(_trace_from_json(t) for t in data["gkn_traces"]))
-    return build_model(boundary_form(expr), W, B, T)
+    T = [_cvec_from_json(t, bf.arity, "model.gkn_traces[]") for t in data["gkn_traces"]]
+    return build_model(bf, W, _cmat_from_json(data["B"]), T)
 
 
 def bc_to_json(bc: BoundaryConditions) -> dict:

@@ -129,3 +129,44 @@ def poly_from_json(data: Sequence) -> Poly:
         else:
             coeffs.append(c)
     return Poly(coeffs)
+
+
+def _divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of p by a nonzero q, exact over the rationals."""
+    r = list(p.coeffs)
+    n = len(q.coeffs) - 1
+    quot = [0] * max(len(r) - n, 0)
+    for i in range(len(r) - 1 - n, -1, -1):
+        quot[i] = r[i + n] / q.coeffs[-1]
+        for j, c in enumerate(q.coeffs):
+            r[i + j] -= quot[i] * c
+    return Poly(quot), Poly(r[:n])
+
+
+def _remainders(p: Poly, q: Poly) -> list[Poly]:
+    """p, q and Euclid's negated remainders, up to the last nonzero one: gcd(p, q)."""
+    chain = [p, q]
+    while not chain[-1].is_zero():
+        chain.append(-_divmod(chain[-2], chain[-1])[1])
+    return chain[:-1]
+
+
+def count_real_roots(p: Poly, a: Scalar, b: Scalar) -> int:
+    """Distinct real roots of a nonzero p in [a, b], exactly (floats convert exactly).
+
+    The real roots of p are those of g = gcd(Re p, Im p), and g / gcd(g, g')
+    has them all simple; on its Sturm sequence the sign variations drop by
+    one at each root in (a, b] (Basu, Pollack & Roy, *Algorithms in Real
+    Algebraic Geometry*, ch. 2).
+    """
+    re, im = (Poly([Fraction(getattr(c, part)) for c in p.coeffs]) for part in ("real", "imag"))
+    g = _remainders(re, im)[-1]
+    s = _divmod(g, _remainders(g, g.deriv())[-1])[0]
+    chain = _remainders(s, s.deriv())
+    a, b = Fraction(a), Fraction(b)
+
+    def variations(u: Fraction) -> int:
+        signs = [v > 0 for v in (q(u) for q in chain) if v != 0]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return variations(a) - variations(b) + (s(a) == 0)

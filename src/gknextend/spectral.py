@@ -222,7 +222,7 @@ def discretize(model: ExtendedModel, grid: CollocationGrid) -> Discretization:
         raise SpectralError("grid interval does not match the expression")
     n, k, td = grid.N + 1, model.k, model.trace_dim
     coeffs = [(j, c, _horner(c, grid.nodes)) for j, c in expr.coefficient_polys()]
-    dtype = _dtype(*(cvals for _, _, cvals in coeffs), model.Omega, model.B.matrix, model.W.G)
+    dtype = _dtype(*(cvals for _, _, cvals in coeffs), model.Omega, model.B, model.W.G)
     try:
         R_W = scipy.linalg.cholesky(_view(model.W.G, dtype), lower=False)
     except scipy.linalg.LinAlgError as e:
@@ -240,7 +240,7 @@ def discretize(model: ExtendedModel, grid: CollocationGrid) -> Discretization:
     _fill_h_block(M[:n, :n], coeffs, grid)
     # A's coupling block is -Omega tr: -Omega tr R_ref^-1 / sqrt(h) is -Omega times the lifted rows
     M[n:, :n] = R_W @ (-_view(model.Omega, dtype) @ lift_y[:td, :n])
-    M[n:, n:] = _right_solve(R_W @ _view(model.B.matrix, dtype), R_W)
+    M[n:, n:] = _right_solve(R_W @ _view(model.B, dtype), R_W)
     M.flags.writeable = False
     return Discretization(model, grid, lift, lift_y, R_W, M)
 
@@ -667,7 +667,7 @@ def characteristic_value(
     M[:, :nb, :nf] = np.einsum("it,ltj->lij", rows[:, :td], fund)
     M[:, :nb, nf:] = rows[:, td:]
     M[:, nb:, :nf] = -np.einsum("it,ltj->lij", model.Omega, fund)
-    M[:, nb:, nf:] = model.B.matrix - lams[:, None, None] * np.eye(k)
+    M[:, nb:, nf:] = model.B - lams[:, None, None] * np.eye(k)
     # Liouville: det Y(b) = exp((b - a) tr C) for the companion matrix C;
     # half of that constant phase is divided out
     trace_c = (lams * (comp.order == 1) - comp.sub_lead) / comp.lead
@@ -788,7 +788,7 @@ def eigenrelation_residual(
     a = np.asarray(a, dtype=complex).reshape(-1)
     x_h = x.value(grid.nodes)
     h_res = x.apply(grid.nodes) - lam * x_h
-    w_res = model.B.matrix @ a - model.omega_of(x.trace()) - lam * a
+    w_res = model.B @ a - model.Omega @ x.trace() - lam * a
     H = np.stack([h_res.real, h_res.imag, x_h.real, x_h.imag], axis=1)
     h2 = np.einsum("ij,ij->j", H, grid.gram @ H)
 

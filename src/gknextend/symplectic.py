@@ -170,21 +170,27 @@ def quotient_by(F: SkewForm, M: Subspace) -> tuple[SkewForm, np.ndarray]:
 class GknCheck:
     independent_mod_M: bool
     symmetric: bool
+    count_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.independent_mod_M and self.symmetric and self.count_ok
 
 
 def check_gkn_vectors(F: SkewForm, M: Subspace, V) -> GknCheck:
-    """Independence modulo M (joint rank) and pairwise form vanishing.
+    """Independence modulo M (joint rank), pairwise form vanishing, count = dim(F/M) / 2.
 
-    The form on every pair is one Gram matrix V* S V; entry (i, j) is
-    form(v_j, v_i), held to TOL_FORM * scale * (1 + |v_i|)(1 + |v_j|).
+    V holds one vector per row.  The form on every pair is one Gram matrix
+    V* S V; entry (i, j) is form(v_j, v_i), held to TOL_FORM * scale *
+    (1 + |v_i|)(1 + |v_j|).
     """
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in V]
-    if any(v.shape[0] != F.dim for v in vecs):
+    V = np.asarray(V, dtype=complex)
+    if V.size and V.shape[-1] != F.dim:
         raise SymplecticError("candidate vector has wrong ambient dimension")
-    Vm = np.array(vecs, dtype=complex).reshape(len(vecs), F.dim).T
-    independent = matrix_rank(np.hstack([M.basis, Vm])) == M.dim + len(vecs)
+    Vm = V.reshape(-1, F.dim).T
+    independent = matrix_rank(np.hstack([M.basis, Vm])) == M.dim + Vm.shape[1]
     scale = 1.0 + np.abs(F.matrix).max(initial=0.0)
     norms = 1.0 + np.linalg.norm(Vm, axis=0)
     vals = np.abs(Vm.conj().T @ F.matrix @ Vm)
     symmetric = bool(np.all(vals <= TOL_FORM * scale * np.outer(norms, norms)))
-    return GknCheck(independent_mod_M=independent, symmetric=symmetric)
+    return GknCheck(independent, symmetric, 2 * Vm.shape[1] == F.dim - M.dim)

@@ -36,12 +36,10 @@ def form_eval(F, x, y) -> complex:
     return complex(y.conj() @ F.matrix @ x)
 
 
-def trace_of_poly(expr, p):
+def trace_of_poly(expr, p) -> tuple:
     """Endpoint traces of a polynomial in the expression's layout, exactly."""
-    from gknextend.expressions import TraceVector
-
     d = expr.traces_per_endpoint
-    return TraceVector(tuple(p.deriv(k)(e) for e in expr.interval for k in range(d)))
+    return tuple(p.deriv(k)(e) for e in expr.interval for k in range(d))
 
 
 def w_inner(W, a, b) -> complex:
@@ -73,11 +71,12 @@ def custom_config(name: str) -> dict:
     from gknextend.extension import model_to_json
 
     entry = build_example(name)
+    td = entry.model.trace_dim
 
     def flat(v):
-        return [x for z in np.asarray(v, dtype=complex) for x in (z.real, z.imag)]
+        return [x for z in v for x in (z.real, z.imag)]
 
-    cands = [{"trace": flat(t.as_array()), "w": flat(w)} for t, w in entry.candidates]
+    cands = [{"trace": flat(v[:td]), "w": flat(v[td:])} for v in entry.candidates]
     return {"example": "custom", "model": model_to_json(entry.model), "candidates": cands}
 
 
@@ -301,7 +300,7 @@ def nodal_discretize(model, grid):
     L = np.zeros((n, n), dtype=dtype)
     for j, cvals in coeffs:
         L += _view(cvals, dtype)[:, None] * powers[j]
-    dtype = _dtype(L, model.Omega, model.B.matrix, model.W.G)
+    dtype = _dtype(L, model.Omega, model.B, model.W.G)
 
     d = expr.traces_per_endpoint
     lift = np.zeros((td + k, n + k), dtype=dtype)
@@ -311,7 +310,7 @@ def nodal_discretize(model, grid):
     A_full = np.zeros((n + k, n + k), dtype=dtype)
     A_full[:n, :n] = L
     A_full[n:, :n] = -_view(model.Omega, dtype) @ lift[:td, :n]
-    A_full[n:, n:] = _view(model.B.matrix, dtype)
+    A_full[n:, n:] = _view(model.B, dtype)
 
     Gram_full = np.zeros((n + k, n + k), dtype=dtype)
     Gram_full[:n, :n] = grid.gram

@@ -166,13 +166,13 @@ def test_05_gkn_verification_with_controls():
     for name in GKN_EXAMPLES:
         entry = build_example(name)
         rep = check_gkn_extended(entry.model, entry.candidates)
-        ok &= rep.independent_mod_min and rep.symmetric and rep.count_ok
+        ok &= rep.independent_mod_M and rep.symmetric and rep.count_ok
         ok &= verify_self_adjoint_domain(entry.model, entry.boundary_conditions())
         for ctrl, cands in entry.controls.items():
             bad_rep = check_gkn_extended(entry.model, cands)
             flag = {
                 "symmetry": not bad_rep.symmetric,
-                "independence": not bad_rep.independent_mod_min,
+                "independence": not bad_rep.independent_mod_M,
                 "cardinality": not bad_rep.count_ok,
             }[ctrl]
             ok &= flag
@@ -191,9 +191,9 @@ def test_06_structural_invariants_randomized():
     ok = True
     for name in GKN_EXAMPLES + ("fourier_3_2b",):
         model = build_example(name).model
-        Tm = model.gkn_partial.matrix(model.trace_dim)
+        T = model.T
         scale = 1.0 + np.abs(model.Omega).max(initial=0.0)
-        ok &= float(np.abs(model.Omega @ Tm).max(initial=0.0)) <= 1e-12 * scale
+        ok &= float(np.abs(model.Omega @ T.T).max(initial=0.0)) <= 1e-12 * scale
         ok &= subspace_contains(radical(model.F_ext), model.M_min, tol=1e-12)
         Fq, _ = quotient_by(model.F_ext, model.M_min)
         ok &= Fq.dim == 2 * model.deficiency and Fq.nondegenerate
@@ -202,7 +202,7 @@ def test_06_structural_invariants_randomized():
             om = model.Omega @ x
             for j in range(model.k):
                 lhs = w_inner(model.W, om, model.W.Xi[:, j])
-                rhs = form_eval(model.boundary.form, x, Tm[:, j])
+                rhs = form_eval(model.boundary.form, x, T[j])
                 ok &= abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
     report(6, "structural-invariants-100-trials-per-model", ok, t0)
 

@@ -17,7 +17,7 @@ from jsonschema.exceptions import best_match
 
 import gknextend
 from gknextend import cli, legendre, spectral
-from gknextend.catalog import DEFAULT_PARAMS, build_example
+from gknextend.catalog import DEFAULT_PARAMS, EXAMPLE_NAMES, build_example
 from gknextend.cli import CONFIG_SCHEMA, ConfigError, load_config, main, run
 from gknextend.extension import model_to_json
 from gknextend.spectral import symmetry_defect
@@ -303,6 +303,57 @@ class TestRefusals:
         err = self.refused(tmp_path, capsys, cfg)
         assert "'candidates'" in err and "TypeError" in err
 
+    @pytest.mark.parametrize(
+        "section, name",
+        [
+            ("candidates", "candidates[].trace"),
+            ("candidates", "candidates[].w"),
+            ("model", "model.gkn_traces[]"),
+        ],
+    )
+    @pytest.mark.parametrize("flaw", ["odd_length", "true"])
+    def test_loose_flat_list(self, tmp_path, capsys, section, name, flaw):
+        # a trailing number was dropped and a JSON true read as 1: both now exit 2
+        cfg = custom_config("fourier_3_5")
+        if name == "model.gkn_traces[]":
+            flat = cfg["model"]["gkn_traces"][0]
+        else:
+            flat = cfg["candidates"][0][name.split(".")[1]]
+        if flaw == "odd_length":
+            flat.append(7.0)
+        else:
+            # a value-preserving true where the part holds a 1
+            flat[flat.index(1.0) if 1.0 in flat else 0] = True
+        for command in ("check-symplectic", "derive-bc"):
+            err = self.refused(tmp_path, capsys, cfg, command)
+            assert f"bad custom {section!r} section" in err and name in err
+
+    def test_candidate_parts_are_checked_apart(self, tmp_path, capsys):
+        # the W number moved into the trace: the stacked length is right, each part's is not
+        cfg = custom_config("fourier_3_1")
+        item = cfg["candidates"][0]
+        item["trace"] += item.pop("w")
+        err = self.refused(tmp_path, capsys, cfg)
+        assert "candidates[].trace holds 10 numbers" in err
+
+    @pytest.mark.parametrize(
+        "qs, a",
+        [
+            ([["0"], ["0", "1"]], "-1"),
+            ([[0.0], [-0.25, 0.0, 1.0]], "-1"),
+            ([["1"], ["1"], ["1"], ["0", "1"]], "-1"),
+        ],
+        ids=["exact", "float", "order_six"],
+    )
+    def test_singular_custom_model(self, tmp_path, capsys, qs, a):
+        # the leading coefficient q_n vanishes inside [a, b]
+        model = {
+            "expression": {"kind": "general_even_order", "qs": qs, "a": a, "b": "1"},
+            "G": [], "B": [], "Xi": [], "gkn_traces": [],
+        }
+        err = self.refused(tmp_path, capsys, {"example": "custom", "model": model}, "check-symplectic")
+        assert "singular" in err
+
 
 class TestInternalErrors:
     """A fault of the verifier exits 3 and ends stderr with a summary line, never exit 1.
@@ -468,10 +519,16 @@ class TestRun:
         assert "eigenvalue_formula_exact" in failed
         assert report["status"] == "fail"
 
-    def test_custom_model_round_trip(self):
-        report = run({**custom_config("fourier_3_3"), "seed": 0}, "derive-bc")
+    @pytest.mark.parametrize(
+        "name", [n for n in EXAMPLE_NAMES if build_example(n).candidates.size]
+    )
+    def test_custom_model_round_trip(self, name):
+        report = run({**custom_config(name), "seed": 0}, "derive-bc")
+        published = run({"example": name, "seed": 0}, "derive-bc")
         assert report["status"] == "pass"
-        assert report["boundary_conditions_rendered"] == ["a_W[1] = x(a)", "a_W[2] = x(b)"]
+        assert report["boundary_conditions_rendered"] == list(build_example(name).expected_strings)
+        for key in ("boundary_conditions", "boundary_conditions_rendered"):
+            assert report[key] == published[key]
 
     def test_custom_model_runs_negative_controls(self):
         # the independence and cardinality rules need only the model and the
@@ -622,6 +679,20 @@ class TestMain:
         assert main(["check-symplectic", "--config", path, "--out", str(out)]) == 0
         checks = {c["name"]: c["got"] for c in json.loads(out.read_text())["checks"]}
         assert checks["quotient_dimension"] == 12
+
+    def test_root_just_outside_interval_runs(self, tmp_path):
+        # q_1 = u - (1 + 1e-6) has its root just right of b = 1
+        cfg = {
+            "example": "custom",
+            "model": {
+                "expression": {
+                    "kind": "general_even_order", "qs": [["1"], ["-1000001/1000000", "1"]],
+                    "a": "-1", "b": "1",
+                },
+                "G": [], "B": [], "Xi": [], "gkn_traces": [],
+            },
+        }
+        assert main(["check-symplectic", "--config", write_config(tmp_path, cfg)]) == 0
 
     def test_classical_gkn_without_extension(self, tmp_path):
         # dim W = 0; the GKN set x(a) = 1, x(b) = 1 gives Neumann conditions

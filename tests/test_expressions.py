@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from gknextend.expressions import (
     boundary_form,
     green_defect,
 )
-from gknextend.polynomials import Poly, poly_from_json, poly_to_json
+from gknextend.polynomials import Poly, count_real_roots, poly_from_json, poly_to_json
 
 from conftest import form_eval, random_rational_poly, trace_of_poly
 
@@ -37,8 +38,8 @@ class TestApply:
         assert out.coeffs == (0j, 2j)
 
     def test_general_even_order_matches_nested_form(self):
-        # -(q1 y')' with q1 = u: expanded -u y'' - y'
-        geo = GeneralEvenOrder((Poly([0]), Poly([0, 1])), 0, 1)
+        # -(q1 y')' with q1 = u: expanded -u y'' - y' (on [1, 2], where q1 has no root)
+        geo = GeneralEvenOrder((Poly([0]), Poly([0, 1])), 1, 2)
         p = Poly([1, 2, 3, 4])
         expected = Poly([0, -1]) * p.deriv(2) + Poly([-1]) * p.deriv(1)
         assert apply_expr(geo, p) == expected
@@ -47,11 +48,11 @@ class TestApply:
 class TestTraces:
     def test_constant_fourier(self):
         tv = trace_of_poly(Fourier(0, 1), Poly([1]))
-        assert tv.values == (1, 0, 1, 0)
+        assert tv == (1, 0, 1, 0)
 
     def test_linear_legendre(self):
         tv = trace_of_poly(LegendreType(1), Poly([-1, 1]))
-        assert tv.values == (-2, 1, 0, 1)
+        assert tv == (-2, 1, 0, 1)
 
     def test_monic_degree_one_under_point_mass(self):
         from conftest import gram_schmidt
@@ -59,14 +60,14 @@ class TestTraces:
         basis = gram_schmidt(Fraction(1), 1)
         assert basis[1] == Poly([0, 1])
         tv = trace_of_poly(LegendreType(1), basis[1])
-        assert tv.values == (-1, 1, 1, 1)
+        assert tv == (-1, 1, 1, 1)
 
     def test_derivative_traces_match_finite_differences(self, rng):
         h = 1e-6
         for expr in (Fourier(0, 1), LegendreType(2)):
             for _ in range(5):
                 p = random_rational_poly(rng, 6)
-                tv = trace_of_poly(expr, p).as_array()
+                tv = np.array(trace_of_poly(expr, p), dtype=complex)
                 a, b = (float(v) for v in expr.interval)
                 fd_a = (float(p(a + h)) - float(p(a))) / h
                 fd_b = (float(p(b)) - float(p(b - h))) / h
@@ -154,8 +155,8 @@ class TestBoundaryForm:
             lhs = green_defect(expr, p, q)
             rhs = form_eval(
                 bf.form,
-                trace_of_poly(expr, p).as_array(),
-                trace_of_poly(expr, q).as_array(),
+                np.array(trace_of_poly(expr, p), dtype=complex),
+                np.array(trace_of_poly(expr, q), dtype=complex),
             )
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
@@ -167,8 +168,8 @@ class TestBoundaryForm:
             lhs = green_defect(expr, p, q)
             rhs = form_eval(
                 bf.form,
-                trace_of_poly(expr, p).as_array(),
-                trace_of_poly(expr, q).as_array(),
+                np.array(trace_of_poly(expr, p), dtype=complex),
+                np.array(trace_of_poly(expr, q), dtype=complex),
             )
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
@@ -187,13 +188,48 @@ class TestBoundaryForm:
     def test_singular_endpoint_rejected(self):
         u = Poly.x()
         w = Poly([1]) - u * u
-        geo = GeneralEvenOrder((Poly([0]), Poly([8]) + w.scale(4), w * w), -1, 1)
         with pytest.raises(ExpressionError, match="singular"):
-            boundary_form(geo)
+            GeneralEvenOrder((Poly([0]), Poly([8]) + w.scale(4), w * w), -1, 1)
 
     def test_dropped_traces_must_close(self):
         with pytest.raises(ExpressionError, match="do not close"):
             boundary_form(UnclosedFourthOrder())
+
+
+class TestSingularLeadingCoefficient:
+    @pytest.mark.parametrize(
+        "qs, a, b",
+        [
+            ((Poly([0]), Poly([0, 1])), -1, 1),
+            ((Poly([0.0]), Poly([-0.25, 0.0, 1.0])), -1, 1),
+            ((Poly([1]), Poly([1]), Poly([1]), Poly([0, 1])), -1, 1),
+            ((Poly([1]), Poly([Fraction(-1, 2), 1])), Fraction(1, 2), 1),  # a root at a
+            ((Poly([1]), Poly([2 + 2j, 1 + 1j])), -3, 0),  # (1 + i)(u + 2)
+        ],
+        ids=["exact", "float", "order_six", "at_endpoint", "complex"],
+    )
+    def test_root_on_interval_refused(self, qs, a, b):
+        with pytest.raises(ExpressionError, match="singular"):
+            GeneralEvenOrder(qs, a, b)
+
+    @pytest.mark.parametrize(
+        "q",
+        [Poly([-1 - Fraction(1, 10**9), 1]), Poly([-1.0000001, 1.0]), Poly([1, 1j])],
+        ids=["exact", "float", "complex"],
+    )
+    def test_root_just_outside_builds(self, q):
+        assert GeneralEvenOrder((Poly([1]), q), -1, 1).qs[-1] == q
+
+    def test_root_count_matches_factored_polynomials(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+            p = Poly([rng.choice([1, 2, 3]), 0, 1])  # no real root of its own
+            for r in roots:
+                p = p * Poly([-r, 1])
+            a = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+            b = a + Fraction(rng.randint(0, 8), rng.randint(1, 3))
+            assert count_real_roots(p, a, b) == len({r for r in roots if a <= r <= b})
 
 
 class TestDeficiency:

@@ -6,15 +6,12 @@ import pytest
 from gknextend.catalog import DEFAULT_PARAMS, EXAMPLE_NAMES, build_example, sabotage_rows
 from gknextend.expressions import (
     Fourier,
-    TraceVector,
     apply_expr,
     boundary_form,
 )
 from gknextend.extension import (
     ExtensionSpace,
     ModelError,
-    OperatorB,
-    PartialGKNSet,
     boundary_conditions_from_rows,
     build_model,
     check_gkn_extended,
@@ -39,7 +36,7 @@ from conftest import (
 )
 
 ALL_ENTRIES = [build_example(n) for n in EXAMPLE_NAMES]
-GKN_ENTRIES = [e for e in ALL_ENTRIES if e.candidates]
+GKN_ENTRIES = [e for e in ALL_ENTRIES if e.candidates.size]
 # the defaults and a point off them for every parameter an example reads
 PARAM_SETS = (
     {},
@@ -67,8 +64,8 @@ class TestBuildModel:
         # dim W = 0 is the classical GKN theorem: every W-side array is empty
         bf = boundary_form(Fourier(0, 1))
         W0 = np.zeros((0, 0))
-        model = build_model(bf, ExtensionSpace(0, W0), OperatorB(W0), PartialGKNSet(()))
-        assert model.gkn_partial.matrix(model.trace_dim).shape == (4, 0)
+        model = build_model(bf, ExtensionSpace(0, W0), W0, [])
+        assert model.T.shape == (0, 4)
         assert model.Omega.shape == (0, 4)
         assert model.M_min.dim == 0
         assert np.array_equal(model.F_ext.matrix, bf.form.matrix)
@@ -78,8 +75,9 @@ class TestBuildModel:
             assert all(v.a.shape == (0,) for v in vecs)
 
     def test_partial_gkn_traces_need_the_expression_arity(self):
+        bf = boundary_form(Fourier(0, 1))
         with pytest.raises(ModelError, match="arity"):
-            PartialGKNSet((TraceVector((1, 1)),)).matrix(4)
+            build_model(bf, ExtensionSpace(1, np.eye(1)), np.zeros((1, 1)), [[1, 1]])
 
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_omega_matches_published_value(self, name):
@@ -92,45 +90,39 @@ class TestBuildModel:
     def test_legendre_omega_action(self):
         model = build_example("legendre_type", {"A": 3.0}).model
         x = np.array([0.2, 1.5, -0.4, 2.0])
-        om = model.omega_of(x)
+        om = model.Omega @ x
         # (8A x'(-1), -8A x'(1))
         assert np.abs(om - np.array([24 * 1.5, -24 * 2.0])).max() < 1e-12
 
     def test_dim_w_exceeding_deficiency_rejected(self):
         bf = boundary_form(Fourier(0, 1))
         W = ExtensionSpace(3, np.eye(3))
-        B = OperatorB.zero(3)
-        T = PartialGKNSet(
-            (
-                TraceVector((1, 0, 0, 0)),
-                TraceVector((0, 0, 1, 0)),
-                TraceVector((0, 1, 0, 0)),
-            )
-        )
+        B = np.zeros((3, 3))
+        T = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]]
         with pytest.raises(ModelError, match="dim W"):
             build_model(bf, W, B, T)
 
     def test_asymmetric_partial_set_rejected_with_pair(self):
         bf = boundary_form(Fourier(0, 1))
         W = ExtensionSpace(2, np.eye(2))
-        B = OperatorB.zero(2)
-        T = PartialGKNSet((TraceVector((1, 0, 0, 0)), TraceVector((0, 1, 0, 0))))
+        B = np.zeros((2, 2))
+        T = [[1, 0, 0, 0], [0, 1, 0, 0]]
         with pytest.raises(ModelError, match=r"t_\d, t_\d"):
             build_model(bf, W, B, T)
 
     def test_dependent_partial_set_rejected(self):
         bf = boundary_form(Fourier(0, 1))
         W = ExtensionSpace(2, np.eye(2))
-        B = OperatorB.zero(2)
-        T = PartialGKNSet((TraceVector((1, 0, 0, 0)), TraceVector((2, 0, 0, 0))))
+        B = np.zeros((2, 2))
+        T = [[1, 0, 0, 0], [2, 0, 0, 0]]
         with pytest.raises(ModelError, match="dependent"):
             build_model(bf, W, B, T)
 
     def test_non_self_adjoint_B_rejected(self):
         bf = boundary_form(Fourier(0, 1))
         W = ExtensionSpace(2, np.diag([1.0, 0.5]))
-        B = OperatorB(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        T = PartialGKNSet((TraceVector((1, 0, 0, 0)), TraceVector((0, 0, 1, 0))))
+        B = [[0.0, 1.0], [0.0, 0.0]]
+        T = [[1, 0, 0, 0], [0, 0, 1, 0]]
         with pytest.raises(ModelError, match="self-adjoint"):
             build_model(bf, W, B, T)
 
@@ -140,7 +132,7 @@ class TestBuildModel:
             "fourier_3_3",
             {"M": 2.0, "N_weight": 5.0, "alpha": 1.0, "beta_re": 0.7, "beta_im": -0.3, "gamma": 2.0},
         )
-        GB = entry.model.W.G @ entry.model.B.matrix
+        GB = entry.model.W.G @ entry.model.B
         assert np.abs(GB - GB.conj().T).max() < 1e-12
 
 
@@ -148,15 +140,15 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
     def test_randomized_invariants(self, entry, rng):
         model = entry.model
-        Tm = model.gkn_partial.matrix(model.trace_dim)
+        T = model.T
         if model.k:
-            assert np.abs(model.Omega @ Tm).max() <= 1e-12 * (1 + np.abs(model.Omega).max())
+            assert np.abs(model.Omega @ T.T).max() <= 1e-12 * (1 + np.abs(model.Omega).max())
         for _ in range(25):
             x = rng.standard_normal(model.trace_dim) + 1j * rng.standard_normal(model.trace_dim)
             om = model.Omega @ x
             for j in range(model.k):
                 lhs = w_inner(model.W, om, model.W.Xi[:, j])
-                rhs = form_eval(model.boundary.form, x, Tm[:, j])
+                rhs = form_eval(model.boundary.form, x, T[j])
                 assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
         assert subspace_contains(radical(model.F_ext), model.M_min, tol=1e-12)
         Fq, _ = quotient_by(model.F_ext, model.M_min)
@@ -178,8 +170,8 @@ class TestMaximalAction:
         h_exact, w_exact = apply_expr(LegendreType(A), p), jump_action(A, p, a)
         # the float model's action (l p, B a - Omega tr p)
         h_float = apply_expr(model.expr, p)
-        w_float = model.B.matrix @ np.array([float(a[0]), float(a[1])]) - model.omega_of(
-            trace_of_poly(model.expr, p)
+        w_float = model.B @ np.array([float(a[0]), float(a[1])]) - model.Omega @ np.array(
+            trace_of_poly(model.expr, p), dtype=complex
         )
         assert h_float == h_exact
         assert np.abs(w_float - np.array([float(w_exact[0]), float(w_exact[1])])).max() < 1e-10
@@ -189,7 +181,7 @@ class TestGknExtended:
     @pytest.mark.parametrize("entry", GKN_ENTRIES, ids=lambda e: e.name)
     def test_published_sets_pass(self, entry):
         rep = check_gkn_extended(entry.model, entry.candidates)
-        assert rep.independent_mod_min and rep.symmetric and rep.count_ok
+        assert rep.independent_mod_M and rep.symmetric and rep.count_ok
 
     @pytest.mark.parametrize("entry", GKN_ENTRIES, ids=lambda e: e.name)
     def test_controls_fail_where_expected(self, entry):
@@ -201,7 +193,7 @@ class TestGknExtended:
                 rep = check_gkn_extended(built.model, cands)
                 holds = {
                     "symmetry": rep.symmetric,
-                    "independence": rep.independent_mod_min,
+                    "independence": rep.independent_mod_M,
                     "cardinality": rep.count_ok,
                 }
                 assert holds == {c: c != ctrl for c in holds}, (entry.name, params, ctrl, rep)
@@ -209,9 +201,9 @@ class TestGknExtended:
     def test_minimal_pair_breaks_independence(self):
         entry = build_example("legendre_type")
         model = entry.model
-        mutated = ((model.gkn_partial.traces[0], model.W.Xi[:, 0]), entry.candidates[1])
+        mutated = np.vstack([np.concatenate([model.T[0], model.W.Xi[:, 0]]), entry.candidates[1]])
         rep = check_gkn_extended(model, mutated)
-        assert not rep.independent_mod_min
+        assert not rep.independent_mod_M
 
 
 class TestDeriveBoundaryConditions:
@@ -305,12 +297,9 @@ class TestVerifySelfAdjointDomain:
         for _ in range(10):
             L = random_complete_lagrangian(Fq, rng)
             lifted = Q @ L.basis
-            cands = [
-                (lifted[: model.trace_dim, j], lifted[model.trace_dim :, j])
-                for j in range(L.dim)
-            ]
+            cands = lifted.T
             rep = check_gkn_extended(model, cands)
-            assert rep.independent_mod_min and rep.symmetric and rep.count_ok
+            assert rep.independent_mod_M and rep.symmetric and rep.count_ok
             bc = derive_boundary_conditions(model, cands)
             assert verify_self_adjoint_domain(model, bc)
 
@@ -358,7 +347,7 @@ class TestDeficiencyVectors:
         model = build_example("first_order", {"alpha": 0.0}).model
         for sign in (+1, -1):
             v = extended_deficiency_vectors(model, sign)[0]
-            omega = model.omega_of(v.solution.trace())
+            omega = model.Omega @ v.solution.trace()
             assert abs(v.a[0] - omega[0] / (-sign * 1j)) < 1e-14
 
     @pytest.mark.parametrize(
@@ -382,12 +371,10 @@ class TestSerialization:
     def test_round_trip_without_extension(self):
         # dim W = 0: the classical GKN setting, every matrix of W is 0 x 0
         W0 = np.zeros((0, 0))
-        model = build_model(
-            boundary_form(Fourier(0, 1)), ExtensionSpace(0, W0), OperatorB(W0), PartialGKNSet(())
-        )
+        model = build_model(boundary_form(Fourier(0, 1)), ExtensionSpace(0, W0), W0, [])
         data = model_to_json(model)
         rebuilt = model_from_json(data)
-        assert rebuilt.W.k == 0 and rebuilt.B.matrix.shape == (0, 0)
+        assert rebuilt.W.k == 0 and rebuilt.B.shape == (0, 0)
         assert np.array_equal(rebuilt.F_ext.matrix, model.F_ext.matrix)
         assert model_to_json(rebuilt) == data
 

@@ -33,14 +33,11 @@ from gknextend.expressions import (
     FirstOrderI,
     Fourier,
     GeneralEvenOrder,
-    TraceVector,
     boundary_form,
 )
 from gknextend.legendre import lt_eigenvalue
 from gknextend.extension import (
     ExtensionSpace,
-    OperatorB,
-    PartialGKNSet,
     boundary_conditions_from_rows,
     build_model,
     extended_deficiency_vectors,
@@ -126,7 +123,7 @@ def grid01():
 def classical_model(expr):
     """Classical path: empty extension space, plain boundary conditions."""
     bf = boundary_form(expr)
-    return build_model(bf, ExtensionSpace(0, np.zeros((0, 0))), OperatorB.zero(0), PartialGKNSet(()))
+    return build_model(bf, ExtensionSpace(0, np.zeros((0, 0))), [], [])
 
 
 def fourier_k0_model(a=0.0, b=1.0):
@@ -484,10 +481,7 @@ class TestSpectrum:
     def test_periodic_fourier_classical(self):
         # periodic conditions via the k = 0 path on [0, 2 pi]
         model = fourier_k0_model(0.0, 2 * np.pi)
-        cands = [
-            (TraceVector((1, 0, 1, 0)), np.zeros(0)),
-            (TraceVector((0, 1, 0, 1)), np.zeros(0)),
-        ]
+        cands = np.array([[1, 0, 1, 0], [0, 1, 0, 1]])
         from gknextend.extension import derive_boundary_conditions
 
         bc = derive_boundary_conditions(model, cands)
@@ -984,7 +978,7 @@ class TestShootingOracle:
         # determinant turns genuinely complex and the realness guard raises
         entry = build_example("fourier_3_3")
         bc = entry.boundary_conditions()
-        B = OperatorB(np.array([[0.0, 0.5j], [0.5j, 0.0]]))
+        B = np.array([[0.0, 0.5j], [0.5j, 0.0]])
         model = dataclasses.replace(entry.model, B=B)
         with pytest.raises(SpectralError, match="not real"):
             characteristic_value(model, bc, np.linspace(1.0, 30.0, 5))
@@ -1011,7 +1005,7 @@ class TestShootingOracle:
         entry = build_example("fourier_3_3", params)
         model = entry.model
         geo = GeneralEvenOrder((Poly(), Poly([1])), model.expr.a, model.expr.b)
-        geo_model = build_model(boundary_form(geo), model.W, model.B, model.gkn_partial)
+        geo_model = build_model(boundary_form(geo), model.W, model.B, model.T)
         geo_entry = dataclasses.replace(entry, model=geo_model)
         window = entry.spectral_window
         roots = shooting_oracle(geo_model, geo_entry.boundary_conditions(), window)
