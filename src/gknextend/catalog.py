@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import FirstOrderI, Fourier, LegendreType, boundary_form
+from .expressions import FirstOrderI, Fourier, LegendreType
 from .extension import (
     BoundaryConditions,
     ExtendedModel,
@@ -112,7 +112,7 @@ def _build(
     B = np.array(B, dtype=complex)
     i, j = np.tril_indices(len(w), -1)
     B[i, j] = B[j, i].conj() * w[i] / w[j]
-    model = build_model(boundary_form(expr), W, B, T)
+    model = build_model(expr, W, B, T)
     cands = np.array(candidates, dtype=complex).reshape(-1, model.ambient_dim)
     controls = negative_controls(model, cands, partner)
     return CatalogEntry(
@@ -125,7 +125,7 @@ def negative_controls(model: ExtendedModel, cands: np.ndarray, partner=None) -> 
 
     `symmetry` swaps the last candidate for `partner`, when one is given;
     `independence` swaps the first for the minimal pair (t_1, xi_1), the
-    first basis vector of M_min, when the model has one (dim W > 0);
+    first column of M_min, when the model has one (dim W > 0);
     `cardinality` drops the last.  Without candidates there is no GKN set
     to mutate.
     """
@@ -135,7 +135,7 @@ def negative_controls(model: ExtendedModel, cands: np.ndarray, partner=None) -> 
     if partner is not None:
         controls["symmetry"] = np.vstack([cands[:-1], partner])
     if model.k:
-        controls["independence"] = np.vstack([model.M_min.basis[:, 0], cands[1:]])
+        controls["independence"] = np.vstack([model.M_min[:, 0], cands[1:]])
     controls["cardinality"] = cands[:-1]
     return controls
 

@@ -84,7 +84,7 @@ class CollocationGrid:
         """D_order R_ref^-1 on [-1, 1]: d/dt to the power, D_(j+1) = D_j D1, then one triangular right solve."""
         import scipy.linalg  # the CLI imports this module; its algebra commands never load scipy
 
-        D1 = -_cheb_matrix(self.N)[1]
+        D1 = _reference_grid(self.N)[1]
         D = np.eye(self.N + 1) if order == 0 else D1
         for _ in range(order - 1):
             D = D @ D1

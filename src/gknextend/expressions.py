@@ -2,10 +2,11 @@
 
 Every supported expression l x = sum_j c_j x^(j) determines a trace layout
 -- endpoint values and derivatives, left endpoint first, derivatives
-ascending -- together with a skew-Hermitian form on trace vectors that
-reproduces the Green's-formula boundary terms.  `boundary_form` derives
-that form for every kind from the coefficients alone, by Lagrange's
-identity.  The minimal domain of each supported kind is exactly
+ascending, named by `DiffExpr.labels` -- together with a skew-Hermitian
+matrix S on trace vectors that reproduces the Green's-formula boundary
+terms.  `boundary_form` derives S for every kind from the coefficients
+alone, by Lagrange's identity, and refuses it unless it is skew-Hermitian
+and nondegenerate.  The minimal domain of each supported kind is exactly
 {zero traces}, so the trace space is a finite model of the boundary space.
 """
 
@@ -18,7 +19,7 @@ from math import comb, factorial
 import numpy as np
 
 from .polynomials import Poly, count_real_roots, poly_from_json, poly_to_json
-from .symplectic import GknError, SkewForm
+from .symplectic import TOL_SKEW, GknError, SymplecticError, nondegenerate
 
 
 class ExpressionError(GknError):
@@ -192,7 +193,9 @@ class GeneralEvenOrder(DiffExpr):
     """sum_j (-1)^j (q_j(u) x^(j))^(j) with real polynomial q_j, on [a, b].
 
     `qs[j]` is the coefficient polynomial of the j-th term; the order of the
-    expression is 2 * (len(qs) - 1).  Refused unless q_n has no root on
+    expression is 2 * (len(qs) - 1).  Refused unless every q_j is real, so
+    that the expression is formally symmetric (q_0 never enters the boundary
+    form, so no later gate would see a non-real one), and q_n has no root on
     [a, b], counted exactly: then the expression is regular on a compact
     interval, every classical solution of l x = +-i x is square integrable
     and the deficiency index is the full trace count per endpoint.
@@ -212,6 +215,9 @@ class GeneralEvenOrder(DiffExpr):
             raise ExpressionError("need a < b")
         if len(self.qs) < 2 or self.qs[-1].is_zero():
             raise ExpressionError("leading coefficient q_n must not vanish identically")
+        for j, q in enumerate(self.qs):
+            if any(c.imag for c in q.coeffs):
+                raise ExpressionError(f"q_{j} is not a real polynomial: every q_j must be real")
         roots = count_real_roots(self.qs[-1], self.a, self.b)
         if roots:
             raise ExpressionError(
@@ -246,29 +252,8 @@ class GeneralEvenOrder(DiffExpr):
 EXPRESSION_KINDS = {k.kind: k for k in (FirstOrderI, Fourier, LegendreType, GeneralEvenOrder)}
 
 
-def apply_expr(expr: DiffExpr, p: Poly) -> Poly:
-    """Apply the expression to a polynomial, exactly when inputs are exact."""
-    out = Poly()
-    for j, c in expr.coefficient_polys():
-        out = out + c * p.deriv(j)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # boundary forms
-
-
-@dataclass(frozen=True)
-class BoundaryForm:
-    """Trace layout plus the skew form realizing the Green's-formula terms."""
-
-    expr: DiffExpr
-    form: SkewForm
-    labels: tuple[str, ...]
-
-    @property
-    def arity(self) -> int:
-        return self.form.dim
 
 
 def _bracket(polys: list[tuple[int, Poly]], m: int, e: Fraction) -> list[list]:
@@ -292,8 +277,8 @@ def _bracket(polys: list[tuple[int, Poly]], m: int, e: Fraction) -> list[list]:
     return E
 
 
-def boundary_form(expr: DiffExpr) -> BoundaryForm:
-    """Skew form S with y* S x = <l x, y> - <x, l y> on traces.
+def boundary_form(expr: DiffExpr) -> np.ndarray:
+    """The skew-Hermitian matrix S with y* S x = <l x, y> - <x, l y> on traces.
 
     By Lagrange's identity y* S x = [x, y](b) - [x, y](a), taken exactly
     and rounded last.  A kind keeping d < m traces per endpoint needs every
@@ -316,23 +301,18 @@ def boundary_form(expr: DiffExpr) -> BoundaryForm:
     # the left endpoint enters with a minus sign; negating exact zeros keeps +0.0
     rows = [[-v for v in row] + [0] * d for row in blocks[0]] + [[0] * d + row for row in blocks[1]]
     S = np.array([[complex(v) for v in row] for row in rows])
-    return BoundaryForm(expr, SkewForm(S, nondegenerate=True), expr.labels())
-
-
-def green_defect(expr: DiffExpr, p: Poly, q: Poly) -> complex:
-    """<l p, q> - <p, l q> by exact polynomial quadrature over the interval.
-
-    Independent of `boundary_form`; used to validate it.  Conjugation of the
-    second slot is honoured for complex coefficient polynomials.
-    """
-    a, b = expr.interval
-    qbar = Poly([c.conjugate() if isinstance(c, complex) else c for c in q.coeffs])
-    lp = apply_expr(expr, p)
-    lq_bar = Poly(
-        [c.conjugate() if isinstance(c, complex) else c for c in apply_expr(expr, q).coeffs]
-    )
-    val = (lp * qbar - p * lq_bar).integral(a, b)
-    return complex(val)
+    skew = np.abs(S + S.conj().T).max()
+    if skew > TOL_SKEW * (1.0 + np.abs(S).max()):
+        raise SymplecticError(f"matrix is not skew-Hermitian: residual {skew:.3e}")
+    if not nondegenerate(S):
+        sv = np.linalg.svd(S, compute_uv=False)
+        c_m = dict(polys)[m]
+        ends = " and ".join(f"{float(abs(c_m(e))):.3e} at u = {e}" for e in expr.interval)
+        raise SymplecticError(
+            f"boundary form is degenerate: smallest/largest singular value = "
+            f"{sv[-1]:.3e}/{sv[0]:.3e}; |c_{m}|, the leading coefficient, is {ends}"
+        )
+    return S
 
 
 # ---------------------------------------------------------------------------

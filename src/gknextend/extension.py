@@ -6,14 +6,15 @@ product carried by an explicit Gram matrix G: <a, b>_W = b* G a.  Sets of
 such vectors are arrays with one vector per row: the k x 2d partial GKN
 traces T, and the candidates, count x (2d+k).  The columns of Xi are the
 G-orthonormal basis against which the coupling map Omega is expanded,
-Omega(tr x) = Xi (conj(T) S tr x).
+Omega(tr x) = Xi (conj(T) S tr x), S the boundary form of the expression.
 
 The extended skew form on C^(2d+k) is then
 
     F_ext((x,a),(y,b)) = y* S x - b* G Omega x + (Omega y)* G a,
 
-whose matrix is [[S, Omega* G], [-G Omega, 0]].  Its radical is exactly
-the span of the pairs (t_j, xi_j); quotienting by it leaves a
+whose matrix F_ext is [[S, Omega* G], [-G Omega, 0]].  Its radical is
+exactly M_min, the span of the pairs (t_j, xi_j), held as the
+(2d+k) x k array whose columns they are; quotienting by it leaves a
 nondegenerate form of dimension 2 * def, the finite shadow of the
 boundary space of the extended minimal operator.  A constraint set is
 certified self-adjoint when its nullspace is a maximal isotropic subspace
@@ -31,13 +32,11 @@ import numpy as np
 from . import symplectic as sym
 from .expressions import (
     EXPRESSION_KINDS,
-    BoundaryForm,
     DiffExpr,
     ExpSolution,
     ExpressionError,
     boundary_form,
 )
-from .symplectic import SkewForm, Subspace
 
 TOL_BUILD = 1e-12
 TOL_PIVOT = 1e-12
@@ -75,21 +74,18 @@ class ExtensionSpace:
 
 @dataclass(frozen=True)
 class ExtendedModel:
-    boundary: BoundaryForm
+    expr: DiffExpr
+    S: np.ndarray              # 2d x 2d, the boundary form of expr
     W: ExtensionSpace
     B: np.ndarray              # k x k, self-adjoint for the W Gram
     T: np.ndarray              # k x 2d, the partial GKN traces as rows
     Omega: np.ndarray          # k x 2d, acts on trace coordinates
-    F_ext: SkewForm            # on C^(2d + k)
-    M_min: Subspace            # span{(t_j, xi_j)}
-
-    @property
-    def expr(self) -> DiffExpr:
-        return self.boundary.expr
+    F_ext: np.ndarray          # (2d + k) x (2d + k), the extended form
+    M_min: np.ndarray          # (2d + k) x k, the pairs (t_j, xi_j) as columns
 
     @property
     def trace_dim(self) -> int:
-        return self.boundary.arity
+        return self.S.shape[0]
 
     @property
     def k(self) -> int:
@@ -104,7 +100,7 @@ class ExtendedModel:
         return self.expr.deficiency
 
     def labels(self) -> tuple[str, ...]:
-        return self.boundary.labels + tuple(f"a_W[{j+1}]" for j in range(self.k))
+        return self.expr.labels() + tuple(f"a_W[{j+1}]" for j in range(self.k))
 
 
 def coupling_scale(S: np.ndarray, T: np.ndarray) -> float:
@@ -112,15 +108,17 @@ def coupling_scale(S: np.ndarray, T: np.ndarray) -> float:
     return 1.0 + np.abs(S).max(initial=0.0) * (1 + np.abs(T).max(initial=0.0)) ** 2
 
 
-def build_model(bf: BoundaryForm, W: ExtensionSpace, B, T) -> ExtendedModel:
-    """Assemble Omega, the extended form, and the minimal-pair span.
+def build_model(expr: DiffExpr, W: ExtensionSpace, B, T) -> ExtendedModel:
+    """Assemble the boundary form, Omega, the extended form, and the minimal pairs.
 
     B is k x k and T is k x 2d, one partial GKN trace per row (k = dim W;
     empty lists for k = 0).  Rejects inputs violating the construction's
     standing assumptions: dim W <= def(T0), |T| = dim W, T independent with
-    pairwise vanishing boundary form, B self-adjoint for the W Gram.
+    pairwise vanishing boundary form, B self-adjoint for the W Gram, and
+    the pairs (t_j, xi_j) numerically independent.
     """
-    expr = bf.expr
+    S = boundary_form(expr)
+    td = S.shape[0]
     ndef = expr.deficiency
     if W.k > ndef:
         raise ModelError(
@@ -131,7 +129,7 @@ def build_model(bf: BoundaryForm, W: ExtensionSpace, B, T) -> ExtendedModel:
     if len(T) != W.k:
         raise ModelError(f"partial GKN set has {len(T)} vectors, dim W = {W.k}")
     if W.k == B.size == 0:
-        B, T = B.reshape(0, 0), T.reshape(0, bf.arity)
+        B, T = B.reshape(0, 0), T.reshape(0, td)
     if B.shape != (W.k, W.k):
         raise ModelError("B has wrong shape for W")
     GB = W.G @ B
@@ -139,8 +137,7 @@ def build_model(bf: BoundaryForm, W: ExtensionSpace, B, T) -> ExtendedModel:
     if resid > 1e-10 * (1 + np.abs(GB).max(initial=0.0)):
         raise ModelError(f"B is not self-adjoint for the W inner product (GB residual {resid:.3e})")
 
-    S = bf.form.matrix
-    if T.shape != (W.k, bf.arity):
+    if T.shape != (W.k, td):
         raise ModelError("partial GKN traces have wrong arity for this expression")
     if sym.matrix_rank(T) != W.k:
         raise ModelError("partial GKN traces are linearly dependent")
@@ -154,12 +151,13 @@ def build_model(bf: BoundaryForm, W: ExtensionSpace, B, T) -> ExtendedModel:
         )
 
     Omega = W.Xi @ (T.conj() @ S)
-    F = np.block([[S, Omega.conj().T @ W.G], [-W.G @ Omega, np.zeros((W.k, W.k))]])
-    F = 0.5 * (F - F.conj().T)
-    F_ext = SkewForm(F, nondegenerate=False)
-    M_min = Subspace(bf.arity + W.k, np.vstack([T.T, W.Xi]))
+    F_ext = np.block([[S, Omega.conj().T @ W.G], [-W.G @ Omega, np.zeros((W.k, W.k))]])
+    F_ext = 0.5 * (F_ext - F_ext.conj().T)
+    M_min = np.vstack([T.T, W.Xi])
+    if sym.matrix_rank(M_min) < W.k:
+        raise sym.SymplecticError("basis is numerically rank-deficient")
 
-    model = ExtendedModel(bf, W, B, T, Omega, F_ext, M_min)
+    model = ExtendedModel(expr, S, W, B, T, Omega, F_ext, M_min)
 
     # construction invariants, checked at build time
     resid = np.abs(Omega @ T.T).max(initial=0.0)
@@ -274,7 +272,7 @@ def render_rows(canonical: np.ndarray, labels: Sequence[str], trace_dim: int) ->
 
 def constraint_rows(model: ExtendedModel, candidates) -> np.ndarray:
     """Row j is (x,a) -> F_ext((x,a), (x_j,a_j)), (x_j,a_j) the j-th candidate row."""
-    return np.asarray(candidates, dtype=complex).conj() @ model.F_ext.matrix
+    return np.asarray(candidates, dtype=complex).conj() @ model.F_ext
 
 
 def derive_boundary_conditions(model: ExtendedModel, candidates) -> BoundaryConditions:
@@ -326,7 +324,7 @@ def verify_self_adjoint_domain(model: ExtendedModel, bc: BoundaryConditions) -> 
     N = sym.nullspace(bc.C)
     if N.shape[1] != model.deficiency + model.k:
         return False
-    F = model.F_ext.matrix
+    F = model.F_ext
     resid = np.abs(N.conj().T @ F @ N).max(initial=0.0)
     return bool(resid <= sym.TOL_FORM * (1.0 + np.abs(F).max(initial=0.0)))
 
@@ -402,12 +400,12 @@ def model_from_json(data: dict) -> ExtendedModel:
     if kind not in EXPRESSION_KINDS:
         raise ExpressionError(f"unknown expression kind {kind!r}")
     expr = EXPRESSION_KINDS[kind].from_json(data["expression"])
-    bf = boundary_form(expr)
     G = _cmat_from_json(data["G"])
     Xi = _cmat_from_json(data["Xi"]) if "Xi" in data else None
     W = ExtensionSpace(G.shape[0], G, Xi)
-    T = [_cvec_from_json(t, bf.arity, "model.gkn_traces[]") for t in data["gkn_traces"]]
-    return build_model(bf, W, _cmat_from_json(data["B"]), T)
+    td = 2 * expr.traces_per_endpoint  # the trace count, without building the form twice
+    T = [_cvec_from_json(t, td, "model.gkn_traces[]") for t in data["gkn_traces"]]
+    return build_model(expr, W, _cmat_from_json(data["B"]), T)
 
 
 def bc_to_json(bc: BoundaryConditions) -> dict:

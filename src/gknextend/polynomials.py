@@ -2,8 +2,8 @@
 
 A polynomial is a tuple of ascending coefficients, `c[k] * u**k`, with
 trailing zeros stripped.  When every coefficient is a `Fraction` all
-operations (including definite integration) stay exact; complex or float
-coefficients are tolerated and simply propagate.
+operations stay exact; complex or float coefficients are tolerated and
+simply propagate.
 """
 
 from __future__ import annotations
@@ -94,14 +94,6 @@ class Poly:
             acc = acc * u + c
         return acc
 
-    def integral(self, a: Scalar, b: Scalar) -> Scalar:
-        """Definite integral over [a, b]; exact for rational data."""
-        a, b = _norm_coeff(a), _norm_coeff(b)
-        acc: Scalar = 0
-        for k, c in enumerate(self.coeffs):
-            acc = acc + c / (k + 1) * (b ** (k + 1) - a ** (k + 1))
-        return acc
-
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
 
@@ -152,16 +144,14 @@ def _remainders(p: Poly, q: Poly) -> list[Poly]:
 
 
 def count_real_roots(p: Poly, a: Scalar, b: Scalar) -> int:
-    """Distinct real roots of a nonzero p in [a, b], exactly (floats convert exactly).
+    """Distinct roots of a nonzero real p in [a, b], exactly (floats convert exactly).
 
-    The real roots of p are those of g = gcd(Re p, Im p), and g / gcd(g, g')
-    has them all simple; on its Sturm sequence the sign variations drop by
-    one at each root in (a, b] (Basu, Pollack & Roy, *Algorithms in Real
-    Algebraic Geometry*, ch. 2).
+    p / gcd(p, p') has them all simple; on its Sturm sequence the sign
+    variations drop by one at each root in (a, b] (Basu, Pollack & Roy,
+    *Algorithms in Real Algebraic Geometry*, ch. 2).
     """
-    re, im = (Poly([Fraction(getattr(c, part)) for c in p.coeffs]) for part in ("real", "imag"))
-    g = _remainders(re, im)[-1]
-    s = _divmod(g, _remainders(g, g.deriv())[-1])[0]
+    p = Poly([Fraction(c.real) for c in p.coeffs])
+    s = _divmod(p, _remainders(p, p.deriv())[-1])[0]
     chain = _remainders(s, s.deriv())
     a, b = Fraction(a), Fraction(b)
 

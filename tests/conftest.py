@@ -23,17 +23,53 @@ def random_rational_poly(rng, degree: int):
     return Poly(coeffs)
 
 
-def form_eval(F, x, y) -> complex:
+def form_eval(S, x, y) -> complex:
     """Evaluate form(x, y) = y* S x: the reference for the package's convention."""
     from gknextend.symplectic import SymplecticError
 
+    S = np.asarray(S, dtype=complex)
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
-    if x.shape[0] != F.dim or y.shape[0] != F.dim:
+    if x.shape[0] != len(S) or y.shape[0] != len(S):
         raise SymplecticError(
-            f"vector lengths {x.shape[0]}, {y.shape[0]} do not match form dim {F.dim}"
+            f"vector lengths {x.shape[0]}, {y.shape[0]} do not match form dim {len(S)}"
         )
-    return complex(y.conj() @ F.matrix @ x)
+    return complex(y.conj() @ S @ x)
+
+
+def apply_expr(expr, p):
+    """Apply the expression to a polynomial, exactly when inputs are exact."""
+    from gknextend.polynomials import Poly
+
+    out = Poly()
+    for j, c in expr.coefficient_polys():
+        out = out + c * p.deriv(j)
+    return out
+
+
+def integral(p, a, b):
+    """Definite integral of a polynomial over [a, b]; exact for rational data."""
+    a, b = Fraction(a), Fraction(b)
+    acc = 0
+    for k, c in enumerate(p.coeffs):
+        acc = acc + c / (k + 1) * (b ** (k + 1) - a ** (k + 1))
+    return acc
+
+
+def green_defect(expr, p, q) -> complex:
+    """<l p, q> - <p, l q> by exact polynomial quadrature over the interval.
+
+    Independent of `boundary_form`; used to validate it.  Conjugation of the
+    second slot is honoured for complex coefficient polynomials.
+    """
+    from gknextend.polynomials import Poly
+
+    def conj(r):
+        return Poly([c.conjugate() if isinstance(c, complex) else c for c in r.coeffs])
+
+    a, b = expr.interval
+    val = integral(apply_expr(expr, p) * conj(q) - p * conj(apply_expr(expr, q)), a, b)
+    return complex(val)
 
 
 def trace_of_poly(expr, p) -> tuple:
@@ -150,7 +186,7 @@ def mu_inner(p, q, A):
     if not (is_exact(p) and is_exact(q)):
         raise LegendreError("mu_inner needs rational coefficients")
     pq = p * q
-    return pq.integral(-1, 1) + (pq(Fraction(-1)) + pq(Fraction(1))) / A
+    return integral(pq, -1, 1) + (pq(Fraction(-1)) + pq(Fraction(1))) / A
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,7 +275,7 @@ def extended_eigen_check(basis, n, image, B=None) -> bool:
 def fraction_suite(A, n_max):
     """The five verdicts of the exact suite, in Fraction arithmetic on the
     Gram-Schmidt basis."""
-    from gknextend.expressions import LegendreType, apply_expr
+    from gknextend.expressions import LegendreType
 
     basis = gram_schmidt(Fraction(A), n_max)
     I2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -557,17 +593,22 @@ def rk_fundamental_traces(expr, lams):
 # test it for a complete Lagrangian there, by comparing subspaces.
 
 
-def radical(F):
-    """Orthonormal basis of {x : form(x, y) = 0 for all y} = null(S)."""
-    from gknextend.symplectic import Subspace, nullspace
+def orthonormal(L) -> np.ndarray:
+    """Orthonormal basis of the span of the columns of L."""
+    return np.linalg.qr(np.asarray(L, dtype=complex))[0]
 
-    return Subspace(F.dim, nullspace(F.matrix))
+
+def radical(S) -> np.ndarray:
+    """Orthonormal basis of {x : form(x, y) = 0 for all y} = null(S)."""
+    from gknextend.symplectic import nullspace
+
+    return nullspace(S)
 
 
 def subspace_contains(big, small, tol=1e-8) -> bool:
-    """True iff every vector of `small` lies in `big` (projection residual)."""
-    Q = big.orthonormal()
-    P = small.orthonormal()
+    """True iff every column of `small` lies in the span of `big` (projection residual)."""
+    Q = orthonormal(big)
+    P = orthonormal(small)
     resid = P - Q @ (Q.conj().T @ P)
     return bool(np.abs(resid).max(initial=0.0) <= tol)
 
@@ -576,43 +617,43 @@ def subspaces_equal(a, b, tol=1e-8) -> bool:
     return subspace_contains(a, b, tol) and subspace_contains(b, a, tol)
 
 
-def is_lagrangian(F, L) -> bool:
-    """True iff the form vanishes identically on L."""
+def is_lagrangian(S, L) -> bool:
+    """True iff the form vanishes identically on the span of the columns of L."""
     from gknextend.symplectic import TOL_FORM
 
-    Q = L.orthonormal()
-    vals = Q.conj().T @ F.matrix @ Q
-    scale = 1.0 + np.abs(F.matrix).max(initial=0.0)
+    Q = orthonormal(L)
+    vals = Q.conj().T @ S @ Q
+    scale = 1.0 + np.abs(S).max(initial=0.0)
     return bool(np.abs(vals).max(initial=0.0) <= TOL_FORM * scale)
 
 
-def symplectic_complement(F, L):
-    """{x : form(x, l) = 0 for all l in L} = null(B_L* S)."""
-    from gknextend.symplectic import Subspace, nullspace
+def symplectic_complement(S, L) -> np.ndarray:
+    """{x : form(x, l) = 0 for all l in L} = null(L* S)."""
+    from gknextend.symplectic import nullspace
 
-    return Subspace(F.dim, nullspace(L.basis.conj().T @ F.matrix))
+    return nullspace(np.asarray(L, dtype=complex).conj().T @ S)
 
 
-def is_complete_lagrangian(F, L) -> bool:
-    """Lagrangian and equal to its own symplectic complement (F nondegenerate)."""
-    from gknextend.symplectic import SymplecticError
+def is_complete_lagrangian(S, L) -> bool:
+    """Lagrangian and equal to its own symplectic complement (S nondegenerate)."""
+    from gknextend.symplectic import SymplecticError, nondegenerate
 
-    if not F.nondegenerate:
+    if not nondegenerate(S):
         raise SymplecticError(
             "complete-Lagrangian test needs a nondegenerate form; quotient "
             "by the radical first"
         )
-    return is_lagrangian(F, L) and subspaces_equal(symplectic_complement(F, L), L)
+    return is_lagrangian(S, L) and subspaces_equal(symplectic_complement(S, L), L)
 
 
 def quotient_certificate(model, bc) -> bool:
     """The nullspace of the rows, pushed into F_ext / M_min, is a complete
     Lagrangian of dimension def(T0)."""
-    from gknextend.symplectic import TOL_RANK, Subspace, nullspace, quotient_by
+    from gknextend.symplectic import TOL_RANK, nondegenerate, nullspace, quotient_by
 
     N = nullspace(bc.C)
-    Fq, Q = quotient_by(model.F_ext, model.M_min)
-    if Fq.dim != 2 * model.deficiency or not Fq.nondegenerate:
+    S_red, Q = quotient_by(model.F_ext, model.M_min)
+    if len(S_red) != 2 * model.deficiency or not nondegenerate(S_red):
         return False
     # columns of N are orthonormal, so genuine quotient content has O(1)
     # singular values; an absolute cutoff reports rank 0 when the nullspace
@@ -621,22 +662,22 @@ def quotient_certificate(model, bc) -> bool:
     rank = int(np.sum(s > TOL_RANK))
     if rank != model.deficiency:
         return False
-    return is_complete_lagrangian(Fq, Subspace(Fq.dim, u[:, :rank]))
+    return is_complete_lagrangian(S_red, u[:, :rank])
 
 
-def random_complete_lagrangian(F, rng):
-    """Random complete Lagrangian of a nondegenerate balanced form.
+def random_complete_lagrangian(S, rng) -> np.ndarray:
+    """Basis of a random complete Lagrangian of a nondegenerate balanced form.
 
     Diagonalize the Hermitian matrix iS; a subspace is Lagrangian iff it is
     isotropic for that Hermitian form, and the maximal isotropic subspaces of
     a signature-(d, d) form are exactly the graphs of unitaries between the
     positive and negative eigenspaces.
     """
-    from gknextend.symplectic import Subspace, SymplecticError
+    from gknextend.symplectic import SymplecticError, nondegenerate
 
-    if not F.nondegenerate:
+    if not nondegenerate(S):
         raise SymplecticError("need a nondegenerate form")
-    H = 1j * F.matrix
+    H = 1j * np.asarray(S, dtype=complex)
     H = 0.5 * (H + H.conj().T)
     evals, evecs = np.linalg.eigh(H)
     pos = evals > 0
@@ -652,4 +693,4 @@ def random_complete_lagrangian(F, rng):
     Un = evecs[:, neg] / np.sqrt(-evals[neg])
     z = rng.standard_normal((d_pos, d_pos)) + 1j * rng.standard_normal((d_pos, d_pos))
     K, _ = np.linalg.qr(z)
-    return Subspace(F.dim, Up + Un @ K)
+    return Up + Un @ K

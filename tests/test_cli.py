@@ -354,6 +354,37 @@ class TestRefusals:
         err = self.refused(tmp_path, capsys, {"example": "custom", "model": model}, "check-symplectic")
         assert "singular" in err
 
+    @pytest.mark.parametrize("command", ["derive-bc", "all"])
+    def test_non_real_q0_refused(self, tmp_path, capsys, command):
+        # -x'' + i x with the Neumann-type GKN set x(a), x(b): q_0 = i enters no
+        # boundary term, so only the coefficient gate can tell it is not symmetric
+        cfg = {
+            "example": "custom",
+            "model": {
+                "expression": {"kind": "general_even_order", "qs": [[[0, 1]], ["1"]],
+                               "a": "0", "b": "1"},
+                "G": [], "B": [], "Xi": [], "gkn_traces": [],
+            },
+            "candidates": [
+                {"trace": [1, 0, 0, 0, 0, 0, 0, 0], "w": []},
+                {"trace": [0, 0, 0, 0, 1, 0, 0, 0], "w": []},
+            ],
+        }
+        err = self.refused(tmp_path, capsys, cfg, command)
+        assert "q_0 is not a real polynomial" in err
+
+    def test_degenerate_form_refusal_names_the_leading_coefficient(self, tmp_path, capsys):
+        # q_1 = u - (1 + 1e-9) on [-1, 1]: no root on the interval, but c_2 = -q_1
+        # is 1e-9 at b, and the boundary form is numerically degenerate
+        model = {
+            "expression": {"kind": "general_even_order",
+                           "qs": [["0"], ["-1000000001/1000000000", "1"]], "a": "-1", "b": "1"},
+            "G": [], "B": [], "Xi": [], "gkn_traces": [],
+        }
+        err = self.refused(tmp_path, capsys, {"example": "custom", "model": model}, "check-symplectic")
+        assert "singular value = 1.000e-09/2.000e+00" in err
+        assert "|c_2|, the leading coefficient, is 2.000e+00 at u = -1 and 1.000e-09 at u = 1" in err
+
 
 class TestInternalErrors:
     """A fault of the verifier exits 3 and ends stderr with a summary line, never exit 1.
@@ -693,6 +724,21 @@ class TestMain:
             },
         }
         assert main(["check-symplectic", "--config", write_config(tmp_path, cfg)]) == 0
+
+    def test_rank_deficient_minimal_pairs_refused(self, tmp_path, capsys):
+        # G = diag(1e8, 1e-10) gives xi = diag(1e-4, 1e5): the pair (1e-4 x(a), xi_1)
+        # is a rounding error beside (1e-4 x(b), xi_2), so M_min has numerical rank 1
+        cfg = {
+            "example": "custom",
+            "model": {
+                "expression": {"kind": "fourier", "a": "0", "b": "1"},
+                "G": [[[1e8, 0], [0, 0]], [[0, 0], [1e-10, 0]]],
+                "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+                "gkn_traces": [[1e-4, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1e-4, 0, 0, 0]],
+            },
+        }
+        assert main(["check-symplectic", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "rank-deficient" in capsys.readouterr().err
 
     def test_classical_gkn_without_extension(self, tmp_path):
         # dim W = 0; the GKN set x(a) = 1, x(b) = 1 gives Neumann conditions

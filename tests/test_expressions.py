@@ -11,13 +11,12 @@ from gknextend.expressions import (
     Fourier,
     GeneralEvenOrder,
     LegendreType,
-    apply_expr,
     boundary_form,
-    green_defect,
 )
 from gknextend.polynomials import Poly, count_real_roots, poly_from_json, poly_to_json
+from gknextend.symplectic import SymplecticError
 
-from conftest import form_eval, random_rational_poly, trace_of_poly
+from conftest import apply_expr, form_eval, green_defect, random_rational_poly, trace_of_poly
 
 
 class TestApply:
@@ -102,6 +101,17 @@ class UnclosedFourthOrder(DiffExpr):
         return [(4, Poly([1]))]
 
 
+class Derivative(DiffExpr):
+    """x' on [0, 1]: not formally symmetric, so its boundary terms are Hermitian, not skew."""
+
+    kind = "derivative"
+    a, b = Fraction(0), Fraction(1)
+    traces_per_endpoint = 1
+
+    def coefficient_polys(self):
+        return [(1, Poly([1]))]
+
+
 def random_complex_poly(rng, degree):
     return Poly(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
 
@@ -122,18 +132,18 @@ class TestBoundaryForm:
              "legendre_5_2", "legendre_1e5"],
     )
     def test_derived_form_equals_the_hand_written_matrix(self, expr, reference):
-        S = boundary_form(expr).form.matrix
+        S = boundary_form(expr)
         assert S.tobytes() == np.asarray(reference, dtype=complex).tobytes()
 
     def test_legendre_against_worked_brackets(self):
         A = 4.0
         sA = np.sqrt(A)
-        bf = boundary_form(LegendreType(4))
+        S = boundary_form(LegendreType(4))
         x = np.array([0.3, -1.2, 0.7, 2.5])
         t1 = np.array([sA, 0, 0, 0])
         t2 = np.array([0, 0, sA, 0])
-        assert abs(form_eval(bf.form, x, t1) - 8 * sA * x[1]) < 1e-12
-        assert abs(form_eval(bf.form, x, t2) + 8 * sA * x[3]) < 1e-12
+        assert abs(form_eval(S, x, t1) - 8 * sA * x[1]) < 1e-12
+        assert abs(form_eval(S, x, t2) + 8 * sA * x[3]) < 1e-12
 
     @pytest.mark.parametrize(
         "expr",
@@ -148,13 +158,13 @@ class TestBoundaryForm:
         ids=["fourier_01", "fourier_m12", "legendre", "order_four", "order_six", "order_six_float"],
     )
     def test_green_identity_random_polynomials(self, expr, rng):
-        bf = boundary_form(expr)
+        S = boundary_form(expr)
         for _ in range(6):
             p = random_rational_poly(rng, 8)
             q = random_rational_poly(rng, 8)
             lhs = green_defect(expr, p, q)
             rhs = form_eval(
-                bf.form,
+                S,
                 np.array(trace_of_poly(expr, p), dtype=complex),
                 np.array(trace_of_poly(expr, q), dtype=complex),
             )
@@ -162,12 +172,12 @@ class TestBoundaryForm:
 
     def test_green_identity_complex_first_order(self, rng):
         expr = FirstOrderI()
-        bf = boundary_form(expr)
+        S = boundary_form(expr)
         for _ in range(6):
             p, q = random_complex_poly(rng, 6), random_complex_poly(rng, 6)
             lhs = green_defect(expr, p, q)
             rhs = form_eval(
-                bf.form,
+                S,
                 np.array(trace_of_poly(expr, p), dtype=complex),
                 np.array(trace_of_poly(expr, q), dtype=complex),
             )
@@ -180,8 +190,8 @@ class TestBoundaryForm:
         fourier = Fourier(a, b)
         geo = GeneralEvenOrder((Poly(), Poly([1])), a, b)
         closed, probed = boundary_form(fourier), boundary_form(geo)
-        assert closed.form.matrix.tobytes() == probed.form.matrix.tobytes()
-        assert closed.labels == probed.labels
+        assert closed.tobytes() == probed.tobytes()
+        assert fourier.labels() == geo.labels()
         assert fourier.coefficient_polys() == geo.coefficient_polys()
         assert fourier.deficiency == geo.deficiency
 
@@ -195,6 +205,22 @@ class TestBoundaryForm:
         with pytest.raises(ExpressionError, match="do not close"):
             boundary_form(UnclosedFourthOrder())
 
+    def test_non_skew_form_refused(self):
+        with pytest.raises(SymplecticError, match="not skew-Hermitian: residual 2.000e"):
+            boundary_form(Derivative())
+
+    def test_degenerate_form_names_the_leading_coefficient(self):
+        # q_1 = u - (1 + 1e-9): its root lies just right of b, so c_2 = -q_1 is
+        # 2 at u = -1 and only 1e-9 at u = 1, and S is numerically degenerate
+        geo = GeneralEvenOrder((Poly([0]), Poly([-1 - Fraction(1, 10**9), 1])), -1, 1)
+        with pytest.raises(SymplecticError) as e:
+            boundary_form(geo)
+        assert str(e.value) == (
+            "boundary form is degenerate: smallest/largest singular value = "
+            "1.000e-09/2.000e+00; |c_2|, the leading coefficient, is 2.000e+00 at "
+            "u = -1 and 1.000e-09 at u = 1"
+        )
+
 
 class TestSingularLeadingCoefficient:
     @pytest.mark.parametrize(
@@ -204,9 +230,8 @@ class TestSingularLeadingCoefficient:
             ((Poly([0.0]), Poly([-0.25, 0.0, 1.0])), -1, 1),
             ((Poly([1]), Poly([1]), Poly([1]), Poly([0, 1])), -1, 1),
             ((Poly([1]), Poly([Fraction(-1, 2), 1])), Fraction(1, 2), 1),  # a root at a
-            ((Poly([1]), Poly([2 + 2j, 1 + 1j])), -3, 0),  # (1 + i)(u + 2)
         ],
-        ids=["exact", "float", "order_six", "at_endpoint", "complex"],
+        ids=["exact", "float", "order_six", "at_endpoint"],
     )
     def test_root_on_interval_refused(self, qs, a, b):
         with pytest.raises(ExpressionError, match="singular"):
@@ -214,10 +239,29 @@ class TestSingularLeadingCoefficient:
 
     @pytest.mark.parametrize(
         "q",
-        [Poly([-1 - Fraction(1, 10**9), 1]), Poly([-1.0000001, 1.0]), Poly([1, 1j])],
-        ids=["exact", "float", "complex"],
+        [Poly([-1 - Fraction(1, 10**9), 1]), Poly([-1.0000001, 1.0])],
+        ids=["exact", "float"],
     )
     def test_root_just_outside_builds(self, q):
+        assert GeneralEvenOrder((Poly([1]), q), -1, 1).qs[-1] == q
+
+    @pytest.mark.parametrize(
+        "qs, a, b, j",
+        [
+            ((Poly([1j]), Poly([1])), 0, 1, 0),  # -x'' + i x: q_0 enters no bracket
+            ((Poly([1]), Poly([2 + 2j, 1 + 1j])), -3, 0, 1),  # (1 + i)(u + 2), a root at -2
+            ((Poly([1]), Poly([1, 1j])), -1, 1, 1),  # 1 + i u, no real root
+            ((Poly([1]), Poly([1, 0.5]), Poly([2, 1e-300j])), -1, 1, 2),
+        ],
+        ids=["q0_i", "q1_root_on_interval", "q1_root_outside", "q2_tiny_imag"],
+    )
+    def test_non_real_coefficient_refused(self, qs, a, b, j):
+        with pytest.raises(ExpressionError, match=f"q_{j} is not a real polynomial"):
+            GeneralEvenOrder(qs, a, b)
+
+    def test_real_coefficients_held_as_complex_build(self):
+        # a coefficient read from JSON as [re, 0] is complex with zero imaginary part
+        q = Poly([complex(1, 0), complex(0.5, 0)])
         assert GeneralEvenOrder((Poly([1]), q), -1, 1).qs[-1] == q
 
     def test_root_count_matches_factored_polynomials(self):
@@ -271,6 +315,6 @@ class TestSerialization:
         assert poly_from_json(poly_to_json(p)) == p
 
     def test_trace_arity(self):
-        assert boundary_form(FirstOrderI()).arity == 2
-        assert boundary_form(Fourier(0, 1)).arity == 4
-        assert boundary_form(LegendreType(1)).arity == 4
+        assert boundary_form(FirstOrderI()).shape == (2, 2)
+        assert boundary_form(Fourier(0, 1)).shape == (4, 4)
+        assert boundary_form(LegendreType(1)).shape == (4, 4)

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from gknextend.catalog import DEFAULT_PARAMS, EXAMPLE_NAMES, build_example, sabotage_rows
-from gknextend.expressions import (
-    Fourier,
-    apply_expr,
-    boundary_form,
-)
+from gknextend.expressions import Fourier, boundary_form
 from gknextend.extension import (
     ExtensionSpace,
     ModelError,
@@ -23,9 +19,10 @@ from gknextend.extension import (
     rref,
     verify_self_adjoint_domain,
 )
-from gknextend.symplectic import matrix_rank, quotient_by
+from gknextend.symplectic import matrix_rank, nondegenerate, quotient_by
 
 from conftest import (
+    apply_expr,
     form_eval,
     quotient_certificate,
     radical,
@@ -62,22 +59,22 @@ def published_omega(name: str, A: float, M: float, N: float) -> list:
 class TestBuildModel:
     def test_classical_model_takes_the_general_path(self):
         # dim W = 0 is the classical GKN theorem: every W-side array is empty
-        bf = boundary_form(Fourier(0, 1))
         W0 = np.zeros((0, 0))
-        model = build_model(bf, ExtensionSpace(0, W0), W0, [])
+        model = build_model(Fourier(0, 1), ExtensionSpace(0, W0), W0, [])
         assert model.T.shape == (0, 4)
         assert model.Omega.shape == (0, 4)
-        assert model.M_min.dim == 0
-        assert np.array_equal(model.F_ext.matrix, bf.form.matrix)
+        assert model.M_min.shape == (4, 0)
+        assert np.array_equal(model.F_ext, boundary_form(Fourier(0, 1)))
+        assert np.array_equal(model.S, model.F_ext)
         for sign in (+1, -1):
             vecs = extended_deficiency_vectors(model, sign)
             assert len(vecs) == model.deficiency
             assert all(v.a.shape == (0,) for v in vecs)
 
     def test_partial_gkn_traces_need_the_expression_arity(self):
-        bf = boundary_form(Fourier(0, 1))
+        expr = Fourier(0, 1)
         with pytest.raises(ModelError, match="arity"):
-            build_model(bf, ExtensionSpace(1, np.eye(1)), np.zeros((1, 1)), [[1, 1]])
+            build_model(expr, ExtensionSpace(1, np.eye(1)), np.zeros((1, 1)), [[1, 1]])
 
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_omega_matches_published_value(self, name):
@@ -95,36 +92,36 @@ class TestBuildModel:
         assert np.abs(om - np.array([24 * 1.5, -24 * 2.0])).max() < 1e-12
 
     def test_dim_w_exceeding_deficiency_rejected(self):
-        bf = boundary_form(Fourier(0, 1))
+        expr = Fourier(0, 1)
         W = ExtensionSpace(3, np.eye(3))
         B = np.zeros((3, 3))
         T = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]]
         with pytest.raises(ModelError, match="dim W"):
-            build_model(bf, W, B, T)
+            build_model(expr, W, B, T)
 
     def test_asymmetric_partial_set_rejected_with_pair(self):
-        bf = boundary_form(Fourier(0, 1))
+        expr = Fourier(0, 1)
         W = ExtensionSpace(2, np.eye(2))
         B = np.zeros((2, 2))
         T = [[1, 0, 0, 0], [0, 1, 0, 0]]
         with pytest.raises(ModelError, match=r"t_\d, t_\d"):
-            build_model(bf, W, B, T)
+            build_model(expr, W, B, T)
 
     def test_dependent_partial_set_rejected(self):
-        bf = boundary_form(Fourier(0, 1))
+        expr = Fourier(0, 1)
         W = ExtensionSpace(2, np.eye(2))
         B = np.zeros((2, 2))
         T = [[1, 0, 0, 0], [2, 0, 0, 0]]
         with pytest.raises(ModelError, match="dependent"):
-            build_model(bf, W, B, T)
+            build_model(expr, W, B, T)
 
     def test_non_self_adjoint_B_rejected(self):
-        bf = boundary_form(Fourier(0, 1))
+        expr = Fourier(0, 1)
         W = ExtensionSpace(2, np.diag([1.0, 0.5]))
         B = [[0.0, 1.0], [0.0, 0.0]]
         T = [[1, 0, 0, 0], [0, 0, 1, 0]]
         with pytest.raises(ModelError, match="self-adjoint"):
-            build_model(bf, W, B, T)
+            build_model(expr, W, B, T)
 
     def test_general_b_with_weighted_gram(self):
         # the published self-adjointness pattern for diag(1/M, 1/N)
@@ -148,12 +145,12 @@ class TestStructuralInvariants:
             om = model.Omega @ x
             for j in range(model.k):
                 lhs = w_inner(model.W, om, model.W.Xi[:, j])
-                rhs = form_eval(model.boundary.form, x, T[j])
+                rhs = form_eval(model.S, x, T[j])
                 assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
         assert subspace_contains(radical(model.F_ext), model.M_min, tol=1e-12)
-        Fq, _ = quotient_by(model.F_ext, model.M_min)
-        assert Fq.dim == 2 * model.deficiency
-        assert Fq.nondegenerate
+        S_red, _ = quotient_by(model.F_ext, model.M_min)
+        assert S_red.shape == (2 * model.deficiency,) * 2
+        assert nondegenerate(S_red)
 
 
 class TestMaximalAction:
@@ -254,10 +251,10 @@ def _certificate_cases(entry, rng):
     yield published
     for cands in entry.controls.values():
         yield constraint_rows(model, cands)
-    Fq, Q = quotient_by(model.F_ext, model.M_min)
+    S_red, Q = quotient_by(model.F_ext, model.M_min)
     for _ in range(20):
-        lifted = Q @ random_complete_lagrangian(Fq, rng).basis
-        rows = lifted.conj().T @ model.F_ext.matrix
+        lifted = Q @ random_complete_lagrangian(S_red, rng)
+        rows = lifted.conj().T @ model.F_ext
         yield rows
         for eps in (1e-3, 1e-6):
             noise = rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape)
@@ -293,10 +290,10 @@ class TestVerifySelfAdjointDomain:
     @pytest.mark.parametrize("entry", GKN_ENTRIES, ids=lambda e: e.name)
     def test_random_lagrangian_completions_verify(self, entry, rng):
         model = entry.model
-        Fq, Q = quotient_by(model.F_ext, model.M_min)
+        S_red, Q = quotient_by(model.F_ext, model.M_min)
         for _ in range(10):
-            L = random_complete_lagrangian(Fq, rng)
-            lifted = Q @ L.basis
+            L = random_complete_lagrangian(S_red, rng)
+            lifted = Q @ L
             cands = lifted.T
             rep = check_gkn_extended(model, cands)
             assert rep.independent_mod_M and rep.symmetric and rep.count_ok
@@ -366,16 +363,16 @@ class TestSerialization:
         data = model_to_json(entry.model)
         rebuilt = model_from_json(data)
         assert np.abs(rebuilt.Omega - entry.model.Omega).max() < 1e-12
-        assert np.abs(rebuilt.F_ext.matrix - entry.model.F_ext.matrix).max() < 1e-12
+        assert np.abs(rebuilt.F_ext - entry.model.F_ext).max() < 1e-12
 
     def test_round_trip_without_extension(self):
         # dim W = 0: the classical GKN setting, every matrix of W is 0 x 0
         W0 = np.zeros((0, 0))
-        model = build_model(boundary_form(Fourier(0, 1)), ExtensionSpace(0, W0), W0, [])
+        model = build_model(Fourier(0, 1), ExtensionSpace(0, W0), W0, [])
         data = model_to_json(model)
         rebuilt = model_from_json(data)
         assert rebuilt.W.k == 0 and rebuilt.B.shape == (0, 0)
-        assert np.array_equal(rebuilt.F_ext.matrix, model.F_ext.matrix)
+        assert np.array_equal(rebuilt.F_ext, model.F_ext)
         assert model_to_json(rebuilt) == data
 
     def test_sabotage_changes_constraints(self):

@@ -7,7 +7,7 @@ import pytest
 
 from gknextend import catalog
 from gknextend.cli import run
-from gknextend.expressions import GeneralEvenOrder, LegendreType, apply_expr
+from gknextend.expressions import GeneralEvenOrder, LegendreType
 from gknextend.legendre import (
     IDENTITY,
     IntegerBasis,
@@ -25,6 +25,7 @@ from gknextend.legendre import (
 from gknextend.polynomials import Poly
 
 from conftest import (
+    apply_expr,
     extended_eigen_check,
     fraction_suite,
     gram_schmidt,

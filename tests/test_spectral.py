@@ -29,11 +29,11 @@ from gknextend.catalog import build_example, sabotage_rows
 from gknextend.cli import main
 from gknextend.collocation import make_grid
 from gknextend.expressions import (
+    DiffExpr,
     ExpressionError,
     FirstOrderI,
     Fourier,
     GeneralEvenOrder,
-    boundary_form,
 )
 from gknextend.legendre import lt_eigenvalue
 from gknextend.extension import (
@@ -122,8 +122,7 @@ def grid01():
 
 def classical_model(expr):
     """Classical path: empty extension space, plain boundary conditions."""
-    bf = boundary_form(expr)
-    return build_model(bf, ExtensionSpace(0, np.zeros((0, 0))), [], [])
+    return build_model(expr, ExtensionSpace(0, np.zeros((0, 0))), [], [])
 
 
 def fourier_k0_model(a=0.0, b=1.0):
@@ -846,6 +845,25 @@ class TestExpm:
         assert np.all(max_gap(got, ref) <= 1e-14 * np.maximum(1.0, norms))
 
 
+class ConstantOrderFour(DiffExpr):
+    """q_0 x - (q_1 x')' + (q_2 x'')'' on [-1/2, 1] with constant, possibly complex q_j.
+
+    No GKN kind (`GeneralEvenOrder` takes real q_j only): an ODE for the
+    oracle's companion system alone.
+    """
+
+    kind = "constant_order_four"
+    a, b = Fraction(-1, 2), Fraction(1)
+    traces_per_endpoint = 4
+
+    def __init__(self, q0, q1, q2):
+        self.qs = (q0, q1, q2)
+
+    def coefficient_polys(self):
+        q0, q1, q2 = self.qs
+        return [(0, Poly([q0])), (2, Poly([-q1])), (4, Poly([q2]))]
+
+
 class TestFundamentalTraces:
     """The matrix exponential against adaptive RK and against closed forms."""
 
@@ -894,15 +912,17 @@ class TestFundamentalTraces:
         assert np.abs(got[:, 1, 0] - np.exp(lams * (b - a) / c[1])).max() <= 1e-13
 
     @pytest.mark.parametrize(
-        "qs",
+        "expr",
         [
-            (Poly([Fraction(1, 2)]), Poly([Fraction(-3, 4)]), Poly([Fraction(5, 4)])),
-            (Poly([2 + 1j]), Poly([0.5 - 0.3j]), Poly([1.5 + 0.2j])),
+            GeneralEvenOrder(
+                (Poly([Fraction(1, 2)]), Poly([Fraction(-3, 4)]), Poly([Fraction(5, 4)])),
+                Fraction(-1, 2), 1,
+            ),
+            ConstantOrderFour(2 + 1j, 0.5 - 0.3j, 1.5 + 0.2j),
         ],
         ids=["real", "complex"],
     )
-    def test_order_four_matches_runge_kutta(self, qs):
-        expr = GeneralEvenOrder(qs, Fraction(-1, 2), 1)
+    def test_order_four_matches_runge_kutta(self, expr):
         lams = np.linspace(-50.0, 300.0, 60)
         got = _fundamental_traces(Companion.of(expr), lams)
         ref = rk_fundamental_traces(expr, lams)
@@ -1005,7 +1025,7 @@ class TestShootingOracle:
         entry = build_example("fourier_3_3", params)
         model = entry.model
         geo = GeneralEvenOrder((Poly(), Poly([1])), model.expr.a, model.expr.b)
-        geo_model = build_model(boundary_form(geo), model.W, model.B, model.T)
+        geo_model = build_model(geo, model.W, model.B, model.T)
         geo_entry = dataclasses.replace(entry, model=geo_model)
         window = entry.spectral_window
         roots = shooting_oracle(geo_model, geo_entry.boundary_conditions(), window)

@@ -3,10 +3,9 @@ import pytest
 
 from gknextend.symplectic import (
     TOL_RADICAL,
-    SkewForm,
-    Subspace,
     SymplecticError,
     check_gkn_vectors,
+    nondegenerate,
     quotient_by,
     radical_residual,
 )
@@ -25,7 +24,7 @@ from conftest import (
 
 
 def first_order_form():
-    return SkewForm(np.diag([-1j, 1j]), nondegenerate=True)
+    return np.diag([-1j, 1j])
 
 
 def fourier_form():
@@ -33,7 +32,11 @@ def fourier_form():
     S = np.zeros((4, 4))
     S[:2, :2] = J
     S[2:, 2:] = -J
-    return SkewForm(S, nondegenerate=True)
+    return S + 0j
+
+
+def zero_subspace(m):
+    return np.zeros((m, 0), dtype=complex)
 
 
 def legendre_extended_form(A=1.0):
@@ -42,18 +45,21 @@ def legendre_extended_form(A=1.0):
     return build_example("legendre_type", {"A": A}).model
 
 
-class TestSkewForm:
-    def test_rejects_non_skew(self):
-        with pytest.raises(SymplecticError):
-            SkewForm(np.eye(2))
+class TestNondegenerate:
+    def test_catalog_forms(self):
+        assert nondegenerate(first_order_form())
+        assert nondegenerate(fourier_form())
 
-    def test_rejects_degenerate_flagged_nondegenerate(self):
-        with pytest.raises(SymplecticError):
-            SkewForm(np.zeros((2, 2)), nondegenerate=True)
+    def test_zero_form_is_degenerate(self):
+        assert not nondegenerate(np.zeros((2, 2)))
 
-    def test_subspace_needs_full_rank(self):
-        with pytest.raises(SymplecticError):
-            Subspace(3, np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]]))
+    def test_zero_space_counts_as_degenerate(self):
+        assert not nondegenerate(np.zeros((0, 0)))
+
+    def test_rank_threshold_is_relative(self):
+        # smallest singular value at 1e-9 of the largest: under TOL_RANK
+        assert not nondegenerate(np.diag([1j, 1e-9j]))
+        assert nondegenerate(np.diag([1j, 1e-7j]))
 
 
 class TestFormEval:
@@ -77,7 +83,7 @@ class TestFormEval:
     def test_antisymmetry_random(self, rng):
         for _ in range(50):
             m = int(rng.integers(1, 9))
-            F = SkewForm(random_skew_hermitian(rng, m))
+            F = random_skew_hermitian(rng, m)
             x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             lhs = form_eval(F, x, y)
@@ -87,23 +93,23 @@ class TestFormEval:
 
 class TestRadical:
     def test_nondegenerate_trivial_radical(self):
-        assert radical(fourier_form()).dim == 0
+        assert radical(fourier_form()).shape[1] == 0
 
     def test_zero_form_full_radical(self):
-        assert radical(SkewForm(np.zeros((3, 3)))).dim == 3
+        assert radical(np.zeros((3, 3))).shape[1] == 3
 
     def test_extended_legendre_radical_contains_minimal_pairs(self):
         model = legendre_extended_form()
         rad = radical(model.F_ext)
-        assert rad.dim == 2
+        assert rad.shape[1] == 2
         assert subspace_contains(rad, model.M_min)
         assert radical_residual(model.F_ext, model.M_min) <= TOL_RADICAL
 
     def test_residual_outside_radical(self):
         # S e_1 = -e_2 for the Fourier form, whose entries have size 1
         F = fourier_form()
-        assert radical_residual(F, Subspace(4, np.eye(4)[:, :1])) == 0.5
-        assert radical_residual(F, Subspace.zero(4)) == 0.0
+        assert radical_residual(F, np.eye(4)[:, :1]) == 0.5
+        assert radical_residual(F, zero_subspace(4)) == 0.0
 
     def test_rank_nullity(self, rng):
         for _ in range(40):
@@ -113,33 +119,31 @@ class TestRadical:
                 v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 S = S - (S @ np.outer(v, v.conj())) / (v.conj() @ v)
                 S = 0.5 * (S - S.conj().T)
-            F = SkewForm(S)
             r = np.linalg.matrix_rank(S, tol=1e-8 * max(np.abs(S).max(), 1e-30))
-            assert radical(F).dim + r == m
+            assert radical(S).shape[1] + r == m
 
 
 class TestQuotient:
     def test_trivial_quotient_is_same_matrix(self):
         F = fourier_form()
-        Fq, Q = quotient_by(F, Subspace.zero(4))
+        S_red, Q = quotient_by(F, zero_subspace(4))
         assert np.allclose(Q, np.eye(4))
-        assert np.allclose(Fq.matrix, F.matrix)
+        assert np.allclose(S_red, F)
 
     def test_extended_legendre_quotient(self):
         model = legendre_extended_form()
-        Fq, _ = quotient_by(model.F_ext, model.M_min)
-        assert Fq.dim == 4
-        assert Fq.nondegenerate
+        S_red, _ = quotient_by(model.F_ext, model.M_min)
+        assert S_red.shape == (4, 4)
+        assert nondegenerate(S_red)
 
     def test_full_quotient_of_zero_form(self):
-        F = SkewForm(np.zeros((2, 2)))
-        Fq, _ = quotient_by(F, Subspace.full(2))
-        assert Fq.dim == 0
+        S_red, _ = quotient_by(np.zeros((2, 2)), np.eye(2))
+        assert S_red.shape == (0, 0)
 
     def test_rejects_subspace_outside_radical(self):
         F = fourier_form()
         with pytest.raises(SymplecticError, match="radical"):
-            quotient_by(F, Subspace(4, np.eye(4)[:, :1]))
+            quotient_by(F, np.eye(4)[:, :1])
 
     def test_quotient_by_radical_always_nondegenerate(self, rng):
         for _ in range(30):
@@ -148,36 +152,34 @@ class TestQuotient:
             v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             S = S - (S @ np.outer(v, v.conj())) / (v.conj() @ v)
             S = 0.5 * (S - S.conj().T)
-            F = SkewForm(S)
-            rad = radical(F)
-            Fq, _ = quotient_by(F, rad)
-            if Fq.dim:
-                assert Fq.nondegenerate
+            S_red, _ = quotient_by(S, radical(S))
+            if len(S_red):
+                assert nondegenerate(S_red)
+                assert np.array_equal(S_red, -S_red.conj().T)
 
 
 class TestLagrangian:
     def test_zero_subspace_lagrangian(self):
-        assert is_lagrangian(fourier_form(), Subspace.zero(4))
+        assert is_lagrangian(fourier_form(), zero_subspace(4))
 
     def test_diagonal_span(self):
         F = first_order_form()
-        assert is_lagrangian(F, Subspace(2, np.array([[1.0], [1.0]])))
+        assert is_lagrangian(F, np.array([[1.0], [1.0]]))
 
     def test_single_vector_fourier(self):
         F = fourier_form()
-        assert is_lagrangian(F, Subspace(4, np.eye(4)[:, :1]))
+        assert is_lagrangian(F, np.eye(4)[:, :1])
 
     def test_complete_diagonal_span(self):
         F = first_order_form()
-        assert is_complete_lagrangian(F, Subspace(2, np.array([[1.0], [1.0]])))
+        assert is_complete_lagrangian(F, np.array([[1.0], [1.0]]))
 
     def test_zero_subspace_not_complete(self):
-        assert not is_complete_lagrangian(first_order_form(), Subspace.zero(2))
+        assert not is_complete_lagrangian(first_order_form(), zero_subspace(2))
 
     def test_needs_nondegenerate(self):
-        F = SkewForm(np.zeros((2, 2)))
         with pytest.raises(SymplecticError, match="nondegenerate"):
-            is_complete_lagrangian(F, Subspace.zero(2))
+            is_complete_lagrangian(np.zeros((2, 2)), zero_subspace(2))
 
     def test_derived_legendre_domain_is_complete_lagrangian(self):
         model = legendre_extended_form()
@@ -193,9 +195,10 @@ class TestLagrangian:
             # balanced nondegenerate form of dim 2d
             H = np.diag(np.concatenate([rng.uniform(0.5, 2, d), -rng.uniform(0.5, 2, d)]))
             U = np.linalg.qr(rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d)))[0]
-            F = SkewForm(-1j * U @ H @ U.conj().T, nondegenerate=True)
+            F = -1j * U @ H @ U.conj().T
+            assert nondegenerate(F)
             L = random_complete_lagrangian(F, rng)
-            assert L.dim == d
+            assert L.shape[1] == d
             assert is_lagrangian(F, L)
             assert is_complete_lagrangian(F, L)
 
@@ -203,12 +206,12 @@ class TestLagrangian:
 class TestComplement:
     def test_zero_subspace_full_complement(self):
         F = fourier_form()
-        assert symplectic_complement(F, Subspace.zero(4)).dim == 4
+        assert symplectic_complement(F, zero_subspace(4)).shape[1] == 4
 
     def test_rank_nullity_complement(self):
         F = fourier_form()
-        L = Subspace(4, np.eye(4)[:, :1])
-        assert symplectic_complement(F, L).dim == 3
+        L = np.eye(4)[:, :1]
+        assert symplectic_complement(F, L).shape[1] == 3
 
     def test_complete_lagrangian_self_complement(self, rng):
         F = fourier_form()
@@ -220,25 +223,25 @@ class TestGknVectors:
     def test_legendre_partial_set(self):
         from gknextend.expressions import LegendreType, boundary_form
 
-        bf = boundary_form(LegendreType(1))
+        S = boundary_form(LegendreType(1))
         t1 = np.array([1.0, 0, 0, 0])
         t2 = np.array([0, 0, 1.0, 0])
-        res = check_gkn_vectors(bf.form, Subspace.zero(4), [t1, t2])
+        res = check_gkn_vectors(S, zero_subspace(4), [t1, t2])
         assert res.independent_mod_M and res.symmetric
 
     def test_dependent_vectors(self):
         from gknextend.expressions import LegendreType, boundary_form
 
-        bf = boundary_form(LegendreType(1))
+        S = boundary_form(LegendreType(1))
         t1 = np.array([1.0, 0, 0, 0])
-        res = check_gkn_vectors(bf.form, Subspace.zero(4), [t1, 2 * t1])
+        res = check_gkn_vectors(S, zero_subspace(4), [t1, 2 * t1])
         assert not res.independent_mod_M
 
     def test_symmetry_violation(self):
         from gknextend.expressions import LegendreType, boundary_form
 
-        bf = boundary_form(LegendreType(1))
+        S = boundary_form(LegendreType(1))
         t1 = np.array([1.0, 0, 0, 0])       # constant germ at the left endpoint
         x2 = np.array([0.0, 1.0, 0, 0])     # linear germ there: bracket is 8 != 0
-        res = check_gkn_vectors(bf.form, Subspace.zero(4), [t1, x2])
+        res = check_gkn_vectors(S, zero_subspace(4), [t1, x2])
         assert res.independent_mod_M and not res.symmetric
