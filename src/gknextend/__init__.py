@@ -12,9 +12,7 @@ sketch uses.
 
 from .expressions import Fourier
 from .extension import (
-    ExtensionSpace,
-    build_model,
-    derive_boundary_conditions,
+    ExtensionSpace, build_model, derive_boundary_conditions, render_rows, rref,
     verify_self_adjoint_domain,
 )
 

@@ -33,11 +33,9 @@ import numpy as np
 
 from .expressions import FirstOrderI, Fourier, LegendreType
 from .extension import (
-    BoundaryConditions,
     ExtendedModel,
     ExtensionSpace,
     ModelError,
-    boundary_conditions_from_rows,
     build_model,
     derive_boundary_conditions,
 )
@@ -85,9 +83,10 @@ class CatalogEntry:
     expect_self_adjoint: bool = True
     spectral_window: Optional[tuple[float, float]] = None
 
-    def boundary_conditions(self) -> BoundaryConditions:
+    def boundary_conditions(self) -> np.ndarray:
+        """The explicit constraint rows, or those the candidates derive."""
         if self.explicit_rows is not None:
-            return boundary_conditions_from_rows(self.model, self.explicit_rows)
+            return self.explicit_rows
         return derive_boundary_conditions(self.model, self.candidates)
 
 
@@ -99,8 +98,11 @@ def _merge(params: dict | None) -> dict:
 
 
 def _exact(x: float) -> Fraction:
-    """A float param as the nearest rational with denominator at most 1e9."""
-    return Fraction(x).limit_denominator(10**9)
+    """A param as its shortest round-trip decimal, the one the config wrote: 6e-10 is 3/5000000000.
+
+    `str` is `repr` for a float, and also reads an int or a numpy scalar exactly.
+    """
+    return Fraction(str(x))
 
 
 def _build(
@@ -270,17 +272,17 @@ def build_example(name: str, params: dict | None = None) -> CatalogEntry:
     return _build(name, **_FACTS[name](_merge(params)))
 
 
-def sabotage_rows(bc: BoundaryConditions, trace_dim: int) -> np.ndarray:
-    """Double the trace part of the first W-coupled constraint row.
+def sabotage_rows(canonical: np.ndarray, trace_dim: int) -> np.ndarray:
+    """Double the trace part of the first W-coupled row of the canonical rows.
 
     Turns e.g. `a_W = x(b)` into `a_W = 2 x(b)`: still a rank-correct
     constraint set, but no longer a symmetric restriction.
     """
-    rows = np.array(bc.canonical, dtype=complex)
+    rows = np.array(canonical, dtype=complex)
     for i in range(rows.shape[0]):
         if np.abs(rows[i, trace_dim:]).max(initial=0.0) > 0 and np.abs(
             rows[i, :trace_dim]
         ).max(initial=0.0) > 0:
             rows[i, :trace_dim] *= 2.0
             return rows
-    raise ValueError("no W-coupled row to sabotage")
+    raise ModelError("no W-coupled row to sabotage")

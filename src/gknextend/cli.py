@@ -28,18 +28,19 @@ import numpy as np
 from . import catalog
 from .collocation import make_grid
 from .extension import (
+    _cmat_to_json,
     _cvec_from_json,
-    bc_to_json,
-    boundary_conditions_from_rows,
     check_gkn_extended,
     constraint_rows,
     coupling_scale,
     extended_deficiency_vectors,
     model_from_json,
+    render_rows,
+    rref,
     verify_self_adjoint_domain,
 )
 from .legendre import N_MAX, exact_suite, lt_eigenvalue, operator_basis
-from .symplectic import TOL_RADICAL, GknError, nondegenerate, quotient_by, radical_residual
+from .symplectic import TOL_RADICAL, GknError, nondegenerate
 
 # acceptance gates, the same for every config
 TOLERANCES = {
@@ -278,23 +279,26 @@ def run_check_symplectic(entry, cfg, checks: Checks, report: dict):
     scale = coupling_scale(S, T)
     checks.le("omega_annihilates_gkn_set", np.abs(model.Omega @ T.T).max(initial=0.0) / scale, tol)
     checks.le("omega_coupling_identity", np.abs(coupling).max(initial=0.0) / scale, tol)
-    inside = radical_residual(model.F_ext, model.M_min) <= TOL_RADICAL
-    checks.eq("minimal_pairs_inside_radical", True, inside)
-    S_red, _ = quotient_by(model.F_ext, model.M_min)
-    checks.eq("quotient_dimension", 2 * model.deficiency, S_red.shape[0])
-    checks.eq("quotient_nondegenerate", True, nondegenerate(S_red))
+    # build_model takes the quotient and measures its residual
+    checks.eq("minimal_pairs_inside_radical", True, model.radical_residual <= TOL_RADICAL)
+    checks.eq("quotient_dimension", 2 * model.deficiency, model.quotient_form.shape[0])
+    checks.eq("quotient_nondegenerate", True, nondegenerate(model.quotient_form))
 
 
 def run_derive_bc(entry, cfg, checks: Checks, report: dict):
     tol = TOLERANCES["canonical"]
-    bc = entry.boundary_conditions()
-    report["boundary_conditions_rendered"] = list(bc.human_readable)
-    report["boundary_conditions"] = bc_to_json(bc)
+    rows = entry.boundary_conditions()
+    canonical, _ = rref(rows)
+    rendered = list(render_rows(entry.model, canonical))
+    report["boundary_conditions_rendered"] = rendered
+    report["boundary_conditions"] = {
+        "rows": _cmat_to_json(rows), "canonical": _cmat_to_json(canonical), "conditions": rendered,
+    }
     if entry.expected_canonical.size:
-        delta = float(np.abs(bc.canonical - entry.expected_canonical).max())
+        delta = float(np.abs(canonical - entry.expected_canonical).max())
         checks.le("canonical_matrix_matches_published", delta, tol)
-        checks.eq("rendered_conditions", list(entry.expected_strings), list(bc.human_readable))
-    sa = verify_self_adjoint_domain(entry.model, bc)
+        checks.eq("rendered_conditions", list(entry.expected_strings), rendered)
+    sa = verify_self_adjoint_domain(entry.model, rows)
     checks.eq("constrained_domain_self_adjoint", entry.expect_self_adjoint, sa)
 
 
@@ -312,7 +316,7 @@ def run_verify_gkn(entry, cfg, checks: Checks, report: dict):
             "cardinality": not rep.count_ok,
         }[ctrl]
         checks.eq(f"control_{ctrl}_detected", True, flag)
-        bad = boundary_conditions_from_rows(entry.model, constraint_rows(entry.model, cands))
+        bad = constraint_rows(entry.model, cands)
         checks.eq(
             f"control_{ctrl}_not_self_adjoint",
             False,
@@ -336,7 +340,8 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
     model = entry.model
     a, b = (float(v) for v in model.expr.interval)
     grid = make_grid(cfg["grid_N"], a, b)
-    bc = entry.boundary_conditions()
+    # the spectral code reads the rows in canonical form
+    rows, _ = rref(entry.boundary_conditions())
     # both defects and the reduced operator read this one discretization
     disc = discretize(model, grid)
 
@@ -344,12 +349,12 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
         # only the two defects are read: no reduced operator is built
         checks.le(
             "symmetry_defect_polynomial_subspace",
-            symmetry_defect(disc, bc, seed),
+            symmetry_defect(disc, rows, seed),
             TOLERANCES["defect"],
         )
     else:
-        op = assemble(disc, bc)
-        defect = symmetry_defect(disc, bc, seed)
+        op = assemble(disc, rows)
+        defect = symmetry_defect(disc, rows, seed)
         checks.le("symmetry_defect", defect, TOLERANCES["defect"])
         rep = spectrum(op, 8)
         report["eigenvalues"] = {
@@ -360,7 +365,7 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
             "seed": seed,
         }
         checks.le("max_imag_part", rep.max_imag, TOLERANCES["max_imag"])
-        roots = shooting_oracle(model, bc, entry.spectral_window)
+        roots = shooting_oracle(model, rows, entry.spectral_window)
         oracle5 = [roots[i] for i in modulus_order(roots)[:5]]
         report["oracle_eigenvalues"] = [float(r) for r in oracle5]
         checks.eq("oracle_found_five", True, len(oracle5) == 5)
@@ -392,11 +397,9 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
                 )
         checks.le("deficiency_eigenrelation_residual", worst_res, TOLERANCES["residual"])
 
-    sab = boundary_conditions_from_rows(
-        model, catalog.sabotage_rows(bc, model.trace_dim)
-    )
+    sabotaged, _ = rref(catalog.sabotage_rows(rows, model.trace_dim))
     # no boundary row enters the discretization, so the sabotaged rows share it
-    defect_bad = symmetry_defect(disc, sab, seed)
+    defect_bad = symmetry_defect(disc, sabotaged, seed)
     checks.ge("sabotaged_defect_floor", defect_bad, TOLERANCES["sabotage_floor"])
     report["sabotaged_defect"] = float(defect_bad)
 

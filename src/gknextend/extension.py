@@ -1,4 +1,4 @@
-"""Extended-space machinery: W, B, Omega, and boundary conditions.
+"""Extended-space machinery: W, B, Omega, and boundary conditions as rows.
 
 Vectors of the extended boundary space are stacked as (trace coords, W
 coords) in C^(2d+k), with W kept in *standard* coordinates and its inner
@@ -16,10 +16,17 @@ whose matrix F_ext is [[S, Omega* G], [-G Omega, 0]].  Its radical is
 exactly M_min, the span of the pairs (t_j, xi_j), held as the
 (2d+k) x k array whose columns they are; quotienting by it leaves a
 nondegenerate form of dimension 2 * def, the finite shadow of the
-boundary space of the extended minimal operator.  A constraint set is
-certified self-adjoint when its nullspace is a maximal isotropic subspace
-of F_ext: dimension def + dim W, with F_ext vanishing on it.  That is the
-pull-back of a complete Lagrangian of the quotient.
+boundary space of the extended minimal operator.  `build_model` takes
+that quotient once (`symplectic.quotient_by`) and keeps it on the model
+with the measured radical residual.
+
+The boundary conditions of a GKN set {(x_j, a_j)} are plain rows too,
+(x, a) -> F_ext((x, a), (x_j, a_j)), one per candidate; their canonical
+form (`rref`) and rendered equalities are taken only where read.  A
+constraint set is certified self-adjoint when the nullspace of its rows
+is a maximal isotropic subspace of F_ext: dimension def + dim W, with
+F_ext vanishing on it.  That is the pull-back of a complete Lagrangian of
+the quotient.
 """
 
 from __future__ import annotations
@@ -82,6 +89,8 @@ class ExtendedModel:
     Omega: np.ndarray          # k x 2d, acts on trace coordinates
     F_ext: np.ndarray          # (2d + k) x (2d + k), the extended form
     M_min: np.ndarray          # (2d + k) x k, the pairs (t_j, xi_j) as columns
+    quotient_form: np.ndarray  # 2 def x 2 def, F_ext modulo M_min (`symplectic.quotient_by`)
+    radical_residual: float    # how far M_min is from the radical of F_ext, relative
 
     @property
     def trace_dim(self) -> int:
@@ -115,7 +124,8 @@ def build_model(expr: DiffExpr, W: ExtensionSpace, B, T) -> ExtendedModel:
     empty lists for k = 0).  Rejects inputs violating the construction's
     standing assumptions: dim W <= def(T0), |T| = dim W, T independent with
     pairwise vanishing boundary form, B self-adjoint for the W Gram, and
-    the pairs (t_j, xi_j) numerically independent.
+    the pairs (t_j, xi_j) numerically independent and inside the radical
+    of F_ext, as the one quotient of F_ext by M_min taken here measures.
     """
     S = boundary_form(expr)
     td = S.shape[0]
@@ -155,17 +165,20 @@ def build_model(expr: DiffExpr, W: ExtensionSpace, B, T) -> ExtendedModel:
     F_ext = 0.5 * (F_ext - F_ext.conj().T)
     M_min = np.vstack([T.T, W.Xi])
     if sym.matrix_rank(M_min) < W.k:
-        raise sym.SymplecticError("basis is numerically rank-deficient")
-
-    model = ExtendedModel(expr, S, W, B, T, Omega, F_ext, M_min)
+        s = ", ".join(f"{v:.3e}" for v in np.linalg.svd(M_min, compute_uv=False))
+        raise sym.SymplecticError(
+            f"M_min, the basis of minimal pairs (t_j, xi_j), is numerically rank-deficient "
+            f"at relative tolerance {sym.TOL_RANK:g}: singular values {s}"
+        )
 
     # construction invariants, checked at build time
     resid = np.abs(Omega @ T.T).max(initial=0.0)
     if resid > TOL_BUILD * (1 + np.abs(Omega).max(initial=0.0)):
         raise ModelError(f"Omega does not annihilate the partial GKN set ({resid:.3e})")
-    if sym.radical_residual(F_ext, M_min) > sym.TOL_RADICAL:
+    S_red, _, radical_resid = sym.quotient_by(F_ext, M_min)
+    if radical_resid > sym.TOL_RADICAL:
         raise ModelError("minimal pairs (t_j, xi_j) escaped the radical of the extended form")
-    return model
+    return ExtendedModel(expr, S, W, B, T, Omega, F_ext, M_min, S_red, radical_resid)
 
 
 def check_gkn_extended(model: ExtendedModel, candidates) -> sym.GknCheck:
@@ -178,7 +191,11 @@ def check_gkn_extended(model: ExtendedModel, candidates) -> sym.GknCheck:
 
 
 def rref(C: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form with relative pivot tolerance TOL_PIVOT."""
+    """Reduced row-echelon form with relative pivot tolerance TOL_PIVOT.
+
+    Entries of the normalized rows at or under TOL_PIVOT times their
+    largest (at least 1) are zeroed, so the scale of C does not matter.
+    """
     R = np.array(C, dtype=complex)
     rows, cols = R.shape
     scale = np.abs(R).max(initial=0.0)
@@ -199,7 +216,9 @@ def rref(C: np.ndarray) -> tuple[np.ndarray, list[int]]:
                 R[rr] = R[rr] - R[rr, c] * R[r]
         pivots.append(c)
         r += 1
-    R[np.abs(R) <= TOL_PIVOT * max(1.0, scale)] = 0.0
+    # every entry of a row past the rank failed the pivot test
+    R[r:] = 0.0
+    R[np.abs(R) <= TOL_PIVOT * max(1.0, np.abs(R).max(initial=0.0))] = 0.0
     # pivot columns exactly canonical
     for i, c in enumerate(pivots):
         R[:, c] = 0.0
@@ -238,22 +257,14 @@ def _fmt_terms(coeffs: np.ndarray, labels: Sequence[str]) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class BoundaryConditions:
-    """Constraint rows on (trace, W) vectors with a canonical reduced form."""
-
-    C: np.ndarray
-    canonical: np.ndarray
-    human_readable: tuple[str, ...]
-
-
-def render_rows(canonical: np.ndarray, labels: Sequence[str], trace_dim: int) -> tuple[str, ...]:
-    """One equality per row: solved for the W coordinate when one is present.
+def render_rows(model: ExtendedModel, canonical: np.ndarray) -> tuple[str, ...]:
+    """One equality per canonical row: solved for the W coordinate when one is present.
 
     Rows that couple a W coordinate render as `a_W[j] = <trace terms>`,
     mirroring how the worked examples state their conditions; pure trace
     rows render with the pivot on the left.
     """
+    labels, trace_dim = model.labels(), model.trace_dim
     out = []
     for row in canonical:
         if np.abs(row).max(initial=0.0) == 0:
@@ -275,38 +286,30 @@ def constraint_rows(model: ExtendedModel, candidates) -> np.ndarray:
     return np.asarray(candidates, dtype=complex).conj() @ model.F_ext
 
 
-def derive_boundary_conditions(model: ExtendedModel, candidates) -> BoundaryConditions:
-    """Constraint matrix whose row j is (x,a) -> F_ext((x,a), (x_j,a_j)).
+def derive_boundary_conditions(model: ExtendedModel, candidates) -> np.ndarray:
+    """The constraint rows of a GKN set: row j is (x,a) -> F_ext((x,a), (x_j,a_j)).
 
     The candidates must pass `check_gkn_extended`; the rows of a valid GKN
-    set are automatically independent, so a rank-deficient result is
-    reported as an internal inconsistency.
+    set are automatically independent, so rows of numerical rank (at
+    relative tolerance TOL_PIVOT) below def(T0) are reported as an
+    internal inconsistency.
     """
     report = check_gkn_extended(model, candidates)
     if not report.ok:
         raise ModelError(
             f"candidates are not a GKN set for the extended minimal operator: {report}"
         )
-    C = constraint_rows(model, candidates)
-    canonical, pivots = rref(C)
-    if len(pivots) != model.deficiency:
+    rows = constraint_rows(model, candidates)
+    rank = sym.matrix_rank(rows, TOL_PIVOT)
+    if rank != model.deficiency:
         raise ModelError(
-            f"internal inconsistency: derived constraints have rank {len(pivots)}, "
+            f"internal inconsistency: derived constraints have rank {rank}, "
             f"expected {model.deficiency}"
         )
-    rendered = render_rows(canonical, model.labels(), model.trace_dim)
-    return BoundaryConditions(C, canonical, rendered)
+    return rows
 
 
-def boundary_conditions_from_rows(model: ExtendedModel, rows: np.ndarray) -> BoundaryConditions:
-    """Wrap explicit constraint rows (no GKN provenance implied)."""
-    C = np.atleast_2d(np.asarray(rows, dtype=complex))
-    canonical, _ = rref(C)
-    rendered = render_rows(canonical, model.labels(), model.trace_dim)
-    return BoundaryConditions(C, canonical, rendered)
-
-
-def verify_self_adjoint_domain(model: ExtendedModel, bc: BoundaryConditions) -> bool:
+def verify_self_adjoint_domain(model: ExtendedModel, rows: np.ndarray) -> bool:
     """Does the constrained domain correspond to a self-adjoint restriction?
 
     By the GKN-EM theorem the self-adjoint restrictions are the complete
@@ -321,7 +324,7 @@ def verify_self_adjoint_domain(model: ExtendedModel, bc: BoundaryConditions) -> 
     isotropic.  Its image in the quotient is then a Lagrangian of
     dimension def, which is complete.
     """
-    N = sym.nullspace(bc.C)
+    N = sym.nullspace(rows)
     if N.shape[1] != model.deficiency + model.k:
         return False
     F = model.F_ext
@@ -406,11 +409,3 @@ def model_from_json(data: dict) -> ExtendedModel:
     td = 2 * expr.traces_per_endpoint  # the trace count, without building the form twice
     T = [_cvec_from_json(t, td, "model.gkn_traces[]") for t in data["gkn_traces"]]
     return build_model(expr, W, _cmat_from_json(data["B"]), T)
-
-
-def bc_to_json(bc: BoundaryConditions) -> dict:
-    return {
-        "rows": _cmat_to_json(bc.C),
-        "canonical": _cmat_to_json(bc.canonical),
-        "conditions": list(bc.human_readable),
-    }

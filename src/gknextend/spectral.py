@@ -61,7 +61,7 @@ import scipy.linalg
 
 from .collocation import CollocationGrid
 from .expressions import DiffExpr, ExpSolution
-from .extension import BoundaryConditions, ExtendedModel
+from .extension import ExtendedModel
 from .polynomials import Poly
 from .symplectic import GknError, matrix_rank, nullspace
 
@@ -255,7 +255,7 @@ class DiscreteExtendedOperator:
     """
 
     disc: Discretization
-    bc: BoundaryConditions
+    rows: np.ndarray           # the canonical boundary rows
     Q: np.ndarray
     C: np.ndarray
 
@@ -264,10 +264,10 @@ class DiscreteExtendedOperator:
         return self.Q.shape[1]
 
 
-def _constraint_rows(lift: np.ndarray, bc: BoundaryConditions) -> np.ndarray:
+def _constraint_rows(lift: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The boundary rows through a lift on (samples, W coordinates), real when the rows and the lift are."""
-    dtype = complex if np.iscomplexobj(lift) else _dtype(bc.canonical)
-    return _view(bc.canonical, dtype) @ lift
+    dtype = complex if np.iscomplexobj(lift) else _dtype(rows)
+    return _view(rows, dtype) @ lift
 
 
 def _row_pivoted_reflectors(rows: np.ndarray) -> tuple[list, list]:
@@ -299,7 +299,7 @@ def _row_pivoted_reflectors(rows: np.ndarray) -> tuple[list, list]:
     return swaps, reflectors
 
 
-def assemble(disc: Discretization, bc: BoundaryConditions) -> DiscreteExtendedOperator:
+def assemble(disc: Discretization, rows: np.ndarray) -> DiscreteExtendedOperator:
     """Reduce M to the domain of the given boundary rows, real if the rows and M are.
 
     The r boundary rows in y = R x coordinates must have rank r at rtol
@@ -313,7 +313,7 @@ def assemble(disc: Discretization, bc: BoundaryConditions) -> DiscreteExtendedOp
     Each reflector enters a copy of M as two rank-1 updates and Q as one,
     O(r n^2) in all; `disc.M` itself is read-only.
     """
-    rows_y = _constraint_rows(disc.lift_y, bc)
+    rows_y = _constraint_rows(disc.lift_y, rows)
     r = rows_y.shape[0]
     # the rank of each row on its own scale: h^-j scales a j-th derivative's row
     unit_rows = rows_y / np.maximum(np.linalg.norm(rows_y, axis=1), np.finfo(float).tiny)[:, None]
@@ -335,22 +335,22 @@ def assemble(disc: Discretization, bc: BoundaryConditions) -> DiscreteExtendedOp
         Q[i:] -= np.outer(tau * u, u.conj() @ Q[i:])
     for i, p in reversed(swaps):
         Q[[i, p]] = Q[[p, i]]
-    return DiscreteExtendedOperator(disc, bc, Q, M[r:, r:].copy())
+    return DiscreteExtendedOperator(disc, rows, Q, M[r:, r:].copy())
 
 
-def _probe_nullspace(probe: ProbeImage, bc: BoundaryConditions) -> np.ndarray:
+def _probe_nullspace(probe: ProbeImage, rows: np.ndarray) -> np.ndarray:
     """An orthonormal basis N of the coefficient vectors z whose V z satisfies the rows.
 
     V z is then a domain element of the rows: the probed subspace is the
     span of V N.  N is real when the rows and the lift are.
     """
-    constrained = _constraint_rows(probe.lift_V, bc)
+    constrained = _constraint_rows(probe.lift_V, rows)
     # the rank rule of scipy.linalg.null_space: rtol = max(shape) * eps
     rtol = max(constrained.shape) * np.finfo(float).eps
     return nullspace(constrained, rtol)
 
 
-def symmetry_defect(disc: Discretization, bc: BoundaryConditions, seed: int) -> float:
+def symmetry_defect(disc: Discretization, rows: np.ndarray, seed: int) -> float:
     """max |<Au,v> - <u,Av>| / (|u||v|(1 + |A|)) over random domain pairs of the rows.
 
     The PROBE_TRIALS pairs are random combinations u = V N z_u, v = V N z_v
@@ -373,7 +373,7 @@ def symmetry_defect(disc: Discretization, bc: BoundaryConditions, seed: int) -> 
     """
     rng = np.random.default_rng(seed)
     probe = disc.probe
-    N = _probe_nullspace(probe, bc)
+    N = _probe_nullspace(probe, rows)
     z = rng.standard_normal((PROBE_TRIALS, 4, N.shape[1]))
     if not N.size:
         return 0.0
@@ -637,7 +637,7 @@ def _fundamental_traces(comp: Companion, lams: np.ndarray) -> np.ndarray:
 
 def characteristic_value(
     model: ExtendedModel,
-    bc: BoundaryConditions,
+    rows: np.ndarray,
     lams: np.ndarray,
     companion: Companion | None = None,
 ) -> np.ndarray:
@@ -656,7 +656,6 @@ def characteristic_value(
     lams = np.asarray(lams, dtype=float)
     fund = _fundamental_traces(comp, lams)
     nf = fund.shape[2]
-    rows = bc.canonical
     nb = rows.shape[0]
     if nb != nf:
         raise SpectralError(
@@ -728,7 +727,7 @@ def _illinois(f, a, b, fa, fb) -> np.ndarray:
 
 def shooting_oracle(
     model: ExtendedModel,
-    bc: BoundaryConditions,
+    rows: np.ndarray,
     lam_window: tuple[float, float],
 ) -> list[float]:
     """Eigenvalues in the window by scanning the characteristic function.
@@ -742,13 +741,13 @@ def shooting_oracle(
         raise SpectralError("empty window")
     comp = Companion.of(model.expr)
     grid = np.linspace(lo, hi, 240)
-    vals = characteristic_value(model, bc, grid, comp)
+    vals = characteristic_value(model, rows, grid, comp)
     roots = list(grid[vals == 0.0])
     i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
     if i.size:
         roots += list(
             _illinois(
-                lambda lams: characteristic_value(model, bc, lams, comp),
+                lambda lams: characteristic_value(model, rows, lams, comp),
                 grid[i], grid[i + 1], vals[i], vals[i + 1],
             )
         )

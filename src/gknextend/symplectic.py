@@ -6,7 +6,10 @@ second), so that ``form(x, y) == -conj(form(y, x))``.  A subspace is an
 m x r basis array, one vector per column.  Rank and degeneracy decisions
 go through SVD with relative thresholds; whether a subspace is isotropic
 or inside the radical is read off the form on an orthonormal basis of it,
-never off basis identity.
+never off basis identity.  The quotient by a subspace comes from one
+complete QR of its basis (`quotient_by`): the leading columns measure
+how far the subspace is from the radical, and the trailing ones carry
+the quotient form.
 """
 
 from __future__ import annotations
@@ -56,40 +59,29 @@ def nondegenerate(S: np.ndarray) -> bool:
     return 0 < matrix_rank(S) == S.shape[0]
 
 
-def orth_complement(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the Euclidean orthogonal complement of the columns of M."""
-    return nullspace(np.linalg.qr(M)[0].conj().T)
-
-
 # ---------------------------------------------------------------------------
 # form operations
 
 
-def radical_residual(S: np.ndarray, M: np.ndarray) -> float:
-    """max|S q| / (1 + max|S|) over an orthonormal basis q of the columns of M.
+def quotient_by(S: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The quotient of S by the columns of M, from one complete QR of M.
 
-    They lie inside the radical of S when this is at most TOL_RADICAL.
+    With M = [Q_M Q_c] R, the first r columns Q_M are an orthonormal basis
+    of the columns of M and the rest, Q_c, one of their orthogonal
+    complement.  Returns the quotient form S_red = Q_c* S Q_c (made
+    skew-Hermitian exactly), Q_c, so that callers can push ambient vectors
+    to quotient coordinates via Q_c* v, and the radical residual
+    max|S Q_M| / (1 + max|S|).  The quotient is well defined only when
+    the columns of M lie inside the radical of S, that is when the
+    residual is at most TOL_RADICAL; the caller decides.  M must have
+    full column rank.
     """
-    scale = 1.0 + np.abs(S).max(initial=0.0)
-    return float(np.abs(S @ np.linalg.qr(M)[0]).max(initial=0.0) / scale)
-
-
-def quotient_by(S: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient form on an orthonormal complement basis of the columns of M.
-
-    Requires them inside the radical of S (that is what makes the quotient
-    well defined).  Returns the reduced matrix S_red together with the
-    complement basis Q (columns), so callers can push ambient vectors to
-    quotient coordinates via Q* v.  S_red is skew-Hermitian exactly.
-    """
-    resid = radical_residual(S, M)
-    if resid > TOL_RADICAL:
-        raise SymplecticError(
-            f"subspace is not inside the radical: relative form residual {resid:.3e}"
-        )
-    Q = orth_complement(M)
-    S_red = Q.conj().T @ S @ Q
-    return 0.5 * (S_red - S_red.conj().T), Q
+    r = M.shape[1]
+    Q = np.linalg.qr(M, mode="complete")[0]
+    resid = float(np.abs(S @ Q[:, :r]).max(initial=0.0) / (1.0 + np.abs(S).max(initial=0.0)))
+    Q_c = Q[:, r:]
+    S_red = Q_c.conj().T @ S @ Q_c
+    return 0.5 * (S_red - S_red.conj().T), Q_c, resid
 
 
 @dataclass(frozen=True)

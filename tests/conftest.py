@@ -101,6 +101,28 @@ def benchmark_ops(monkeypatch, workload, seed):
     return [(command, cfg) for command, cfg, _ in workloads.build_ops(workload, seed)]
 
 
+def canonical_rows(entry) -> np.ndarray:
+    """The canonical (RREF) form of an entry's constraint rows, as the spectral code reads it."""
+    from gknextend.extension import rref
+
+    return rref(entry.boundary_conditions())[0]
+
+
+def sabotaged_rows(canonical, trace_dim) -> np.ndarray:
+    """The canonical form of the sabotaged rows, as `spectrum` reads it."""
+    from gknextend.catalog import sabotage_rows
+    from gknextend.extension import rref
+
+    return rref(sabotage_rows(canonical, trace_dim))[0]
+
+
+def rendered_conditions(entry) -> tuple:
+    """An entry's boundary conditions as `derive-bc` renders them."""
+    from gknextend.extension import render_rows
+
+    return render_rows(entry.model, canonical_rows(entry))
+
+
 def custom_config(name: str) -> dict:
     """A catalog example restated as a custom model with its candidates."""
     from gknextend.catalog import build_example
@@ -409,7 +431,7 @@ def qz_eigenvalues(op):
     import scipy.linalg
 
     nodal = nodal_discretize(op.disc.model, op.disc.grid)
-    P = scipy.linalg.null_space(op.bc.canonical @ nodal.lift, rcond=1e-10)
+    P = scipy.linalg.null_space(op.rows @ nodal.lift, rcond=1e-10)
     PG = P.conj().T @ nodal.Gram_full
     evals = scipy.linalg.eigvals(PG @ nodal.A_full @ P, PG @ P)
     modulus = [float(f"{m:.8e}") for m in np.abs(evals)]
@@ -646,13 +668,13 @@ def is_complete_lagrangian(S, L) -> bool:
     return is_lagrangian(S, L) and subspaces_equal(symplectic_complement(S, L), L)
 
 
-def quotient_certificate(model, bc) -> bool:
+def quotient_certificate(model, rows) -> bool:
     """The nullspace of the rows, pushed into F_ext / M_min, is a complete
     Lagrangian of dimension def(T0)."""
     from gknextend.symplectic import TOL_RANK, nondegenerate, nullspace, quotient_by
 
-    N = nullspace(bc.C)
-    S_red, Q = quotient_by(model.F_ext, model.M_min)
+    N = nullspace(rows)
+    S_red, Q, _ = quotient_by(model.F_ext, model.M_min)
     if len(S_red) != 2 * model.deficiency or not nondegenerate(S_red):
         return False
     # columns of N are orthonormal, so genuine quotient content has O(1)

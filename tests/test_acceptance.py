@@ -10,10 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gknextend.catalog import build_example, sabotage_rows
+from gknextend.catalog import build_example
 from gknextend.collocation import make_grid
 from gknextend.extension import (
-    boundary_conditions_from_rows,
     check_gkn_extended,
     constraint_rows,
     extended_deficiency_vectors,
@@ -29,11 +28,12 @@ from gknextend.spectral import (
     spectrum,
     symmetry_defect,
 )
-from gknextend.symplectic import nondegenerate, quotient_by
+from gknextend.symplectic import nondegenerate
 
 from conftest import (
     apply_expr,
     boundary_identity_check,
+    canonical_rows,
     extended_eigen_check,
     form_eval,
     gram_schmidt,
@@ -43,6 +43,8 @@ from conftest import (
     random_complete_lagrangian,
     reference_eigenvalue,
     random_skew_hermitian,
+    rendered_conditions,
+    sabotaged_rows,
     subspace_contains,
     w_inner,
 )
@@ -155,9 +157,9 @@ def test_04_derived_boundary_conditions_match():
     t0 = time.perf_counter()
     ok = True
     for name, (expected, strings) in BC_EXPECTATIONS.items():
-        bc = build_example(name).boundary_conditions()
-        ok &= float(np.abs(bc.canonical - expected).max()) <= 1e-12
-        ok &= tuple(bc.human_readable) == strings
+        entry = build_example(name)
+        ok &= float(np.abs(canonical_rows(entry) - expected).max()) <= 1e-12
+        ok &= rendered_conditions(entry) == strings
     report(4, "derived-conditions-match-published", ok, t0)
 
 
@@ -178,9 +180,7 @@ def test_05_gkn_verification_with_controls():
             }[ctrl]
             ok &= flag
             rows = constraint_rows(entry.model, cands)
-            ok &= not verify_self_adjoint_domain(
-                entry.model, boundary_conditions_from_rows(entry.model, rows)
-            )
+            ok &= not verify_self_adjoint_domain(entry.model, rows)
     elapsed = time.perf_counter() - t0
     ok &= elapsed <= 5.0
     report(5, "gkn-sets-pass-and-3-controls-fail-per-example", ok, t0)
@@ -196,7 +196,7 @@ def test_06_structural_invariants_randomized():
         scale = 1.0 + np.abs(model.Omega).max(initial=0.0)
         ok &= float(np.abs(model.Omega @ T.T).max(initial=0.0)) <= 1e-12 * scale
         ok &= subspace_contains(radical(model.F_ext), model.M_min, tol=1e-12)
-        S_red, _ = quotient_by(model.F_ext, model.M_min)
+        S_red = model.quotient_form
         ok &= len(S_red) == 2 * model.deficiency and nondegenerate(S_red)
         for _ in range(100):
             x = rng.standard_normal(model.trace_dim) + 1j * rng.standard_normal(model.trace_dim)
@@ -230,20 +230,20 @@ def spectral_discretizations():
     grid = make_grid(64, 0.0, 1.0)
     for name, params in SPECTRAL_CASES:
         entry = build_example(name, params)
-        bc = entry.boundary_conditions()
-        out[(name, tuple(sorted(params.items())))] = (entry, bc, discretize(entry.model, grid))
+        rows = canonical_rows(entry)
+        out[(name, tuple(sorted(params.items())))] = (entry, rows, discretize(entry.model, grid))
     return out
 
 
 def test_08_spectral_oracle_agreement(spectral_discretizations):
     t0 = time.perf_counter()
     ok = True
-    for (name, _), (entry, bc, disc) in spectral_discretizations.items():
-        defect = symmetry_defect(disc, bc, 8)
+    for (name, _), (entry, rows, disc) in spectral_discretizations.items():
+        defect = symmetry_defect(disc, rows, 8)
         ok &= defect <= 1e-9
-        rep = spectrum(assemble(disc, bc), 8)
+        rep = spectrum(assemble(disc, rows), 8)
         ok &= rep.max_imag <= 1e-8
-        roots = shooting_oracle(entry.model, bc, entry.spectral_window)
+        roots = shooting_oracle(entry.model, rows, entry.spectral_window)
         oracle5 = sorted(roots, key=abs)[:5]
         ok &= len(oracle5) == 5
         disc = sorted(rep.eigenvalues.real, key=abs)
@@ -258,11 +258,9 @@ def test_08_spectral_oracle_agreement(spectral_discretizations):
 def test_09_negative_spectral_controls(spectral_discretizations):
     t0 = time.perf_counter()
     ok = True
-    for (name, _), (entry, bc, disc) in spectral_discretizations.items():
-        honest = symmetry_defect(disc, bc, 9)
-        bad = boundary_conditions_from_rows(
-            entry.model, sabotage_rows(bc, entry.model.trace_dim)
-        )
+    for (name, _), (entry, rows, disc) in spectral_discretizations.items():
+        honest = symmetry_defect(disc, rows, 9)
+        bad = sabotaged_rows(rows, entry.model.trace_dim)
         # the sabotaged rows share the discretization, as in `spectrum`
         sab = symmetry_defect(disc, bad, 9)
         ok &= sab >= 1e-4

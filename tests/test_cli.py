@@ -7,8 +7,10 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 import gknextend
-from gknextend import cli, legendre, spectral
+from gknextend import catalog, cli, extension, legendre, spectral
 from gknextend.catalog import DEFAULT_PARAMS, EXAMPLE_NAMES, build_example
 from gknextend.cli import CONFIG_SCHEMA, ConfigError, load_config, main, run
 from gknextend.extension import model_to_json
@@ -725,20 +727,30 @@ class TestMain:
         }
         assert main(["check-symplectic", "--config", write_config(tmp_path, cfg)]) == 0
 
+    # G = diag(1e8, 1e-10) gives xi = diag(1e-4, 1e5): the pair (1e-4 x(a), xi_1)
+    # is a rounding error beside (1e-4 x(b), xi_2), so M_min has numerical rank 1
+    RANK_DEFICIENT = {
+        "example": "custom",
+        "model": {
+            "expression": {"kind": "fourier", "a": "0", "b": "1"},
+            "G": [[[1e8, 0], [0, 0]], [[0, 0], [1e-10, 0]]],
+            "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+            "gkn_traces": [[1e-4, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1e-4, 0, 0, 0]],
+        },
+    }
+
     def test_rank_deficient_minimal_pairs_refused(self, tmp_path, capsys):
-        # G = diag(1e8, 1e-10) gives xi = diag(1e-4, 1e5): the pair (1e-4 x(a), xi_1)
-        # is a rounding error beside (1e-4 x(b), xi_2), so M_min has numerical rank 1
-        cfg = {
-            "example": "custom",
-            "model": {
-                "expression": {"kind": "fourier", "a": "0", "b": "1"},
-                "G": [[[1e8, 0], [0, 0]], [[0, 0], [1e-10, 0]]],
-                "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
-                "gkn_traces": [[1e-4, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1e-4, 0, 0, 0]],
-            },
-        }
+        cfg = self.RANK_DEFICIENT
         assert main(["check-symplectic", "--config", write_config(tmp_path, cfg)]) == 2
         assert "rank-deficient" in capsys.readouterr().err
+
+    def test_rank_deficient_refusal_names_its_cause(self, tmp_path, capsys):
+        # the refusal names M_min, its columns and their singular values
+        cfg = self.RANK_DEFICIENT
+        assert main(["check-symplectic", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "M_min, the basis of minimal pairs (t_j, xi_j), is numerically rank-deficient" in err
+        assert err.endswith("singular values 1.000e+05, 1.414e-04\n")
 
     def test_classical_gkn_without_extension(self, tmp_path):
         # dim W = 0; the GKN set x(a) = 1, x(b) = 1 gives Neumann conditions
@@ -831,3 +843,100 @@ class TestMain:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "index,re,im,residual"
         assert len(lines) == 9  # 8 eigenvalues reported
+
+
+class TestParameterRange:
+    """Verdicts that hold across the schema's parameter range, not only at the defaults."""
+
+    @pytest.mark.parametrize("value", [1e22, 1e23, 1e24])
+    @pytest.mark.parametrize(
+        "name, keys",
+        [
+            ("legendre_type", ("A",)),
+            *((name, ("M", "N_weight")) for name in ("fourier_3_3", "fourier_3_4", "fourier_3_5")),
+        ],
+    )
+    def test_derive_bc_at_large_row_scale(self, name, keys, value):
+        # the constraint rows grow like sqrt(value), 8 sqrt(A) for legendre_type;
+        # their canonical form keeps its unit coefficients at any size
+        report = run({"example": name, "params": dict.fromkeys(keys, value), "seed": 0}, "derive-bc")
+        assert report["boundary_conditions_rendered"] == list(build_example(name).expected_strings)
+        assert report["status"] == "pass"
+
+    @pytest.mark.parametrize("value", [1e23, 1e24])
+    @pytest.mark.parametrize("name, key", [("legendre_type", "A"), ("fourier_3_3", "M")])
+    def test_spectrum_at_large_row_scale_finds_a_row_to_sabotage(self, name, key, value):
+        # legendre_type at such A fails only its sabotage floor (a known fault)
+        params = {key: value, "N_weight": value} if key == "M" else {key: value}
+        report = run({"example": name, "params": params, "grid_N": 64, "seed": 0}, "spectrum")
+        failed = {c["name"] for c in report["checks"] if not c["pass"]}
+        assert failed <= {"sabotaged_defect_floor"}
+        assert report["sabotaged_defect"] > 0
+
+    def test_rows_without_a_w_coupled_row_are_refused(self):
+        with pytest.raises(cli.GknError, match="no W-coupled row"):
+            catalog.sabotage_rows(np.eye(2, 5), 4)
+
+    def test_legendre_eigenvalues_read_the_decimal_a(self):
+        # 6e-10 is 3/5000000000, and lambda_1 = 8A
+        cfg = {"example": "legendre_type", "params": {"A": 6e-10}, "n_max": 1, "seed": 0}
+        report = run(cfg, "legendre")
+        assert report["legendre_eigenvalues"] == ["0", "3/625000000"]
+        assert report["status"] == "pass"
+
+    @pytest.mark.parametrize("A", [4e-10, 1e-12, 1e-300])
+    def test_tiny_a_is_positive(self, A):
+        cfg = {"example": "legendre_type", "params": {"A": A}, "n_max": 1, "seed": 0}
+        report = run(cfg, "legendre")
+        assert report["legendre_eigenvalues"] == ["0", str(8 * Fraction(repr(A)))]
+        assert report["status"] == "pass"
+
+    @pytest.mark.parametrize("command", ["check-symplectic", "derive-bc"])
+    def test_tiny_interval_is_not_empty(self, command):
+        report = run({"example": "fourier_3_3", "params": {"b": 1e-10}, "seed": 0}, command)
+        assert report["status"] == "pass"
+
+    def test_exact_params_are_the_decimals_written(self):
+        assert catalog._exact(6e-10) == Fraction(3, 5000000000)
+        assert catalog._exact(np.float64(0.1)) == Fraction(1, 10)
+        assert catalog._exact(7) == 7
+
+
+class TestWorkCounts:
+    """How often `cli.run` takes the costly steps of a command."""
+
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_check_symplectic_takes_one_qr_of_m_min(self, name, monkeypatch):
+        # build_model quotients by M_min once; check-symplectic reads the result
+        shape = build_example(name).model.M_min.shape
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        assert run({"example": name, "seed": 0}, "check-symplectic")["status"] == "pass"
+        assert calls == [shape]
+
+    @pytest.mark.parametrize(
+        "name, command, count",
+        [(name, "verify-gkn", 0) for name in EXAMPLE_NAMES if build_example(name).candidates.size]
+        + [("fourier_3_3", "check-symplectic", 0), ("fourier_3_3", "derive-bc", 1),
+           ("fourier_3_3", "spectrum", 2), ("fourier_3_2b", "derive-bc", 1)],
+    )
+    def test_rref_runs_only_where_its_result_is_read(self, name, command, count, monkeypatch):
+        # derive-bc reports the canonical rows, and spectrum reads the honest
+        # and the sabotaged ones; the controls of verify-gkn need no canonical form
+        calls = []
+        rref = extension.rref
+
+        def counted(C):
+            calls.append(1)
+            return rref(C)
+
+        monkeypatch.setattr(extension, "rref", counted)
+        monkeypatch.setattr(cli, "rref", counted, raising=False)
+        assert run({"example": name, "seed": 0}, command)["status"] == "pass"
+        assert len(calls) == count

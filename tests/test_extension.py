@@ -8,7 +8,6 @@ from gknextend.expressions import Fourier, boundary_form
 from gknextend.extension import (
     ExtensionSpace,
     ModelError,
-    boundary_conditions_from_rows,
     build_model,
     check_gkn_extended,
     constraint_rows,
@@ -16,6 +15,7 @@ from gknextend.extension import (
     extended_deficiency_vectors,
     model_from_json,
     model_to_json,
+    render_rows,
     rref,
     verify_self_adjoint_domain,
 )
@@ -23,10 +23,12 @@ from gknextend.symplectic import matrix_rank, nondegenerate, quotient_by
 
 from conftest import (
     apply_expr,
+    canonical_rows,
     form_eval,
     quotient_certificate,
     radical,
     random_complete_lagrangian,
+    rendered_conditions,
     subspace_contains,
     trace_of_poly,
     w_inner,
@@ -123,6 +125,15 @@ class TestBuildModel:
         with pytest.raises(ModelError, match="self-adjoint"):
             build_model(expr, W, B, T)
 
+    def test_pairs_outside_the_radical_refused(self, monkeypatch):
+        # the gate reads the residual that the one quotient_by call measures
+        from gknextend import symplectic
+
+        quotient_by = symplectic.quotient_by
+        monkeypatch.setattr(symplectic, "quotient_by", lambda S, M: (*quotient_by(S, M)[:2], 1.0))
+        with pytest.raises(ModelError, match="escaped the radical"):
+            build_example("fourier_3_3")
+
     def test_general_b_with_weighted_gram(self):
         # the published self-adjointness pattern for diag(1/M, 1/N)
         entry = build_example(
@@ -148,9 +159,10 @@ class TestStructuralInvariants:
                 rhs = form_eval(model.S, x, T[j])
                 assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
         assert subspace_contains(radical(model.F_ext), model.M_min, tol=1e-12)
-        S_red, _ = quotient_by(model.F_ext, model.M_min)
+        S_red = model.quotient_form
         assert S_red.shape == (2 * model.deficiency,) * 2
         assert nondegenerate(S_red)
+        assert model.radical_residual <= 1e-12
 
 
 class TestMaximalAction:
@@ -206,9 +218,8 @@ class TestGknExtended:
 class TestDeriveBoundaryConditions:
     @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
     def test_canonical_and_strings(self, entry):
-        bc = entry.boundary_conditions()
-        assert np.abs(bc.canonical - entry.expected_canonical).max() < 1e-12
-        assert tuple(bc.human_readable) == entry.expected_strings
+        assert np.abs(canonical_rows(entry) - entry.expected_canonical).max() < 1e-12
+        assert rendered_conditions(entry) == entry.expected_strings
 
     def test_rejects_invalid_candidates(self):
         entry = build_example("legendre_type")
@@ -220,10 +231,19 @@ class TestDeriveBoundaryConditions:
         assert piv == [0, 1]
         assert np.allclose(R, [[1, 0, -1], [0, 1, 2]])
 
-    def test_degenerate_row_rendered_guarded(self):
-        from gknextend.extension import render_rows
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12, 1e24])
+    def test_rref_does_not_depend_on_the_row_scale(self, scale):
+        R, piv = rref(scale * np.array([[0, 2.0, 4.0], [1.0, 1.0, 1.0]]))
+        assert piv == [0, 1]
+        assert np.allclose(R, [[1, 0, -1], [0, 1, 2]], rtol=1e-12, atol=0)
+        # a row past the rank is zero at any scale
+        R, piv = rref(scale * np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-13]]))
+        assert piv == [0]
+        assert np.allclose(R[0], [1, 2, 3], rtol=1e-12, atol=0) and not R[1].any()
 
-        out = render_rows(np.zeros((1, 5), dtype=complex), ("a", "b", "c", "d", "e"), 4)
+    def test_degenerate_row_rendered_guarded(self):
+        model = build_example("fourier_3_1").model
+        out = render_rows(model, np.zeros((1, model.ambient_dim), dtype=complex))
         assert "degenerate" in out[0]
 
 
@@ -247,11 +267,11 @@ def _certificate_cases(entry, rng):
     """Constraint rows of every kind the certificate meets on one model."""
     model = entry.model
     d = model.deficiency
-    published = entry.boundary_conditions().C
+    published = entry.boundary_conditions()
     yield published
     for cands in entry.controls.values():
         yield constraint_rows(model, cands)
-    S_red, Q = quotient_by(model.F_ext, model.M_min)
+    S_red, Q, _ = quotient_by(model.F_ext, model.M_min)
     for _ in range(20):
         lifted = Q @ random_complete_lagrangian(S_red, rng)
         rows = lifted.conj().T @ model.F_ext
@@ -270,35 +290,33 @@ def _certificate_cases(entry, rng):
 class TestVerifySelfAdjointDomain:
     @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
     def test_published_verdicts(self, entry):
-        bc = entry.boundary_conditions()
         expected = entry.name != "fourier_3_2b"
-        assert verify_self_adjoint_domain(entry.model, bc) is expected
+        assert verify_self_adjoint_domain(entry.model, entry.boundary_conditions()) is expected
 
     def test_wrong_shape_conditions_for_3_1(self):
         # x(a) = 0, x(b) = 0, W coordinate unconstrained
         entry = build_example("fourier_3_1")
         rows = np.array([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]], dtype=complex)
-        bc = boundary_conditions_from_rows(entry.model, rows)
-        assert not verify_self_adjoint_domain(entry.model, bc)
+        assert not verify_self_adjoint_domain(entry.model, rows)
 
     @pytest.mark.parametrize("entry", GKN_ENTRIES, ids=lambda e: e.name)
     def test_mutated_controls_not_self_adjoint(self, entry):
         for ctrl, cands in entry.controls.items():
-            bc = boundary_conditions_from_rows(entry.model, constraint_rows(entry.model, cands))
-            assert not verify_self_adjoint_domain(entry.model, bc), (entry.name, ctrl)
+            rows = constraint_rows(entry.model, cands)
+            assert not verify_self_adjoint_domain(entry.model, rows), (entry.name, ctrl)
 
     @pytest.mark.parametrize("entry", GKN_ENTRIES, ids=lambda e: e.name)
     def test_random_lagrangian_completions_verify(self, entry, rng):
         model = entry.model
-        S_red, Q = quotient_by(model.F_ext, model.M_min)
+        S_red, Q, _ = quotient_by(model.F_ext, model.M_min)
         for _ in range(10):
             L = random_complete_lagrangian(S_red, rng)
             lifted = Q @ L
             cands = lifted.T
             rep = check_gkn_extended(model, cands)
             assert rep.independent_mod_M and rep.symmetric and rep.count_ok
-            bc = derive_boundary_conditions(model, cands)
-            assert verify_self_adjoint_domain(model, bc)
+            rows = derive_boundary_conditions(model, cands)
+            assert verify_self_adjoint_domain(model, rows)
 
     @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
     def test_over_determined_rows_rejected(self, entry):
@@ -306,8 +324,8 @@ class TestVerifySelfAdjointDomain:
         model = entry.model
         extra = np.zeros((1, model.ambient_dim))
         extra[0, -1] = 1.0
-        rows = np.vstack([entry.boundary_conditions().C, extra])
-        assert not verify_self_adjoint_domain(model, boundary_conditions_from_rows(model, rows))
+        rows = np.vstack([entry.boundary_conditions(), extra])
+        assert not verify_self_adjoint_domain(model, rows)
 
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_certificate_agrees_with_quotient_reference(self, name):
@@ -321,10 +339,9 @@ class TestVerifySelfAdjointDomain:
             seen.add(key)
             model = entry.model
             for rows in _certificate_cases(entry, rng):
-                bc = boundary_conditions_from_rows(model, rows)
-                verdict = verify_self_adjoint_domain(model, bc)
+                verdict = verify_self_adjoint_domain(model, rows)
                 if matrix_rank(rows) == model.deficiency:
-                    assert verdict is quotient_certificate(model, bc), (params, rows)
+                    assert verdict is quotient_certificate(model, rows), (params, rows)
                 else:
                     assert not verdict, (params, rows)
 
@@ -377,6 +394,6 @@ class TestSerialization:
 
     def test_sabotage_changes_constraints(self):
         entry = build_example("fourier_3_1")
-        bc = entry.boundary_conditions()
-        rows = sabotage_rows(bc, entry.model.trace_dim)
-        assert np.abs(rows - bc.canonical).max() > 0.5
+        canonical = canonical_rows(entry)
+        rows = sabotage_rows(canonical, entry.model.trace_dim)
+        assert np.abs(rows - canonical).max() > 0.5

@@ -339,7 +339,7 @@ class TestConsistencyWithFloatModel:
         from gknextend.catalog import build_example
 
         entry = build_example("legendre_type", {"A": 1.0})
-        bc = entry.boundary_conditions()
+        rows = entry.boundary_conditions()
         basis = operator_basis(Fraction(1), 8)
         from conftest import trace_of_poly
 
@@ -347,7 +347,7 @@ class TestConsistencyWithFloatModel:
             p = Poly(monic(basis.vectors[n]))
             tr = np.array(trace_of_poly(LegendreType(Fraction(1)), p), dtype=complex)
             vec = np.concatenate([tr, [complex(p(Fraction(-1))), complex(p(Fraction(1)))]])
-            assert np.abs(bc.canonical @ vec).max() < 1e-9
+            assert np.abs(rows @ vec).max() < 1e-9
 
     def test_exact_omega_matches_float_omega(self):
         from gknextend.catalog import build_example

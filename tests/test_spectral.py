@@ -13,6 +13,7 @@ from conftest import (
     batch_symmetry_defect,
     benchmark_module,
     benchmark_ops,
+    canonical_rows,
     domain_basis,
     loop_symmetry_defect,
     nodal_discretize,
@@ -21,11 +22,12 @@ from conftest import (
     qz_eigenvalues,
     reference_assemble,
     rk_fundamental_traces,
+    sabotaged_rows,
     tied_pairs,
 )
 from gknextend import catalog
 from gknextend import spectral as spectral_module
-from gknextend.catalog import build_example, sabotage_rows
+from gknextend.catalog import build_example
 from gknextend.cli import main
 from gknextend.collocation import make_grid
 from gknextend.expressions import (
@@ -38,9 +40,9 @@ from gknextend.expressions import (
 from gknextend.legendre import lt_eigenvalue
 from gknextend.extension import (
     ExtensionSpace,
-    boundary_conditions_from_rows,
     build_model,
     extended_deficiency_vectors,
+    rref,
 )
 from gknextend.polynomials import Poly
 from gknextend.spectral import (
@@ -190,26 +192,26 @@ def reference_roots(reference, name, params):
 class TestAssemble:
     def test_dimension_bookkeeping_3_1(self, grid01):
         entry = build_example("fourier_3_1")
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         assert op.reduced_dim == (65 + 1) - 2
 
     def test_dimension_bookkeeping_legendre(self):
         entry = build_example("legendre_type")
         grid = make_grid(64, -1.0, 1.0)
-        op = assemble(discretize(entry.model, grid), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid), canonical_rows(entry))
         assert op.reduced_dim == (65 + 2) - 2
 
     def test_dimension_bookkeeping_first_order(self, grid01):
         entry = build_example("first_order")
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         assert op.reduced_dim == (65 + 1) - 1
 
     def test_domain_basis_satisfies_constraints(self, grid01):
         entry = build_example("fourier_3_5")
-        bc = entry.boundary_conditions()
+        bc = canonical_rows(entry)
         op = assemble(discretize(entry.model, grid01), bc)
         P, _ = domain_basis(op, nodal_discretize(entry.model, grid01).Gram_full)
-        resid = np.abs(bc.canonical @ op.disc.lift @ P).max()
+        resid = np.abs(bc @ op.disc.lift @ P).max()
         assert resid < 1e-10
 
     @pytest.mark.parametrize("N", [16, 64, 256])
@@ -230,13 +232,13 @@ class TestAssemble:
         # with G and A the nodal matrices
         entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
-        bc = entry.boundary_conditions()
+        bc = canonical_rows(entry)
         grid = make_grid(N, a, b)
         op = assemble(discretize(entry.model, grid), bc)
         nodal = nodal_discretize(entry.model, grid)
         G, A = nodal.Gram_full, nodal.A_full
         P, R = domain_basis(op, G)
-        rows = bc.canonical @ op.disc.lift
+        rows = bc @ op.disc.lift
         dual = np.linalg.norm(scipy.linalg.solve_triangular(R, rows.T, trans="T"), axis=0)
         assert np.all(np.abs(rows @ P).max(axis=1) <= 1e-12 * dual)
         assert np.abs(P.conj().T @ G @ P - np.eye(op.reduced_dim)).max() <= 1e-12
@@ -270,7 +272,7 @@ class TestAssemble:
         a, b = (float(v) for v in entry.model.expr.interval)
         grid = make_grid(32, a, b)
         disc = discretize(entry.model, grid)
-        op = assemble(disc, entry.boundary_conditions())
+        op = assemble(disc, canonical_rows(entry))
         nodal = nodal_discretize(entry.model, grid)
         arrays = (disc.lift, disc.lift_y, disc.R_W, disc.M, op.Q, op.C, nodal.A_full, nodal.Gram_full)
         assert all(m.dtype == dtype for m in arrays)
@@ -300,7 +302,7 @@ class TestAssemble:
         a, b = (float(v) for v in entry.model.expr.interval)
         disc = discretize(entry.model, make_grid(32, a, b))
         before = disc.M.tobytes()
-        assemble(disc, entry.boundary_conditions())
+        assemble(disc, canonical_rows(entry))
         assert disc.M.tobytes() == before
         with pytest.raises(ValueError, match="read-only"):
             disc.M[0, 0] = 1.0
@@ -345,7 +347,7 @@ class TestAgainstReferenceAssembly:
     def test_eigenvalues_match(self, name, params, N):
         entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
-        bc, grid = entry.boundary_conditions(), make_grid(N, a, b)
+        bc, grid = canonical_rows(entry), make_grid(N, a, b)
         got = spectrum(assemble(discretize(entry.model, grid), bc), 8).eigenvalues
         ref = spectrum(reference_assemble(entry.model, bc, grid), 8).eigenvalues
         assert nearest_gap(got, ref) <= 1e-9
@@ -355,7 +357,7 @@ class TestAgainstReferenceAssembly:
         # at grid_N 256 the two routes differ by ~1e-7 on legendre_type, and
         # it is the replaced route that is further from the exact eigenvalues
         entry = build_example("legendre_type", {"A": A})
-        bc, grid = entry.boundary_conditions(), make_grid(256, -1.0, 1.0)
+        bc, grid = canonical_rows(entry), make_grid(256, -1.0, 1.0)
         exact = np.array([float(lt_eigenvalue(i, entry.model.expr.A)) for i in range(8)])
 
         def error(op):
@@ -367,12 +369,12 @@ class TestAgainstReferenceAssembly:
 
     def test_rank_deficient_rows_are_refused(self, grid01):
         entry = build_example("fourier_3_3")
-        bc = entry.boundary_conditions()
-        repeated = dataclasses.replace(bc, canonical=np.vstack([bc.canonical, 2 * bc.canonical[1]]))
+        bc = canonical_rows(entry)
+        repeated = np.vstack([bc, 2 * bc[1]])
         with pytest.raises(SpectralError, match="3 boundary rows have rank 2"):
             assemble(discretize(entry.model, grid01), repeated)
         # the rank is read row by row on each row's own scale
-        scaled = dataclasses.replace(bc, canonical=bc.canonical * np.array([[1e-100], [1e100]]))
+        scaled = bc * np.array([[1e-100], [1e100]])
         assert assemble(discretize(entry.model, grid01), scaled).reduced_dim == (65 + 2) - 2
 
 
@@ -380,17 +382,17 @@ class TestSymmetryDefect:
     def test_honest_build_is_tiny(self, grid01):
         entry = build_example("fourier_3_1", {"alpha": 1.0})
         disc = discretize(entry.model, grid01)
-        assert symmetry_defect(disc, entry.boundary_conditions(), 3) <= 1e-9
+        assert symmetry_defect(disc, canonical_rows(entry), 3) <= 1e-9
 
     def test_sabotaged_build_is_large(self, grid01):
         entry = build_example("fourier_3_1", {"alpha": 1.0})
-        bc = entry.boundary_conditions()
-        bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, 4))
+        bc = canonical_rows(entry)
+        bad = sabotaged_rows(bc, 4)
         assert symmetry_defect(discretize(entry.model, grid01), bad, 3) >= 1e-3
 
     def test_deterministic_given_seed(self, grid01):
         entry = build_example("fourier_3_3")
-        disc, bc = discretize(entry.model, grid01), entry.boundary_conditions()
+        disc, bc = discretize(entry.model, grid01), canonical_rows(entry)
         assert symmetry_defect(disc, bc, 7) == symmetry_defect(disc, bc, 7)
 
     def test_legendre_polynomial_subspace(self):
@@ -399,8 +401,8 @@ class TestSymmetryDefect:
         grid = make_grid(256, -1.0, 1.0)
         for A in (0.6, 3.45):
             entry = build_example("legendre_type", {"A": A})
-            bc = entry.boundary_conditions()
-            bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, 4))
+            bc = canonical_rows(entry)
+            bad = sabotaged_rows(bc, 4)
             disc = discretize(entry.model, grid)
             assert symmetry_defect(disc, bc, 0) <= 1e-9
             assert symmetry_defect(disc, bad, 0) >= 1e-4
@@ -414,8 +416,8 @@ class TestSymmetryDefect:
         entry = build_example(name)
         a, b = (float(v) for v in entry.model.expr.interval)
         disc = discretize(entry.model, make_grid(64, a, b))
-        bc = entry.boundary_conditions()
-        bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, entry.model.trace_dim))
+        bc = canonical_rows(entry)
+        bad = sabotaged_rows(bc, entry.model.trace_dim)
         for rows in (bc, bad):
             assert abs(symmetry_defect(disc, rows, 11) - loop_symmetry_defect(disc, rows, 11)) <= 1e-12
 
@@ -431,8 +433,8 @@ class TestSymmetryDefect:
         entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
         disc = discretize(entry.model, make_grid(64, a, b))
-        bc = entry.boundary_conditions()
-        bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, entry.model.trace_dim))
+        bc = canonical_rows(entry)
+        bad = sabotaged_rows(bc, entry.model.trace_dim)
         for rows in (bc, bad):
             assert abs(symmetry_defect(disc, rows, 11) - batch_symmetry_defect(disc, rows, 11)) <= 1e-12
 
@@ -446,12 +448,12 @@ class TestSymmetryDefect:
         if name == "mixed":
             # with no W coordinate to sabotage, the initial-value rows x(a) = x'(a) = 0 break symmetry
             model = mixed_coefficient_model()
-            bc = boundary_conditions_from_rows(model, DIRICHLET_ROWS)
-            bad = boundary_conditions_from_rows(model, np.eye(4, dtype=complex)[:2])
+            bc = rref(DIRICHLET_ROWS)[0]
+            bad = rref(np.eye(4, dtype=complex)[:2])[0]
         else:
             entry = build_example(name)
-            model, bc = entry.model, entry.boundary_conditions()
-            bad = boundary_conditions_from_rows(model, sabotage_rows(bc, model.trace_dim))
+            model, bc = entry.model, canonical_rows(entry)
+            bad = sabotaged_rows(bc, model.trace_dim)
         a, b = (float(v) for v in model.expr.interval)
         disc = discretize(model, make_grid(N, a, b))
         tol = 1e-12 if N <= 64 else 2e-11
@@ -469,8 +471,8 @@ class TestSymmetryDefect:
         entry = build_example(name, DEFECT_PARAMS[params])
         a, b = (float(v) for v in entry.model.expr.interval)
         grid = make_grid(N, a, b)
-        bc = entry.boundary_conditions()
-        bad = boundary_conditions_from_rows(entry.model, sabotage_rows(bc, entry.model.trace_dim))
+        bc = canonical_rows(entry)
+        bad = sabotaged_rows(bc, entry.model.trace_dim)
         disc = discretize(entry.model, grid)
         assert symmetry_defect(disc, bc, 0) <= 1e-9
         assert symmetry_defect(disc, bad, 0) >= 1e-4
@@ -483,7 +485,7 @@ class TestSpectrum:
         cands = np.array([[1, 0, 1, 0], [0, 1, 0, 1]])
         from gknextend.extension import derive_boundary_conditions
 
-        bc = derive_boundary_conditions(model, cands)
+        bc = rref(derive_boundary_conditions(model, cands))[0]
         # the model's interval is 2 pi to 6 digits of its denominator: the grid takes it exactly
         grid = make_grid(64, *(float(v) for v in model.expr.interval))
         op = assemble(discretize(model, grid), bc)
@@ -494,20 +496,20 @@ class TestSpectrum:
 
     def test_example_3_1_first_eigenvalue_regression(self, grid01):
         entry = build_example("fourier_3_1", {"alpha": 0.0})
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         rep = spectrum(op, 3)
         lam1 = sorted(rep.eigenvalues.real, key=abs)[0]
         assert abs(lam1 - LAMBDA_31_ALPHA0) < 1e-9
 
     def test_example_2_real_spectrum(self, grid01):
         entry = build_example("first_order", {"alpha": 0.0})
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         rep = spectrum(op, 10)
         assert rep.max_imag <= 1e-6
 
     def test_grid_convergence_3_1(self):
         entry = build_example("fourier_3_1", {"alpha": 1.0})
-        bc = entry.boundary_conditions()
+        bc = canonical_rows(entry)
         lams = []
         for N in (32, 64):
             op = assemble(discretize(entry.model, make_grid(N, 0.0, 1.0)), bc)
@@ -517,7 +519,7 @@ class TestSpectrum:
     def test_count_bound(self, grid01):
         # Arnoldi returns k = count + 2 eigenvalues, and needs k < reduced_dim - 1
         entry = build_example("fourier_3_1")
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         for count in (op.reduced_dim + 1, op.reduced_dim - 3):
             with pytest.raises(SpectralError, match="reduced dim"):
                 spectrum(op, count)
@@ -529,7 +531,7 @@ class TestSpectrum:
         # fourier_3_3 has the eigenvalue 0 exactly; at b = 30, grid_N 64, C is
         # singular to the last pivot, so a shift at 0 would fail
         entry = build_example("fourier_3_3", {"b": 30})
-        op = assemble(discretize(entry.model, make_grid(64, 0.0, 30.0)), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, make_grid(64, 0.0, 30.0)), canonical_rows(entry))
         rep = spectrum(op, 8)
         assert abs(rep.eigenvalues[0]) <= 1e-8
         assert rep.residuals[0] <= 1e-12
@@ -542,7 +544,7 @@ class TestSpectrum:
         # 1e-12, grid_N 64), with residuals up to 4.4e-4
         entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
-        rep = spectrum(assemble(discretize(entry.model, make_grid(N, a, b)), entry.boundary_conditions()), 8)
+        rep = spectrum(assemble(discretize(entry.model, make_grid(N, a, b)), canonical_rows(entry)), 8)
         roots = reference_roots(benchmark_module(monkeypatch, "reference"), name, params)
         for z in rep.eigenvalues[:5]:
             r = roots[np.argmin(np.abs(roots - z))]
@@ -553,7 +555,7 @@ class TestSpectrum:
     def test_five_smallest_match_closed_form(self, params):
         entry = build_example("fourier_3_3", params)
         a, b = (float(v) for v in entry.model.expr.interval)
-        op = assemble(discretize(entry.model, make_grid(64, a, b)), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, make_grid(64, a, b)), canonical_rows(entry))
         got = spectrum(op, 8).eigenvalues[:5]
         # the scan resolves the gap 2 / L between the roots 0 and about 2 / L
         L = b - a
@@ -581,7 +583,7 @@ class TestSpectrum:
         # eigs given the dense C * scale alone must find the same floats
         entry = build_example(name, params)
         a, b = (float(v) for v in entry.model.expr.interval)
-        op = assemble(discretize(entry.model, make_grid(N, a, b)), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, make_grid(N, a, b)), canonical_rows(entry))
         got = spectrum(op, 8)
 
         def dense(eigs, A, OPinv, **kw):
@@ -599,7 +601,7 @@ class TestSpectrum:
             return np.delete(vals, i), np.delete(vecs, i, axis=1)
 
         entry = build_example("fourier_3_3")
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         self.patch_eigs(monkeypatch, drop_smallest)
         with pytest.raises(SpectralError, match="no-miss check"):
             spectrum(op, 8)
@@ -615,7 +617,7 @@ class TestSpectrum:
             return vals[i], vecs[:, i]
 
         entry = build_example("fourier_3_3")
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         tau = 1e-9 * 30.0
         vals = [*range(1, 9), -9.0, -9.0 - 1e-10, -9.0 - 2e-10, 9.0 - tau / 2, 20.0, 25.0, 30.0]
         n = len(vals)
@@ -660,7 +662,7 @@ class TestSpectrum:
     def test_singular_shifted_operator_is_a_refusal(self, grid01):
         # C = 0 puts the shift at 0: getrf meets an exactly singular C - sigma I
         entry = build_example("fourier_3_3")
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         with pytest.raises(SpectralError, match="getrf info"):
             spectrum(dataclasses.replace(op, C=np.zeros_like(op.C)), 8)
 
@@ -671,7 +673,7 @@ class TestSpectrum:
             return vals, vecs
 
         entry = build_example("fourier_3_3")
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         self.patch_eigs(monkeypatch, nan_vectors)
         with pytest.raises(SpectralError, match="not finite"):
             spectrum(op, 8)
@@ -692,13 +694,13 @@ class TestSpectrum:
         entry = build_example(name)
         a, b = (float(v) for v in entry.model.expr.interval)
         grid = make_grid(N, a, b)
-        self.assert_matches_qz(assemble(discretize(entry.model, grid), entry.boundary_conditions()))
+        self.assert_matches_qz(assemble(discretize(entry.model, grid), canonical_rows(entry)))
 
     @pytest.mark.parametrize("N", [32, 128, 256])
     def test_first_order_pairs_read_minus_then_plus(self, N):
         # at alpha = 0 the spectrum is symmetric: 0, then pairs -lambda, +lambda
         entry = build_example("first_order")
-        op = assemble(discretize(entry.model, make_grid(N, 0.0, 1.0)), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, make_grid(N, 0.0, 1.0)), canonical_rows(entry))
         evals = spectrum(op, 8).eigenvalues
         pairs = tied_pairs(evals)
         assert len(pairs) == 3
@@ -708,7 +710,7 @@ class TestSpectrum:
         # the catalog's domain bases are real; complex boundary rows give a
         # complex one, which a unitary change of reduced basis imitates
         entry = build_example("first_order")
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         m = op.reduced_dim
         U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
         rotated = dataclasses.replace(op, Q=op.Q @ U, C=U.conj().T @ op.C @ U)
@@ -719,7 +721,7 @@ class TestSpectrum:
         # C + 0.5i I has the honest eigenvalues plus 0.5i: the solver carries
         # non-Hermitian parts through, it never removes them
         entry = build_example("fourier_3_3")
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         honest = spectrum(op, 8)
         shifted = spectrum(dataclasses.replace(op, C=op.C + 0.5j * np.eye(op.reduced_dim)), 8)
         assert np.abs(shifted.eigenvalues - (honest.eigenvalues + 0.5j)).max() <= 1e-8 * (
@@ -733,7 +735,7 @@ class TestSpectrum:
         # [[l1, 0], [0, l2]] into [[l1, s], [-s, l2]]: with s > |l1 - l2|/2 the
         # pair leaves the real axis, and the real solver must report it
         entry = build_example("fourier_3_3")
-        op = assemble(discretize(entry.model, grid01), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
         assert op.C.dtype == np.float64
         w, U = scipy.linalg.eigh(0.5 * (op.C + op.C.T))
         i = np.argsort(np.abs(w))[1:3]
@@ -754,7 +756,7 @@ class TestSpectrum:
     def test_real_path_matches_complex_path(self, name, N):
         entry = build_example(name)
         a, b = (float(v) for v in entry.model.expr.interval)
-        op = assemble(discretize(entry.model, make_grid(N, a, b)), entry.boundary_conditions())
+        op = assemble(discretize(entry.model, make_grid(N, a, b)), canonical_rows(entry))
         assert op.C.dtype == np.float64
         as_complex = dataclasses.replace(op, Q=op.Q.astype(complex), C=op.C.astype(complex))
         got, ref = spectrum(op, 8).eigenvalues, spectrum(as_complex, 8).eigenvalues
@@ -778,7 +780,7 @@ class TestSpectrum:
         object.__setattr__(W, "G", (U * w) @ U.conj().T)
         bad = dataclasses.replace(entry, model=dataclasses.replace(entry.model, W=W))
         with pytest.raises(SpectralError, match="not positive definite"):
-            assemble(discretize(bad.model, grid01), bad.boundary_conditions())
+            assemble(discretize(bad.model, grid01), canonical_rows(bad))
         monkeypatch.setattr(catalog, "build_example", lambda name, params=None: bad)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"example": "fourier_3_3"}))
@@ -935,14 +937,14 @@ class TestShootingOracle:
     def test_dirichlet_sanity(self):
         # classical two-condition path: x(a) = x(b) = 0 gives n^2 pi^2
         model = fourier_k0_model()
-        bc = boundary_conditions_from_rows(model, DIRICHLET_ROWS)
+        bc = rref(DIRICHLET_ROWS)[0]
         roots = shooting_oracle(model, bc, (1.0, 100.0))
         expected = np.array([np.pi**2, 4 * np.pi**2, 9 * np.pi**2])
         assert np.abs(np.array(roots[:3]) - expected).max() < 1e-7
 
     def test_example_3_1_alpha0_first_root(self):
         entry = build_example("fourier_3_1", {"alpha": 0.0})
-        roots = shooting_oracle(entry.model, entry.boundary_conditions(), (0.1, 5.0))
+        roots = shooting_oracle(entry.model, canonical_rows(entry), (0.1, 5.0))
         assert len(roots) == 1
         assert abs(roots[0] - LAMBDA_31_ALPHA0) < 1e-9
 
@@ -950,18 +952,18 @@ class TestShootingOracle:
         # alpha chosen so lambda = 0 is an eigenvalue: x linear, x(a) = 0,
         # a_W = x(b), W row alpha x(b) + x'(b) = 0 at x = u gives alpha = -1
         entry = build_example("fourier_3_1", {"alpha": -1.0})
-        roots = shooting_oracle(entry.model, entry.boundary_conditions(), (-0.5, 0.5))
+        roots = shooting_oracle(entry.model, canonical_rows(entry), (-0.5, 0.5))
         assert any(abs(r) < 1e-9 for r in roots)
 
     def test_empty_window(self):
         entry = build_example("fourier_3_1", {"alpha": 0.0})
-        roots = shooting_oracle(entry.model, entry.boundary_conditions(), (200.0, 230.0))
+        roots = shooting_oracle(entry.model, canonical_rows(entry), (200.0, 230.0))
         assert roots == []
 
     def test_first_order_characteristic_closed_form(self):
         alpha = 0.75
         entry = build_example("first_order", {"alpha": alpha})
-        bc = entry.boundary_conditions()
+        bc = canonical_rows(entry)
         lams = np.array([-3.3, 0.4, 7.9])
         got = characteristic_value(entry.model, bc, lams)
         expected = 2 * ((alpha - lams) * np.cos(lams / 2) - 2 * np.sin(lams / 2))
@@ -972,7 +974,7 @@ class TestShootingOracle:
         alpha = -1.25
         entry = build_example("first_order", {"alpha": alpha})
         lams = np.linspace(-55.0, 55.0, 37)
-        got = characteristic_value(entry.model, entry.boundary_conditions(), lams)
+        got = characteristic_value(entry.model, canonical_rows(entry), lams)
         expected = 2 * closed_form_characteristic("first_order", lams, alpha)
         assert got.shape == lams.shape
         assert np.all(np.abs(got - expected) < 1e-8 * (1 + np.abs(expected)))
@@ -980,14 +982,14 @@ class TestShootingOracle:
     def test_characteristic_value_batch_fourier_3_1(self):
         entry = build_example("fourier_3_1", {"alpha": 0.6, "M": 2.5, "a": -0.3, "b": 0.9})
         lams = np.linspace(-25.0, 220.0, 41)
-        got = characteristic_value(entry.model, entry.boundary_conditions(), lams)
+        got = characteristic_value(entry.model, canonical_rows(entry), lams)
         C, S = cos_sinc(lams, 1.2)
         expected = (0.6 - lams) * S + 2.5 * C
         assert np.all(np.abs(got - expected) < 1e-8 * (1 + np.abs(expected)))
 
     def test_characteristic_value_single_lambda_matches_batch(self):
         entry = build_example("fourier_3_3")
-        bc = entry.boundary_conditions()
+        bc = canonical_rows(entry)
         got = characteristic_value(entry.model, bc, np.array([3.5]))
         batch = characteristic_value(entry.model, bc, np.array([-2.0, 3.5, 40.0]))
         assert got.shape == (1,)
@@ -997,7 +999,7 @@ class TestShootingOracle:
         # build_model refuses such a B, so swap it into a built model: the
         # determinant turns genuinely complex and the realness guard raises
         entry = build_example("fourier_3_3")
-        bc = entry.boundary_conditions()
+        bc = canonical_rows(entry)
         B = np.array([[0.0, 0.5j], [0.5j, 0.0]])
         model = dataclasses.replace(entry.model, B=B)
         with pytest.raises(SpectralError, match="not real"):
@@ -1008,7 +1010,7 @@ class TestShootingOracle:
     @pytest.mark.parametrize("name", ORACLE_EXAMPLES)
     def test_roots_match_closed_form(self, name):
         entry = build_example(name)
-        roots = shooting_oracle(entry.model, entry.boundary_conditions(), entry.spectral_window)
+        roots = shooting_oracle(entry.model, canonical_rows(entry), entry.spectral_window)
         expected = closed_form_roots(name, entry.spectral_window)
         assert len(roots) == len(expected) >= 5
         rel = np.abs(np.array(roots) - expected) / np.maximum(1.0, np.abs(expected))
@@ -1028,9 +1030,9 @@ class TestShootingOracle:
         geo_model = build_model(geo, model.W, model.B, model.T)
         geo_entry = dataclasses.replace(entry, model=geo_model)
         window = entry.spectral_window
-        roots = shooting_oracle(geo_model, geo_entry.boundary_conditions(), window)
+        roots = shooting_oracle(geo_model, canonical_rows(geo_entry), window)
         assert len(roots) >= 5
-        assert roots == shooting_oracle(model, entry.boundary_conditions(), window)
+        assert roots == shooting_oracle(model, canonical_rows(entry), window)
         grid = make_grid(64, float(geo.a), float(geo.b))
         for sign in (+1, -1):
             vecs = extended_deficiency_vectors(geo_model, sign)
@@ -1042,13 +1044,13 @@ class TestShootingOracle:
         # four traces cannot hold a fundamental system of a fourth-order ODE
         entry = build_example("legendre_type")
         with pytest.raises(SpectralError, match="trace layout"):
-            shooting_oracle(entry.model, entry.boundary_conditions(), (-10.0, 10.0))
+            shooting_oracle(entry.model, canonical_rows(entry), (-10.0, 10.0))
 
     def test_potential_term_shifts_dirichlet_roots(self):
         # -x'' + x: the c_0 term enters the companion system and the
         # collocation matrix alike; Dirichlet eigenvalues n^2 pi^2 + 1
         model = classical_model(GeneralEvenOrder((Poly([1]), Poly([1])), 0, 1))
-        bc = boundary_conditions_from_rows(model, DIRICHLET_ROWS)
+        bc = rref(DIRICHLET_ROWS)[0]
         expected = np.pi**2 * np.arange(1, 4) ** 2 + 1
         roots = shooting_oracle(model, bc, (1.0, 100.0))
         assert len(roots) == 3
@@ -1058,7 +1060,7 @@ class TestShootingOracle:
 
     def test_variable_coefficients_are_refused(self):
         model = classical_model(GeneralEvenOrder((Poly(), Poly([1, 1])), 0, 1))
-        bc = boundary_conditions_from_rows(model, DIRICHLET_ROWS)
+        bc = rref(DIRICHLET_ROWS)[0]
         with pytest.raises(ExpressionError, match="not constant"):
             shooting_oracle(model, bc, (1.0, 100.0))
         with pytest.raises(ExpressionError, match="not constant"):
