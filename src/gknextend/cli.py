@@ -288,7 +288,7 @@ def run_check_symplectic(entry, cfg, checks: Checks, report: dict):
 def run_derive_bc(entry, cfg, checks: Checks, report: dict):
     tol = TOLERANCES["canonical"]
     rows = entry.boundary_conditions()
-    canonical, _ = rref(rows)
+    canonical = rref(rows)
     rendered = list(render_rows(entry.model, canonical))
     report["boundary_conditions_rendered"] = rendered
     report["boundary_conditions"] = {
@@ -341,7 +341,7 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
     a, b = (float(v) for v in model.expr.interval)
     grid = make_grid(cfg["grid_N"], a, b)
     # the spectral code reads the rows in canonical form
-    rows, _ = rref(entry.boundary_conditions())
+    rows = rref(entry.boundary_conditions())
     # both defects and the reduced operator read this one discretization
     disc = discretize(model, grid)
 
@@ -390,14 +390,11 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
                 model.deficiency,
                 len(vecs),
             )
-            for v in vecs:
-                worst_res = max(
-                    worst_res,
-                    eigenrelation_residual(model, grid, v.solution, v.a, sign * 1j),
-                )
+            for x, a in vecs:
+                worst_res = max(worst_res, eigenrelation_residual(model, grid, x, a, sign * 1j))
         checks.le("deficiency_eigenrelation_residual", worst_res, TOLERANCES["residual"])
 
-    sabotaged, _ = rref(catalog.sabotage_rows(rows, model.trace_dim))
+    sabotaged = rref(catalog.sabotage_rows(rows, model.trace_dim))
     # no boundary row enters the discretization, so the sabotaged rows share it
     defect_bad = symmetry_defect(disc, sabotaged, seed)
     checks.ge("sabotaged_defect_floor", defect_bad, TOLERANCES["sabotage_floor"])
@@ -448,14 +445,6 @@ def run(cfg: dict, command: str) -> dict:
     return report
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _open_output(path: str):
     """Open an output file for writing; an unwritable path is a usage error."""
     try:
@@ -494,7 +483,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.seed)
         report = run(cfg, args.command)
-        text = json.dumps(report, indent=2, default=_json_default)
+        text = json.dumps(report, indent=2)
         if args.out:
             with _open_output(args.out) as f:
                 f.write(text + "\n")

@@ -11,13 +11,13 @@ of honestly self-adjoint assemblies at rounding level.
 Only the affine scaling depends on [a, b]: the nodes, the first
 differentiation matrix, the Gram and its Cholesky factor are built once
 per N on [-1, 1] (`_reference_grid`) and scaled to [a, b] by each
-`make_grid` call.  So are the right factors D_j R_ref^-1 and the
-similarity transforms R_ref D_j R_ref^-1 that the discretization in the
-Gram-orthonormal coordinates reads (`_right_factors`, `_similar_factors`),
-each on first use (`CollocationGrid.reference_diff_rinv`,
-`CollocationGrid.reference_diff_similar`).  No grid holds D2..D4: the
-discretization reads a j-th derivative through those factors alone, and
-its trace rows as the endpoint rows of D1^j (`spectral.trace_rows`).
+`make_grid` call.  The right factors D_j R_ref^-1 and the similarity
+transforms R_ref D_j R_ref^-1 that the discretization in the
+Gram-orthonormal coordinates reads are cached per (N, j) on first use
+(`reference_diff_rinv`, `reference_diff_similar`), apart from any grid.
+No grid holds D2..D4: the discretization reads a j-th derivative through
+those factors alone, and its trace rows as the endpoint rows of D1^j
+(`spectral.trace_rows`).
 """
 
 from __future__ import annotations
@@ -55,41 +55,6 @@ class CollocationGrid:
         """Half the interval length: u = (a + b)/2 + h t maps [-1, 1] onto [a, b]."""
         return (self.b - self.a) / 2
 
-    def reference_diff_rinv(self, order: int) -> np.ndarray:
-        """(D_order R_ref^-1) on [-1, 1], read-only and shared by every grid of this N.
-
-        d/du = d/dt / h, so this grid's D_order R_ref^-1 is h^-order times
-        it.  Each order is built on first use: the reference d/dt raised to
-        the power, then one triangular right solve (`_diff_rinv`).
-        """
-        factors = _right_factors(self.N)
-        if order not in factors:
-            factors[order] = _read_only(self._diff_rinv(order))
-        return factors[order]
-
-    def reference_diff_similar(self, order: int) -> np.ndarray:
-        """(R_ref D_order R_ref^-1) on [-1, 1], read-only and shared by every grid of this N.
-
-        A constant coefficient commutes with R_ref, so a constant-coefficient
-        term of the operator in the Gram-orthonormal coordinates is a scalar
-        times this.  Built on first use as R_ref (D_order R_ref^-1), without
-        keeping the right factor.
-        """
-        similar = _similar_factors(self.N)
-        if order not in similar:
-            similar[order] = _read_only(self.gram_factor @ self._diff_rinv(order))
-        return similar[order]
-
-    def _diff_rinv(self, order: int) -> np.ndarray:
-        """D_order R_ref^-1 on [-1, 1]: d/dt to the power, D_(j+1) = D_j D1, then one triangular right solve."""
-        import scipy.linalg  # the CLI imports this module; its algebra commands never load scipy
-
-        D1 = _reference_grid(self.N)[1]
-        D = np.eye(self.N + 1) if order == 0 else D1
-        for _ in range(order - 1):
-            D = D @ D1
-        return scipy.linalg.solve_triangular(self.gram_factor, D.T, trans="T").T
-
 
 def _read_only(m: np.ndarray) -> np.ndarray:
     m.flags.writeable = False
@@ -123,16 +88,38 @@ def _reference_grid(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return t, D1, gram, R_ref
 
 
-@functools.lru_cache(maxsize=4)
-def _right_factors(N: int) -> dict[int, np.ndarray]:
-    """The D_j R_ref^-1 on [-1, 1] built so far for N, by j (see `reference_diff_rinv`)."""
-    return {}
+def _diff_rinv(order: int, D1: np.ndarray, R_ref: np.ndarray) -> np.ndarray:
+    """D_order R_ref^-1 on [-1, 1]: d/dt to the power, D_(j+1) = D_j D1, then one triangular right solve."""
+    import scipy.linalg  # the CLI imports this module; its algebra commands never load scipy
+
+    D = np.eye(len(D1)) if order == 0 else D1
+    for _ in range(order - 1):
+        D = D @ D1
+    return scipy.linalg.solve_triangular(R_ref, D.T, trans="T").T
 
 
-@functools.lru_cache(maxsize=4)
-def _similar_factors(N: int) -> dict[int, np.ndarray]:
-    """The R_ref D_j R_ref^-1 on [-1, 1] built so far for N, by j (see `reference_diff_similar`)."""
-    return {}
+# four grid sizes of orders 0..4, as `_reference_grid` keeps four sizes
+@functools.lru_cache(maxsize=20)
+def reference_diff_rinv(N: int, order: int) -> np.ndarray:
+    """(D_order R_ref^-1) on [-1, 1], read-only and shared by every grid of this N.
+
+    d/du = d/dt / h, so a grid's D_order R_ref^-1 is h^-order times it.
+    """
+    _, D1, _, R_ref = _reference_grid(N)
+    return _read_only(_diff_rinv(order, D1, R_ref))
+
+
+@functools.lru_cache(maxsize=20)
+def reference_diff_similar(N: int, order: int) -> np.ndarray:
+    """(R_ref D_order R_ref^-1) on [-1, 1], read-only and shared by every grid of this N.
+
+    A constant coefficient commutes with R_ref, so a constant-coefficient
+    term of the operator in the Gram-orthonormal coordinates is a scalar
+    times this.  Built as R_ref (D_order R_ref^-1), without keeping the
+    right factor.
+    """
+    _, D1, _, R_ref = _reference_grid(N)
+    return _read_only(R_ref @ _diff_rinv(order, D1, R_ref))
 
 
 def make_grid(N: int, a: float, b: float) -> CollocationGrid:

@@ -18,7 +18,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .polynomials import Poly, count_real_roots, poly_from_json, poly_to_json
+from .polynomials import Poly, count_real_roots, poly_from_json
 from .symplectic import TOL_SKEW, GknError, SymplecticError, nondegenerate
 
 
@@ -62,9 +62,6 @@ class DiffExpr:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(_prime(e, k) for e in self.ends for k in range(self.traces_per_endpoint))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **{f.name: str(getattr(self, f.name)) for f in fields(self)}}
 
     @classmethod
     def from_json(cls, data: dict) -> "DiffExpr":
@@ -117,7 +114,7 @@ class DiffExpr:
                 f"the deficiency solutions exp(mu u) do not fit a float on [a, b]: "
                 f"|Re mu| (b - a) / 2 = {reach:.3g} exceeds {EXP_REACH:.0f}"
             )
-        return [ExpSolution(self, mu, sign) for mu in mus]
+        return [ExpSolution(self, mu) for mu in mus]
 
 
 @dataclass(frozen=True)
@@ -229,10 +226,6 @@ class GeneralEvenOrder(DiffExpr):
     def traces_per_endpoint(self) -> int:
         return 2 * (len(self.qs) - 1)
 
-    def to_json(self) -> dict:
-        qs = [poly_to_json(q) for q in self.qs]
-        return {"kind": self.kind, "qs": qs, "a": str(self.a), "b": str(self.b)}
-
     @classmethod
     def from_json(cls, data: dict) -> "GeneralEvenOrder":
         qs = tuple(poly_from_json(q) for q in data["qs"])
@@ -321,14 +314,13 @@ def boundary_form(expr: DiffExpr) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExpSolution:
-    """x(u) = exp(mu (u - c)), c the midpoint of [a, b]: a solution of l x = sign * i x.
+    """x(u) = exp(mu (u - c)), c the midpoint of [a, b]: a solution of l x = +-i x.
 
     Centred, |x| stays within exp(EXP_REACH) wherever [a, b] lies.
     """
 
     expr: DiffExpr
     mu: complex
-    sign: int
 
     def value(self, u):
         c = float(self.expr.a + self.expr.b) / 2

@@ -63,6 +63,11 @@ class ExtensionSpace:
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=complex).reshape(self.k, self.k)
+        # the gates below compare false on inf and nan, so a G that overflowed would pass them
+        if not np.isfinite(G).all():
+            raise ModelError(
+                f"Gram matrix G has an entry that is not finite (max|G| = {np.abs(G).max():.3e})"
+            )
         if np.abs(G - G.conj().T).max(initial=0.0) > TOL_BUILD * (1 + np.abs(G).max(initial=0.0)):
             raise ModelError("Gram matrix must be Hermitian")
         if np.linalg.eigvalsh(G).min(initial=np.inf) <= 0:
@@ -143,6 +148,12 @@ def build_model(expr: DiffExpr, W: ExtensionSpace, B, T) -> ExtendedModel:
     if B.shape != (W.k, W.k):
         raise ModelError("B has wrong shape for W")
     GB = W.G @ B
+    if not np.isfinite(GB).all():
+        # an overflowed G B would pass the residual test below, inf and nan comparing false
+        raise ModelError(
+            f"G B has an entry that is not finite (max|G| = {np.abs(W.G).max():.3e}, "
+            f"max|B| = {np.abs(B).max():.3e}), so B cannot be checked self-adjoint"
+        )
     resid = np.abs(GB - GB.conj().T).max(initial=0.0)
     if resid > 1e-10 * (1 + np.abs(GB).max(initial=0.0)):
         raise ModelError(f"B is not self-adjoint for the W inner product (GB residual {resid:.3e})")
@@ -163,6 +174,11 @@ def build_model(expr: DiffExpr, W: ExtensionSpace, B, T) -> ExtendedModel:
     Omega = W.Xi @ (T.conj() @ S)
     F_ext = np.block([[S, Omega.conj().T @ W.G], [-W.G @ Omega, np.zeros((W.k, W.k))]])
     F_ext = 0.5 * (F_ext - F_ext.conj().T)
+    if not np.isfinite(F_ext).all():
+        raise ModelError(
+            f"the extended form overflows: its coupling block G Omega has an entry that is not "
+            f"finite (max|G| = {np.abs(W.G).max():.3e}, max|Omega| = {np.abs(Omega).max():.3e})"
+        )
     M_min = np.vstack([T.T, W.Xi])
     if sym.matrix_rank(M_min) < W.k:
         s = ", ".join(f"{v:.3e}" for v in np.linalg.svd(M_min, compute_uv=False))
@@ -175,7 +191,7 @@ def build_model(expr: DiffExpr, W: ExtensionSpace, B, T) -> ExtendedModel:
     resid = np.abs(Omega @ T.T).max(initial=0.0)
     if resid > TOL_BUILD * (1 + np.abs(Omega).max(initial=0.0)):
         raise ModelError(f"Omega does not annihilate the partial GKN set ({resid:.3e})")
-    S_red, _, radical_resid = sym.quotient_by(F_ext, M_min)
+    S_red, radical_resid = sym.quotient_by(F_ext, M_min)
     if radical_resid > sym.TOL_RADICAL:
         raise ModelError("minimal pairs (t_j, xi_j) escaped the radical of the extended form")
     return ExtendedModel(expr, S, W, B, T, Omega, F_ext, M_min, S_red, radical_resid)
@@ -190,7 +206,7 @@ def check_gkn_extended(model: ExtendedModel, candidates) -> sym.GknCheck:
 # boundary conditions
 
 
-def rref(C: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def rref(C: np.ndarray) -> np.ndarray:
     """Reduced row-echelon form with relative pivot tolerance TOL_PIVOT.
 
     Entries of the normalized rows at or under TOL_PIVOT times their
@@ -200,7 +216,7 @@ def rref(C: np.ndarray) -> tuple[np.ndarray, list[int]]:
     rows, cols = R.shape
     scale = np.abs(R).max(initial=0.0)
     if scale == 0:
-        return R, []
+        return R
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -223,7 +239,7 @@ def rref(C: np.ndarray) -> tuple[np.ndarray, list[int]]:
     for i, c in enumerate(pivots):
         R[:, c] = 0.0
         R[i, c] = 1.0
-    return R, pivots
+    return R
 
 
 def _fmt_coeff(z: complex) -> str:
@@ -336,14 +352,9 @@ def verify_self_adjoint_domain(model: ExtendedModel, rows: np.ndarray) -> bool:
 # deficiency vectors in the extended space
 
 
-@dataclass(frozen=True)
-class ExtendedDeficiencyVector:
-    solution: ExpSolution
-    a: np.ndarray
-    sign: int
-
-
-def extended_deficiency_vectors(model: ExtendedModel, sign: int) -> list[ExtendedDeficiencyVector]:
+def extended_deficiency_vectors(
+    model: ExtendedModel, sign: int
+) -> list[tuple[ExpSolution, np.ndarray]]:
     """Pairs (x, a) with the extended maximal action equal to sign*i*(x, a).
 
     x runs over the closed-form classical deficiency solutions and
@@ -359,7 +370,7 @@ def extended_deficiency_vectors(model: ExtendedModel, sign: int) -> list[Extende
         w_resid = np.abs(model.B @ a - om - sign * 1j * a).max(initial=0.0)
         if w_resid > 1e-10 * (1 + np.abs(om).max(initial=0.0)):
             raise ModelError(f"deficiency vector failed its eigen-relation ({w_resid:.3e})")
-        out.append(ExtendedDeficiencyVector(s, a, sign))
+        out.append((s, a))
     return out
 
 
@@ -386,16 +397,6 @@ def _cvec_from_json(data, length: int, name: str) -> np.ndarray:
     if len(data) != 2 * length:
         raise ModelError(f"{name} holds {len(data)} numbers, not {2 * length}: [re, im] each")
     return np.array(data, dtype=float).view(complex)
-
-
-def model_to_json(model: ExtendedModel) -> dict:
-    return {
-        "expression": model.expr.to_json(),
-        "G": _cmat_to_json(model.W.G),
-        "B": _cmat_to_json(model.B),
-        "Xi": _cmat_to_json(model.W.Xi),
-        "gkn_traces": [[x for z in t for x in (float(z.real), float(z.imag))] for t in model.T],
-    }
 
 
 def model_from_json(data: dict) -> ExtendedModel:

@@ -98,19 +98,6 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def poly_to_json(p: Poly) -> list:
-    """Ascending coefficient list; Fractions as 'num/den' strings."""
-    out = []
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            out.append(f"{c.numerator}/{c.denominator}")
-        elif isinstance(c, complex):
-            out.append([c.real, c.imag])
-        else:
-            out.append(c)
-    return out
-
-
 def poly_from_json(data: Sequence) -> Poly:
     coeffs: list = []
     for c in data:

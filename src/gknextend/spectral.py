@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .collocation import CollocationGrid
+from .collocation import CollocationGrid, reference_diff_rinv, reference_diff_similar
 from .expressions import DiffExpr, ExpSolution
 from .extension import ExtendedModel
 from .polynomials import Poly
@@ -122,31 +122,21 @@ def _right_solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
 def _fill_h_block(out: np.ndarray, coeffs: list, grid: CollocationGrid) -> None:
     """Set a zero `out` to R_ref L R_ref^-1 for L = sum_j diag(c_j) h^-j D_j.
 
-    `coeffs` is [(j, c_j, c_j at the nodes)].  A constant c_j (degree 0)
-    commutes with R_ref, so its term is c_j h^-j G_j, O(n^2) from the
-    grid's cached G_j = (R_ref D_j R_ref^-1)_ref.  The variable terms sum
-    to L_var R_ref^-1 = sum_j diag(c_j) h^-j (D_j R_ref^-1)_ref from cached
-    right factors, and the product with the real R_ref is the block's one
-    O(n^3) step.  A part, real or imaginary, of a constant term or of
-    L_var R_ref^-1 is added only when it is not exactly zero (l x = i x'
-    has no real part), each part of L_var R_ref^-1 by one real product.
+    `coeffs` is [(j, c_j, c_j at the nodes)], the values in the dtype of
+    `out`.  A constant c_j (degree 0) commutes with R_ref, so its term is
+    c_j h^-j G_j, O(n^2) from the cached G_j = (R_ref D_j R_ref^-1)_ref.
+    The variable terms sum to L_var R_ref^-1 = sum_j diag(c_j) h^-j
+    (D_j R_ref^-1)_ref from cached right factors, and the product with
+    R_ref is the block's one O(n^3) step.
     """
     variable = []
     for j, c, cvals in coeffs:
         if c.degree == 0:
-            cj, G = (1 / grid.h) ** j * cvals[0], grid.reference_diff_similar(j)
-            if cj.real:
-                out.real += cj.real * G
-            if cj.imag:
-                out.imag += cj.imag * G
+            out += (1 / grid.h) ** j * cvals[0] * reference_diff_similar(grid.N, j)
         else:
-            variable.append(((1 / grid.h) ** j * cvals)[:, None] * grid.reference_diff_rinv(j))
+            variable.append(((1 / grid.h) ** j * cvals)[:, None] * reference_diff_rinv(grid.N, j))
     if variable:
-        LR = sum(variable)
-        if np.any(LR.real):
-            out.real += grid.gram_factor @ LR.real
-        if np.iscomplexobj(LR) and np.any(LR.imag):
-            out.imag += grid.gram_factor @ LR.imag
+        out += grid.gram_factor @ sum(variable)
 
 
 @dataclass(frozen=True)
@@ -223,6 +213,7 @@ def discretize(model: ExtendedModel, grid: CollocationGrid) -> Discretization:
     n, k, td = grid.N + 1, model.k, model.trace_dim
     coeffs = [(j, c, _horner(c, grid.nodes)) for j, c in expr.coefficient_polys()]
     dtype = _dtype(*(cvals for _, _, cvals in coeffs), model.Omega, model.B, model.W.G)
+    coeffs = [(j, c, _view(cvals, dtype)) for j, c, cvals in coeffs]
     try:
         R_W = scipy.linalg.cholesky(_view(model.W.G, dtype), lower=False)
     except scipy.linalg.LinAlgError as e:
@@ -254,8 +245,6 @@ class DiscreteExtendedOperator:
     Householder reflectors that `assemble` takes from the rows.
     """
 
-    disc: Discretization
-    rows: np.ndarray           # the canonical boundary rows
     Q: np.ndarray
     C: np.ndarray
 
@@ -335,7 +324,7 @@ def assemble(disc: Discretization, rows: np.ndarray) -> DiscreteExtendedOperator
         Q[i:] -= np.outer(tau * u, u.conj() @ Q[i:])
     for i, p in reversed(swaps):
         Q[[i, p]] = Q[[p, i]]
-    return DiscreteExtendedOperator(disc, rows, Q, M[r:, r:].copy())
+    return DiscreteExtendedOperator(Q, M[r:, r:].copy())
 
 
 def _probe_nullspace(probe: ProbeImage, rows: np.ndarray) -> np.ndarray:
@@ -639,7 +628,7 @@ def characteristic_value(
     model: ExtendedModel,
     rows: np.ndarray,
     lams: np.ndarray,
-    companion: Companion | None = None,
+    comp: Companion,
 ) -> np.ndarray:
     """Real characteristic function whose zeros are the eigenvalues.
 
@@ -648,10 +637,9 @@ def characteristic_value(
     lambda of the 1-D array lams at once (one batched matrix exponential).
     Liouville's factor exp(-(b - a) tr C / 2) of the companion matrix C
     divides out the determinant's constant phase (1 for -x''); a
-    non-negligible imaginary remainder raises.  `companion` is
-    `Companion.of(model.expr)`, built here when not given.
+    non-negligible imaginary remainder raises.  `comp` is
+    `Companion.of(model.expr)`, built once per oracle call.
     """
-    comp = Companion.of(model.expr) if companion is None else companion
     k, td = model.k, model.trace_dim
     lams = np.asarray(lams, dtype=float)
     fund = _fundamental_traces(comp, lams)

@@ -7,9 +7,10 @@ m x r basis array, one vector per column.  Rank and degeneracy decisions
 go through SVD with relative thresholds; whether a subspace is isotropic
 or inside the radical is read off the form on an orthonormal basis of it,
 never off basis identity.  The quotient by a subspace comes from one
-complete QR of its basis (`quotient_by`): the leading columns measure
-how far the subspace is from the radical, and the trailing ones carry
-the quotient form.
+complete QR of its basis (`quotient_by`), which returns the quotient form
+and the radical residual: the leading columns of its Q factor measure
+how far the subspace is from the radical, and the trailing ones carry the
+quotient form.
 """
 
 from __future__ import annotations
@@ -63,14 +64,13 @@ def nondegenerate(S: np.ndarray) -> bool:
 # form operations
 
 
-def quotient_by(S: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def quotient_by(S: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, float]:
     """The quotient of S by the columns of M, from one complete QR of M.
 
     With M = [Q_M Q_c] R, the first r columns Q_M are an orthonormal basis
     of the columns of M and the rest, Q_c, one of their orthogonal
     complement.  Returns the quotient form S_red = Q_c* S Q_c (made
-    skew-Hermitian exactly), Q_c, so that callers can push ambient vectors
-    to quotient coordinates via Q_c* v, and the radical residual
+    skew-Hermitian exactly) and the radical residual
     max|S Q_M| / (1 + max|S|).  The quotient is well defined only when
     the columns of M lie inside the radical of S, that is when the
     residual is at most TOL_RADICAL; the caller decides.  M must have
@@ -81,7 +81,7 @@ def quotient_by(S: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, f
     resid = float(np.abs(S @ Q[:, :r]).max(initial=0.0) / (1.0 + np.abs(S).max(initial=0.0)))
     Q_c = Q[:, r:]
     S_red = Q_c.conj().T @ S @ Q_c
-    return 0.5 * (S_red - S_red.conj().T), Q_c, resid
+    return 0.5 * (S_red - S_red.conj().T), resid
 
 
 @dataclass(frozen=True)

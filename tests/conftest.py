@@ -105,7 +105,7 @@ def canonical_rows(entry) -> np.ndarray:
     """The canonical (RREF) form of an entry's constraint rows, as the spectral code reads it."""
     from gknextend.extension import rref
 
-    return rref(entry.boundary_conditions())[0]
+    return rref(entry.boundary_conditions())
 
 
 def sabotaged_rows(canonical, trace_dim) -> np.ndarray:
@@ -113,7 +113,7 @@ def sabotaged_rows(canonical, trace_dim) -> np.ndarray:
     from gknextend.catalog import sabotage_rows
     from gknextend.extension import rref
 
-    return rref(sabotage_rows(canonical, trace_dim))[0]
+    return rref(sabotage_rows(canonical, trace_dim))
 
 
 def rendered_conditions(entry) -> tuple:
@@ -123,10 +123,51 @@ def rendered_conditions(entry) -> tuple:
     return render_rows(entry.model, canonical_rows(entry))
 
 
+def poly_to_json(p) -> list:
+    """Ascending coefficient list; Fractions as 'num/den' strings, complex as [re, im]."""
+    out = []
+    for c in p.coeffs:
+        if isinstance(c, Fraction):
+            out.append(f"{c.numerator}/{c.denominator}")
+        elif isinstance(c, complex):
+            out.append([c.real, c.imag])
+        else:
+            out.append(c)
+    return out
+
+
+def expr_to_json(expr) -> dict:
+    """An expression as a custom model's `expression` section: its kind and its fields."""
+    from dataclasses import fields
+
+    if expr.kind == "general_even_order":
+        qs = [poly_to_json(q) for q in expr.qs]
+        return {"kind": expr.kind, "qs": qs, "a": str(expr.a), "b": str(expr.b)}
+    return {"kind": expr.kind, **{f.name: str(getattr(expr, f.name)) for f in fields(expr)}}
+
+
+def model_to_json(model) -> dict:
+    """A model as a config's `model` section, the inverse of `extension.model_from_json`.
+
+    G, B and Xi are matrices of [re, im] pairs; each partial GKN trace is a
+    flat [re, im, ...] list.
+    """
+
+    def cmat(M):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, dtype=complex)]
+
+    return {
+        "expression": expr_to_json(model.expr),
+        "G": cmat(model.W.G),
+        "B": cmat(model.B),
+        "Xi": cmat(model.W.Xi),
+        "gkn_traces": [[x for z in t for x in (float(z.real), float(z.imag))] for t in model.T],
+    }
+
+
 def custom_config(name: str) -> dict:
     """A catalog example restated as a custom model with its candidates."""
     from gknextend.catalog import build_example
-    from gknextend.extension import model_to_json
 
     entry = build_example(name)
     td = entry.model.trace_dim
@@ -397,7 +438,6 @@ def reference_assemble(model, bc, grid):
         SpectralError,
         _constraint_rows,
         _right_solve,
-        discretize,
     )
     from gknextend.symplectic import nullspace
 
@@ -418,11 +458,11 @@ def reference_assemble(model, bc, grid):
     AZ = nodal.A_full[:, :n] @ scipy.linalg.solve_triangular(R_H, Qh)
     W_rows = AZ[n:] / sqrt_h + nodal.A_full[n:, n:] @ scipy.linalg.solve_triangular(R_W, Qw)
     C = Qh.conj().T @ (R_H @ AZ[:n]) + Qw.conj().T @ (R_W @ W_rows)
-    return DiscreteExtendedOperator(discretize(model, grid), bc, Q, C)
+    return DiscreteExtendedOperator(Q, C)
 
 
-def qz_eigenvalues(op):
-    """All eigenvalues of the constrained operator by complex QZ, smallest |lambda| first.
+def qz_eigenvalues(model, grid, bc):
+    """All eigenvalues of the model under the boundary rows by complex QZ, smallest |lambda| first.
 
     P is a Euclidean orthonormal basis of the nullspace of the boundary
     rows, and QZ solves the pencil (P* G A P, P* G P) of the nodal
@@ -430,8 +470,8 @@ def qz_eigenvalues(op):
     """
     import scipy.linalg
 
-    nodal = nodal_discretize(op.disc.model, op.disc.grid)
-    P = scipy.linalg.null_space(op.rows @ nodal.lift, rcond=1e-10)
+    nodal = nodal_discretize(model, grid)
+    P = scipy.linalg.null_space(bc @ nodal.lift, rcond=1e-10)
     PG = P.conj().T @ nodal.Gram_full
     evals = scipy.linalg.eigvals(PG @ nodal.A_full @ P, PG @ P)
     modulus = [float(f"{m:.8e}") for m in np.abs(evals)]
@@ -451,10 +491,11 @@ def one_product_h_block(model, grid):
     constant coefficients included, from the grid's right factors; one
     real product with R_ref for each part, real and imaginary.
     """
+    from gknextend.collocation import reference_diff_rinv
     from gknextend.spectral import _horner
 
     coeffs = [(j, _horner(c, grid.nodes)) for j, c in model.expr.coefficient_polys()]
-    LR = sum(((1 / grid.h) ** j * cvals)[:, None] * grid.reference_diff_rinv(j) for j, cvals in coeffs)
+    LR = sum(((1 / grid.h) ** j * cvals)[:, None] * reference_diff_rinv(grid.N, j) for j, cvals in coeffs)
     block = grid.gram_factor @ LR.real
     if np.iscomplexobj(LR):
         block = block + 1j * (grid.gram_factor @ LR.imag)
@@ -668,13 +709,24 @@ def is_complete_lagrangian(S, L) -> bool:
     return is_lagrangian(S, L) and subspaces_equal(symplectic_complement(S, L), L)
 
 
+def quotient(S, M):
+    """The quotient form S_red = Q_c* S Q_c and Q_c, from one complete QR of M.
+
+    Q_c, an orthonormal basis of the complement of the columns of M, pushes
+    ambient vectors to quotient coordinates via Q_c* v.
+    """
+    Q_c = np.linalg.qr(M, mode="complete")[0][:, M.shape[1]:]
+    S_red = Q_c.conj().T @ S @ Q_c
+    return 0.5 * (S_red - S_red.conj().T), Q_c
+
+
 def quotient_certificate(model, rows) -> bool:
     """The nullspace of the rows, pushed into F_ext / M_min, is a complete
     Lagrangian of dimension def(T0)."""
-    from gknextend.symplectic import TOL_RANK, nondegenerate, nullspace, quotient_by
+    from gknextend.symplectic import TOL_RANK, nondegenerate, nullspace
 
     N = nullspace(rows)
-    S_red, Q, _ = quotient_by(model.F_ext, model.M_min)
+    S_red, Q = quotient(model.F_ext, model.M_min)
     if len(S_red) != 2 * model.deficiency or not nondegenerate(S_red):
         return False
     # columns of N are orthonormal, so genuine quotient content has O(1)

@@ -218,8 +218,8 @@ def test_07_deficiency_isomorphism():
         for sign in (+1, -1):
             vecs = extended_deficiency_vectors(model, sign)
             ok &= len(vecs) == model.deficiency
-            for v in vecs:
-                r = eigenrelation_residual(model, grid, v.solution, v.a, sign * 1j)
+            for x, a in vecs:
+                r = eigenrelation_residual(model, grid, x, a, sign * 1j)
                 ok &= r <= 1e-8
     report(7, "deficiency-vectors-count-and-residual", ok, t0)
 

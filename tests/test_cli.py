@@ -21,10 +21,9 @@ import gknextend
 from gknextend import catalog, cli, extension, legendre, spectral
 from gknextend.catalog import DEFAULT_PARAMS, EXAMPLE_NAMES, build_example
 from gknextend.cli import CONFIG_SCHEMA, ConfigError, load_config, main, run
-from gknextend.extension import model_to_json
 from gknextend.spectral import symmetry_defect
 
-from conftest import benchmark_module, benchmark_ops, custom_config, tied_pairs
+from conftest import benchmark_module, benchmark_ops, custom_config, model_to_json, tied_pairs
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -388,6 +387,9 @@ class TestRefusals:
         assert "|c_2|, the leading coefficient, is 2.000e+00 at u = -1 and 1.000e-09 at u = 1" in err
 
 
+INFINITE_GRAM = "Gram matrix G has an entry that is not finite (max|G| = inf)"
+
+
 class TestInternalErrors:
     """A fault of the verifier exits 3 and ends stderr with a summary line, never exit 1.
 
@@ -420,6 +422,43 @@ class TestInternalErrors:
         assert captured.err == (
             f"config error: interval length b - a = {b:g} is too short: its square underflows to 0\n"
         )
+
+    @pytest.mark.parametrize(
+        "cfg, command, message",
+        [
+            *(({"example": "fourier_3_1", "params": {"M": 1e-310}}, c, INFINITE_GRAM)
+              for c in ("check-symplectic", "verify-gkn", "all")),
+            ({"example": "legendre_type", "params": {"A": 1e-310}}, "check-symplectic", INFINITE_GRAM),
+            *(
+                (
+                    {"example": "custom", "model": {
+                        "expression": {"kind": "general_even_order", "qs": [["1"], ["1"]], "a": "0", "b": "1"},
+                        "G": [[[1e300, 0]]], "B": [[[b, 0]]],
+                        "gkn_traces": [[1e300, 0, 0, 0, 0, 0, 0, 0]],
+                    }},
+                    "check-symplectic", message,
+                )
+                for b, message in (
+                    (1e300, "G B has an entry that is not finite (max|G| = 1.000e+300, max|B| = 1.000e+300)"),
+                    (1.0, "max|G| = 1.000e+300, max|Omega| = 1.000e+150"),
+                )
+            ),
+        ],
+    )
+    def test_overflowing_model_arrays(self, tmp_path, capsys, cfg, command, message):
+        # G = diag(1/w) for a W weight of 1e-310, G B or G Omega for entries of
+        # 1e300 is not finite: refused when the model is built, before any SVD meets it
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("config error: ")
+        assert message in last
+        if "Omega" in message:
+            assert "the extended form overflows: its coupling block G Omega has an entry" in last
 
     def test_fault_of_the_verifier(self, tmp_path, capsys, monkeypatch):
         def broken(entry, cfg, checks, report):

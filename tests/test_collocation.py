@@ -4,7 +4,7 @@ import pytest
 from conftest import direct_grid
 from gknextend import cli
 from gknextend.catalog import build_example
-from gknextend.collocation import _reference_grid, _right_factors, _similar_factors, make_grid
+from gknextend.collocation import _reference_grid, make_grid, reference_diff_rinv, reference_diff_similar
 from gknextend.spectral import discretize, trace_rows
 
 
@@ -29,7 +29,7 @@ class TestGrid:
         u = g.nodes**5
 
         def diff(k):
-            return g.reference_diff_rinv(k) @ (g.gram_factor @ u) / g.h**k
+            return reference_diff_rinv(g.N, k) @ (g.gram_factor @ u) / g.h**k
 
         assert np.abs(diff(2) - 20 * g.nodes**3).max() < 1e-8
         assert np.abs(diff(4) - 120 * g.nodes).max() < 1e-4
@@ -117,26 +117,26 @@ class TestReferenceGrid:
     def test_right_factor_times_gram_factor_is_the_reference_power(self, order):
         # on [-1, 1] (h = 1) the D_order of a direct build is the reference one
         g = make_grid(48, -1.0, 1.0)
-        F = g.reference_diff_rinv(order)
+        F = reference_diff_rinv(48, order)
         assert not F.flags.writeable
-        assert F is make_grid(48, 2.0, 2.5).reference_diff_rinv(order)
+        assert F is reference_diff_rinv(48, order)
         D = [np.eye(49), *direct_grid(48, -1.0, 1.0)[1]][order]
         assert np.abs(F @ g.gram_factor - D).max() <= 1e-12 * np.abs(D).max()
 
     @pytest.mark.parametrize("order", range(5))
     def test_similar_factor_is_gram_factor_times_right_factor(self, order):
         g = make_grid(48, -1.0, 1.0)
-        G = g.reference_diff_similar(order)
+        G = reference_diff_similar(48, order)
         assert not G.flags.writeable
-        assert G is make_grid(48, 2.0, 2.5).reference_diff_similar(order)
-        want = g.gram_factor @ g.reference_diff_rinv(order)
+        assert G is reference_diff_similar(48, order)
+        want = g.gram_factor @ reference_diff_rinv(48, order)
         assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_right_factors_built_only_for_the_orders_used(self):
         # a constant coefficient reads R_ref D_j R_ref^-1 alone, and D_j R_ref^-1
         # is kept only for the variable ones
-        _right_factors.cache_clear()
-        _similar_factors.cache_clear()
+        reference_diff_rinv.cache_clear()
+        reference_diff_similar.cache_clear()
         for name, a, right, similar in (
             ("fourier_3_3", 0.0, set(), {2}),
             ("first_order", 0.0, set(), {1, 2}),
@@ -144,5 +144,11 @@ class TestReferenceGrid:
         ):
             entry = build_example(name)
             discretize(entry.model, make_grid(40, a, 1.0))
-            assert set(_right_factors(40)) == right
-            assert set(_similar_factors(40)) == similar
+            assert reference_diff_rinv.cache_info().currsize == len(right)
+            assert reference_diff_similar.cache_info().currsize == len(similar)
+        # and the cached orders are those: reading them again builds nothing
+        for factor, orders in ((reference_diff_rinv, right), (reference_diff_similar, similar)):
+            misses = factor.cache_info().misses
+            for order in orders:
+                factor(40, order)
+            assert factor.cache_info().misses == misses

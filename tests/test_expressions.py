@@ -13,10 +13,10 @@ from gknextend.expressions import (
     LegendreType,
     boundary_form,
 )
-from gknextend.polynomials import Poly, count_real_roots, poly_from_json, poly_to_json
+from gknextend.polynomials import Poly, count_real_roots, poly_from_json
 from gknextend.symplectic import SymplecticError
 
-from conftest import apply_expr, form_eval, green_defect, random_rational_poly, trace_of_poly
+from conftest import apply_expr, form_eval, green_defect, poly_to_json, random_rational_poly, trace_of_poly
 
 
 class TestApply:

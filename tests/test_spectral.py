@@ -209,9 +209,10 @@ class TestAssemble:
     def test_domain_basis_satisfies_constraints(self, grid01):
         entry = build_example("fourier_3_5")
         bc = canonical_rows(entry)
-        op = assemble(discretize(entry.model, grid01), bc)
+        disc = discretize(entry.model, grid01)
+        op = assemble(disc, bc)
         P, _ = domain_basis(op, nodal_discretize(entry.model, grid01).Gram_full)
-        resid = np.abs(bc @ op.disc.lift @ P).max()
+        resid = np.abs(bc @ disc.lift @ P).max()
         assert resid < 1e-10
 
     @pytest.mark.parametrize("N", [16, 64, 256])
@@ -234,11 +235,12 @@ class TestAssemble:
         a, b = (float(v) for v in entry.model.expr.interval)
         bc = canonical_rows(entry)
         grid = make_grid(N, a, b)
-        op = assemble(discretize(entry.model, grid), bc)
+        disc = discretize(entry.model, grid)
+        op = assemble(disc, bc)
         nodal = nodal_discretize(entry.model, grid)
         G, A = nodal.Gram_full, nodal.A_full
         P, R = domain_basis(op, G)
-        rows = bc @ op.disc.lift
+        rows = bc @ disc.lift
         dual = np.linalg.norm(scipy.linalg.solve_triangular(R, rows.T, trans="T"), axis=0)
         assert np.all(np.abs(rows @ P).max(axis=1) <= 1e-12 * dual)
         assert np.abs(P.conj().T @ G @ P - np.eye(op.reduced_dim)).max() <= 1e-12
@@ -276,6 +278,19 @@ class TestAssemble:
         nodal = nodal_discretize(entry.model, grid)
         arrays = (disc.lift, disc.lift_y, disc.R_W, disc.M, op.Q, op.C, nodal.A_full, nodal.Gram_full)
         assert all(m.dtype == dtype for m in arrays)
+
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    def test_complex_typed_real_coefficients_take_the_real_block(self, N):
+        # q_j written as complex numbers with zero imaginary part make a real
+        # model: M is the float64 one of the same q_j as Fractions, bit for bit
+        qs = ((2, 1), (1, 0, Fraction(1, 2)), (3, Fraction(1, 4)))
+        W, T = ExtensionSpace(1, np.array([[2.0]])), [[1, 0, 0, 0, 0, 0, 0, 0]]
+        Ms = []
+        for cast in (Fraction, complex):
+            expr = GeneralEvenOrder(tuple(Poly([cast(c) for c in q]) for q in qs), Fraction(-1, 2), 1)
+            Ms.append(discretize(build_model(expr, W, [[1.0]], T), make_grid(N, -0.5, 1.0)).M)
+        assert Ms[0].dtype == Ms[1].dtype == np.float64
+        assert Ms[0].tobytes() == Ms[1].tobytes()
 
     def test_refuses_tiny_grid(self):
         # fourth-order expression needs N >= 2*4 + 4
@@ -448,8 +463,8 @@ class TestSymmetryDefect:
         if name == "mixed":
             # with no W coordinate to sabotage, the initial-value rows x(a) = x'(a) = 0 break symmetry
             model = mixed_coefficient_model()
-            bc = rref(DIRICHLET_ROWS)[0]
-            bad = rref(np.eye(4, dtype=complex)[:2])[0]
+            bc = rref(DIRICHLET_ROWS)
+            bad = rref(np.eye(4, dtype=complex)[:2])
         else:
             entry = build_example(name)
             model, bc = entry.model, canonical_rows(entry)
@@ -485,7 +500,7 @@ class TestSpectrum:
         cands = np.array([[1, 0, 1, 0], [0, 1, 0, 1]])
         from gknextend.extension import derive_boundary_conditions
 
-        bc = rref(derive_boundary_conditions(model, cands))[0]
+        bc = rref(derive_boundary_conditions(model, cands))
         # the model's interval is 2 pi to 6 digits of its denominator: the grid takes it exactly
         grid = make_grid(64, *(float(v) for v in model.expr.interval))
         op = assemble(discretize(model, grid), bc)
@@ -679,10 +694,10 @@ class TestSpectrum:
             spectrum(op, 8)
 
     @staticmethod
-    def assert_matches_qz(op):
+    def assert_matches_qz(op, model, grid, bc):
         rep = spectrum(op, 8)
         assert rep.residuals.max() <= 1e-12
-        got, ref = rep.eigenvalues, qz_eigenvalues(op)
+        got, ref = rep.eigenvalues, qz_eigenvalues(model, grid, bc)
         # both orders break ties in |lambda| by real part, so even the pairs
         # +-lambda of first_order line up entry by entry
         scale = np.maximum(1.0, np.abs(ref[:8]))
@@ -693,8 +708,8 @@ class TestSpectrum:
     def test_congruence_matches_qz(self, name, N):
         entry = build_example(name)
         a, b = (float(v) for v in entry.model.expr.interval)
-        grid = make_grid(N, a, b)
-        self.assert_matches_qz(assemble(discretize(entry.model, grid), canonical_rows(entry)))
+        grid, bc = make_grid(N, a, b), canonical_rows(entry)
+        self.assert_matches_qz(assemble(discretize(entry.model, grid), bc), entry.model, grid, bc)
 
     @pytest.mark.parametrize("N", [32, 128, 256])
     def test_first_order_pairs_read_minus_then_plus(self, N):
@@ -710,12 +725,13 @@ class TestSpectrum:
         # the catalog's domain bases are real; complex boundary rows give a
         # complex one, which a unitary change of reduced basis imitates
         entry = build_example("first_order")
-        op = assemble(discretize(entry.model, grid01), canonical_rows(entry))
+        bc = canonical_rows(entry)
+        op = assemble(discretize(entry.model, grid01), bc)
         m = op.reduced_dim
         U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
         rotated = dataclasses.replace(op, Q=op.Q @ U, C=U.conj().T @ op.C @ U)
         assert np.abs(rotated.Q.imag).max() > 0.1 * np.abs(rotated.Q).max()
-        self.assert_matches_qz(rotated)
+        self.assert_matches_qz(rotated, entry.model, grid01, bc)
 
     def test_non_real_shift_is_measured(self, grid01):
         # C + 0.5i I has the honest eigenvalues plus 0.5i: the solver carries
@@ -937,7 +953,7 @@ class TestShootingOracle:
     def test_dirichlet_sanity(self):
         # classical two-condition path: x(a) = x(b) = 0 gives n^2 pi^2
         model = fourier_k0_model()
-        bc = rref(DIRICHLET_ROWS)[0]
+        bc = rref(DIRICHLET_ROWS)
         roots = shooting_oracle(model, bc, (1.0, 100.0))
         expected = np.array([np.pi**2, 4 * np.pi**2, 9 * np.pi**2])
         assert np.abs(np.array(roots[:3]) - expected).max() < 1e-7
@@ -965,7 +981,7 @@ class TestShootingOracle:
         entry = build_example("first_order", {"alpha": alpha})
         bc = canonical_rows(entry)
         lams = np.array([-3.3, 0.4, 7.9])
-        got = characteristic_value(entry.model, bc, lams)
+        got = characteristic_value(entry.model, bc, lams, Companion.of(entry.model.expr))
         expected = 2 * ((alpha - lams) * np.cos(lams / 2) - 2 * np.sin(lams / 2))
         # overall scaling of the determinant is fixed by the canonical rows
         assert np.all(np.abs(got - expected) < 1e-8 * (1 + np.abs(expected)))
@@ -974,7 +990,7 @@ class TestShootingOracle:
         alpha = -1.25
         entry = build_example("first_order", {"alpha": alpha})
         lams = np.linspace(-55.0, 55.0, 37)
-        got = characteristic_value(entry.model, canonical_rows(entry), lams)
+        got = characteristic_value(entry.model, canonical_rows(entry), lams, Companion.of(entry.model.expr))
         expected = 2 * closed_form_characteristic("first_order", lams, alpha)
         assert got.shape == lams.shape
         assert np.all(np.abs(got - expected) < 1e-8 * (1 + np.abs(expected)))
@@ -982,16 +998,16 @@ class TestShootingOracle:
     def test_characteristic_value_batch_fourier_3_1(self):
         entry = build_example("fourier_3_1", {"alpha": 0.6, "M": 2.5, "a": -0.3, "b": 0.9})
         lams = np.linspace(-25.0, 220.0, 41)
-        got = characteristic_value(entry.model, canonical_rows(entry), lams)
+        got = characteristic_value(entry.model, canonical_rows(entry), lams, Companion.of(entry.model.expr))
         C, S = cos_sinc(lams, 1.2)
         expected = (0.6 - lams) * S + 2.5 * C
         assert np.all(np.abs(got - expected) < 1e-8 * (1 + np.abs(expected)))
 
     def test_characteristic_value_single_lambda_matches_batch(self):
         entry = build_example("fourier_3_3")
-        bc = canonical_rows(entry)
-        got = characteristic_value(entry.model, bc, np.array([3.5]))
-        batch = characteristic_value(entry.model, bc, np.array([-2.0, 3.5, 40.0]))
+        bc, comp = canonical_rows(entry), Companion.of(entry.model.expr)
+        got = characteristic_value(entry.model, bc, np.array([3.5]), comp)
+        batch = characteristic_value(entry.model, bc, np.array([-2.0, 3.5, 40.0]), comp)
         assert got.shape == (1,)
         assert got[0] == pytest.approx(batch[1], rel=1e-9)
 
@@ -1003,7 +1019,7 @@ class TestShootingOracle:
         B = np.array([[0.0, 0.5j], [0.5j, 0.0]])
         model = dataclasses.replace(entry.model, B=B)
         with pytest.raises(SpectralError, match="not real"):
-            characteristic_value(model, bc, np.linspace(1.0, 30.0, 5))
+            characteristic_value(model, bc, np.linspace(1.0, 30.0, 5), Companion.of(model.expr))
         with pytest.raises(SpectralError, match="not real"):
             shooting_oracle(model, bc, entry.spectral_window)
 
@@ -1037,8 +1053,8 @@ class TestShootingOracle:
         for sign in (+1, -1):
             vecs = extended_deficiency_vectors(geo_model, sign)
             assert len(vecs) == 2
-            for v in vecs:
-                assert eigenrelation_residual(geo_model, grid, v.solution, v.a, sign * 1j) <= 1e-8
+            for x, a in vecs:
+                assert eigenrelation_residual(geo_model, grid, x, a, sign * 1j) <= 1e-8
 
     def test_legendre_type_is_refused(self):
         # four traces cannot hold a fundamental system of a fourth-order ODE
@@ -1050,7 +1066,7 @@ class TestShootingOracle:
         # -x'' + x: the c_0 term enters the companion system and the
         # collocation matrix alike; Dirichlet eigenvalues n^2 pi^2 + 1
         model = classical_model(GeneralEvenOrder((Poly([1]), Poly([1])), 0, 1))
-        bc = rref(DIRICHLET_ROWS)[0]
+        bc = rref(DIRICHLET_ROWS)
         expected = np.pi**2 * np.arange(1, 4) ** 2 + 1
         roots = shooting_oracle(model, bc, (1.0, 100.0))
         assert len(roots) == 3
@@ -1060,7 +1076,7 @@ class TestShootingOracle:
 
     def test_variable_coefficients_are_refused(self):
         model = classical_model(GeneralEvenOrder((Poly(), Poly([1, 1])), 0, 1))
-        bc = rref(DIRICHLET_ROWS)[0]
+        bc = rref(DIRICHLET_ROWS)
         with pytest.raises(ExpressionError, match="not constant"):
             shooting_oracle(model, bc, (1.0, 100.0))
         with pytest.raises(ExpressionError, match="not constant"):
@@ -1072,8 +1088,6 @@ class TestEigenRelationResidual:
         for name in ("first_order", "fourier_3_1", "fourier_3_3"):
             entry = build_example(name)
             for sign in (+1, -1):
-                for v in extended_deficiency_vectors(entry.model, sign):
-                    r = eigenrelation_residual(
-                        entry.model, grid01, v.solution, v.a, sign * 1j
-                    )
+                for x, a in extended_deficiency_vectors(entry.model, sign):
+                    r = eigenrelation_residual(entry.model, grid01, x, a, sign * 1j)
                     assert r <= 1e-8, (name, sign, r)
