@@ -1,15 +1,14 @@
 """Command-line verification harness.
 
-    gkn-extend <command> --config <path> [--out <path>] [--seed <int>] [--csv <path>]
+    gkn-extend <command> --config <path> [--out <path>] [--csv <path>]
 
 Commands: check-symplectic, derive-bc, verify-gkn, spectrum, legendre, all.
 Reports are JSON; exit code 0 when every check passes, 1 on a check
 failure, 2 on a config/schema error or other refused input, 3 on an
-internal error.  Runs are deterministic for a fixed seed (timings are
-reported but carry no information).  The seed draws only the probe pairs
-of the symmetry defect in `spectrum`; the linear identities of
-`check-symplectic` are checked as matrix identities, for every vector at
-once, and read no random draws.
+internal error.  Runs are deterministic (timings are reported but carry
+no information): the symmetry defect in `spectrum` draws its probe pairs
+from one fixed stream, and the linear identities of `check-symplectic` are
+checked as matrix identities, for every vector at once.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ TOLERANCES = {
 }
 
 # filled in by `run` where a config leaves them out
-RUN_DEFAULTS = {"grid_N": 64, "n_max": 10, "seed": 0}
+RUN_DEFAULTS = {"grid_N": 64, "n_max": 10}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -76,6 +75,7 @@ CONFIG_SCHEMA = {
         # every kind keeps a wide margin on both defect gates up to 256
         "grid_N": {"type": "integer", "minimum": 16, "maximum": 256},
         "n_max": {"type": "integer", "minimum": 0, "maximum": N_MAX},
+        # accepted and ignored, so that older configs still load: the probe pairs are fixed
         "seed": {"type": "integer", "minimum": 0},
         "model": {"type": "object"},
         "candidates": {"type": "array"},
@@ -178,12 +178,8 @@ def _finite_int(text: str) -> int:
     return int(text)
 
 
-def load_config(path: str, seed: int | None = None) -> dict:
-    """The config at `path`, validated against CONFIG_SCHEMA.
-
-    `seed`, when given (the --seed flag), replaces the config's seed
-    before validation, so the flag meets the schema's bounds as the key does.
-    """
+def load_config(path: str) -> dict:
+    """The config at `path`, validated against CONFIG_SCHEMA."""
     try:
         with open(path) as f:
             cfg = json.load(
@@ -194,8 +190,6 @@ def load_config(path: str, seed: int | None = None) -> dict:
     except (OSError, ValueError, RecursionError) as e:
         # ValueError: not JSON, or not UTF-8; RecursionError: nested too deep to decode
         raise ConfigError(f"cannot read config {path}: {e}")
-    if seed is not None and isinstance(cfg, dict):
-        cfg["seed"] = seed
     message = _schema_violation(cfg)
     if message is not None:
         raise ConfigError(f"config schema violation: {message}")
@@ -336,7 +330,6 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
         symmetry_defect,
     )
 
-    seed = cfg["seed"]
     model = entry.model
     a, b = (float(v) for v in model.expr.interval)
     grid = make_grid(cfg["grid_N"], a, b)
@@ -349,12 +342,12 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
         # only the two defects are read: no reduced operator is built
         checks.le(
             "symmetry_defect_polynomial_subspace",
-            symmetry_defect(disc, rows, seed),
+            symmetry_defect(disc, rows),
             TOLERANCES["defect"],
         )
     else:
         op = assemble(disc, rows)
-        defect = symmetry_defect(disc, rows, seed)
+        defect = symmetry_defect(disc, rows)
         checks.le("symmetry_defect", defect, TOLERANCES["defect"])
         rep = spectrum(op, 8)
         report["eigenvalues"] = {
@@ -362,7 +355,6 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
             "residuals": [float(r) for r in rep.residuals],
             "max_imag": float(rep.max_imag),
             "symmetry_defect": float(defect),
-            "seed": seed,
         }
         checks.le("max_imag_part", rep.max_imag, TOLERANCES["max_imag"])
         roots = shooting_oracle(model, rows, entry.spectral_window)
@@ -396,7 +388,7 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
 
     sabotaged = rref(catalog.sabotage_rows(rows, model.trace_dim))
     # no boundary row enters the discretization, so the sabotaged rows share it
-    defect_bad = symmetry_defect(disc, sabotaged, seed)
+    defect_bad = symmetry_defect(disc, sabotaged)
     checks.ge("sabotaged_defect_floor", defect_bad, TOLERANCES["sabotage_floor"])
     report["sabotaged_defect"] = float(defect_bad)
 
@@ -431,7 +423,6 @@ def run(cfg: dict, command: str) -> dict:
     report = {
         "example": entry.name,
         "command": command,
-        "seed": cfg["seed"],
         "status": "fail",
         "checks": checks.items,
     }
@@ -473,7 +464,6 @@ _PARSER = argparse.ArgumentParser(
 _PARSER.add_argument("command", choices=[*COMMANDS, "all"])
 _PARSER.add_argument("--config", required=True, help="JSON config path")
 _PARSER.add_argument("--out", help="write the JSON report here instead of stdout")
-_PARSER.add_argument("--seed", type=int, help="override the config seed")
 _PARSER.add_argument("--csv", help="write the eigenvalue table as CSV")
 
 
@@ -481,7 +471,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, args.seed)
+        cfg = load_config(args.config)
         report = run(cfg, args.command)
         text = json.dumps(report, indent=2)
         if args.out:

@@ -161,6 +161,16 @@ def build_model(expr: DiffExpr, W: ExtensionSpace, B, T) -> ExtendedModel:
     if T.shape != (W.k, td):
         raise ModelError("partial GKN traces have wrong arity for this expression")
     if sym.matrix_rank(T) != W.k:
+        # the rank is relative to the largest singular value, so rows of unequal scale
+        # can read as dependent
+        norms = np.linalg.norm(T, axis=1)
+        if sym.matrix_rank(T / np.where(norms > 0, norms, 1.0)[:, None]) == W.k:
+            shown = ", ".join(f"{v:.3e}" for v in norms)
+            raise ModelError(
+                f"partial GKN traces differ in scale by a factor {norms.max() / norms.min():.3e} "
+                f"(row norms {shown}), against 1/TOL_RANK = {1 / sym.TOL_RANK:g}: their rank "
+                f"reads short at that tolerance, though the normalised rows are independent"
+            )
         raise ModelError("partial GKN traces are linearly dependent")
     vals = T.conj() @ S @ T.T
     bad = np.argwhere(np.abs(vals) > sym.TOL_FORM * coupling_scale(S, T))

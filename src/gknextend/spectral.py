@@ -71,7 +71,8 @@ class SpectralError(GknError):
 
 
 # The symmetry defect probes Chebyshev polynomials up to degree
-# min(PROBE_DEGREE, N) on the grid interval, with PROBE_TRIALS random pairs.
+# min(PROBE_DEGREE, N) on the grid interval, with PROBE_TRIALS random pairs
+# from one fixed stream, so every call on the same rows reads the same pairs.
 # Fixing the degree apart from N probes the same functions on every grid
 # with N >= PROBE_DEGREE.
 PROBE_DEGREE = 24
@@ -339,16 +340,20 @@ def _probe_nullspace(probe: ProbeImage, rows: np.ndarray) -> np.ndarray:
     return nullspace(constrained, rtol)
 
 
-def symmetry_defect(disc: Discretization, rows: np.ndarray, seed: int) -> float:
+def symmetry_defect(disc: Discretization, rows: np.ndarray) -> float:
     """max |<Au,v> - <u,Av>| / (|u||v|(1 + |A|)) over random domain pairs of the rows.
 
     The PROBE_TRIALS pairs are random combinations u = V N z_u, v = V N z_v
     of the probe columns V (see `ProbeImage`) restricted by the basis N of
     `_probe_nullspace`: smooth domain elements on which the collocation
     action is exact up to rounding for every kind and grid size.  All
-    pairs are drawn at once (the stream of four draws per trial: Re z_u,
-    Im z_u, Re z_v, Im z_v), and the pairs are complex whatever the dtype
-    of the discretization.
+    pairs are drawn at once from one fixed stream, `default_rng(0)` (four
+    draws per trial: Re z_u, Im z_u, Re z_v, Im z_v), so no verdict
+    depends on the draw of a run; the pairs are complex whatever the
+    dtype of the discretization.  They are not the supremum over the
+    probed subspace: with this normaliser that reads 1.2e-9 to 2.5e-9 on
+    fourier_3_4 at grid_N 256 (defaults and 5 of 6 drawn parameter sets),
+    over the 1e-9 gate that the 50 pairs pass at 2.9e-11 to 8.8e-11.
 
     Everything is measured in the (d + 1 + k)-dimensional probe space, on
     the M whose reduction `spectrum` reads, from the discretization's
@@ -360,10 +365,9 @@ def symmetry_defect(disc: Discretization, rows: np.ndarray, seed: int) -> float:
     the Cholesky factor of N* V* V N.  Each call works on matrices of at
     most m0 = PROBE_DEGREE + 1 + dim W rows and columns alone.
     """
-    rng = np.random.default_rng(seed)
     probe = disc.probe
     N = _probe_nullspace(probe, rows)
-    z = rng.standard_normal((PROBE_TRIALS, 4, N.shape[1]))
+    z = np.random.default_rng(0).standard_normal((PROBE_TRIALS, 4, N.shape[1]))
     if not N.size:
         return 0.0
     Nh = N.conj().T

@@ -525,7 +525,7 @@ def probe_basis(disc, bc):
     return basis @ nullspace(constrained, rtol)
 
 
-def qr_symmetry_defect(disc, bc, seed):
+def qr_symmetry_defect(disc, bc):
     """The symmetry defect on M from a QR of the restricted probe columns.
 
     With S = Q R_s and Z = blockdiag(sqrt(h) R_ref, R_W) Q, the defect of
@@ -535,7 +535,7 @@ def qr_symmetry_defect(disc, bc, seed):
     """
     from gknextend.spectral import PROBE_TRIALS
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     S = probe_basis(disc, bc)
     z = rng.standard_normal((PROBE_TRIALS, 4, S.shape[1]))
     if not S.size:
@@ -563,11 +563,11 @@ def sample_probe(disc, bc, nodal):
     return sample_basis, nrmA
 
 
-def batch_symmetry_defect(disc, bc, seed):
+def batch_symmetry_defect(disc, bc):
     """The symmetry defect of every pair at once, as nodal matrix products."""
     from gknextend.spectral import PROBE_TRIALS
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     nodal = nodal_discretize(disc.model, disc.grid)
     sample_basis, nrmA = sample_probe(disc, bc, nodal)
     z = rng.standard_normal((PROBE_TRIALS, 4, sample_basis.shape[1]))
@@ -583,11 +583,11 @@ def batch_symmetry_defect(disc, bc, seed):
     return float(np.max(num[den > 0] / den[den > 0], initial=0.0))
 
 
-def loop_symmetry_defect(disc, bc, seed):
+def loop_symmetry_defect(disc, bc):
     """The symmetry defect one pair at a time, from explicit nodal inner products."""
     from gknextend.spectral import PROBE_TRIALS
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     nodal = nodal_discretize(disc.model, disc.grid)
     sample_basis, nrmA = sample_probe(disc, bc, nodal)
     dim = sample_basis.shape[1]

@@ -239,7 +239,7 @@ def test_08_spectral_oracle_agreement(spectral_discretizations):
     t0 = time.perf_counter()
     ok = True
     for (name, _), (entry, rows, disc) in spectral_discretizations.items():
-        defect = symmetry_defect(disc, rows, 8)
+        defect = symmetry_defect(disc, rows)
         ok &= defect <= 1e-9
         rep = spectrum(assemble(disc, rows), 8)
         ok &= rep.max_imag <= 1e-8
@@ -259,10 +259,10 @@ def test_09_negative_spectral_controls(spectral_discretizations):
     t0 = time.perf_counter()
     ok = True
     for (name, _), (entry, rows, disc) in spectral_discretizations.items():
-        honest = symmetry_defect(disc, rows, 9)
+        honest = symmetry_defect(disc, rows)
         bad = sabotaged_rows(rows, entry.model.trace_dim)
         # the sabotaged rows share the discretization, as in `spectrum`
-        sab = symmetry_defect(disc, bad, 9)
+        sab = symmetry_defect(disc, bad)
         ok &= sab >= 1e-4
         ok &= sab >= 1e4 * max(honest, 1e-300)
     report(9, "sabotaged-conditions-raise-defect-4-orders", ok, t0)

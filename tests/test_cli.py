@@ -250,20 +250,15 @@ class TestRefusals:
             )
 
     def test_largest_integer_literal_in_range_runs(self, tmp_path):
-        # 10^308 fits a float: the seed runs, and stays an exact int
+        # 10^308 fits a float: the schema accepts the seed, which no report reads
         path = write_config(tmp_path, {"example": "fourier_3_3", "seed": 10**308})
         out = tmp_path / "rep.json"
         assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["seed"] == 10**308
+        assert "seed" not in json.loads(out.read_text())
 
-    @pytest.mark.parametrize("route", ["config", "flag"])
-    def test_negative_seed(self, tmp_path, capsys, route):
-        # numpy's SeedSequence takes no negative seed: the schema refuses it,
-        # and the --seed flag meets the same bound
-        cfg = {"example": "fourier_3_3", "seed": -1 if route == "config" else 0}
-        argv = ["spectrum", "--config", write_config(tmp_path, cfg)]
-        if route == "flag":
-            argv += ["--seed", "-1"]
+    def test_negative_seed(self, tmp_path, capsys):
+        # the ignored seed key keeps its schema bound
+        argv = ["spectrum", "--config", write_config(tmp_path, {"example": "fourier_3_3", "seed": -1})]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "config error: config schema violation: -1 is less than the minimum of 0\n"
@@ -336,6 +331,28 @@ class TestRefusals:
         item["trace"] += item.pop("w")
         err = self.refused(tmp_path, capsys, cfg)
         assert "candidates[].trace holds 10 numbers" in err
+
+    @pytest.mark.parametrize(
+        "example, params",
+        [
+            ("fourier_3_3", {"M": 1e12, "N_weight": 1e-12}),
+            ("fourier_3_3", {"M": 1e24}),
+            ("fourier_3_4", {"M": 1e10, "N_weight": 1e-8}),
+            ("fourier_3_5", {"M": 1e-9, "N_weight": 1e9}),
+        ],
+    )
+    def test_partial_traces_of_unequal_scale_refused_by_their_scale(self, tmp_path, capsys, example, params):
+        # independent rows whose rank, relative to the largest singular value, is short
+        for command in ("check-symplectic", "all"):
+            err = self.refused(tmp_path, capsys, {"example": example, "params": params}, command)
+            assert "partial GKN traces differ in scale by a factor" in err
+            assert "against 1/TOL_RANK = 1e+08" in err and "linearly dependent" not in err
+
+    def test_dependent_partial_traces_refused_as_dependent(self, tmp_path, capsys):
+        model = model_to_json(build_example("fourier_3_3").model)
+        model["gkn_traces"][1] = [2 * x for x in model["gkn_traces"][0]]
+        err = self.refused(tmp_path, capsys, {"example": "custom", "model": model}, "check-symplectic")
+        assert err.endswith("ModelError: partial GKN traces are linearly dependent\n")
 
     @pytest.mark.parametrize(
         "qs, a",
@@ -491,23 +508,33 @@ class TestCouplingChecks:
         entry = build_example(example, params)
         model = dataclasses.replace(entry.model, Omega=1.01 * entry.model.Omega)
         checks = cli.Checks()
-        cli.run_check_symplectic(dataclasses.replace(entry, model=model), {"seed": 0}, checks, {})
+        cli.run_check_symplectic(dataclasses.replace(entry, model=model), {}, checks, {})
         failed = [c["name"] for c in checks.items if not c["pass"]]
         assert failed == ["omega_coupling_identity"]
 
-    def test_algebra_commands_do_not_read_the_seed(self, tmp_path, monkeypatch):
-        # the coupling identity is linear in x, so it is checked as a matrix
-        # identity rather than on seeded random x
-        for i, (command, cfg) in enumerate(benchmark_ops(monkeypatch, "algebra_sweep", 1)):
-            path = write_config(tmp_path, cfg)
-            reports = []
-            for seed in ("0", "7"):
-                out = tmp_path / f"{i}_{seed}.json"
-                assert main([command, "--config", path, "--seed", seed, "--out", str(out)]) == 0
+    # each verdict is the probe pairs' own, not a draw's: seed 0 fails them,
+    # and the second seed passed them when the pairs followed the seed key
+    SEED_FLIPPED = [
+        ({"example": "fourier_3_2a", "params": {"b": 0.001}, "grid_N": 256}, 9),
+        ({"example": "legendre_type", "params": {"A": 1e5}, "grid_N": 64}, 162),
+        ({"example": "fourier_3_3", "params": {"M": 1e-6}}, 8),
+    ]
+
+    def test_no_report_depends_on_the_seed(self, tmp_path, monkeypatch):
+        # the coupling identity is linear in x, so the algebra commands check
+        # it as a matrix identity; the symmetry defect's pairs are one fixed stream
+        ops = [(cmd, cfg, 7, 0) for cmd, cfg in benchmark_ops(monkeypatch, "algebra_sweep", 1)]
+        ops += [(cmd, cfg, seed, 1) for cfg, seed in self.SEED_FLIPPED for cmd in ("spectrum", "all")]
+        for i, (command, cfg, seed, code) in enumerate(ops):
+            texts = []
+            for s in (0, seed):
+                out = tmp_path / f"{i}_{s}.json"
+                path = write_config(tmp_path, {**cfg, "seed": s})
+                assert main([command, "--config", path, "--out", str(out)]) == code, (command, cfg, s)
                 report = json.loads(out.read_text())
-                del report["seed"], report["timings"]
-                reports.append(report)
-            assert reports[0] == reports[1], (command, cfg)
+                del report["timings"]
+                texts.append(json.dumps(report))
+            assert texts[0] == texts[1], (command, cfg)
 
 
 class TestBenchmarkHarness:
@@ -560,21 +587,21 @@ class TestBenchmarkHarness:
 
 class TestRun:
     def test_derive_bc_report_fields(self):
-        report = run({"example": "fourier_3_3", "seed": 0}, "derive-bc")
+        report = run({"example": "fourier_3_3"}, "derive-bc")
         assert report["status"] == "pass"
         assert report["boundary_conditions_rendered"] == ["a_W[1] = x(a)", "a_W[2] = x(b)"]
         assert all(c["pass"] for c in report["checks"])
 
     def test_inapplicable_command(self):
         with pytest.raises(ConfigError, match="not applicable"):
-            run({"example": "fourier_3_2b", "seed": 0}, "spectrum")
+            run({"example": "fourier_3_2b"}, "spectrum")
 
     def test_legendre_command_only_for_legendre(self):
         with pytest.raises(ConfigError, match="not applicable"):
-            run({"example": "fourier_3_1", "seed": 0}, "legendre")
+            run({"example": "fourier_3_1"}, "legendre")
 
     def test_run_legendre(self):
-        report = run({"example": "legendre_type", "n_max": 6, "seed": 0}, "legendre")
+        report = run({"example": "legendre_type", "n_max": 6}, "legendre")
         assert report["status"] == "pass"
         assert report["legendre_eigenvalues"][:3] == ["0", "8", "48"]
 
@@ -586,7 +613,7 @@ class TestRun:
 
         monkeypatch.setattr(legendre, "lt_eigenvalue", off_by_one)
         monkeypatch.setattr(cli, "lt_eigenvalue", off_by_one)
-        report = run({"example": "legendre_type", "n_max": 6, "seed": 0}, "legendre")
+        report = run({"example": "legendre_type", "n_max": 6}, "legendre")
         failed = {c["name"] for c in report["checks"] if not c["pass"]}
         assert "eigenvalue_formula_exact" in failed
         assert report["status"] == "fail"
@@ -595,8 +622,8 @@ class TestRun:
         "name", [n for n in EXAMPLE_NAMES if build_example(n).candidates.size]
     )
     def test_custom_model_round_trip(self, name):
-        report = run({**custom_config(name), "seed": 0}, "derive-bc")
-        published = run({"example": name, "seed": 0}, "derive-bc")
+        report = run(custom_config(name), "derive-bc")
+        published = run({"example": name}, "derive-bc")
         assert report["status"] == "pass"
         assert report["boundary_conditions_rendered"] == list(build_example(name).expected_strings)
         for key in ("boundary_conditions", "boundary_conditions_rendered"):
@@ -620,14 +647,14 @@ class TestRun:
 
 class TestMain:
     def test_pass_exit_code_and_output(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"example": "first_order", "seed": 0})
+        path = write_config(tmp_path, {"example": "first_order"})
         code = main(["derive-bc", "--config", path])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "pass"
 
     def test_out_file(self, tmp_path):
-        path = write_config(tmp_path, {"example": "first_order", "seed": 0})
+        path = write_config(tmp_path, {"example": "first_order"})
         out = tmp_path / "rep.json"
         code = main(["verify-gkn", "--config", path, "--out", str(out)])
         assert code == 0
@@ -635,7 +662,7 @@ class TestMain:
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_is_refused(self, tmp_path, capsys, flag):
-        path = write_config(tmp_path, {"example": "first_order", "seed": 0})
+        path = write_config(tmp_path, {"example": "first_order"})
         target = str(tmp_path / "missing_dir" / "r.json")
         assert main(["derive-bc", "--config", path, flag, target]) == 2
         err = capsys.readouterr().err
@@ -649,8 +676,13 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "argv, code",
-        [(["--help"], 0), (["nope", "--config", "c.json"], 2), (["derive-bc"], 2)],
-        ids=["help", "unknown_command", "no_config"],
+        [
+            (["--help"], 0),
+            (["nope", "--config", "c.json"], 2),
+            (["derive-bc"], 2),
+            (["spectrum", "--config", "c.json", "--seed", "1"], 2),
+        ],
+        ids=["help", "unknown_command", "no_config", "seed_flag"],
     )
     def test_usage_exit_codes(self, capsys, argv, code):
         with pytest.raises(SystemExit) as exc:
@@ -667,7 +699,7 @@ class TestMain:
         # the acceptance gates are fixed; a config cannot loosen or tighten them
         path = write_config(
             tmp_path,
-            {"example": "first_order", "seed": 0, "tolerances": {"sabotage_floor": 1e6}},
+            {"example": "first_order", "tolerances": {"sabotage_floor": 1e6}},
         )
         assert main(["spectrum", "--config", path]) == 2
         assert "'tolerances' was unexpected" in capsys.readouterr().err
@@ -678,7 +710,6 @@ class TestMain:
             "example": "fourier_3_4",
             "params": {"M": 2.4, "N_weight": 2.6, "alpha": 0.35, "gamma": 0.35,
                        "beta_re": -0.7, "a": -0.75, "b": 0.6},
-            "seed": 0,
         }
         out = tmp_path / "rep.json"
         assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
@@ -838,7 +869,7 @@ class TestMain:
         assert [c["name"] for c in report["checks"]][-1] == "quotient_nondegenerate"
 
     def test_deterministic_roundtrip(self, tmp_path):
-        path = write_config(tmp_path, {"example": "fourier_3_4", "seed": 11})
+        path = write_config(tmp_path, {"example": "fourier_3_4"})
         o1, o2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["all", "--config", path, "--out", str(o1)]) == 0
         assert main(["all", "--config", path, "--out", str(o2)]) == 0
@@ -847,12 +878,6 @@ class TestMain:
         a.pop("timings")
         b.pop("timings")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_seed_override_recorded(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"example": "first_order", "seed": 0})
-        code = main(["derive-bc", "--config", path, "--seed", "42"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 42
 
     @pytest.mark.parametrize("example", ["fourier_3_1", "legendre_type"])
     def test_both_defects_read_one_discretization(self, example, monkeypatch):
@@ -864,16 +889,16 @@ class TestMain:
             return symmetry_defect(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "symmetry_defect", counted)
-        report = run({"example": example, "seed": 0}, "spectrum")
+        report = run({"example": example}, "spectrum")
         assert len(calls) == 2
-        (disc, honest, _), (disc_bad, sabotaged, _) = calls
+        (disc, honest), (disc_bad, sabotaged) = calls
         assert disc_bad is disc and sabotaged is not honest
         if "eigenvalues" in report:
             got = next(c["got"] for c in report["checks"] if c["name"] == "symmetry_defect")
             assert report["eigenvalues"]["symmetry_defect"] == got
 
     def test_csv_output(self, tmp_path):
-        path = write_config(tmp_path, {"example": "fourier_3_1", "seed": 0})
+        path = write_config(tmp_path, {"example": "fourier_3_1"})
         csv_path = tmp_path / "eigs.csv"
         code = main(
             ["spectrum", "--config", path, "--out", str(tmp_path / "r.json"), "--csv", str(csv_path)]
@@ -898,7 +923,7 @@ class TestParameterRange:
     def test_derive_bc_at_large_row_scale(self, name, keys, value):
         # the constraint rows grow like sqrt(value), 8 sqrt(A) for legendre_type;
         # their canonical form keeps its unit coefficients at any size
-        report = run({"example": name, "params": dict.fromkeys(keys, value), "seed": 0}, "derive-bc")
+        report = run({"example": name, "params": dict.fromkeys(keys, value)}, "derive-bc")
         assert report["boundary_conditions_rendered"] == list(build_example(name).expected_strings)
         assert report["status"] == "pass"
 
@@ -907,7 +932,7 @@ class TestParameterRange:
     def test_spectrum_at_large_row_scale_finds_a_row_to_sabotage(self, name, key, value):
         # legendre_type at such A fails only its sabotage floor (a known fault)
         params = {key: value, "N_weight": value} if key == "M" else {key: value}
-        report = run({"example": name, "params": params, "grid_N": 64, "seed": 0}, "spectrum")
+        report = run({"example": name, "params": params, "grid_N": 64}, "spectrum")
         failed = {c["name"] for c in report["checks"] if not c["pass"]}
         assert failed <= {"sabotaged_defect_floor"}
         assert report["sabotaged_defect"] > 0
@@ -918,21 +943,21 @@ class TestParameterRange:
 
     def test_legendre_eigenvalues_read_the_decimal_a(self):
         # 6e-10 is 3/5000000000, and lambda_1 = 8A
-        cfg = {"example": "legendre_type", "params": {"A": 6e-10}, "n_max": 1, "seed": 0}
+        cfg = {"example": "legendre_type", "params": {"A": 6e-10}, "n_max": 1}
         report = run(cfg, "legendre")
         assert report["legendre_eigenvalues"] == ["0", "3/625000000"]
         assert report["status"] == "pass"
 
     @pytest.mark.parametrize("A", [4e-10, 1e-12, 1e-300])
     def test_tiny_a_is_positive(self, A):
-        cfg = {"example": "legendre_type", "params": {"A": A}, "n_max": 1, "seed": 0}
+        cfg = {"example": "legendre_type", "params": {"A": A}, "n_max": 1}
         report = run(cfg, "legendre")
         assert report["legendre_eigenvalues"] == ["0", str(8 * Fraction(repr(A)))]
         assert report["status"] == "pass"
 
     @pytest.mark.parametrize("command", ["check-symplectic", "derive-bc"])
     def test_tiny_interval_is_not_empty(self, command):
-        report = run({"example": "fourier_3_3", "params": {"b": 1e-10}, "seed": 0}, command)
+        report = run({"example": "fourier_3_3", "params": {"b": 1e-10}}, command)
         assert report["status"] == "pass"
 
     def test_exact_params_are_the_decimals_written(self):
@@ -956,7 +981,7 @@ class TestWorkCounts:
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counted)
-        assert run({"example": name, "seed": 0}, "check-symplectic")["status"] == "pass"
+        assert run({"example": name}, "check-symplectic")["status"] == "pass"
         assert calls == [shape]
 
     @pytest.mark.parametrize(
@@ -977,5 +1002,5 @@ class TestWorkCounts:
 
         monkeypatch.setattr(extension, "rref", counted)
         monkeypatch.setattr(cli, "rref", counted, raising=False)
-        assert run({"example": name, "seed": 0}, command)["status"] == "pass"
+        assert run({"example": name}, command)["status"] == "pass"
         assert len(calls) == count

@@ -115,8 +115,19 @@ class TestBuildModel:
         W = ExtensionSpace(2, np.eye(2))
         B = np.zeros((2, 2))
         T = [[1, 0, 0, 0], [2, 0, 0, 0]]
-        with pytest.raises(ModelError, match="dependent"):
+        with pytest.raises(ModelError, match="^partial GKN traces are linearly dependent$"):
             build_model(expr, W, B, T)
+
+    def test_partial_set_of_unequal_scale_rejected_by_its_scale(self):
+        # 1e6 x(a) and 1e-6 x(b) are independent, but their rank relative to
+        # the largest row is 1: the refusal names the scales, not a dependence
+        T = [[1e6, 0, 0, 0], [0, 0, 1e-6, 0]]
+        with pytest.raises(ModelError) as exc:
+            build_model(Fourier(0, 1), ExtensionSpace(2, np.eye(2)), np.zeros((2, 2)), T)
+        assert str(exc.value).startswith(
+            "partial GKN traces differ in scale by a factor 1.000e+12 "
+            "(row norms 1.000e+06, 1.000e-06), against 1/TOL_RANK = 1e+08"
+        )
 
     def test_non_self_adjoint_B_rejected(self):
         expr = Fourier(0, 1)
