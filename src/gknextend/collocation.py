@@ -14,10 +14,12 @@ per N on [-1, 1] (`_reference_grid`) and scaled to [a, b] by each
 `make_grid` call.  The right factors D_j R_ref^-1 and the similarity
 transforms R_ref D_j R_ref^-1 that the discretization in the
 Gram-orthonormal coordinates reads are cached per (N, j) on first use
-(`reference_diff_rinv`, `reference_diff_similar`), apart from any grid.
-No grid holds D2..D4: the discretization reads a j-th derivative through
-those factors alone, and its trace rows as the endpoint rows of D1^j
-(`spectral.trace_rows`).
+(`reference_diff_rinv`, `reference_diff_similar`), apart from any grid,
+and so are the Chebyshev polynomials at the reference nodes and their
+image under R_ref, which the symmetry defect's probe reads
+(`reference_chebyshev`).  No grid holds D2..D4: the discretization reads
+a j-th derivative through those factors alone, and its trace rows as the
+endpoint rows of D1^j (`spectral.trace_rows`).
 """
 
 from __future__ import annotations
@@ -120,6 +122,19 @@ def reference_diff_similar(N: int, order: int) -> np.ndarray:
     """
     _, D1, _, R_ref = _reference_grid(N)
     return _read_only(R_ref @ _diff_rinv(order, D1, R_ref))
+
+
+@functools.lru_cache(maxsize=4)
+def reference_chebyshev(N: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """T_0..T_degree at the reference nodes t, and R_ref times them, read-only.
+
+    The probe columns of the symmetry defect on any grid of this N are
+    these polynomials of t = (2u - a - b)/(b - a), so their image under
+    the Gram factor is sqrt(h) times the second array.
+    """
+    t, _, _, R_ref = _reference_grid(N)
+    V = np.polynomial.chebyshev.chebvander(t, degree)
+    return _read_only(V), _read_only(R_ref @ V)
 
 
 def make_grid(N: int, a: float, b: float) -> CollocationGrid:

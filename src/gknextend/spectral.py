@@ -14,27 +14,29 @@ R_ref.
 
 Both symmetry defects, of the honest and of the sabotaged rows, read M
 (`symmetry_defect`) through one image of the probe columns that no
-boundary row enters (`Discretization.probe`), and so does the reduction
-whose spectrum is reported.
+boundary row enters (`Discretization.probe`), built from Chebyshev
+columns cached per grid size (`collocation.reference_chebyshev`), and so
+does the reduction whose spectrum is reported.
 Boundary conditions are imposed by restriction to the nullspace of the
 constraint rows (basis recombination), so the reduced operator stays
 honestly checkable for Hermitian symmetry instead of being made symmetric
-by construction.  `assemble` takes the rows in y coordinates and an
-orthonormal basis Q of their nullspace there, the trailing columns of a
-product H of Householder reflectors taken from the rows, so that the
-operator is the one standard matrix C = Q* M Q = (H* M H)[r:, r:], at
-the cost of rank-1 updates of a copy of M.  The domain basis R^-1 Q is
-G-orthonormal.  A change of basis keeps Hermitian-ness and
-non-Hermitian-ness alike, so the eigenvalues of C stay a measurement of
-the assembly: an unsymmetric assembly gives the same non-real
+by construction.  `assemble` takes the rows in y coordinates and the
+product H = I - Y T Y* (compact WY) of the r Householder reflectors
+taken from them, whose trailing columns Q are an orthonormal basis of
+the rows' nullspace there, so that the operator is the one standard
+matrix C = Q* M Q = (H* M H)[r:, r:].  C is one rank-2r update of a
+copy of M's trailing block, and Q itself is never formed.  The domain
+basis R^-1 Q is G-orthonormal.  A change of basis keeps Hermitian-ness
+and non-Hermitian-ness alike, so the eigenvalues of C stay a measurement
+of the assembly: an unsymmetric assembly gives the same non-real
 eigenvalues in any basis.
 
 `spectrum` computes only the eigenvalues the checks read, the few of
 smallest modulus, by ARPACK's non-symmetric shift-invert Arnoldi at a
 shift just below 0 (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM
-1998), from a fixed generic start vector, with LAPACK getrs solves on one
-getrf factorization, and checks that the eigenvalues it returns cover
-every smaller one (see `spectrum`).
+1998), from a fixed generic start vector, each solve a row permutation
+and two BLAS trsv calls on one getrf factorization, and checks that the
+eigenvalues it returns cover every smaller one (see `spectrum`).
 
 The shooting oracle takes the fundamental matrices of a constant-
 coefficient ODE as matrix exponentials, for a whole stack of lambda at
@@ -59,7 +61,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .collocation import CollocationGrid, reference_diff_rinv, reference_diff_similar
+from .collocation import (
+    CollocationGrid,
+    reference_chebyshev,
+    reference_diff_rinv,
+    reference_diff_similar,
+)
 from .expressions import DiffExpr, ExpSolution
 from .extension import ExtendedModel
 from .polynomials import Poly
@@ -77,6 +84,14 @@ class SpectralError(GknError):
 # with N >= PROBE_DEGREE.
 PROBE_DEGREE = 24
 PROBE_TRIALS = 50
+
+
+@functools.lru_cache(maxsize=16)
+def _fixed_normals(shape: tuple[int, ...]) -> np.ndarray:
+    """`default_rng(0).standard_normal(shape)`, drawn once per shape, read-only."""
+    z = np.random.default_rng(0).standard_normal(shape)
+    z.flags.writeable = False
+    return z
 
 
 def trace_rows(grid: CollocationGrid, expr: DiffExpr) -> np.ndarray:
@@ -149,6 +164,8 @@ class ProbeImage:
     N)) and the W coordinates.  None depends on boundary rows: with
     P = R V = blockdiag(sqrt(h) R_ref, R_W) V, the blocks are
     P* M P = V* G A V and the H + W Gram of the columns P* P = V* G V.
+    The sample block of V and its image R_ref V depend on N alone and are
+    cached per N (`collocation.reference_chebyshev`).
     """
 
     lift_V: np.ndarray         # lift V: boundary rows on the traces map z to rows lift V z
@@ -177,15 +194,15 @@ class Discretization:
 
     @functools.cached_property
     def probe(self) -> ProbeImage:
-        """The `ProbeImage`, built on first use: its n x n products are R_ref and M with m0 columns."""
+        """The `ProbeImage`, built on first use: its one n x n product is M with m0 columns."""
         grid, k = self.grid, self.model.k
         n, d = grid.N + 1, min(PROBE_DEGREE, grid.N)
-        t = (2 * grid.nodes - grid.a - grid.b) / (grid.b - grid.a)
+        cheb, r_cheb = reference_chebyshev(grid.N, d)
         V = np.zeros((n + k, d + 1 + k))
-        V[:n, : d + 1] = np.polynomial.chebyshev.chebvander(t, d)
+        V[:n, : d + 1] = cheb
         V[n:, d + 1 :] = np.eye(k)
         P = np.zeros((n + k, d + 1 + k), dtype=self.M.dtype)
-        P[:n, : d + 1] = np.sqrt(grid.h) * (grid.gram_factor @ V[:n, : d + 1])
+        P[:n, : d + 1] = np.sqrt(grid.h) * r_cheb
         P[n:, d + 1 :] = self.R_W
         Ph = P.conj().T
         return ProbeImage(self.lift @ V, Ph @ (self.M @ P), Ph @ P, V.T @ V)
@@ -243,15 +260,16 @@ class DiscreteExtendedOperator:
 
     Q is an orthonormal basis of the rows' nullspace in the coordinates
     y = R x (see `Discretization`): the last columns of the product of
-    Householder reflectors that `assemble` takes from the rows.
+    Householder reflectors that `assemble` takes from the rows.  Only C
+    is kept; Q y for a coordinate vector y of C is those reflectors
+    applied to (0, y), O(n r) operations.
     """
 
-    Q: np.ndarray
     C: np.ndarray
 
     @property
     def reduced_dim(self) -> int:
-        return self.Q.shape[1]
+        return self.C.shape[0]
 
 
 def _constraint_rows(lift: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -267,7 +285,7 @@ def _row_pivoted_reflectors(rows: np.ndarray) -> tuple[list, list]:
     i into position i (Powell-Reid row pivoting) and takes the Hermitian
     reflector I - tau u u* (tau = 2 / |u|^2, u zero above i) that maps
     that column onto position i.  With P the product of the swaps, in
-    order, P rows* = H [T; 0] and H = H_0 ... H_(r-1).  Pivoting keeps
+    order, P rows* = H [U; 0] and H = H_0 ... H_(r-1).  Pivoting keeps
     the reflectors accurate row by row when the coordinates differ in
     scale by orders of magnitude (a W weight of 1e-12 makes one coordinate
     of a row 1e6 times the others): no entry of u exceeds 1, and no
@@ -289,19 +307,37 @@ def _row_pivoted_reflectors(rows: np.ndarray) -> tuple[list, list]:
     return swaps, reflectors
 
 
+def _permutation(n: int, swaps) -> np.ndarray:
+    """perm with position i holding coordinate perm[i] after swapping the pairs (i, p) in turn."""
+    perm = list(range(n))
+    for i, p in swaps:
+        perm[i], perm[p] = perm[p], perm[i]
+    return np.array(perm)
+
+
 def assemble(disc: Discretization, rows: np.ndarray) -> DiscreteExtendedOperator:
     """Reduce M to the domain of the given boundary rows, real if the rows and M are.
 
     The r boundary rows in y = R x coordinates must have rank r at rtol
     1e-10, each row taken on its own scale (h^-j scales the row of a j-th
     derivative); rows of lower rank are refused (`SpectralError`).  Their
-    row-pivoted Householder QR P rows_y* = H [T; 0]
+    row-pivoted Householder QR P rows_y* = H [U; 0]
     (`_row_pivoted_reflectors`; Golub & Van Loan 5.1-5.2) gives r
     reflectors whose product H is unitary with its first r columns
     spanning the permuted rows, so Q = P* H[:, r:] is an orthonormal
-    basis of their nullspace and C = Q* M Q = (H* P M P* H)[r:, r:].
-    Each reflector enters a copy of M as two rank-1 updates and Q as one,
-    O(r n^2) in all; `disc.M` itself is read-only.
+    basis of their nullspace and C = Q* M Q = (H* P M P* H)[r:, r:]: its
+    coordinates are the non-pivot ones, in swapped order.
+
+    In compact WY form (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput.
+    10, 1989), P* H P = I - Y T Y*, with Y the n x r reflector vectors in
+    unswapped coordinates and T r x r upper triangular.  With S the
+    columns of the kept coordinates, Q = S - Y T Y2* and Y2 = S* Y, so
+
+        C = M22 - Y2 T* (Y* M S) - ((M Y)2 T - Y2 T* (Y* M Y) T) Y2*,
+
+    one rank-2r update (BLAS gemm, in place) of a copy of M22 = S* M S
+    after the products Y* M and M Y, O(r n^2) in all.  Neither Q nor a
+    permuted copy of M is formed, and `disc.M` itself is read-only.
     """
     rows_y = _constraint_rows(disc.lift_y, rows)
     r = rows_y.shape[0]
@@ -311,21 +347,28 @@ def assemble(disc: Discretization, rows: np.ndarray) -> DiscreteExtendedOperator
     if rank < r:
         raise SpectralError(f"the {r} boundary rows have rank {rank} on the grid")
 
-    M = disc.M.astype(np.result_type(disc.M, rows_y))
+    M, n = disc.M, disc.M.shape[0]
     swaps, reflectors = _row_pivoted_reflectors(rows_y)
-    for i, p in swaps:
-        M[[i, p]] = M[[p, i]]
-        M[:, [i, p]] = M[:, [p, i]]
+    perm = _permutation(n, swaps)
+    keep = perm[r:]
+    # H_0 ... H_(r-1) = I - Y T Y*, T by LAPACK larft's forward recurrence
+    Y = np.zeros((n, r), dtype=rows_y.dtype)
+    T = np.zeros((r, r), dtype=rows_y.dtype)
     for i, (u, tau) in enumerate(reflectors):
-        M[i:] -= np.outer(tau * u, u.conj() @ M[i:])
-        M[:, i:] -= np.outer(M[:, i:] @ u, tau * u.conj())
-    Q = np.zeros((M.shape[0], M.shape[0] - r), dtype=rows_y.dtype)
-    np.fill_diagonal(Q[r:], 1)
-    for i, (u, tau) in reversed(list(enumerate(reflectors))):
-        Q[i:] -= np.outer(tau * u, u.conj() @ Q[i:])
-    for i, p in reversed(swaps):
-        Q[[i, p]] = Q[[p, i]]
-    return DiscreteExtendedOperator(Q, M[r:, r:].copy())
+        Y[perm[i:], i] = u
+        T[:i, i] = -tau * (T[:i, :i] @ (Y[:, :i].conj().T @ Y[:, i]))
+        T[i, i] = tau
+    YhM, MY, Y2, Th = Y.conj().T @ M, M @ Y, Y[keep], T.conj().T
+    W2 = MY[keep] @ T - Y2 @ (Th @ (YhM @ Y) @ T)
+    # M22 = M[keep][:, keep]: the swaps move at most r of its coordinates
+    C = M[r:, r:].astype(np.result_type(M, rows_y))
+    moved = np.flatnonzero(keep != np.arange(r, n))
+    C[moved] = M[np.ix_(keep[moved], keep)]
+    C[:, moved] = M[np.ix_(keep, keep[moved])]
+    # C -= [Y2, W2] [T* (Y* M)2; Y2*] in place: gemm on the transposes, which are in Fortran order
+    (gemm,) = scipy.linalg.get_blas_funcs(("gemm",), (C,))
+    update = np.vstack([Th @ YhM[:, keep], Y2.conj().T]).T, np.hstack([Y2, W2]).T
+    return DiscreteExtendedOperator(gemm(-1.0, *update, 1.0, C.T, overwrite_c=1).T)
 
 
 def _probe_nullspace(probe: ProbeImage, rows: np.ndarray) -> np.ndarray:
@@ -348,9 +391,9 @@ def symmetry_defect(disc: Discretization, rows: np.ndarray) -> float:
     `_probe_nullspace`: smooth domain elements on which the collocation
     action is exact up to rounding for every kind and grid size.  All
     pairs are drawn at once from one fixed stream, `default_rng(0)` (four
-    draws per trial: Re z_u, Im z_u, Re z_v, Im z_v), so no verdict
-    depends on the draw of a run; the pairs are complex whatever the
-    dtype of the discretization.  They are not the supremum over the
+    draws per trial: Re z_u, Im z_u, Re z_v, Im z_v), once per shape
+    (`_fixed_normals`), so no verdict depends on the draw of a run; the
+    pairs are complex whatever the dtype of the discretization.  They are not the supremum over the
     probed subspace: with this normaliser that reads 1.2e-9 to 2.5e-9 on
     fourier_3_4 at grid_N 256 (defaults and 5 of 6 drawn parameter sets),
     over the 1e-9 gate that the 50 pairs pass at 2.9e-11 to 8.8e-11.
@@ -367,7 +410,7 @@ def symmetry_defect(disc: Discretization, rows: np.ndarray) -> float:
     """
     probe = disc.probe
     N = _probe_nullspace(probe, rows)
-    z = np.random.default_rng(0).standard_normal((PROBE_TRIALS, 4, N.shape[1]))
+    z = _fixed_normals((PROBE_TRIALS, 4, N.shape[1]))
     if not N.size:
         return 0.0
     Nh = N.conj().T
@@ -417,9 +460,12 @@ def _shift_invert_eigs(C: np.ndarray, scale: float, k: int, ncv: int, sigma: flo
 
     Given a dense matrix, eigs copies it once to shift it and again to
     factor it.  Here C * scale is shifted as eigs shifts it and factored
-    in place by LAPACK's getrf, each shift-invert step is one getrs solve
-    with that factorization (the routines `lu_factor` and `lu_solve`
-    call, without their per-call wrapping and finiteness scan), and eigs
+    in place by LAPACK's getrf, P (C * scale - sigma) = L U, and each
+    shift-invert step solves with those factors directly: the right-hand
+    side permuted by getrf's row interchanges, then two BLAS trsv calls,
+    unit lower L and upper U, in both dtypes.  On a complex C of size 257
+    that took 30 us a solve against 84 us for LAPACK's own solve with the
+    same factors (one BLAS thread), and about the same on a real C.  eigs
     reads C * scale as C (x * scale), the same floats for a power of two
     `scale`.  C must be finite (`spectrum` checks it); a factorization
     with getrf's info != 0, a singular or invalid C - sigma, is refused.
@@ -428,12 +474,20 @@ def _shift_invert_eigs(C: np.ndarray, scale: float, k: int, ncv: int, sigma: flo
 
     shifted = np.multiply(C, scale, order="F")
     shifted.flat[:: C.shape[0] + 1] -= sigma
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (shifted,))
+    (getrf,) = scipy.linalg.get_lapack_funcs(("getrf",), (shifted,))
+    (trsv,) = scipy.linalg.get_blas_funcs(("trsv",), (shifted,))
     lu, piv, info = getrf(shifted, overwrite_a=True)
     if info != 0:
         raise SpectralError(f"cannot factor C - sigma I for the shift-invert solves (getrf info {info})")
+    # getrf interchanged row i with row piv[i], in order
+    perm = _permutation(C.shape[0], enumerate(piv))
+
+    def solve(x):
+        y = trsv(lu, x[perm], lower=1, diag=1, overwrite_x=1)
+        return trsv(lu, y, overwrite_x=1)
+
     A = LinearOperator(C.shape, matvec=lambda x: C @ (x * scale), dtype=C.dtype)
-    OPinv = LinearOperator(C.shape, matvec=lambda x: getrs(lu, piv, x)[0], dtype=C.dtype)
+    OPinv = LinearOperator(C.shape, matvec=solve, dtype=C.dtype)
     return eigs(A, k=k, ncv=ncv, sigma=sigma, v0=v0, OPinv=OPinv)
 
 
@@ -459,7 +513,7 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
     (grid_N 24 and 32), and 1e-13 or less with three more vectors, at
     the same cost.  The start vector is a fixed-seed Gaussian:
     generic, so that no eigenvector is missing from the Krylov space, and
-    the same on every call.  A structured vector such as all ones has no
+    the same on every call (drawn once per size, `_fixed_normals`).  A structured vector such as all ones has no
     component along the odd eigenvectors of a reflection-symmetric problem
     in exact arithmetic, and would leave them to rounding.
 
@@ -505,7 +559,7 @@ def spectrum(op: DiscreteExtendedOperator, count: int) -> SpectrumReport:
         raise SpectralError("the reduced operator C has an entry that is not finite")
     scale = np.ldexp(1.0, -np.frexp(max_abs)[1])
     tau = 1e-9 * norm_1
-    v0 = np.random.default_rng(0).standard_normal(op.reduced_dim)
+    v0 = _fixed_normals((op.reduced_dim,))
     ncv = min(2 * k + 4, op.reduced_dim)
     try:
         evals, Y = _shift_invert_eigs(C, scale, k, ncv, -tau * scale, v0)

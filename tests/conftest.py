@@ -417,12 +417,33 @@ def nodal_discretize(model, grid):
     return NodalDiscretization(lift, A_full, Gram_full)
 
 
-def domain_basis(op, Gram_full):
+def reduced_basis(disc, rows):
+    """The orthonormal nullspace basis Q of the rows in y coordinates, in the coordinates of `assemble`'s C.
+
+    Q = P* H[:, r:] from the reflectors of `spectral._row_pivoted_reflectors`,
+    one rank-1 update of the identity's last columns per reflector and the
+    swaps undone, so that `assemble`'s C is Q* M Q.
+    """
+    from gknextend.spectral import _constraint_rows, _row_pivoted_reflectors
+
+    rows_y = _constraint_rows(disc.lift_y, rows)
+    n, r = disc.M.shape[0], rows_y.shape[0]
+    swaps, reflectors = _row_pivoted_reflectors(rows_y)
+    Q = np.zeros((n, n - r), dtype=rows_y.dtype)
+    np.fill_diagonal(Q[r:], 1)
+    for i, (u, tau) in reversed(list(enumerate(reflectors))):
+        Q[i:] -= np.outer(tau * u, u.conj() @ Q[i:])
+    for i, p in reversed(swaps):
+        Q[[i, p]] = Q[[p, i]]
+    return Q
+
+
+def domain_basis(Q, Gram_full):
     """The domain basis R^-1 Q and R, with Gram_full = R* R factored whole."""
     import scipy.linalg
 
     R = scipy.linalg.cholesky(Gram_full, lower=False)
-    return scipy.linalg.solve_triangular(R, op.Q), R
+    return scipy.linalg.solve_triangular(R, Q), R
 
 
 def reference_assemble(model, bc, grid):
@@ -458,7 +479,7 @@ def reference_assemble(model, bc, grid):
     AZ = nodal.A_full[:, :n] @ scipy.linalg.solve_triangular(R_H, Qh)
     W_rows = AZ[n:] / sqrt_h + nodal.A_full[n:, n:] @ scipy.linalg.solve_triangular(R_W, Qw)
     C = Qh.conj().T @ (R_H @ AZ[:n]) + Qw.conj().T @ (R_W @ W_rows)
-    return DiscreteExtendedOperator(Q, C)
+    return DiscreteExtendedOperator(C)
 
 
 def qz_eigenvalues(model, grid, bc):

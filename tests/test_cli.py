@@ -584,6 +584,26 @@ class TestBenchmarkHarness:
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
+    def test_algebra_commands_leave_out_scipy(self, tmp_path):
+        # running them, not only importing cli: each command through cli.main
+        # in one fresh process, after which no scipy module is loaded
+        src = str(Path(gknextend.__file__).resolve().parents[1])
+        runs = [
+            (cmd, "fourier_3_3") for cmd in ("check-symplectic", "derive-bc", "verify-gkn")
+        ] + [("legendre", "legendre_type")]
+        for _, name in runs:
+            (tmp_path / f"{name}.json").write_text(json.dumps({"example": name}))
+        code = (
+            "import sys, gknextend.cli\n"
+            f"for cmd, name in {runs!r}:\n"
+            "    args = [cmd, '--config', f'{name}.json', '--out', f'{cmd}.out.json']\n"
+            "    assert gknextend.cli.main(args) == 0, cmd\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, cwd=tmp_path)
+
 
 class TestRun:
     def test_derive_bc_report_fields(self):

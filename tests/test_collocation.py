@@ -4,7 +4,13 @@ import pytest
 from conftest import direct_grid
 from gknextend import cli
 from gknextend.catalog import build_example
-from gknextend.collocation import _reference_grid, make_grid, reference_diff_rinv, reference_diff_similar
+from gknextend.collocation import (
+    _reference_grid,
+    make_grid,
+    reference_chebyshev,
+    reference_diff_rinv,
+    reference_diff_similar,
+)
 from gknextend.spectral import discretize, trace_rows
 
 
@@ -109,9 +115,10 @@ class TestReferenceGrid:
         for _ in range(2):
             assert cli.main(["spectrum", "--config", str(path)]) == 0
         info = _reference_grid.cache_info()
-        # one build; read again by the second run's grid and by the one
-        # right factor (D_2 R_ref^-1) the first run builds from its d/dt
-        assert (info.misses, info.hits) == (1, 2)
+        # one build; read again by the second run's grid, by the one right
+        # factor (D_2 R_ref^-1) the first run builds from its d/dt and by the
+        # probe's Chebyshev columns the first run builds
+        assert (info.misses, info.hits) == (1, 3)
 
     @pytest.mark.parametrize("order", range(5))
     def test_right_factor_times_gram_factor_is_the_reference_power(self, order):
@@ -131,6 +138,19 @@ class TestReferenceGrid:
         assert G is reference_diff_similar(48, order)
         want = g.gram_factor @ reference_diff_rinv(48, order)
         assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("N, degree", [(16, 16), (48, 24), (256, 24)])
+    def test_chebyshev_columns_are_the_probe_polynomials(self, N, degree):
+        # T_j of the affine coordinate of any grid of this N, and their image
+        # under the Gram factor, cached read-only
+        V, RV = reference_chebyshev(N, degree)
+        assert all(x is y for x, y in zip(reference_chebyshev(N, degree), (V, RV)))
+        assert not (V.flags.writeable or RV.flags.writeable)
+        g = make_grid(N, 2.0, 5.0)
+        t = (2 * g.nodes - g.a - g.b) / (g.b - g.a)
+        want = np.polynomial.chebyshev.chebvander(t, degree)
+        assert np.abs(V - want).max() <= 1e-13 * degree**2
+        assert np.abs(RV - g.gram_factor @ want).max() <= 1e-13 * degree**2 * np.abs(RV).max()
 
     def test_right_factors_built_only_for_the_orders_used(self):
         # a constant coefficient reads R_ref D_j R_ref^-1 alone, and D_j R_ref^-1
