@@ -32,7 +32,6 @@ from .extension import (
     check_gkn_extended,
     constraint_rows,
     coupling_scale,
-    extended_deficiency_vectors,
     model_from_json,
     render_rows,
     rref,
@@ -49,8 +48,14 @@ TOLERANCES = {
     "sabotage_floor": 1e-4,
     "max_imag": 1e-8,
     "oracle_rel": 1e-6,
-    "residual": 1e-8,
 }
+
+# the longest interval `spectrum` accepts, as the reach |Re mu| (b - a) / 2 of
+# the solutions exp(mu u) of l x = +-i x: a quarter of the float exponent
+# range.  Not far past it (b - a of 1.3e3 on fourier_3_1) the sabotage
+# control fails correct constructions, so longer intervals wait on ROADMAP
+# item 9.
+EXP_REACH = 0.25 * float(np.log(np.finfo(float).max))
 
 # filled in by `run` where a config leaves them out
 RUN_DEFAULTS = {"grid_N": 64, "n_max": 10}
@@ -323,7 +328,6 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
     from .spectral import (
         assemble,
         discretize,
-        eigenrelation_residual,
         modulus_order,
         shooting_oracle,
         spectrum,
@@ -346,6 +350,14 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
             TOLERANCES["defect"],
         )
     else:
+        mu = max(abs(m.real) for sign in (+1, -1) for m in model.expr.exponents(sign))
+        reach = 0.5 * (b - a) * mu
+        if reach > EXP_REACH:
+            raise ConfigError(
+                f"spectrum refuses b - a = {b - a:.4g}: the reach |Re mu| (b - a) / 2 = "
+                f"{reach:.4g} of the solutions exp(mu u) of l x = +-i x exceeds "
+                f"{EXP_REACH:.4g}; longer intervals wait on ROADMAP item 9"
+            )
         op = assemble(disc, rows)
         defect = symmetry_defect(disc, rows)
         checks.le("symmetry_defect", defect, TOLERANCES["defect"])
@@ -374,17 +386,6 @@ def run_spectrum(entry, cfg, checks: Checks, report: dict):
             err = min((abs(r - d) for r in roots), default=np.inf) / max(1.0, abs(d))
             worst = max(worst, err)
         checks.le("oracle_covers_discrete", worst, TOLERANCES["oracle_rel"])
-        worst_res = 0.0
-        for sign in (+1, -1):
-            vecs = extended_deficiency_vectors(model, sign)
-            checks.eq(
-                f"deficiency_count_sign_{'+' if sign > 0 else '-'}",
-                model.deficiency,
-                len(vecs),
-            )
-            for x, a in vecs:
-                worst_res = max(worst_res, eigenrelation_residual(model, grid, x, a, sign * 1j))
-        checks.le("deficiency_eigenrelation_residual", worst_res, TOLERANCES["residual"])
 
     sabotaged = rref(catalog.sabotage_rows(rows, model.trace_dim))
     # no boundary row enters the discretization, so the sabotaged rows share it

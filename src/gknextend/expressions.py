@@ -37,13 +37,6 @@ def _prime(end: str, k: int) -> str:
     return f"x^({k})({end})"
 
 
-# Largest |Re(mu (u - c))| for which exp(mu (u - c)) is evaluated, c the
-# midpoint of [a, b]: a quarter of the float exponent range, so that squared
-# norms of the deficiency solutions, scaled by coefficients and quadrature
-# weights, stay finite too.
-EXP_REACH = 0.25 * float(np.log(np.finfo(float).max))
-
-
 class DiffExpr:
     """Base of the expression kinds; each kind states its own facts.
 
@@ -89,32 +82,12 @@ class DiffExpr:
             coeffs[j] = z.real if z.imag == 0 else z
         return coeffs
 
-    def symbol(self, mu: complex) -> complex:
-        """l exp(mu u) = symbol(mu) exp(mu u)."""
-        return sum(c * mu**j for j, c in self.constant_coefficients().items())
-
     def exponents(self, sign: int) -> list[complex]:
-        """The mu with exp(mu u) solving l x = sign * i x: roots of symbol(mu) - sign * i."""
+        """The mu with exp(mu u) solving l x = sign * i x: roots of sum_j c_j mu^j - sign * i."""
         c = self.constant_coefficients()
         p = [c.get(j, 0) for j in range(max(c), -1, -1)]
         p[-1] -= sign * 1j
         return list(np.roots(p))
-
-    def deficiency_solutions(self, sign: int) -> list["ExpSolution"]:
-        """Solutions of l x = sign * i x for the constant-coefficient kinds.
-
-        Raises when |Re(mu (u - c))| can exceed EXP_REACH on the interval.
-        """
-        if sign not in (+1, -1):
-            raise ExpressionError("sign must be +1 or -1")
-        mus = self.exponents(sign)
-        reach = 0.5 * (float(self.b) - float(self.a)) * max(abs(mu.real) for mu in mus)
-        if reach > EXP_REACH:
-            raise ExpressionError(
-                f"the deficiency solutions exp(mu u) do not fit a float on [a, b]: "
-                f"|Re mu| (b - a) / 2 = {reach:.3g} exceeds {EXP_REACH:.0f}"
-            )
-        return [ExpSolution(self, mu) for mu in mus]
 
 
 @dataclass(frozen=True)
@@ -306,31 +279,3 @@ def boundary_form(expr: DiffExpr) -> np.ndarray:
             f"{sv[-1]:.3e}/{sv[0]:.3e}; |c_{m}|, the leading coefficient, is {ends}"
         )
     return S
-
-
-# ---------------------------------------------------------------------------
-# deficiency solutions (closed form, regular kinds)
-
-
-@dataclass(frozen=True)
-class ExpSolution:
-    """x(u) = exp(mu (u - c)), c the midpoint of [a, b]: a solution of l x = +-i x.
-
-    Centred, |x| stays within exp(EXP_REACH) wherever [a, b] lies.
-    """
-
-    expr: DiffExpr
-    mu: complex
-
-    def value(self, u):
-        c = float(self.expr.a + self.expr.b) / 2
-        return np.exp(self.mu * (np.asarray(u, dtype=float) - c))
-
-    def apply(self, u):
-        """l x sampled at u, using the exact exponential derivatives."""
-        return self.expr.symbol(self.mu) * self.value(u)
-
-    def trace(self) -> np.ndarray:
-        d = self.expr.traces_per_endpoint
-        ends = self.value([float(e) for e in self.expr.interval])
-        return np.array([self.mu**k * x for x in ends for k in range(d)], dtype=complex)

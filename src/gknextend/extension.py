@@ -40,7 +40,6 @@ from . import symplectic as sym
 from .expressions import (
     EXPRESSION_KINDS,
     DiffExpr,
-    ExpSolution,
     ExpressionError,
     boundary_form,
 )
@@ -356,32 +355,6 @@ def verify_self_adjoint_domain(model: ExtendedModel, rows: np.ndarray) -> bool:
     F = model.F_ext
     resid = np.abs(N.conj().T @ F @ N).max(initial=0.0)
     return bool(resid <= sym.TOL_FORM * (1.0 + np.abs(F).max(initial=0.0)))
-
-
-# ---------------------------------------------------------------------------
-# deficiency vectors in the extended space
-
-
-def extended_deficiency_vectors(
-    model: ExtendedModel, sign: int
-) -> list[tuple[ExpSolution, np.ndarray]]:
-    """Pairs (x, a) with the extended maximal action equal to sign*i*(x, a).
-
-    x runs over the closed-form classical deficiency solutions and
-    a = (B - sign*i I)^{-1} Omega x; the W-side eigen-relation is checked
-    at build time.
-    """
-    sols = model.expr.deficiency_solutions(sign)
-    out = []
-    eye = np.eye(model.k)
-    for s in sols:
-        om = model.Omega @ s.trace()
-        a = np.linalg.solve(model.B - sign * 1j * eye, om)
-        w_resid = np.abs(model.B @ a - om - sign * 1j * a).max(initial=0.0)
-        if w_resid > 1e-10 * (1 + np.abs(om).max(initial=0.0)):
-            raise ModelError(f"deficiency vector failed its eigen-relation ({w_resid:.3e})")
-        out.append((s, a))
-    return out
 
 
 # ---------------------------------------------------------------------------

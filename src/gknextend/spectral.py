@@ -67,7 +67,7 @@ from .collocation import (
     reference_diff_rinv,
     reference_diff_similar,
 )
-from .expressions import DiffExpr, ExpSolution
+from .expressions import DiffExpr
 from .extension import ExtendedModel
 from .polynomials import Poly
 from .symplectic import GknError, matrix_rank, nullspace
@@ -809,36 +809,3 @@ def __getattr__(name):
 
         return solve_ivp
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# eigen-relation residuals
-
-
-def eigenrelation_residual(
-    model: ExtendedModel,
-    grid: CollocationGrid,
-    x: ExpSolution,
-    a: np.ndarray,
-    lam: complex,
-) -> float:
-    """||T_hat(x, a) - lam (x, a)|| / ||(x, a)|| in the quadrature + G norm.
-
-    l x comes from the exact exponential derivatives of x; samples are
-    taken on the grid.  The grid's Gram is real and symmetric, so
-    h* gram h = Re(h)^T gram Re(h) + Im(h)^T gram Im(h): the real and
-    imaginary parts of both H vectors take one real product with the
-    Gram, with no complex copy of it.
-    """
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    x_h = x.value(grid.nodes)
-    h_res = x.apply(grid.nodes) - lam * x_h
-    w_res = model.B @ a - model.Omega @ x.trace() - lam * a
-    H = np.stack([h_res.real, h_res.imag, x_h.real, x_h.imag], axis=1)
-    h2 = np.einsum("ij,ij->j", H, grid.gram @ H)
-
-    def w2(w):
-        return (w.conj() @ model.W.G @ w).real
-
-    num = h2[0] + h2[1] + w2(w_res)
-    return float(np.sqrt(max(num, 0.0) / (h2[2] + h2[3] + w2(a))))

@@ -15,7 +15,6 @@ from gknextend.collocation import make_grid
 from gknextend.extension import (
     check_gkn_extended,
     constraint_rows,
-    extended_deficiency_vectors,
     verify_self_adjoint_domain,
 )
 from gknextend.expressions import LegendreType
@@ -23,7 +22,6 @@ from gknextend.legendre import exact_suite, lt_eigenvalue, operator_basis
 from gknextend.spectral import (
     assemble,
     discretize,
-    eigenrelation_residual,
     shooting_oracle,
     spectrum,
     symmetry_defect,
@@ -206,22 +204,6 @@ def test_06_structural_invariants_randomized():
                 rhs = form_eval(model.S, x, T[j])
                 ok &= abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
     report(6, "structural-invariants-100-trials-per-model", ok, t0)
-
-
-def test_07_deficiency_isomorphism():
-    t0 = time.perf_counter()
-    ok = True
-    grid = make_grid(64, 0.0, 1.0)
-    for name in ("first_order", "fourier_3_1", "fourier_3_2a", "fourier_3_3",
-                 "fourier_3_4", "fourier_3_5"):
-        model = build_example(name).model
-        for sign in (+1, -1):
-            vecs = extended_deficiency_vectors(model, sign)
-            ok &= len(vecs) == model.deficiency
-            for x, a in vecs:
-                r = eigenrelation_residual(model, grid, x, a, sign * 1j)
-                ok &= r <= 1e-8
-    report(7, "deficiency-vectors-count-and-residual", ok, t0)
 
 
 @pytest.fixture(scope="module")

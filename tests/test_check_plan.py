@@ -37,9 +37,6 @@ ORACLE_SPECTRUM = [
     "oracle_found_five",
     "oracle_agreement_rel",
     "oracle_covers_discrete",
-    "deficiency_count_sign_+",
-    "deficiency_count_sign_-",
-    "deficiency_eigenrelation_residual",
     "sabotaged_defect_floor",
 ]
 POLY_SPECTRUM = ["symmetry_defect_polynomial_subspace", "sabotaged_defect_floor"]

@@ -282,12 +282,17 @@ class TestRefusals:
         "name", ["fourier_3_1", "fourier_3_2a", "fourier_3_3", "fourier_3_4", "fourier_3_5"]
     )
     def test_interval_too_long_for_deficiency_solutions(self, tmp_path, capsys, name):
-        # (b - a)^2 fits a float, exp(mu b) does not: refused before exp is
-        # evaluated, so no overflow warning is raised on the way
+        # (b - a)^2 fits a float; the reach |Re mu| (b - a) / 2 of exp(mu u) is
+        # 3.5e149, far past cli.EXP_REACH: refused before the sabotage control
+        # reads a defect it cannot resolve, with no overflow warning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             err = self.refused(tmp_path, capsys, {"example": name, "params": {"b": 1e150}}, "spectrum")
-        assert "exp(mu u)" in err
+        assert err == (
+            "config error: spectrum refuses b - a = 1e+150: the reach |Re mu| (b - a) / 2 = "
+            "3.536e+149 of the solutions exp(mu u) of l x = +-i x exceeds 177.4; longer "
+            "intervals wait on ROADMAP item 9\n"
+        )
 
     def test_grid_too_fine(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, {"example": "fourier_3_3", "grid_N": 257}, "spectrum")
@@ -511,6 +516,28 @@ class TestCouplingChecks:
         cli.run_check_symplectic(dataclasses.replace(entry, model=model), {}, checks, {})
         failed = [c["name"] for c in checks.items if not c["pass"]]
         assert failed == ["omega_coupling_identity"]
+
+    @pytest.mark.parametrize("factor", [-1.0, 1.001], ids=["negated", "scaled"])
+    @pytest.mark.parametrize(
+        "example",
+        ["first_order", "fourier_3_1", "fourier_3_2a", "fourier_3_3", "fourier_3_4", "fourier_3_5"],
+    )
+    def test_faulty_coupling_block_fails_symmetry_defect(self, tmp_path, monkeypatch, example, factor):
+        # M's coupling block M[n:, :n], the collocated -Omega tr, with a wrong
+        # sign or a 0.1% error: the symmetry defect reads 4.9e-6 to 3.5
+        discretize = spectral.discretize
+
+        def faulty(model, grid):
+            disc = discretize(model, grid)
+            M, n = disc.M.copy(), grid.N + 1
+            M[n:, :n] *= factor
+            return dataclasses.replace(disc, M=M)
+
+        monkeypatch.setattr(spectral, "discretize", faulty)
+        path, out = write_config(tmp_path, {"example": example}), tmp_path / "rep.json"
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 1
+        checks = {c["name"]: c["pass"] for c in json.loads(out.read_text())["checks"]}
+        assert checks["symmetry_defect"] is False
 
     # each verdict is the probe pairs' own, not a draw's: seed 0 fails them,
     # and the second seed passed them when the pairs followed the seed key
@@ -773,13 +800,21 @@ class TestMain:
         "params", [{"b": 30}, {"b": 50}, {"a": 100, "b": 101}], ids=["b30", "b50", "a100_b101"]
     )
     def test_spectrum_passes_far_from_the_origin(self, tmp_path, params):
-        # the deficiency solutions are centred on the interval and their
-        # residual is relative, so neither depends on where [a, b] lies
         path = write_config(tmp_path, {"example": "fourier_3_3", "params": params})
-        out = tmp_path / "rep.json"
-        assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
-        checks = {c["name"]: c["got"] for c in json.loads(out.read_text())["checks"]}
-        assert checks["deficiency_eigenrelation_residual"] < 1e-14
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path / "rep.json")]) == 0
+
+    @pytest.mark.parametrize("example", ["fourier_3_1", "fourier_3_3", "fourier_3_5"])
+    def test_spectrum_does_not_depend_on_where_the_interval_lies(self, example):
+        # the grid, the probe and the oracle are all taken relative to [a, b]
+        near, far = (
+            run({"example": example, "params": {"a": a, "b": a + 1}}, "spectrum") for a in (0, 100)
+        )
+        for want, got in [
+            (near["eigenvalues"]["eigenvalues"], far["eigenvalues"]["eigenvalues"]),
+            (near["oracle_eigenvalues"], far["oracle_eigenvalues"]),
+        ]:
+            want, got = np.array(want), np.array(got)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize(
         "qs",

@@ -284,25 +284,22 @@ class TestDeficiency:
         geo = GeneralEvenOrder((Poly([1]), Poly([0, 1]), Poly([1])), 0, 1)
         assert geo.deficiency == 4
 
-    def test_first_order_solution(self):
-        sols = FirstOrderI().deficiency_solutions(+1)
-        assert len(sols) == 1 == FirstOrderI().deficiency
-        assert sols[0].mu == 1.0  # e^u solves i x' = i x
-        u = np.linspace(0, 1, 7)
-        assert np.abs(sols[0].apply(u) - 1j * sols[0].value(u)).max() < 1e-14
-
-    def test_fourier_solution_count_and_relation(self):
+    def test_first_order_exponent(self):
+        # e^(sign u) solves i x' = sign i x
         for sign in (+1, -1):
-            sols = Fourier(0, 1).deficiency_solutions(sign)
-            assert len(sols) == 2
-            u = np.linspace(0, 1, 7)
-            for s in sols:
-                assert np.abs(s.apply(u) - sign * 1j * s.value(u)).max() < 1e-13
-                assert abs(s.mu**2 + sign * 1j) < 1e-15
+            assert FirstOrderI().exponents(sign) == [sign]
+
+    def test_fourier_exponents(self):
+        # -x'' = sign i x: mu^2 = -sign i, one root per trace at an endpoint
+        for sign in (+1, -1):
+            mus = Fourier(0, 1).exponents(sign)
+            assert len(mus) == 2
+            for mu in mus:
+                assert abs(mu**2 + sign * 1j) < 1e-15
 
     def test_legendre_unsupported(self):
-        with pytest.raises(ExpressionError):
-            LegendreType(1).deficiency_solutions(+1)
+        with pytest.raises(ExpressionError, match="not constant"):
+            LegendreType(1).exponents(+1)
 
 
 class TestSerialization:

@@ -12,7 +12,6 @@ from gknextend.extension import (
     check_gkn_extended,
     constraint_rows,
     derive_boundary_conditions,
-    extended_deficiency_vectors,
     model_from_json,
     render_rows,
     rref,
@@ -69,10 +68,6 @@ class TestBuildModel:
         assert model.M_min.shape == (4, 0)
         assert np.array_equal(model.F_ext, boundary_form(Fourier(0, 1)))
         assert np.array_equal(model.S, model.F_ext)
-        for sign in (+1, -1):
-            vecs = extended_deficiency_vectors(model, sign)
-            assert len(vecs) == model.deficiency
-            assert all(a.shape == (0,) for _, a in vecs)
 
     def test_partial_gkn_traces_need_the_expression_arity(self):
         expr = Fourier(0, 1)
@@ -360,34 +355,6 @@ class TestVerifySelfAdjointDomain:
                     assert verdict is quotient_certificate(model, rows), (params, rows)
                 else:
                     assert not verdict, (params, rows)
-
-
-class TestDeficiencyVectors:
-    def test_first_order_closed_form(self):
-        alpha = 1.5
-        model = build_example("first_order", {"alpha": alpha}).model
-        vecs = extended_deficiency_vectors(model, +1)
-        assert len(vecs) == 1
-        # Omega x = i(x(1) - x(0)) with x = e^(u - 1/2); a = (B - iI)^{-1} Omega x
-        omega = 1j * (np.exp(0.5) - np.exp(-0.5))
-        expected = omega / (alpha - 1j)
-        assert abs(vecs[0][1][0] - expected) < 1e-12
-
-    def test_zero_b_scalar_inversion(self):
-        model = build_example("first_order", {"alpha": 0.0}).model
-        for sign in (+1, -1):
-            x, a = extended_deficiency_vectors(model, sign)[0]
-            omega = model.Omega @ x.trace()
-            assert abs(a[0] - omega[0] / (-sign * 1j)) < 1e-14
-
-    @pytest.mark.parametrize(
-        "name", ["first_order", "fourier_3_1", "fourier_3_3", "fourier_3_5"]
-    )
-    def test_count_matches_deficiency(self, name):
-        model = build_example(name).model
-        for sign in (+1, -1):
-            vecs = extended_deficiency_vectors(model, sign)
-            assert len(vecs) == model.deficiency
 
 
 class TestSerialization:

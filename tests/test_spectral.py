@@ -43,7 +43,6 @@ from gknextend.legendre import lt_eigenvalue
 from gknextend.extension import (
     ExtensionSpace,
     build_model,
-    extended_deficiency_vectors,
     rref,
 )
 from gknextend.polynomials import Poly
@@ -57,7 +56,6 @@ from gknextend.spectral import (
     assemble,
     characteristic_value,
     discretize,
-    eigenrelation_residual,
     shooting_oracle,
     spectrum,
     symmetry_defect,
@@ -1119,12 +1117,6 @@ class TestShootingOracle:
         roots = shooting_oracle(geo_model, canonical_rows(geo_entry), window)
         assert len(roots) >= 5
         assert roots == shooting_oracle(model, canonical_rows(entry), window)
-        grid = make_grid(64, float(geo.a), float(geo.b))
-        for sign in (+1, -1):
-            vecs = extended_deficiency_vectors(geo_model, sign)
-            assert len(vecs) == 2
-            for x, a in vecs:
-                assert eigenrelation_residual(geo_model, grid, x, a, sign * 1j) <= 1e-8
 
     def test_legendre_type_is_refused(self):
         # four traces cannot hold a fundamental system of a fourth-order ODE
@@ -1149,15 +1141,3 @@ class TestShootingOracle:
         bc = rref(DIRICHLET_ROWS)
         with pytest.raises(ExpressionError, match="not constant"):
             shooting_oracle(model, bc, (1.0, 100.0))
-        with pytest.raises(ExpressionError, match="not constant"):
-            extended_deficiency_vectors(model, +1)
-
-
-class TestEigenRelationResidual:
-    def test_deficiency_vectors_at_plus_minus_i(self, grid01):
-        for name in ("first_order", "fourier_3_1", "fourier_3_3"):
-            entry = build_example(name)
-            for sign in (+1, -1):
-                for x, a in extended_deficiency_vectors(entry.model, sign):
-                    r = eigenrelation_residual(entry.model, grid01, x, a, sign * 1j)
-                    assert r <= 1e-8, (name, sign, r)
